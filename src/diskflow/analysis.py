@@ -21,11 +21,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import hypgeo
-from .domains import Domain, HalfPlane, Strip, SlitStrip, Channel, Disk
-from .errors import DiskflowError, DomainError, ParameterError
+from .domains import Domain
+from .errors import DiskflowError, DomainError, EvaluationError, ParameterError
 from .hypgeo import Interval
 from .semigroup import (ELLIPTIC, NONELLIPTIC, Horizon, OrbitSample,
-                        Semigroup, T_MAX_PROBE, exit_time)
+                        Semigroup, T_MAX_PROBE, koenigs_flow, koenigs_horizon)
+# re-exported because bench/tracer.py patches analysis.exit_time by name
+from .semigroup import exit_time  # noqa: F401
 
 CERTIFIED = "Certified"
 REFUTED_TREND = "RefutedTrend"
@@ -91,23 +93,12 @@ class OrbitTrack:
                    mu=complex(mu) if mu is not None else None, label=label)
 
     def w(self, t: float) -> complex:
-        if self.kind == NONELLIPTIC:
-            return self.w0 - t
-        return self.w0 * cmath.exp(self.mu * t)
+        return koenigs_flow(self.kind, self.mu, self.w0, t, backward=True)
 
     def horizon(self) -> Horizon:
         # from the track's own w0 (which may be pinned exactly on a ray of
         # symmetry), never recomputed through the map
-        if self.kind == ELLIPTIC:
-            hint, val = self.omega.spiral_horizon(self.w0, self.mu)
-        else:
-            hint, val = self.omega.backward_ray_horizon(self.w0)
-        if hint == "infinite":
-            return Horizon(math.inf, "analytic")
-        if hint == "finite":
-            return Horizon(val, "analytic")
-        return exit_time(lambda t: self.omega.contains(self.w(t)),
-                         guaranteed=(hint == "exits"))
+        return koenigs_horizon(self.omega, self.kind, self.mu, self.w0)
 
     def g_abs(self, t: float) -> Optional[float]:
         if self.semigroup is None:
@@ -229,8 +220,8 @@ def hayman_wu_audit(sg: Semigroup, z: complex) -> dict:
                              "semigroups")
     w0 = sg.koenigs_image(z)
     horizon = sg.backward_horizon(z)
-    g_fwd = lambda t: abs(sg.generator_at_w(w0 + t))
-    g_bwd = lambda t: abs(sg.generator_at_w(w0 - t))
+    g_fwd = lambda t: abs(sg.generator_at_w(sg.ray_w(w0, t)))
+    g_bwd = lambda t: abs(sg.generator_at_w(sg.ray_w(w0, t, backward=True)))
     fwd = arc_length(g_abs=g_fwd, t0=0.0, t1=math.inf)
     bwd = arc_length(g_abs=g_bwd, t0=0.0, t1=horizon.value)
     length = fwd.value + bwd.value
@@ -307,8 +298,6 @@ def lipschitz_quotient(sampler: Callable[[float], Optional[complex]],
 
 def orbit_point_sampler(sg: Semigroup, z: complex) -> Callable[[float], Optional[complex]]:
     """Forward-orbit evaluator by Koenigs pullback (None on overflow)."""
-    from .errors import EvaluationError
-
     def sample(t: float) -> Optional[complex]:
         try:
             return sg.phi(t, z)
@@ -351,7 +340,8 @@ def _spiral_image_gap(omega: Domain, w0: complex, mu: complex) -> float:
     prev = None
     while True:
         ts = np.linspace(0.0, t_end, n)
-        gap = min(omega.boundary_distance(w0 * cmath.exp(-mu * t), strict=False)
+        gap = min(omega.boundary_distance(koenigs_flow(ELLIPTIC, mu, w0, t),
+                                          strict=False)
                   for t in ts)
         gap = min(gap, omega.boundary_distance(0j, strict=False))
         if prev is not None and abs(gap - prev) <= 1e-9 * max(1.0, gap):
@@ -669,39 +659,6 @@ class ShiftResult:
     samples: tuple = ()
 
 
-def _in_horizontal_halfplane(dom: Domain) -> bool:
-    if isinstance(dom, HalfPlane):
-        return dom.orientation in ("upper", "lower")
-    if isinstance(dom, (Strip, SlitStrip)):
-        return True
-    if isinstance(dom, Channel):
-        return dom.profile == "log_cos"
-    if isinstance(dom, Disk):
-        return True
-    # sampled: probing far above and far below both landing inside rules out
-    # containment in any horizontal half-plane
-    above = below = False
-    for x in (-7.0, 0.0, 7.0):
-        for b in (1e6, 1e9):
-            above = above or dom.contains(complex(x, b))
-            below = below or dom.contains(complex(x, -b))
-    return not (above and below)
-
-
-def _in_horizontal_strip(dom: Domain) -> bool:
-    if isinstance(dom, HalfPlane):
-        return False
-    if isinstance(dom, (Strip, SlitStrip, Disk)):
-        return True
-    if isinstance(dom, Channel):
-        return dom.profile == "log_cos"
-    for x in (-7.0, 0.0, 7.0):
-        for b in (1e6, 1e9):
-            if dom.contains(complex(x, b)) or dom.contains(complex(x, -b)):
-                return False
-    return True
-
-
 def shift_classify(sg: Semigroup, z: complex, t_max: float = T_MAX_PROBE,
                    quotient_span: float = 100.0) -> ShiftResult:
     """Horodisk-avoidance classification through the Cayley transform.
@@ -714,8 +671,8 @@ def shift_classify(sg: Semigroup, z: complex, t_max: float = T_MAX_PROBE,
     """
     if sg.kind != NONELLIPTIC:
         return ShiftResult(SHIFT_NOT_APPLICABLE, None, None, None)
-    if not (_in_horizontal_halfplane(sg.omega) and
-            not _in_horizontal_strip(sg.omega)):
+    below, above = sg.omega.imag_bounded()
+    if below == above:
         return ShiftResult(SHIFT_NOT_APPLICABLE, None, None, None)
     dw = sg.denjoy_wolff_estimate(z)
     if not dw.converged:

@@ -15,12 +15,12 @@ import numpy as np
 from . import catalog, hypgeo
 from .analysis import (CERTIFIED, FINITE_HORIZON, NON_REGULAR, REGULAR,
                        REFUTED_TREND, SHIFT_FINITE, SHIFT_NOT_APPLICABLE,
-                       OrbitTrack, SpiralSpec, ahlfors_audit, arc_length,
+                       OrbitTrack, SpiralSpec, ahlfors_audit,
                        backward_criterion, backward_generator_limsup,
                        bilipschitz_probe, euclidean_sufficient_test,
                        forward_certificate, hayman_wu_audit,
-                       lipschitz_quotient, orbit_point_sampler,
-                       regularity_classify, shift_classify)
+                       lipschitz_quotient, regularity_classify,
+                       shift_classify)
 from .catalog import (BUILTIN_NAMES, CONVEX_BUILTINS, NONELLIPTIC_BUILTINS,
                       builtin_semigroup, builtin_start)
 from .confmap import Mobius

@@ -79,14 +79,10 @@ def channel_semigroup() -> Semigroup:
         Log(0.5 * math.pi),             # -> {x > log sin y, 0 < y < pi}
         Affine(1.0, -0.5j * math.pi),   # center the strip
     )
-    omega = _channel_domain_with_map()
+    omega = Channel(profile="log_cos")
     h = MapExpr(chain, source=unit_disk(), target=omega)
     object.__setattr__(omega, "exact", h.inverted())
     return Semigroup(NONELLIPTIC, h, omega, name="channel")
-
-
-def _channel_domain_with_map() -> Channel:
-    return Channel(profile="log_cos")
 
 
 def slit_tip_semigroup() -> Semigroup:

@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, catalog
-from .analysis import (OrbitTrack, backward_criterion,
+from .analysis import (DEFAULT_HEURISTIC, OrbitTrack, backward_criterion,
                        euclidean_sufficient_test, regularity_classify)
 from .audits import SUITES, run_suite
-from .domains import (example1_domain, example2_domain,
+from .domains import (SlitStrip, example1_domain, example2_domain,
                       example3_domain)
 from .errors import (CrossValidationError, DiskflowError, DomainError,
                      EvaluationError, HorizonError, InversionError,
@@ -47,8 +47,6 @@ def _write_json(path: Path, payload: dict):
 
 
 def _meta(seed: int, scenario: Scenario | None = None, **extra) -> dict:
-    from .analysis import DEFAULT_HEURISTIC
-
     meta = {"tool_version": __version__, "seed": seed,
             "heuristic": DEFAULT_HEURISTIC.to_dict(), "truncation": None,
             "scenario_hash": None}
@@ -94,13 +92,7 @@ def run_trace(scenario: Scenario, out_dir: Path, seed: int) -> int:
         _write_atomic(out_dir / name, _orbit_csv(fwd))
         files.append(name)
         if scenario.backward_grid is not None:
-            horizon = sg.backward_horizon(z)
-            ts = scenario.backward_grid.times()
-            if ts and ts[-1] >= horizon.value:
-                raise HorizonError(
-                    f"backward grid reaches t={ts[-1]} beyond the backward "
-                    f"horizon T_z={horizon.value}", horizon=horizon.value)
-            bwd = sg.backward_orbit(z, ts)
+            bwd = sg.backward_orbit(z, scenario.backward_grid.times())
             name = f"trace_p{i:03d}_backward.csv"
             _write_atomic(out_dir / name, _orbit_csv(bwd))
             files.append(name)
@@ -138,8 +130,6 @@ def run_criterion(scenario: Scenario, out_dir: Path, seed: int) -> int:
 def _criterion_extras(track) -> dict:
     """Truncated-slit-family fixtures get the documented geometry note and
     the half-strip enclosure family."""
-    from .domains import SlitStrip
-
     omega = track.omega
     if isinstance(omega, SlitStrip) and omega.n_truncation is not None:
         return {"enclosure_factory": catalog.example1_enclosure,

@@ -259,7 +259,6 @@ class Atanh:
 _PRIMITIVES = {
     cls.op_name: cls for cls in (Mobius, Affine, Exp, Log, Power, Sin, Tanh)
 }
-_INTERNAL = {cls.op_name: cls for cls in (Asin, Atanh)}
 
 
 def _cpair(z: complex):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import hypgeo
 from .confmap import Affine, Exp, MapExpr, Mobius, Power, Sin
-from .errors import DomainError, ParameterError
+from .errors import DomainError, EvaluationError, ParameterError
 
 _E = math.e
 
@@ -118,8 +118,6 @@ class Domain:
         """lambda(w) * exp(-2 k(w0, w)) with near-boundary cancellations done
         in closed form.  Default: pull back through the exact map (valid while
         the map itself does not saturate); None when only bounds exist."""
-        from .errors import EvaluationError
-
         fmap = self.exact_map
         if fmap is None:
             return None
@@ -153,6 +151,18 @@ class Domain:
     def spiral_horizon(self, w: complex, mu: complex):
         """Same for the elliptic backward trace {exp(mu t) w: t >= 0}."""
         return ("unknown", None)
+
+    def imag_bounded(self) -> tuple:
+        """(Im w bounded below, Im w bounded above) over the domain.
+
+        Default: sampled -- a member far below (above) the real axis rules
+        out a lower (upper) bound."""
+        above = below = False
+        for x in (-7.0, 0.0, 7.0):
+            for b in (1e6, 1e9):
+                above = above or self.contains(complex(x, b))
+                below = below or self.contains(complex(x, -b))
+        return (not below, not above)
 
     # -- sampling & serialization ---------------------------------------
 
@@ -243,9 +253,10 @@ class HalfPlane(Domain):
     def backward_ray_horizon(self, w: complex):
         if self.orientation == "right":
             return ("finite", complex(w).real - self.offset)
-        if self.orientation == "left":
-            return ("infinite", None)
         return ("infinite", None)
+
+    def imag_bounded(self) -> tuple:
+        return (self.orientation == "upper", self.orientation == "lower")
 
     def _proposal(self, rng) -> complex:
         zeta = complex(rng.uniform(1e-3, 4.0), rng.uniform(-4.0, 4.0))
@@ -326,6 +337,9 @@ class Strip(Domain):
     def backward_ray_horizon(self, w: complex):
         return ("infinite", None)
 
+    def imag_bounded(self) -> tuple:
+        return (True, True)
+
     def _proposal(self, rng) -> complex:
         return complex(rng.uniform(-6.0, 6.0),
                        self.center + rng.uniform(-1, 1) * self.half_width * 0.999)
@@ -396,6 +410,9 @@ class HalfStrip(Domain):
     def backward_ray_horizon(self, w: complex):
         return ("finite", complex(w).real - self.left)
 
+    def imag_bounded(self) -> tuple:
+        return (True, True)
+
     def _proposal(self, rng) -> complex:
         return complex(self.left + rng.uniform(1e-3, 6.0) * max(1.0, self.half_width),
                        self.center + rng.uniform(-1, 1) * self.half_width * 0.999)
@@ -464,6 +481,9 @@ class Disk(Domain):
             return ("finite", t)
         return ("unknown", None)
 
+    def imag_bounded(self) -> tuple:
+        return (True, True)
+
     def _proposal(self, rng) -> complex:
         r = math.sqrt(rng.uniform(0, 1)) * self.radius * 0.999
         th = rng.uniform(-math.pi, math.pi)
@@ -530,6 +550,9 @@ class SlitStrip(Domain):
             return ("finite", w.real - max(hits))
         return ("infinite", None)
 
+    def imag_bounded(self) -> tuple:
+        return (True, True)
+
     def _proposal(self, rng) -> complex:
         span = max((abs(x) for x, _ in self.slits), default=4.0)
         return complex(rng.uniform(-1.5 * span, 4.0),
@@ -562,6 +585,10 @@ class _Profile:
 
     def ray_horizon(self, w: complex):
         raise NotImplementedError
+
+    def imag_bounded(self) -> tuple:
+        # the shipped channels open into a half-plane or widen without bound
+        return (False, False)
 
     def params(self) -> dict:
         return {}
@@ -632,6 +659,9 @@ class _SplicedLogProfile(_Profile):
                 return ("infinite", None)
         return ("exits", None)
 
+    def proposal(self, rng) -> complex:
+        return complex(rng.uniform(-8.0, 4.0), rng.uniform(-3.5, 2.5))
+
     def params(self) -> dict:
         return {"mouth_cap": self.mouth_cap, "lower_drop": self.lower_drop}
 
@@ -662,8 +692,9 @@ class _ExpProfile(_Profile):
             return ("infinite", None)
         return ("finite", w.real - math.log(abs(w.imag)))
 
-    def params(self) -> dict:
-        return {}
+    def proposal(self, rng) -> complex:
+        x = rng.uniform(-4.0, 3.0)
+        return complex(x, rng.uniform(-1, 1) * math.exp(x) * 0.999)
 
 
 class _LogCosProfile(_Profile):
@@ -692,8 +723,12 @@ class _LogCosProfile(_Profile):
         w = complex(w)
         return ("finite", w.real - math.log(math.cos(w.imag)))
 
-    def params(self) -> dict:
-        return {}
+    def imag_bounded(self) -> tuple:
+        return (True, True)
+
+    def proposal(self, rng) -> complex:
+        return complex(rng.uniform(-4.0, 4.0),
+                       rng.uniform(-1, 1) * 0.5 * math.pi * 0.999)
 
 
 _PROFILES = {
@@ -737,14 +772,11 @@ class Channel(Domain):
     def backward_ray_horizon(self, w: complex):
         return self._impl.ray_horizon(w)
 
+    def imag_bounded(self) -> tuple:
+        return self._impl.imag_bounded()
+
     def _proposal(self, rng) -> complex:
-        if self.profile == "log_cos":
-            return complex(rng.uniform(-4.0, 4.0),
-                           rng.uniform(-1, 1) * 0.5 * math.pi * 0.999)
-        if self.profile == "exp":
-            x = rng.uniform(-4.0, 3.0)
-            return complex(x, rng.uniform(-1, 1) * math.exp(x) * 0.999)
-        return complex(rng.uniform(-8.0, 4.0), rng.uniform(-3.5, 2.5))
+        return self._impl.proposal(rng)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "profile": self.profile,
@@ -831,6 +863,11 @@ class SpiralSector(Domain):
         if complex(mu) == self.mu:
             return ("infinite", None)
         return ("unknown", None)
+
+    def imag_bounded(self) -> tuple:
+        # as s -> +inf the curves exp(mu (s +/- i th)) with small th > 0
+        # reach Im w -> +inf and -inf (straight rays when mu is real)
+        return (False, False)
 
     def _proposal(self, rng) -> complex:
         s = rng.uniform(-2.0, 2.0)

@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, EvaluationError, ParameterError
 
 BOUNDARY_CUTOFF = 1e-13
 _INFLATE = 1e-12
@@ -249,8 +249,6 @@ def domain_density(dom, w: complex) -> Interval:
     map; otherwise (or when the map overflows far out) the two-sided bound
     [1/(4 delta), 1/delta].
     """
-    from .errors import EvaluationError
-
     w = complex(w)
     delta = _check_interior(dom, w)
     exact = dom.hyperbolic_density(w)
@@ -283,8 +281,6 @@ def domain_distance(dom, z: complex, w: complex, enclosure=None) -> Interval:
     dw = _check_interior(dom, w)
     if z == w:
         return Interval.exact(0.0)
-
-    from .errors import EvaluationError
 
     exact = dom.hyperbolic_distance(z, w)
     if exact is not None:

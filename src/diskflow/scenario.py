@@ -1,16 +1,19 @@
 """Scenario documents: strict parsing, canonical serialization, hashing.
 
 A scenario names a semigroup (builtin shorthand or explicit Koenigs data),
-starting points, time grids, and heuristic overrides.  Unknown keys are
-rejected everywhere; the canonical form round-trips byte-identically, and
-its SHA-256 hash is embedded in every emitted report.
+starting points, time grids, and heuristic overrides.  Allowed keys and
+numeric bounds are read from ``schemas/scenario.schema.json``; unknown keys
+are rejected everywhere.  The canonical form round-trips byte-identically,
+and its SHA-256 hash is embedded in every emitted report.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 from .analysis import Heuristic, OrbitTrack
@@ -20,18 +23,27 @@ from .domains import Domain, domain_from_dict, unit_disk
 from .errors import ScenarioError
 from .semigroup import ELLIPTIC, NONELLIPTIC, Semigroup
 
-_TOP_KEYS = {"name", "builtin", "type", "mu", "koenigs", "domain",
-             "start_points", "start_w", "forward_grid", "backward_grid",
-             "heuristic", "seed"}
-_GRID_KEYS = {"kind", "t0", "t1", "n", "values"}
-_HEURISTIC_KEYS = {"window", "growth_factor", "abs_threshold",
-                   "monotone_rel_tol"}
+
+@functools.cache
+def _schema() -> dict:
+    path = Path(__file__).with_name("schemas") / "scenario.schema.json"
+    return json.loads(path.read_text())
 
 
-def _reject_unknown(data: dict, allowed: set, ctx: str):
-    unknown = set(data) - allowed
+def _reject_unknown(data: dict, allowed: dict, ctx: str):
+    unknown = set(data) - set(allowed)
     if unknown:
         raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {ctx}")
+
+
+def _check_bounds(value, spec: dict, ctx: str):
+    """Enforce the schema's ``minimum`` and ``exclusiveMinimum``."""
+    if "minimum" in spec and not value >= spec["minimum"]:
+        raise ScenarioError(
+            f"{ctx} must be >= {spec['minimum']}, got {value!r}")
+    if "exclusiveMinimum" in spec and not value > spec["exclusiveMinimum"]:
+        raise ScenarioError(
+            f"{ctx} must be > {spec['exclusiveMinimum']}, got {value!r}")
 
 
 def _cpx(v, ctx: str) -> complex:
@@ -61,14 +73,16 @@ class GridSpec:
     def parse(cls, data: dict, ctx: str) -> "GridSpec":
         if not isinstance(data, dict):
             raise ScenarioError(f"{ctx} must be an object")
-        _reject_unknown(data, _GRID_KEYS, ctx)
+        keys = _schema()["definitions"]["grid"]["properties"]
+        _reject_unknown(data, keys, ctx)
         kind = data.get("kind")
         if kind == "linear":
             t0 = float(data.get("t0", 0.0))
             t1 = float(data.get("t1", 10.0))
             n = int(data.get("n", 101))
-            if not (t1 > t0 and n >= 2):
-                raise ScenarioError(f"{ctx}: need t1 > t0 and n >= 2")
+            if not t1 > t0:
+                raise ScenarioError(f"{ctx}: need t1 > t0")
+            _check_bounds(n, keys["n"], f"{ctx}.n")
             return cls("linear", t0, t1, n)
         if kind == "explicit":
             vals = data.get("values")
@@ -112,7 +126,7 @@ class Scenario:
     def parse(cls, data: dict) -> "Scenario":
         if not isinstance(data, dict):
             raise ScenarioError("scenario must be a JSON object")
-        _reject_unknown(data, _TOP_KEYS, "scenario")
+        _reject_unknown(data, _schema()["properties"], "scenario")
 
         builtin = data.get("builtin")
         if builtin is not None and builtin not in BUILTIN_NAMES:
@@ -168,7 +182,8 @@ class Scenario:
             hd = data["heuristic"]
             if not isinstance(hd, dict):
                 raise ScenarioError("heuristic must be an object")
-            _reject_unknown(hd, _HEURISTIC_KEYS, "heuristic")
+            keys = _schema()["properties"]["heuristic"]["properties"]
+            _reject_unknown(hd, keys, "heuristic")
             heur = Heuristic(
                 window=int(hd.get("window", DEFAULT.window)),
                 growth_factor=float(hd.get("growth_factor",
@@ -177,6 +192,8 @@ class Scenario:
                                            DEFAULT.abs_threshold)),
                 monotone_rel_tol=float(hd.get("monotone_rel_tol",
                                               DEFAULT.monotone_rel_tol)))
+            for key, value in heur.to_dict().items():
+                _check_bounds(value, keys[key], f"heuristic.{key}")
 
         seed = data.get("seed", 0)
         if not isinstance(seed, int):

@@ -18,11 +18,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .confmap import MapExpr, compose
 from .domains import (Domain, is_convex_positive_direction, is_spirallike,
                       unit_disk)
 from .errors import (CrossValidationError, EvaluationError, HorizonError,
-                     ParameterError)
+                     InversionError, ParameterError)
 
 T_MAX_PROBE = 1.0e4
 _EXIT_BISECT_TOL = 1e-10
@@ -157,6 +159,33 @@ ELLIPTIC = "elliptic"
 NONELLIPTIC = "nonelliptic"
 
 
+def koenigs_flow(kind: str, mu: Optional[complex], w0: complex, t: float,
+                 backward: bool = False) -> complex:
+    """Koenigs-plane orbit at time t: w0 +/- t, or w0 exp(-/+ mu t)."""
+    if kind == NONELLIPTIC:
+        return w0 - t if backward else w0 + t
+    return w0 * cmath.exp(mu * t if backward else -mu * t)
+
+
+def koenigs_horizon(omega: Domain, kind: str, mu: Optional[complex],
+                    w0: complex) -> Horizon:
+    """T = sup{t : the backward Koenigs-plane trace from w0 stays in omega
+    up to t}; analytic when the domain knows it, else by exit-time search."""
+    if kind == ELLIPTIC:
+        if abs(w0) == 0.0:
+            raise ParameterError(
+                "the constant backward orbit at the Denjoy-Wolff point is excluded")
+        hint, val = omega.spiral_horizon(w0, mu)
+    else:
+        hint, val = omega.backward_ray_horizon(w0)
+    if hint == "infinite":
+        return Horizon(math.inf, "analytic")
+    if hint == "finite":
+        return Horizon(val, "analytic")
+    inside = lambda t: omega.contains(koenigs_flow(kind, mu, w0, t, backward=True))
+    return exit_time(inside, guaranteed=(hint == "exits"))
+
+
 @dataclass(frozen=True)
 class Semigroup:
     """Koenigs data (kind, spectral value, Koenigs map, Koenigs domain)."""
@@ -199,10 +228,7 @@ class Semigroup:
         return self.ray_w(self.koenigs_image(z), t, backward)
 
     def ray_w(self, w0: complex, t: float, backward: bool = False) -> complex:
-        if self.kind == NONELLIPTIC:
-            return w0 - t if backward else w0 + t
-        mu = self.mu
-        return w0 * cmath.exp(mu * t if backward else -mu * t)
+        return koenigs_flow(self.kind, self.mu, w0, t, backward)
 
     def phi(self, t: float, z: complex, seed: Optional[complex] = None) -> complex:
         """phi_t(z) by Koenigs pullback (t >= 0)."""
@@ -211,12 +237,13 @@ class Semigroup:
         w = self.orbit_w(z, t)
         return self.koenigs.invert(w, seed=seed if seed is not None else z)
 
-    def generator(self, z: complex) -> complex:
-        """G(z) = 1/h'(z), or -mu h(z)/h'(z) for elliptic semigroups."""
-        d = self.koenigs.derivative(z)
+    def generator(self, z: complex, check: bool = True) -> complex:
+        """G(z) = 1/h'(z), or -mu h(z)/h'(z) for elliptic semigroups, through
+        the forward map (independent of the inverse chain used by pullback)."""
+        d = self.koenigs.derivative(z, check=check)
         if self.kind == NONELLIPTIC:
             return 1.0 / d
-        return -self.mu * self.koenigs.evaluate(z) / d
+        return -self.mu * self.koenigs.evaluate(z, check=check) / d
 
     def generator_at_w(self, w: complex) -> complex:
         """Generator value at h^{-1}(w), via the inverse-chain derivative.
@@ -239,20 +266,8 @@ class Semigroup:
 
     def backward_horizon(self, z: complex) -> Horizon:
         """T_z = sup{t : the backward Koenigs image stays in omega up to t}."""
-        w0 = self.koenigs_image(z)
-        if self.kind == ELLIPTIC:
-            if abs(w0) == 0.0:
-                raise ParameterError(
-                    "the constant backward orbit at the Denjoy-Wolff point is excluded")
-            hint, val = self.omega.spiral_horizon(w0, self.mu)
-        else:
-            hint, val = self.omega.backward_ray_horizon(w0)
-        if hint == "infinite":
-            return Horizon(math.inf, "analytic")
-        if hint == "finite":
-            return Horizon(val, "analytic")
-        inside = lambda t: self.omega.contains(self.ray_w(w0, t, backward=True))
-        return exit_time(inside, guaranteed=(hint == "exits"))
+        return koenigs_horizon(self.omega, self.kind, self.mu,
+                               self.koenigs_image(z))
 
     # -- orbit tracing ----------------------------------------------------
 
@@ -261,13 +276,6 @@ class Semigroup:
             t=t, z=z, w=w, g=self.generator_at_w(w),
             delta_disk=1.0 - abs(z) ** 2,
             delta_omega=self.omega.boundary_distance(w, strict=False))
-
-    def _generator_field(self, z: complex) -> complex:
-        # forward-map route, independent of the inverse chain used by pullback
-        d = self.koenigs.derivative(z, check=False)
-        if self.kind == NONELLIPTIC:
-            return 1.0 / d
-        return -self.mu * self.koenigs._evaluate_unchecked(z) / d
 
     def _pullback_trace(self, z: complex, t_grid: Sequence[float],
                         backward: bool) -> list:
@@ -289,8 +297,6 @@ class Semigroup:
                          t_to: float, backward: bool, depth: int = 0) -> complex:
         """Invert at time t_to seeded by the point at t_from, halving the
         time step when Newton continuation loses the root."""
-        from .errors import InversionError
-
         w = self.ray_w(w0, t_to, backward)
         try:
             return self.koenigs.invert(w, seed=z_from)
@@ -305,7 +311,7 @@ class Semigroup:
 
     def _cross_check(self, samples: Sequence[OrbitSample], backward: bool):
         sign = -1.0 if backward else 1.0
-        f = lambda t, y: sign * self._generator_field(y)
+        f = lambda t, y: sign * self.generator(y, check=False)
         grid = [s.t for s in samples]
         ode = integrate_complex(f, samples[0].z, grid)
         worst_t, worst = grid[0], 0.0
@@ -402,10 +408,8 @@ class Semigroup:
 
     # -- validation ------------------------------------------------------
 
-    def validate(self, n: int = 40, seed: int = 3, rng_times=None) -> dict:
+    def validate(self, n: int = 40, seed: int = 3) -> dict:
         """Sampled type invariants; returns {check: (passed, worst)}."""
-        import numpy as np
-
         rng = np.random.default_rng(seed)
         disk = unit_disk()
         zs = [0.8 * z for z in disk.interior_samples(n, seed)]
@@ -466,11 +470,8 @@ class ConjugatedSemigroup:
     def phi(self, t: float, zeta: complex, seed: Optional[complex] = None) -> complex:
         if t < 0:
             raise ParameterError("phi is defined for t >= 0")
-        w0 = self.koenigs.evaluate(zeta, check=False)
-        if self.kind == NONELLIPTIC:
-            w = w0 + t
-        else:
-            w = w0 * cmath.exp(-self.mu * t)
+        w = koenigs_flow(self.kind, self.mu,
+                         self.koenigs.evaluate(zeta, check=False), t)
         return self.koenigs.invert(w, seed=seed if seed is not None else zeta,
                                    check=False)
 
@@ -490,8 +491,6 @@ class ConjugatedSemigroup:
 
     def orbit_sampler(self, zeta: complex) -> Callable[[float], Optional[complex]]:
         """Point evaluator for quotient probes; None past the overflow horizon."""
-        from .errors import InversionError
-
         def sample(t: float) -> Optional[complex]:
             try:
                 v = self.phi(t, zeta)
