@@ -19,11 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, catalog
-from .analysis import (DEFAULT_HEURISTIC, OrbitTrack, backward_criterion,
+from .analysis import (DEFAULT_HEURISTIC, backward_criterion,
                        euclidean_sufficient_test, regularity_classify)
 from .audits import SUITES, run_suite
-from .domains import (SlitStrip, example1_domain, example2_domain,
-                      example3_domain)
+from .domains import SlitStrip
 from .errors import (CrossValidationError, DiskflowError, DomainError,
                      EvaluationError, HorizonError, InversionError,
                      ParameterError, ScenarioError)
@@ -154,8 +153,8 @@ _EXAMPLE1_NOTE = (
 
 
 def _example1_report(truncation: int, tmax: float, seed: int) -> dict:
-    dom = example1_domain(truncation)
-    track = OrbitTrack.from_omega(dom, 0j, label="example1")
+    track = catalog.example_track(1, truncation)
+    dom = track.omega
     rng = np.random.default_rng(seed)
 
     containment = []
@@ -209,8 +208,8 @@ def _example1_report(truncation: int, tmax: float, seed: int) -> dict:
 
 
 def _example_channel_report(example_id: int, tmax: float, seed: int) -> dict:
-    dom = example2_domain() if example_id == 2 else example3_domain()
-    track = OrbitTrack.from_omega(dom, 0j, label=f"example{example_id}")
+    track = catalog.example_track(example_id)
+    dom = track.omega
     delta_rows = []
     t = 4.0
     while t <= tmax:

@@ -21,6 +21,17 @@ from .errors import DomainError, EvaluationError, ParameterError
 
 _E = math.e
 
+ELLIPTIC = "elliptic"
+NONELLIPTIC = "nonelliptic"
+
+
+def koenigs_flow(kind: str, mu: Optional[complex], w0: complex, t: float,
+                 backward: bool = False) -> complex:
+    """Koenigs-plane orbit at time t: w0 +/- t, or w0 exp(-/+ mu t)."""
+    if kind == NONELLIPTIC:
+        return w0 - t if backward else w0 + t
+    return w0 * cmath.exp(mu * t if backward else -mu * t)
+
 
 # ---------------------------------------------------------------------------
 # distance helpers
@@ -44,7 +55,8 @@ def dist_to_curve(w: complex, curve: Callable[[float], complex],
 
     Dense sampling brackets every local minimum of the squared distance;
     each bracket is refined by ternary search until the parameter interval
-    is below ``tol`` (also in absolute distance terms for unit-scale data).
+    is below ``tol`` (also in absolute distance terms for unit-scale data)
+    or stops shrinking in floating point.
     """
     if not s_hi > s_lo:
         return abs(w - curve(s_lo))
@@ -63,7 +75,11 @@ def dist_to_curve(w: complex, curve: Callable[[float], complex],
             m1 = lo + (hi - lo) / 3.0
             m2 = hi - (hi - lo) / 3.0
             if abs(w - curve(m1)) <= abs(w - curve(m2)):
+                if m2 == hi:
+                    break
                 hi = m2
+            elif m1 == lo:
+                break
             else:
                 lo = m1
         best = min(best, abs(w - curve(0.5 * (lo + hi))))
@@ -135,6 +151,26 @@ class Domain:
 
     def is_convex_positive_exact(self) -> Optional[bool]:
         return None
+
+    def rightward_half_strip(self, z: complex, w: complex,
+                             r0: float) -> Optional[HalfStrip]:
+        """A half-strip {Re > left, |Im - y0| < r} in the domain around the
+        horizontal pair z, w (boundary distances >= r0), if dom + s lies in
+        dom for s >= 0.  Then B(p, delta(p)) + s does too: delta does not
+        decrease rightward, so the left end bounds the whole half-strip."""
+        if self.is_convex_positive_exact() is not True:
+            return None
+        if abs(z.imag - w.imag) > 1e-9 * max(1.0, abs(z - w)):
+            return None
+        y0 = 0.5 * (z.imag + w.imag)
+        left = min(z.real, w.real) - 0.5 * r0
+        p = complex(left, y0)
+        if not self.contains(p):
+            return None
+        r = min(r0, self.boundary_distance(p)) * 0.999
+        if r < hypgeo.BOUNDARY_CUTOFF:
+            return None
+        return HalfStrip(left=left, half_width=r, center=y0)
 
     def is_spirallike_exact(self, mu: complex) -> Optional[bool]:
         return None
@@ -959,11 +995,7 @@ def is_convex_positive_direction(dom: Domain, sample_budget: int = 200,
     exact = dom.is_convex_positive_exact()
     if exact is not None:
         return exact
-    for w in dom.interior_samples(sample_budget, seed):
-        for t in _PROBE_TIMES:
-            if not dom.contains(w + t):
-                return False
-    return True
+    return _flow_keeps_samples(dom, NONELLIPTIC, None, sample_budget, seed)
 
 
 def is_spirallike(dom: Domain, mu: complex, sample_budget: int = 200,
@@ -976,8 +1008,14 @@ def is_spirallike(dom: Domain, mu: complex, sample_budget: int = 200,
     exact = dom.is_spirallike_exact(mu)
     if exact is not None:
         return exact
+    return _flow_keeps_samples(dom, ELLIPTIC, mu, sample_budget, seed)
+
+
+def _flow_keeps_samples(dom: Domain, kind: str, mu: Optional[complex],
+                        sample_budget: int, seed: int) -> bool:
+    """Does the forward Koenigs-plane flow keep sampled points inside dom?"""
     for w in dom.interior_samples(sample_budget, seed):
         for t in _PROBE_TIMES:
-            if not dom.contains(cmath.exp(-mu * t) * w):
+            if not dom.contains(koenigs_flow(kind, mu, w, t)):
                 return False
     return True

@@ -272,9 +272,9 @@ def domain_distance(dom, z: complex, w: complex, enclosure=None) -> Interval:
     the lower bound is (1/4) log(1 + |z-w|/min(delta(z), delta(w))) -- 1/2
     when the domain is flagged convex -- and the upper bound comes from an
     enclosed subdomain with an exact distance: caller-supplied through
-    ``enclosure``, or an automatically fitted rightward half-strip for
-    horizontal pairs in a domain convex in the positive direction.  When no
-    enclosure is available the upper endpoint is +inf.
+    ``enclosure``, or the domain's ``rightward_half_strip`` for horizontal
+    pairs in a domain convex in the positive direction.  When no enclosure
+    is available the upper endpoint is +inf.
     """
     z, w = complex(z), complex(w)
     dz = _check_interior(dom, z)
@@ -294,10 +294,12 @@ def domain_distance(dom, z: complex, w: complex, enclosure=None) -> Interval:
             pass
 
     c = 0.5 if dom.convex else 0.25
-    lo = c * math.log1p(abs(z - w) / min(dz, dw))
+    r0 = min(dz, dw)
+    lo = c * math.log1p(abs(z - w) / r0)
 
     hi = math.inf
-    sub = enclosure if enclosure is not None else _auto_enclosure(dom, z, w)
+    sub = enclosure if enclosure is not None \
+        else dom.rightward_half_strip(z, w, r0)
     if sub is not None:
         if not (sub.contains(z) and sub.contains(w)):
             raise DomainError("enclosure does not contain both points")
@@ -312,38 +314,3 @@ def domain_distance(dom, z: complex, w: complex, enclosure=None) -> Interval:
         lo = hi = 0.5 * (lo + hi)
     return Interval.bounds(lo, hi)
 
-
-def _auto_enclosure(dom, z: complex, w: complex):
-    """Fit a rightward half-strip around a horizontal pair, if the domain
-    is (exactly) convex in the positive direction."""
-    if dom.is_convex_positive_exact() is not True:
-        return None
-    if abs(z.imag - w.imag) > 1e-9 * max(1.0, abs(z - w)):
-        return None
-    from .domains import HalfStrip  # local import to avoid a cycle
-
-    y0 = 0.5 * (z.imag + w.imag)
-    x_lo, x_hi = sorted((z.real, w.real))
-    try:
-        r0 = min(dom.boundary_distance(complex(x_lo, y0)),
-                 dom.boundary_distance(complex(x_hi, y0)))
-    except DomainError:
-        return None
-    if r0 < BOUNDARY_CUTOFF:
-        return None
-    pad = 0.5 * r0
-    left = x_lo - pad
-    r = r0
-    n = 64
-    for i in range(n + 1):
-        x = left + (x_hi - left) * i / n
-        p = complex(x, y0)
-        if not dom.contains(p):
-            return None
-        r = min(r, dom.boundary_distance(p))
-    r *= 0.999
-    if r < BOUNDARY_CUTOFF:
-        return None
-    # delta is non-decreasing rightward on such domains, so the half-strip
-    # {Re > left, |Im - y0| < r} sits inside dom.
-    return HalfStrip(left=left, half_width=r, center=y0)

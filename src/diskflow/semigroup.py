@@ -13,7 +13,6 @@ rounded onto the unit circle.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -21,8 +20,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .confmap import MapExpr, compose
-from .domains import (Domain, is_convex_positive_direction, is_spirallike,
-                      unit_disk)
+from .domains import (ELLIPTIC, NONELLIPTIC, Domain,
+                      is_convex_positive_direction, is_spirallike,
+                      koenigs_flow, unit_disk)
 from .errors import (CrossValidationError, EvaluationError, HorizonError,
                      InversionError, ParameterError)
 
@@ -71,7 +71,8 @@ class DenjoyWolff:
 
 
 def exit_time(inside: Callable[[float], bool], guaranteed: bool) -> Horizon:
-    """First time the predicate fails, by doubling bracket + bisection.
+    """First time the predicate fails, by doubling bracket + bisection down
+    to 1e-10 or to adjacent floats (the spacing passes 1e-10 beyond ~1e6).
 
     When the exit is not guaranteed, probing stops at T_MAX_PROBE and the
     +inf sentinel carries that probe horizon."""
@@ -90,7 +91,11 @@ def exit_time(inside: Callable[[float], bool], guaranteed: bool) -> Horizon:
     while hi - lo > _EXIT_BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if inside(mid):
+            if mid == lo:
+                break
             lo = mid
+        elif mid == hi:
+            break
         else:
             hi = mid
     return Horizon(0.5 * (lo + hi), "bisection")
@@ -153,18 +158,6 @@ def integrate_complex(f: Callable[[float, complex], complex], z0: complex,
 # ---------------------------------------------------------------------------
 # Semigroup
 # ---------------------------------------------------------------------------
-
-
-ELLIPTIC = "elliptic"
-NONELLIPTIC = "nonelliptic"
-
-
-def koenigs_flow(kind: str, mu: Optional[complex], w0: complex, t: float,
-                 backward: bool = False) -> complex:
-    """Koenigs-plane orbit at time t: w0 +/- t, or w0 exp(-/+ mu t)."""
-    if kind == NONELLIPTIC:
-        return w0 - t if backward else w0 + t
-    return w0 * cmath.exp(mu * t if backward else -mu * t)
 
 
 def koenigs_horizon(omega: Domain, kind: str, mu: Optional[complex],
