@@ -109,16 +109,15 @@ class OrbitTrack:
         return abs(self.z) if self.z is not None else None
 
 
-def backward_tail_grid(track: OrbitTrack, levels: int = 45,
-                       t_max: float = T_MAX_PROBE) -> list:
-    """Times accumulating at the horizon: t_j = T (1 - 2^-j) for finite T,
-    doubling t_j = 2^j capped by ``t_max`` otherwise; both stop at the
-    machine boundary cutoff delta < 1e-13."""
+def backward_tail_grid(track: OrbitTrack, t_max: float = T_MAX_PROBE) -> list:
+    """Times accumulating at the horizon: t_j = T (1 - 2^-j), j <= 45, for
+    finite T, the doubling ``probe_schedule`` otherwise; both stop at the
+    first time that is not usable."""
     horizon = track.horizon()
     ts = [0.0]
     if horizon.finite:
         T = horizon.value
-        for j in range(1, levels + 1):
+        for j in range(1, 46):
             t = T * (1.0 - 2.0 ** -j)
             if t <= ts[-1]:
                 continue
@@ -126,24 +125,53 @@ def backward_tail_grid(track: OrbitTrack, levels: int = 45,
                 break
             ts.append(t)
     else:
-        t = 1.0
-        while t <= t_max:
-            if not _usable_time(track, t):
-                break
-            ts.append(t)
-            t *= 2.0
+        ts.extend(t for t, _ in probe_schedule(track.omega, track.w, t_max))
     return ts
 
 
-def _usable_time(track: OrbitTrack, t: float) -> bool:
+def probe_schedule(omega: Domain, path: Callable[[float], complex],
+                   t_max: float = T_MAX_PROBE, start: float = 1.0,
+                   collapse: bool = False):
+    """Doubling probe times t = start, 2 start, 4 start, ... along the
+    Koenigs-plane path w(t), yielded as (t, delta_Omega(w(t))).
+
+    The one stop rule of every tail probe: t is finite and at most
+    ``t_max``, and w(t) is a usable point of the domain (see ``_probe``).
+    With ``collapse`` the first point of the domain that is not usable ends
+    the schedule as its last item."""
+    t = start
+    while t <= t_max and (probe := _probe(omega, path, t)) is not None:
+        delta, usable = probe
+        if usable or collapse:
+            yield t, delta
+        if not usable:
+            return
+        t *= 2.0
+
+
+def _probe(omega: Domain, path: Callable[[float], complex],
+           t: float) -> Optional[tuple]:
+    """(delta_Omega(w(t)), usable) when t is finite and w(t) is a finite
+    point of the domain, else None.  Usable: delta is at least the machine
+    boundary cutoff and above four float spacings of |w(t)|, so distance
+    bounds and enclosure fits still resolve the point."""
+    if not math.isfinite(t):
+        return None
     try:
-        w = track.w(t)
-        if not track.omega.contains(w):
-            return False
-        return track.omega.boundary_distance(w) >= hypgeo.BOUNDARY_CUTOFF
+        w = path(t)
+        if not (cmath.isfinite(w) and omega.contains(w)):
+            return None
+        delta = omega.boundary_distance(w)
     except (OverflowError, DiskflowError):
         # e.g. spiral traces past the representable modulus
-        return False
+        return None
+    return delta, (delta >= hypgeo.BOUNDARY_CUTOFF
+                   and delta > 4.0 * math.ulp(abs(w)))
+
+
+def _usable_time(track: OrbitTrack, t: float) -> bool:
+    probe = _probe(track.omega, track.w, t)
+    return probe is not None and probe[1]
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +271,17 @@ class Quotient:
 
 
 def lipschitz_quotient(sampler: Callable[[float], Optional[complex]],
-                       t0: float, t1: float, n: int = 60,
-                       fine_step: float = 1e-7) -> Quotient:
+                       t0: float, t1: float) -> Quotient:
     """sup |gamma(t) - gamma(s)| / |t - s| over a log-spaced family of pairs
-    (consecutive and adjacent fine pairs).  Samples evaluating to None or a
+    (consecutive pairs of 60 offsets from each end, and adjacent fine pairs
+    at relative step 1e-7).  Samples evaluating to None or a
     non-finite value (e.g. past an overflow horizon) are skipped and counted.
     """
     if not t1 > t0:
         raise ParameterError("need a nondegenerate interval")
     span = t1 - t0
-    offs = np.geomspace(max(span * 1e-9, 1e-9), span, n)
+    fine_step = 1e-7
+    offs = np.geomspace(max(span * 1e-9, 1e-9), span, 60)
     raw = {t0, t1}
     raw.update(float(t0 + o) for o in offs)      # dense toward t0
     raw.update(float(t1 - o) for o in offs)      # dense toward t1
@@ -296,7 +325,7 @@ def lipschitz_quotient(sampler: Callable[[float], Optional[complex]],
     return Quotient(sup, pairs, skipped)
 
 
-def orbit_point_sampler(sg: Semigroup, z: complex) -> Callable[[float], Optional[complex]]:
+def orbit_point_sampler(sg, z: complex) -> Callable[[float], Optional[complex]]:
     """Forward-orbit evaluator by Koenigs pullback (None on overflow)."""
     def sample(t: float) -> Optional[complex]:
         try:
@@ -313,14 +342,13 @@ class Certificate:
     passed: bool
 
 
-def forward_certificate(sg: Semigroup, z: complex, t_span: float = 100.0,
-                        slack: float = 5e-2) -> Certificate:
+def forward_certificate(sg: Semigroup, z: complex) -> Certificate:
     """Forward-orbit Lipschitz certificate.
 
     Non-elliptic constant: 1/delta_Omega(h(z)).  Elliptic constant:
     |mu h(z)| / dist(orbit image, boundary), the distance taken over a
-    refined polyline of the image spiral.  The measured quotient must not
-    exceed the certificate by more than ``slack``.
+    refined polyline of the image spiral.  The quotient measured over
+    [0, 100] must not exceed the certificate by more than 5%.
     """
     w0 = sg.koenigs_image(z)
     if sg.kind == NONELLIPTIC:
@@ -328,8 +356,8 @@ def forward_certificate(sg: Semigroup, z: complex, t_span: float = 100.0,
     else:
         gap = _spiral_image_gap(sg.omega, w0, sg.mu)
         constant = abs(sg.mu * w0) / gap
-    measured = lipschitz_quotient(orbit_point_sampler(sg, z), 0.0, t_span).value
-    return Certificate(constant, measured, measured <= constant * (1.0 + slack))
+    measured = lipschitz_quotient(orbit_point_sampler(sg, z), 0.0, 100.0).value
+    return Certificate(constant, measured, measured <= constant * (1.0 + 5e-2))
 
 
 def _spiral_image_gap(omega: Domain, w0: complex, mu: complex) -> float:
@@ -574,29 +602,29 @@ class RegularityResult:
     threshold: float
 
 
-def regularity_classify(track: OrbitTrack, threshold: float = 50.0,
-                        t_max: float = T_MAX_PROBE,
-                        window: int = 5) -> RegularityResult:
+def regularity_classify(track: OrbitTrack,
+                        t_max: float = T_MAX_PROBE) -> RegularityResult:
     """FiniteHorizon when T_z < inf; else Regular iff the unit-step
     hyperbolic distances k(gamma~(t), gamma~(t+1)) stay bounded with a
     non-growing trend over doubling times, NonRegular on detected monotone
-    growth.  Steps are evaluated in the Koenigs domain (conformal
-    invariance), so no disk-side map is required."""
+    growth; bounded means below 50 over the last 5 steps.  Steps are
+    evaluated in the Koenigs domain (conformal invariance), so no disk-side
+    map is required."""
+    threshold = 50.0
     horizon = track.horizon()
     if horizon.finite:
         return RegularityResult(FINITE_HORIZON, (), horizon.value, threshold)
     steps = []
-    t = 1.0
-    while t + 1.0 <= t_max:
-        if not (_usable_time(track, t) and _usable_time(track, t + 1.0)):
+    # each step pairs t with t + 1, and both must lie within t_max
+    for t, _ in probe_schedule(track.omega, track.w, t_max - 1.0):
+        if not _usable_time(track, t + 1.0):
             break
         k = hypgeo.domain_distance(track.omega, track.w(t), track.w(t + 1.0))
         steps.append((t, k))
-        t *= 2.0
     if len(steps) < 2:
         return RegularityResult(NON_REGULAR, tuple(steps), horizon.value,
                                 threshold)
-    tail = steps[-window:]
+    tail = steps[-5:]
     los = [k.lo for _, k in tail]
     his = [k.hi for _, k in tail]
     growing_lo = _trend(los, 0.0) == "increasing" and los[-1] > los[0]
@@ -616,33 +644,22 @@ class EuclideanTest:
     samples: tuple
 
 
-def euclidean_sufficient_test(track: OrbitTrack, eps: float = 1e-3,
-                              t_max: float = T_MAX_PROBE,
-                              window: int = 5) -> EuclideanTest:
+def euclidean_sufficient_test(track: OrbitTrack,
+                              t_max: float = T_MAX_PROBE) -> EuclideanTest:
     """Evaluate t * delta_Omega(h(z) - t) on doubling times; pass when the
-    running minimum over the tail stays at or above ``eps`` (a sufficient
+    minimum over the last 5 samples stays at or above 1e-3 (a sufficient
     condition for the backward orbit to be Lipschitz, not a necessary one).
-    """
+    Where delta collapses the collapse scale is the last sample."""
     if track.kind != NONELLIPTIC:
         raise ParameterError("the Euclidean test applies to non-elliptic tracks")
     if track.horizon().finite:
         raise ParameterError("the Euclidean test requires an infinite horizon")
-    samples = []
-    t = 1.0
-    while t <= t_max:
-        if not _usable_time(track, t):
-            # delta collapsed: record the collapse scale and stop
-            w = track.w(t)
-            if track.omega.contains(w):
-                samples.append((t, t * track.omega.boundary_distance(w)))
-            break
-        samples.append((t, t * track.omega.boundary_distance(track.w(t))))
-        t *= 2.0
+    samples = tuple((t, t * delta) for t, delta in probe_schedule(
+        track.omega, track.w, t_max, collapse=True))
     if not samples:
         return EuclideanTest(0.0, False, ())
-    tail = [v for _, v in samples[-window:]]
-    liminf = min(tail)
-    return EuclideanTest(liminf, liminf >= eps, tuple(samples))
+    liminf = min(v for _, v in samples[-5:])
+    return EuclideanTest(liminf, liminf >= 1e-3, samples)
 
 
 SHIFT_FINITE = "Finite"
@@ -659,15 +676,15 @@ class ShiftResult:
     samples: tuple = ()
 
 
-def shift_classify(sg: Semigroup, z: complex, t_max: float = T_MAX_PROBE,
-                   quotient_span: float = 100.0) -> ShiftResult:
+def shift_classify(sg: Semigroup, z: complex) -> ShiftResult:
     """Horodisk-avoidance classification through the Cayley transform.
 
     Applicable only when the Koenigs domain sits inside a horizontal
     half-plane but inside no horizontal strip; then Re C(gamma_z(t)) with
-    C(z) = (tau+z)/(tau-z) is sampled on doubling times: bounded means
-    finite shift, monotone divergence means infinite shift.  The Lipschitz
-    quotient of C(gamma_z) is reported alongside.
+    C(z) = (tau+z)/(tau-z) is sampled on the doubling ``probe_schedule``
+    of the forward Koenigs-plane ray: bounded means finite shift, monotone
+    divergence means infinite shift.  The Lipschitz quotient of C(gamma_z)
+    on [0, 100] is reported alongside.
     """
     if sg.kind != NONELLIPTIC:
         return ShiftResult(SHIFT_NOT_APPLICABLE, None, None, None)
@@ -691,14 +708,12 @@ def shift_classify(sg: Semigroup, z: complex, t_max: float = T_MAX_PROBE,
         return (tau + zt) / den
 
     res = []
-    t = 1.0
-    while t <= t_max:
+    for t, _ in probe_schedule(sg.omega, lambda t: sg.orbit_w(z, t)):
         v = c_of_gamma(t)
         if v is None:
             break
         res.append((t, v.real))
-        t *= 2.0
-    quo = lipschitz_quotient(c_of_gamma, 0.0, quotient_span).value
+    quo = lipschitz_quotient(c_of_gamma, 0.0, 100.0).value
     re_vals = [r for _, r in res]
     sup_re = max(re_vals) if re_vals else None
     tail = re_vals[-5:]
@@ -865,9 +880,8 @@ class BilipschitzProbe:
     epsilon: Optional[float]
 
 
-def bilipschitz_probe(samples: Sequence[OrbitSample],
-                      cutoff: float = 1e-3) -> BilipschitzProbe:
-    """inf |G| over the sampled orbit: below ``cutoff`` with a downward tail
+def bilipschitz_probe(samples: Sequence[OrbitSample]) -> BilipschitzProbe:
+    """inf |G| over the sampled orbit: below 1e-3 with a downward tail
     trend means the parameterization cannot be bi-Lipschitz; otherwise it is
     bi-Lipschitz on the sampled range with the recorded lower constant."""
     if not samples:
@@ -876,6 +890,6 @@ def bilipschitz_probe(samples: Sequence[OrbitSample],
     inf_g = min(gs)
     k = min(5, len(gs))
     tail_down = _trend(gs[-k:], 1e-9) in ("decreasing", "flat")
-    if inf_g < cutoff and tail_down:
+    if inf_g < 1e-3 and tail_down:
         return BilipschitzProbe(inf_g, "not_bilipschitz", None)
     return BilipschitzProbe(inf_g, "bilipschitz_on_range", inf_g)

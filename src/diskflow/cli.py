@@ -20,9 +20,10 @@ import numpy as np
 
 from . import __version__, catalog
 from .analysis import (DEFAULT_HEURISTIC, backward_criterion,
-                       euclidean_sufficient_test, regularity_classify)
+                       euclidean_sufficient_test, probe_schedule,
+                       regularity_classify)
 from .audits import SUITES, run_suite
-from .domains import SlitStrip
+from .domains import SlitStrip, example1_domain
 from .errors import (CrossValidationError, DiskflowError, DomainError,
                      EvaluationError, HorizonError, InversionError,
                      ParameterError, ScenarioError)
@@ -127,10 +128,11 @@ def run_criterion(scenario: Scenario, out_dir: Path, seed: int) -> int:
 
 
 def _criterion_extras(track) -> dict:
-    """Truncated-slit-family fixtures get the documented geometry note and
-    the half-strip enclosure family."""
+    """The truncated Example-1 domain (and no other slit strip) gets the
+    documented geometry note and the half-strip enclosure family."""
     omega = track.omega
-    if isinstance(omega, SlitStrip) and omega.n_truncation is not None:
+    if isinstance(omega, SlitStrip) and omega.n_truncation is not None \
+            and omega == example1_domain(omega.n_truncation):
         return {"enclosure_factory": catalog.example1_enclosure,
                 "notes": {"discrepancy": _EXAMPLE1_NOTE}}
     return {}
@@ -183,13 +185,9 @@ def _example1_report(truncation: int, tmax: float, seed: int) -> dict:
         sigma_rows.append({"t": t, "exact": exact, "asymptotic": asym,
                            "displayed_expression": catalog.example1_displayed_expression(t)})
 
-    delta_rows = []
-    t = 2.0
-    while t <= min(tmax, 1024.0):
-        d = dom.boundary_distance(complex(-t, 0.0))
-        delta_rows.append({"t": t, "delta": d,
-                           "claimed_bound": 1.0 / math.floor(t)})
-        t *= 2.0
+    delta_rows = [{"t": t, "delta": d, "claimed_bound": 1.0 / math.floor(t)}
+                  for t, d in probe_schedule(dom, track.w, min(tmax, 1024.0),
+                                             start=2.0)]
 
     report = backward_criterion(
         track, enclosure_factory=catalog.example1_enclosure, t_max=tmax,
@@ -210,13 +208,9 @@ def _example1_report(truncation: int, tmax: float, seed: int) -> dict:
 def _example_channel_report(example_id: int, tmax: float, seed: int) -> dict:
     track = catalog.example_track(example_id)
     dom = track.omega
-    delta_rows = []
-    t = 4.0
-    while t <= tmax:
-        d = dom.boundary_distance(complex(-t, 0.0))
-        delta_rows.append({"t": t, "delta": d, "inv_log_t": 1.0 / math.log(t),
-                           "t_times_delta": t * d})
-        t *= 2.0
+    delta_rows = [{"t": t, "delta": d, "inv_log_t": 1.0 / math.log(t),
+                   "t_times_delta": t * d}
+                  for t, d in probe_schedule(dom, track.w, tmax, start=4.0)]
     report = backward_criterion(track, t_max=tmax)
     reg = regularity_classify(track, t_max=tmax)
     euc = euclidean_sufficient_test(track, t_max=tmax)

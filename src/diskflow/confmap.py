@@ -359,12 +359,20 @@ class MapExpr:
         if check and self.target is not None and not self.target.contains(w):
             raise DomainError(f"{w!r} is not in the map target")
         try:
-            z = self._invert_closed_form(w)
-        except EvaluationError:
-            z = None
+            z, overflow = self._invert_closed_form(w), None
+        except EvaluationError as exc:
+            z, overflow = None, (exc if exc.overflow else None)
         if z is not None and self._closed_form_acceptable(z, w):
             return z
-        return self._invert_newton(w, seed if seed is not None else z)
+        try:
+            return self._invert_newton(w, seed if seed is not None else z)
+        except InversionError:
+            # the forward map passes through the same overflowing
+            # intermediate at the true preimage, so Newton cannot reach it:
+            # w lies past the representable horizon
+            if overflow is None:
+                raise
+            raise overflow from None
 
     def _closed_form_acceptable(self, z: complex, w: complex) -> bool:
         if not self._needs_verification(z):

@@ -53,7 +53,7 @@ def dist_to_curve(w: complex, curve: Callable[[float], complex],
                   tol: float = 1e-9) -> float:
     """Distance from ``w`` to a smooth parametric curve on [s_lo, s_hi].
 
-    Dense sampling brackets every local minimum of the squared distance;
+    Dense sampling brackets every local minimum of the distance;
     each bracket is refined by ternary search until the parameter interval
     is below ``tol`` (also in absolute distance terms for unit-scale data)
     or stops shrinking in floating point.
@@ -61,13 +61,12 @@ def dist_to_curve(w: complex, curve: Callable[[float], complex],
     if not s_hi > s_lo:
         return abs(w - curve(s_lo))
     ss = np.linspace(s_lo, s_hi, n0)
-    d2 = np.empty(n0)
-    for i, s in enumerate(ss):
-        d2[i] = abs(w - curve(s)) ** 2
-    best = math.sqrt(float(d2.min()))
+    # distances, not squares, which overflow once |w| passes about 1e154
+    d = np.array([abs(w - curve(s)) for s in ss])
+    best = float(d.min())
     # bracket local minima (including the endpoints)
     idx = [i for i in range(n0)
-           if (i == 0 or d2[i] <= d2[i - 1]) and (i == n0 - 1 or d2[i] <= d2[i + 1])]
+           if (i == 0 or d[i] <= d[i - 1]) and (i == n0 - 1 or d[i] <= d[i + 1])]
     for i in idx:
         lo = ss[max(0, i - 1)]
         hi = ss[min(n0 - 1, i + 1)]
@@ -164,6 +163,8 @@ class Domain:
             return None
         y0 = 0.5 * (z.imag + w.imag)
         left = min(z.real, w.real) - 0.5 * r0
+        if left >= min(z.real, w.real):
+            return None  # 0.5 r0 is below the float spacing of Re w
         p = complex(left, y0)
         if not self.contains(p):
             return None

@@ -32,12 +32,6 @@ def logsinh(x: float) -> float:
     return x - math.log(2.0) + math.log(-math.expm1(-2.0 * x))
 
 
-def logcosh(x: float) -> float:
-    """log(cosh(x)), any real x, without overflow."""
-    ax = abs(x)
-    return ax - math.log(2.0) + math.log1p(math.exp(-2.0 * ax))
-
-
 def _arccosh1p(u: float) -> float:
     """arccosh(1 + u) for u >= 0, stable for both tiny and huge u."""
     if u < 0:

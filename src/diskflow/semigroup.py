@@ -481,15 +481,3 @@ class ConjugatedSemigroup:
             seed = self.phi(t, zeta, seed=seed) if t != 0.0 else complex(zeta)
             out.append((t, seed))
         return out
-
-    def orbit_sampler(self, zeta: complex) -> Callable[[float], Optional[complex]]:
-        """Point evaluator for quotient probes; None past the overflow horizon."""
-        def sample(t: float) -> Optional[complex]:
-            try:
-                v = self.phi(t, zeta)
-            except (EvaluationError, InversionError):
-                return None
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                return None
-            return v
-        return sample

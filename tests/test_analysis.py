@@ -434,7 +434,7 @@ class TestConjugationTrends:
         conj = sg.conjugate(f)
         for z in disk_points(rng, 20, 0.7):
             zeta = f.evaluate(z)
-            q = lipschitz_quotient(conj.orbit_sampler(zeta), 0.0, 50.0)
+            q = lipschitz_quotient(orbit_point_sampler(conj, zeta), 0.0, 50.0)
             w0 = sg.koenigs_image(z)
             bound = 4.0 * 1.5 / sg.omega.boundary_distance(w0)
             assert q.value <= bound * 1.05
@@ -446,7 +446,7 @@ class TestConjugationTrends:
 
         f = MapExpr((Mobius(1, 0, -1, 1),), source=unit_disk())
         conj = builtins["strip"].conjugate(f)
-        sampler = conj.orbit_sampler(0j)
+        sampler = orbit_point_sampler(conj, 0j)
         qs = [lipschitz_quotient(sampler, 0.0, T).value
               for T in (10.0, 100.0, 1000.0)]
         assert qs[0] < qs[1] < qs[2]

@@ -163,6 +163,14 @@ class TestInvert:
         assert exc.value.best_residual is not None
         assert exc.value.best_residual > 0
 
+    def test_overflow_past_the_horizon_stays_an_overflow(self):
+        # the strip map's closed form overflows in exp at w = 500, and the
+        # forward map overflows on the way to the true preimage as well
+        h = catalog.strip_semigroup().koenigs
+        with pytest.raises(EvaluationError) as exc:
+            h.invert(500.0, seed=0j)
+        assert exc.value.overflow
+
     def test_inverted_expression(self):
         h = catalog.strip_semigroup().koenigs
         hinv = h.inverted()

@@ -1,5 +1,7 @@
 """Domain hooks answered in closed form by the built-in kinds."""
 
+import math
+
 import pytest
 
 from diskflow.domains import (Channel, Disk, Domain, HalfPlane, HalfStrip,
@@ -75,3 +77,23 @@ def test_channel_proposals_follow_the_profile():
     }
     for profile, pts in expected.items():
         assert Channel(profile=profile).interior_samples(3, seed=5) == pts
+
+
+def test_half_strip_fit_declines_below_float_spacing():
+    # delta ~ 0.029 at -1e15, where floats are 0.125 apart: the left end
+    # Re - 0.5 r0 rounds back onto the pair, so no half-strip is fitted
+    from diskflow.hypgeo import domain_distance
+
+    dom = example2_domain()
+    z, w = complex(-1e15, 0.0), complex(-1e15 - 2.0, 0.0)
+    r0 = min(dom.boundary_distance(z), dom.boundary_distance(w))
+    assert 0.5 * r0 < 0.5 * math.ulp(1e15)
+    assert dom.rightward_half_strip(z, w, r0) is None
+    k = domain_distance(dom, z, w)
+    assert 0.0 < k.lo and k.hi == math.inf
+
+
+def test_channel_boundary_distance_beyond_square_overflow():
+    # |Re w| = 1e200: a squared distance would overflow
+    d = example2_domain().boundary_distance(-1e200)
+    assert d == pytest.approx(1.0 / math.log(1e200), rel=1e-6)

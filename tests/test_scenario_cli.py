@@ -215,6 +215,32 @@ class TestCriterionCommand:
         assert rep["notes"]["discrepancy"]
         assert rep["truncation"] == 12
 
+    def test_other_truncated_slit_strip_gets_no_example1_enclosure(
+            self, tmp_path):
+        # slits L[-1, +-0.05]: Sigma_4 = {Re > -16, |Im| < 1/4} crosses
+        # them, so it is no enclosure.  Every path from 0 to -4 runs 3 units
+        # through the channel between the slits, where lambda >= 1/(4 delta)
+        # >= 5, so k(0, -4) >= 15 and ratio(4) <= lambda(-4) e^-30.
+        payload = {
+            "name": "narrow-slits",
+            "type": "nonelliptic",
+            "koenigs": None,
+            "domain": {"kind": "slitstrip", "half_width": 2.0,
+                       "slits": [{"x": -1.0, "y": 0.05},
+                                 {"x": -1.0, "y": -0.05}],
+                       "n_truncation": 3},
+            "start_w": [[0, 0]],
+        }
+        cfg = write_config(tmp_path, payload)
+        assert main(["criterion", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        rep = json.loads(
+            (tmp_path / "out" / "criterion_p000.json").read_text())
+        assert rep["notes"] == {}
+        at4 = next(s for s in rep["samples"] if s["t"] == 4.0)
+        lam_hi = 1.0 / 0.05
+        assert at4["ratio_lo"] <= lam_hi * math.exp(-30.0)
+
 
 class TestExamplesCommand:
     def test_example1(self, tmp_path):

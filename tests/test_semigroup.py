@@ -4,7 +4,7 @@ import pytest
 
 from diskflow import (CrossValidationError, HorizonError, MapExpr,
                       ParameterError, Semigroup, catalog, unit_disk)
-from diskflow.analysis import OrbitTrack
+from diskflow.analysis import OrbitTrack, orbit_point_sampler
 from diskflow.audits import _Masked
 from diskflow.confmap import Mobius
 from diskflow.domains import HalfPlane, Strip
@@ -277,7 +277,7 @@ class TestConjugation:
     def test_orbit_sampler_handles_overflow(self, builtins):
         f = MapExpr((Mobius(1, 0, -1, 1),), source=unit_disk())
         conj = builtins["strip"].conjugate(f)
-        sample = conj.orbit_sampler(0j)
+        sample = orbit_point_sampler(conj, 0j)
         assert sample(1.0) is not None
         assert sample(1000.0) is None  # past the representable horizon
 

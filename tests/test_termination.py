@@ -59,3 +59,24 @@ def test_example2_cli_at_tmax_1e8(tmp_path, capsys):
     rows = report["delta_along_ray"]
     assert rows[-1]["t"] > 5e7
     assert all(a["delta"] >= b["delta"] for a, b in zip(rows, rows[1:]))
+
+
+@pytest.mark.parametrize("example_id,tmax", [
+    ("1", "inf"), ("1", "1e15"), ("2", "1e15"), ("2", "1e300"), ("3", "inf")])
+def test_examples_at_huge_tmax(example_id, tmax, tmp_path, capsys):
+    # the probe schedule stops before t = inf and before delta reaches the
+    # float spacing of |w|: once hung, or ended in "enclosure does not
+    # contain both points" or an uncaught OverflowError
+    with deadline(10):
+        code = main(["examples", "--id", example_id, "--tmax", tmax,
+                     "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads(
+        (tmp_path / f"example{example_id}_report.json").read_text())
+    rows = report["delta_along_ray"]
+    assert rows and all(math.isfinite(v) for row in rows
+                        for v in row.values())
+    samples = report["criterion"]["samples"]
+    assert all(math.isfinite(s["t"]) and math.isfinite(s["ratio_lo"])
+               for s in samples)
+    assert samples[-1]["t"] < 1e14
