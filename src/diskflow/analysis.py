@@ -737,11 +737,21 @@ class SpiralSpec:
     beta: float
 
     def __post_init__(self):
-        if self.w0 == 0:
-            raise ParameterError("spiral base point must be nonzero")
-        object.__setattr__(self, "w0", complex(self.w0))
+        w0 = complex(self.w0)
+        if w0 == 0 or not cmath.isfinite(w0):
+            raise ParameterError("spiral base point must be finite, nonzero")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ParameterError("spiral exponents must be finite")
+        if self.alpha == 0 and self.beta == 0:
+            raise ParameterError("alpha = beta = 0 traces a single point")
+        object.__setattr__(self, "w0", w0)
 
     def point(self, t):
+        """gamma(t).  A float t (np.float64 included) takes the cmath path,
+        which rounds like NumPy's scalar path; an array keeps NumPy's array
+        path, which rounds differently, so each input kind keeps its bits."""
+        if isinstance(t, float):
+            return self.w0 * cmath.exp(complex(self.alpha, self.beta) * t)
         return self.w0 * np.exp((self.alpha + 1j * self.beta) * t)
 
     def speed_factor(self) -> float:
@@ -761,8 +771,9 @@ class AhlforsResult:
 def _spiral_length_in_disk(spec: SpiralSpec, c: complex, r: float) -> float:
     """Exact-by-pieces length of the spiral trace inside |w - c| < r.
 
-    Crossing times are bracketed on a winding-resolved grid and bisected;
-    each inside piece contributes (speed/|alpha|) |w0| |e^{a t1} - e^{a t2}|.
+    Crossing times are bracketed on a winding-resolved grid and bisected
+    until the midpoint rounds onto an end (at most 60 halvings); each inside
+    piece contributes (speed/|alpha|) |w0| |e^{a t1} - e^{a t2}|.
     """
     a, b = spec.alpha, spec.beta
     speed = spec.speed_factor()
@@ -814,20 +825,20 @@ def _spiral_length_in_disk(spec: SpiralSpec, c: complex, r: float) -> float:
     dt = min(math.pi / (6.0 * abs(b)) if b != 0 else span, span / 64.0)
     n = min(int(span / dt) + 2, 200000)
     ts = np.linspace(t_enter, window_hi, n)
-    d = np.abs(spec.point(ts) - c) - r
-    sign = d < 0
-    # locate boundary crossings
+    inside = np.abs(spec.point(ts) - c) < r
     cross = []
-    for i in range(n - 1):
-        if sign[i] != sign[i + 1]:
-            lo_t, hi_t = ts[i], ts[i + 1]
-            for _ in range(60):
-                mid = 0.5 * (lo_t + hi_t)
-                if (abs(spec.point(mid) - c) - r < 0) == sign[i]:
-                    lo_t = mid
-                else:
-                    hi_t = mid
-            cross.append(0.5 * (lo_t + hi_t))
+    for i in np.flatnonzero(inside[:-1] != inside[1:]):
+        lo_t, hi_t, lo_in = float(ts[i]), float(ts[i + 1]), bool(inside[i])
+        for _ in range(60):
+            mid = 0.5 * (lo_t + hi_t)
+            if mid == lo_t or mid == hi_t:
+                # further halvings could only leave the midpoint where it is
+                break
+            if (abs(spec.point(mid) - c) < r) == lo_in:
+                lo_t = mid
+            else:
+                hi_t = mid
+        cross.append(0.5 * (lo_t + hi_t))
     marks = [t_enter] + cross + [window_hi]
     for i in range(len(marks) - 1):
         t_mid = 0.5 * (marks[i] + marks[i + 1])
@@ -842,6 +853,11 @@ def ahlfors_audit(spec: SpiralSpec, n_disks: int = 1000,
     """Measure sup over random disks of length(trace inside disk)/radius and
     compare against 2 sqrt(alpha^2 + beta^2)/|alpha| (degenerate alpha = 0:
     circle, trivially regular, reported with an infinite formal bound)."""
+    if n_disks < 1:
+        raise ParameterError("ahlfors_audit needs n_disks >= 1")
+    r_lo, r_hi = radius_range
+    if not 0.0 < r_lo <= r_hi < math.inf:
+        raise ParameterError("radius_range must satisfy 0 < lo <= hi < inf")
     trivial = spec.alpha == 0.0 or spec.beta == 0.0
     if spec.alpha == 0.0:
         bound = math.inf
@@ -855,8 +871,8 @@ def ahlfors_audit(spec: SpiralSpec, n_disks: int = 1000,
         # centers biased onto and near the trace, radii log-uniform
         t_ref = rng.uniform(0.0, 6.0 / max(abs(spec.alpha), 0.25))
         base = spec.point(t_ref)
-        r = float(np.exp(rng.uniform(math.log(radius_range[0]),
-                                     math.log(radius_range[1]))) * max(mod0, 0.1))
+        r = float(np.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
+                  * max(mod0, 0.1))
         c = complex(base) + r * rng.uniform(-0.8, 0.8) * cmath.exp(
             1j * rng.uniform(-math.pi, math.pi))
         ell = _spiral_length_in_disk(spec, c, r)

@@ -145,7 +145,12 @@ def integrate_complex(f: Callable[[float, complex], complex], z0: complex,
             if err <= 1.0:
                 t += h
                 z = z5
-            factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
+            if not math.isfinite(err):
+                # NaN or overflow: rejected above; shrink so the collapse
+                # guard below raises instead of the step growing forever
+                factor = 0.2
+            else:
+                factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
             h *= min(5.0, max(0.2, factor))
             if h < 1e-14 * max(1.0, abs(t_next)):
                 raise CrossValidationError(

@@ -361,6 +361,33 @@ class TestAhlfors:
         with pytest.raises(ParameterError):
             SpiralSpec(0.0, -1.0, 1.0)
 
+    def test_single_point_trace_rejected(self):
+        # alpha = beta = 0 is the constant trace; it once measured 2 pi in
+        # every disk around w0
+        with pytest.raises(ParameterError):
+            SpiralSpec(1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("w0,alpha,beta", [
+        (1.0, math.nan, 1.0), (1.0, -1.0, math.nan), (1.0, math.inf, 1.0),
+        (1.0, -1.0, -math.inf), (complex(math.nan, 0.0), -1.0, 1.0),
+        (complex(0.0, math.inf), -1.0, 1.0)])
+    def test_non_finite_rejected(self, w0, alpha, beta):
+        with pytest.raises(ParameterError):
+            SpiralSpec(w0, alpha, beta)
+
+    @pytest.mark.parametrize("n_disks", [0, -3])
+    def test_no_disks_rejected(self, n_disks):
+        with pytest.raises(ParameterError):
+            ahlfors_audit(SpiralSpec(1.0, -1.0, 1.0), n_disks)
+
+    @pytest.mark.parametrize("radius_range", [
+        (0.0, 1.0), (-0.5, 1.0), (2.0, 1.0), (0.1, math.inf),
+        (math.nan, 1.0), (0.1, math.nan)])
+    def test_bad_radius_range_rejected(self, radius_range):
+        with pytest.raises(ParameterError):
+            ahlfors_audit(SpiralSpec(1.0, -1.0, 1.0), 10,
+                          radius_range=radius_range)
+
 
 class TestBilipschitz:
     def test_halfplane_forward_not_bilipschitz(self, builtins):

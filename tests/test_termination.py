@@ -1,8 +1,9 @@
 """Numeric loops stop when float spacing outgrows their tolerance.
 
 Each case looped forever before the no-progress stops in
-``semigroup.exit_time`` and ``domains.dist_to_curve``; the deadline turns a
-regression into a failure instead of a hang."""
+``semigroup.exit_time`` and ``domains.dist_to_curve``, or before
+``semigroup.integrate_complex`` rejected a non-finite error estimate; the
+deadline turns a regression into a failure instead of a hang."""
 
 import json
 import math
@@ -12,7 +13,8 @@ import pytest
 from diskflow.analysis import OrbitTrack
 from diskflow.cli import main
 from diskflow.domains import dist_to_curve, example2_domain
-from diskflow.semigroup import exit_time
+from diskflow.errors import CrossValidationError
+from diskflow.semigroup import exit_time, integrate_complex
 
 from conftest import deadline
 
@@ -80,3 +82,13 @@ def test_examples_at_huge_tmax(example_id, tmax, tmp_path, capsys):
     assert all(math.isfinite(s["t"]) and math.isfinite(s["ratio_lo"])
                for s in samples)
     assert samples[-1]["t"] < 1e14
+
+
+@pytest.mark.parametrize("field,z0", [
+    (lambda t, z: complex(math.nan, 0.0), 0.1 + 0j),
+    (lambda t, z: 1e300 * z * z, 1e10 + 0j),     # z5 overflows: err = inf/inf
+])
+def test_ode_non_finite_error_estimate_collapses(field, z0):
+    with deadline(10):
+        with pytest.raises(CrossValidationError, match="collapsed"):
+            integrate_complex(field, z0, [0.0, 1.0])
