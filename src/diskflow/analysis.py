@@ -773,17 +773,21 @@ def _spiral_length_in_disk(spec: SpiralSpec, c: complex, r: float) -> float:
 
     Crossing times are bracketed on a winding-resolved grid and bisected
     until the midpoint rounds onto an end (at most 60 halvings); each inside
-    piece contributes (speed/|alpha|) |w0| |e^{a t1} - e^{a t2}|.
+    piece contributes (speed/|alpha|) |w0| |e^{a t1} - e^{a t2}|.  The
+    circle alpha = 0 takes the closed-form arc length.
     """
     a, b = spec.alpha, spec.beta
     speed = spec.speed_factor()
     mod0 = abs(spec.w0)
     if a == 0.0:
-        # circle of radius mod0: arc length inside the disk, by dense sampling
-        n = 4096
-        ts = np.linspace(0.0, 2.0 * math.pi / max(abs(b), 1e-12), n)
-        inside = np.abs(spec.point(ts) - c) < r
-        return float(inside.mean() * 2.0 * math.pi * mod0)
+        # the circle |w| = mod0: the arc where the angle from c is below
+        # acos((mod0^2 + |c|^2 - r^2) / (2 mod0 |c|)), clipped, so a circle
+        # wholly inside gives 2 pi mod0 and one wholly outside gives 0
+        rho = abs(c)
+        if rho == 0.0:
+            return 2.0 * math.pi * mod0 if mod0 < r else 0.0
+        k = (mod0 * mod0 + rho * rho - r * r) / (2.0 * mod0 * rho)
+        return 2.0 * mod0 * math.acos(min(1.0, max(-1.0, k)))
 
     # only times with |gamma| in [max(|c|-r, 0), |c|+r] can be inside
     hi_mod = abs(c) + r

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -48,26 +49,67 @@ def _dist_point_segment(w: complex, a: complex, b: complex) -> float:
     return abs(w - (a + t * ab))
 
 
-def dist_to_curve(w: complex, curve: Callable[[float], complex],
+# How far one distance sample |w - c| may move between NumPy's array path
+# and the scalar math/cmath path, in ulps of X = max(1, |w|, |c|).  NumPy
+# documents its SIMD float64 exp, log, sin and cos within 4 ulp and glibc
+# its own within 1 ulp, so the two values of one function differ by at most
+# 10u relative (u = 2^-53, and uX < ulp(X)).  Carried through each curve,
+# then through w - c (2u(|w| + |c|) per part that differs) and |.| (4 ulp
+# and 1 ulp of d <= 2X), in units of uX:
+#   exp channel    x +/- i e^x                      10 + 4 + 20 = 34
+#   1/log channel  x + i(1/log(-x) - drop)          14 + 4 + 20 = 38
+#   log cos        log cos y + i y                  20 + 4 + 20 = 44
+#   spiral edge    e^re (cos im + i sin im)         34 + 8 + 20 = 62
+# The spiral edge rounds re and im alike on both paths; each of its parts
+# carries 24u relative (exp, cos or sin, and up to two products).
+_SAMPLE_ULPS = 64
+
+
+def dist_to_curve(w: complex, curve: Callable,
                   s_lo: float, s_hi: float, n0: int = 600,
                   tol: float = 1e-9) -> float:
     """Distance from ``w`` to a smooth parametric curve on [s_lo, s_hi].
 
-    Dense sampling brackets every local minimum of the distance;
-    each bracket is refined by ternary search until the parameter interval
-    is below ``tol`` (also in absolute distance terms for unit-scale data)
-    or stops shrinking in floating point.
+    ``curve`` maps a float (np.float64 included) to a complex through
+    ``math``/``cmath``, and an array to a complex array through NumPy.  For
+    one sample the two paths round apart by at most a margin of
+    ``_SAMPLE_ULPS`` ulp(max(1, |w|, |c|)).
+
+    The n0 samples take one array call, and each array distance d stands
+    for the interval d +/- 2 margin.  A sample is recomputed on the scalar
+    path when it is not finite, when its interval meets a neighbour's, or
+    when it meets the lowest interval.  Every other comparison decides alike
+    on both paths, so the best sample and the local minima are those of
+    scalar sampling, bit for bit.  Each local minimum (endpoints included)
+    is refined on the scalar path by ternary search until the parameter
+    interval is below ``tol`` (also in absolute distance terms for
+    unit-scale data) or stops shrinking in floating point.
     """
     if not s_hi > s_lo:
         return abs(w - curve(s_lo))
     ss = np.linspace(s_lo, s_hi, n0)
     # distances, not squares, which overflow once |w| passes about 1e154
-    d = np.array([abs(w - curve(s)) for s in ss])
+    with np.errstate(all="ignore"):
+        c = curve(ss)
+        d = np.abs(w - c)
+        r = 2.0 * _SAMPLE_ULPS * np.spacing(
+            np.maximum(max(1.0, abs(w)), np.abs(c)))
+        d_lo, d_hi = d - r, d + r
+    # a sample that is not finite may hold any scalar value
+    bad = ~np.isfinite(d_hi)
+    d_lo[bad], d_hi[bad] = -math.inf, math.inf
+    redo = d_lo <= d_hi.min()
+    near = (d_lo[1:] <= d_hi[:-1]) & (d_lo[:-1] <= d_hi[1:])
+    redo[:-1] |= near
+    redo[1:] |= near
+    for i in np.flatnonzero(redo):
+        d[i] = abs(w - curve(ss[i]))
     best = float(d.min())
     # bracket local minima (including the endpoints)
-    idx = [i for i in range(n0)
-           if (i == 0 or d[i] <= d[i - 1]) and (i == n0 - 1 or d[i] <= d[i + 1])]
-    for i in idx:
+    at_min = np.ones(n0, dtype=bool)
+    at_min[1:] &= d[1:] <= d[:-1]
+    at_min[:-1] &= d[:-1] <= d[1:]
+    for i in np.flatnonzero(at_min):
         lo = ss[max(0, i - 1)]
         hi = ss[min(n0 - 1, i + 1)]
         while hi - lo > tol:
@@ -608,6 +650,24 @@ class SlitStrip(Domain):
 
 # -- channel profiles --------------------------------------------------------
 
+# The largest x whose math.exp is finite
+_EXP_X_MAX = math.log(sys.float_info.max)
+
+
+def _graph(x, y):
+    """x + i y: a Python complex for a float x, a NumPy array for an array."""
+    return complex(x, y) if isinstance(x, float) else x + 1j * y
+
+
+def _exp(x):
+    return math.exp(x) if isinstance(x, float) else np.exp(x)
+
+
+def _log_cos(y):
+    if isinstance(y, float):
+        return math.log(math.cos(y))
+    return np.log(np.cos(y))
+
 
 class _Profile:
     """Boundary description of a channel kind: membership + boundary parts."""
@@ -647,14 +707,18 @@ class _SplicedLogProfile(_Profile):
         self.lower_drop = float(lower_drop)
         self.name = "inv_log" if lower_drop == 0.0 else "inv_log_below"
 
-    def _upper(self, x: float) -> float:
+    def _upper(self, x):
+        """Upper edge at x; an array of x takes NumPy and must lie in
+        x <= -e, the only part ``distance`` samples."""
+        if not isinstance(x, float):
+            return 1.0 / np.log(-x)
         if x <= -_E:
             return 1.0 / math.log(-x)
         # linear blend from 1 at -e to mouth_cap at -1
         s = (x + _E) / (_E - 1.0)
         return 1.0 + s * (self.mouth_cap - 1.0)
 
-    def _lower(self, x: float) -> float:
+    def _lower(self, x):
         return -self._upper(x) - self.lower_drop
 
     def contains(self, w: complex) -> bool:
@@ -682,8 +746,8 @@ class _SplicedLogProfile(_Profile):
         # profile curves for x <= -e, on the window that can still matter
         x_hi = -_E
         x_lo = min(w.real - d0, x_hi - 1.0)
-        d0 = min(d0, dist_to_curve(w, lambda x: complex(x, self._upper(x)), x_lo, x_hi))
-        d0 = min(d0, dist_to_curve(w, lambda x: complex(x, self._lower(x)), x_lo, x_hi))
+        for edge in (self._upper, self._lower):
+            d0 = min(d0, dist_to_curve(w, lambda x: _graph(x, edge(x)), x_lo, x_hi))
         return d0
 
     def ray_horizon(self, w: complex):
@@ -718,10 +782,12 @@ class _ExpProfile(_Profile):
     def distance(self, w: complex) -> float:
         w = complex(w)
         d0 = math.exp(min(w.real, 700.0)) - abs(w.imag)
-        x_hi = w.real + d0
+        # beyond _EXP_X_MAX the edges lie farther than d0 and math.exp
+        # overflows
+        x_hi = min(w.real + d0, _EXP_X_MAX)
         x_lo = w.real - d0
-        d = dist_to_curve(w, lambda x: complex(x, math.exp(x)), x_lo, x_hi)
-        return min(d, dist_to_curve(w, lambda x: complex(x, -math.exp(x)), x_lo, x_hi))
+        d = dist_to_curve(w, lambda x: _graph(x, _exp(x)), x_lo, x_hi)
+        return min(d, dist_to_curve(w, lambda x: _graph(x, -_exp(x)), x_lo, x_hi))
 
     def ray_horizon(self, w: complex):
         w = complex(w)
@@ -752,7 +818,7 @@ class _LogCosProfile(_Profile):
         d0 = 0.5 * math.pi - abs(w.imag)
         y_max = 0.5 * math.pi * (1.0 - 1e-12)
         y_lo, y_hi = -y_max, y_max
-        d = dist_to_curve(w, lambda y: complex(math.log(math.cos(y)), y),
+        d = dist_to_curve(w, lambda y: _graph(_log_cos(y), y),
                           y_lo, y_hi, n0=1200)
         return min(d0, d)
 
@@ -870,11 +936,22 @@ class SpiralSector(Domain):
                + (cmath.phase(w)) * mu.imag) / abs(mu) ** 2
         span = (4.0 + 2.0 * math.pi) / mu.real
         d = math.inf
-        for sign in (1.0, -1.0):
-            def edge(s, sg=sign):
-                return cmath.exp(mu * complex(s, sg * self.half_angle))
-            d = min(d, dist_to_curve(w, edge, s_c - span, s_c + span, n0=1500))
+        for th in (self.half_angle, -self.half_angle):
+            d = min(d, dist_to_curve(w, lambda s: self._edge(s, th),
+                                     s_c - span, s_c + span, n0=1500))
         return d
+
+    def _edge(self, s, th: float):
+        """exp(mu (s + i th)): cmath for a float s, NumPy for an array.  The
+        array path rounds the parts of mu (s + i th) as the scalar complex
+        product does, and exponentiates them as cmath.exp does."""
+        mu = self.mu
+        if isinstance(s, float):
+            return cmath.exp(mu * complex(s, th))
+        re = mu.real * s - mu.imag * th
+        im = mu.real * th + mu.imag * s
+        mod = np.exp(re)
+        return mod * np.cos(im) + 1j * (mod * np.sin(im))
 
     @property
     def exact_map(self) -> Optional[MapExpr]:

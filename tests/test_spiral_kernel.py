@@ -5,7 +5,9 @@ and bisects each crossing with the scalar ``SpiralSpec.point`` until the
 midpoint rounds onto an end.  ``_reference_length`` below is the kernel it
 replaced, kept verbatim apart from the evaluator: every scalar evaluation
 there went through NumPy's scalar path, and every crossing took exactly 60
-halvings."""
+halvings.  Its circle branch (alpha = 0) samples one turn at 4096 points;
+the kernel now takes the arc length in closed form, which the samples
+approximate to within a few grid steps."""
 
 import cmath
 import math
@@ -130,7 +132,14 @@ def test_same_bits_as_the_sixty_step_kernel(w0, alpha, beta):
     positive = 0
     for c, r in _disks(spec, rng, n_disks):
         got = _spiral_length_in_disk(spec, c, r)
-        assert repr(got) == repr(_reference_length(spec, c, r)), (c, r)
+        want = _reference_length(spec, c, r)
+        if alpha == 0.0:
+            # two ends of the arc, each off by at most a grid step, and the
+            # sample at 2 pi repeating the one at 0
+            step = 2.0 * math.pi * abs(w0) / 4095
+            assert abs(got - want) <= 3.0 * step, (c, r)
+        else:
+            assert repr(got) == repr(want), (c, r)
         positive += got > 0.0
     assert positive > n_disks // 2
 
@@ -149,6 +158,23 @@ def test_inside_tail_and_exit_cases_hold_bits():
         got = _spiral_length_in_disk(spec, c, r)
         assert got > 0.0
         assert repr(got) == repr(_reference_length(spec, c, r)), (spec, c, r)
+
+
+@pytest.mark.parametrize("beta", [1.0, 1e-13, -2.0])
+def test_circle_arc_in_closed_form(beta):
+    # |w| = 1 against |w +/- 1| < 0.5: the arc where cos(angle) > 7/8; the
+    # sampled branch gave 0.0 and 5.05 at beta = 1e-13, 1.0094 and 1.0124
+    # at beta = 1
+    spec = SpiralSpec(1.0 + 0j, 0.0, beta)
+    for c in (-1.0 + 0j, 1.0 + 0j):
+        assert _spiral_length_in_disk(spec, c, 0.5) == pytest.approx(
+            2.0 * math.acos(0.875), rel=1e-15)
+    # wholly inside, wholly outside, and centred disks
+    assert _spiral_length_in_disk(spec, 0.1 + 0j, 2.0) == pytest.approx(
+        2.0 * math.pi)
+    assert _spiral_length_in_disk(spec, 3.0 + 0j, 1.0) == 0.0
+    assert _spiral_length_in_disk(spec, 0j, 1.5) == pytest.approx(2.0 * math.pi)
+    assert _spiral_length_in_disk(spec, 0j, 0.5) == 0.0
 
 
 def test_scalar_point_equals_numpy_scalar_path():
@@ -199,7 +225,7 @@ def test_one_array_call_and_at_most_sixty_halvings(monkeypatch, w0, alpha,
         scalars = [t for t in calls if not isinstance(t, np.ndarray)]
         assert all(type(t) is float for t in scalars)
         if alpha == 0.0:
-            assert len(arrays) == 1 and not scalars
+            assert not arrays and not scalars     # closed form
             continue
         assert len(arrays) <= 1
         if not arrays:

@@ -47,7 +47,7 @@ def test_channel_boundary_distance_far_left():
 
 def test_dist_to_curve_large_parameter():
     with deadline(10):
-        d = dist_to_curve(complex(-3e8, 0.0), lambda x: complex(x, 1.0),
+        d = dist_to_curve(complex(-3e8, 0.0), lambda x: x + 1j,
                           -3e8 - 10.0, -3e8 + 10.0)
     assert d == 1.0
 
