@@ -186,6 +186,9 @@ class ArcLength:
     tail_estimate: float = 0.0
 
 
+_ARC_RTOL = 1e-6  # relative error of a converged arc length
+
+
 def _quad(f, a, b):
     # full_output silences the roundoff warning for violently decaying tails
     res = quad(f, a, b, limit=400, full_output=1)
@@ -194,8 +197,7 @@ def _quad(f, a, b):
 
 def arc_length(samples: Optional[Sequence[OrbitSample]] = None,
                g_abs: Optional[Callable[[float], float]] = None,
-               t0: float = 0.0, t1: Optional[float] = None,
-               rtol: float = 1e-6) -> ArcLength:
+               t0: float = 0.0, t1: Optional[float] = None) -> ArcLength:
     """Length of an orbit piece as the integral of |G(gamma(t))| dt.
 
     With a ``g_abs`` evaluator the integral is adaptive quadrature (infinite
@@ -218,7 +220,7 @@ def arc_length(samples: Optional[Sequence[OrbitSample]] = None,
         else:
             tail, _ = _quad(g_abs, max(t0, t1 / 10.0), t1)
             tail = min(abs(tail), abserr)  # finite spans converge via abserr
-        converged = abserr <= rtol * max(1.0, abs(value)) and tail < 1e-4
+        converged = abserr <= _ARC_RTOL * max(1.0, abs(value)) and tail < 1e-4
         return ArcLength(value, converged, tail)
 
     if samples is None or len(samples) < 2:
@@ -230,7 +232,7 @@ def arc_length(samples: Optional[Sequence[OrbitSample]] = None,
     gs = [s.g_abs for s in samples]
     full = np.trapezoid(gs, ts)
     half = np.trapezoid(gs[::2], ts[::2])
-    converged = abs(full - half) <= rtol * max(1.0, abs(full))
+    converged = abs(full - half) <= _ARC_RTOL * max(1.0, abs(full))
     span = ts[-1] - ts[0]
     cut = ts[-1] - span / 10.0
     tail = np.trapezoid([g for t, g in zip(ts, gs) if t >= cut],

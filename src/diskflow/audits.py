@@ -29,6 +29,10 @@ from .errors import CrossValidationError, DiskflowError
 from .hypgeo import disk_distance, domain_density, domain_distance
 from .semigroup import ELLIPTIC, NONELLIPTIC
 
+_FORWARD_STARTS = 100
+_BACKWARD_STARTS = 50
+_AHLFORS_DISKS = 1000
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -244,11 +248,11 @@ def suite_semigroup(seed: int = 0) -> list:
 # ---------------------------------------------------------------------------
 
 
-def suite_forward(seed: int = 0, n_starts: int = 100) -> list:
+def suite_forward(seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
     out = []
     for name, sg in _builtins():
-        starts = [builtin_start(name)] + _random_disk_points(rng, n_starts - 1)
+        starts = [builtin_start(name)] + _random_disk_points(rng, _FORWARD_STARTS - 1)
         fails = 0
         worst = 0.0
         for z in starts:
@@ -278,7 +282,7 @@ def _builtin_track(name):
     return OrbitTrack.from_semigroup(sg, builtin_start(name))
 
 
-def suite_backward(seed: int = 0, n_starts: int = 50) -> list:
+def suite_backward(seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
     out = []
 
@@ -381,7 +385,7 @@ def suite_backward(seed: int = 0, n_starts: int = 50) -> list:
     total = 0
     for name in CONVEX_BUILTINS:
         sg = builtin_semigroup(name)
-        for z in _random_disk_points(rng, n_starts):
+        for z in _random_disk_points(rng, _BACKWARD_STARTS):
             track = OrbitTrack.from_semigroup(sg, z)
             repz = backward_criterion(track)
             total += 1
@@ -461,7 +465,7 @@ def suite_shift(seed: int = 0) -> list:
 # ---------------------------------------------------------------------------
 
 
-def suite_ahlfors(seed: int = 0, n_disks: int = 1000) -> list:
+def suite_ahlfors(seed: int = 0) -> list:
     out = []
     alphas = (-2.0, -1.0, -0.5, 1.0, 2.0)
     betas = (-2.0, -1.0, 0.5, 1.0, 2.0)
@@ -470,18 +474,18 @@ def suite_ahlfors(seed: int = 0, n_disks: int = 1000) -> list:
     for a in alphas:
         for b in betas:
             spec = SpiralSpec(1.0 + 0j, a, b)
-            res = ahlfors_audit(spec, n_disks=n_disks, seed=seed + 17)
+            res = ahlfors_audit(spec, n_disks=_AHLFORS_DISKS, seed=seed + 17)
             worst = max(worst, res.measured_sup / res.bound)
             if not res.passed:
                 fails.append((a, b))
     out.append(_check("spiral_grid_within_bound", not fails,
-                      len(alphas) * len(betas) * n_disks,
+                      len(alphas) * len(betas) * _AHLFORS_DISKS,
                       f"worst measured/bound {worst:.4f}; fails {fails}"))
     anchor = ahlfors_audit(SpiralSpec(1.0 + 0j, -1.0, 1.0),
-                           n_disks=n_disks, seed=seed + 18)
+                           n_disks=_AHLFORS_DISKS, seed=seed + 18)
     out.append(_check("anchor_bound_two_sqrt_two",
                       abs(anchor.bound - 2.0 * math.sqrt(2.0)) < 1e-12
-                      and anchor.passed, n_disks,
+                      and anchor.passed, _AHLFORS_DISKS,
                       f"measured {anchor.measured_sup:.4f} <= "
                       f"{anchor.bound:.6f}"))
     ray = ahlfors_audit(SpiralSpec(1.0 + 0j, -1.0, 0.0), n_disks=200,

@@ -31,7 +31,8 @@ from .scenario import Scenario
 
 DEFAULT_SEED = 20240817
 
-_VALIDATION_ERRORS = (ScenarioError, ParameterError, HorizonError, DomainError)
+# a ScenarioError is a ParameterError
+_VALIDATION_ERRORS = (ParameterError, HorizonError, DomainError)
 _NUMERIC_ERRORS = (CrossValidationError, InversionError, EvaluationError)
 
 

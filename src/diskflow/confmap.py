@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -20,14 +21,15 @@ from .errors import (
     EvaluationError,
     InversionError,
     ParameterError,
+    ScenarioError,
+    check_keys,
+    json_complex,
+    json_number,
 )
 
 _CUT_TOL = 1e-13
 _ROUNDTRIP_TOL = 1e-10
-
-
-def _c(value) -> complex:
-    return complex(value)
+_COMPOSE_SAMPLES, _COMPOSE_SEED = 64, 7
 
 
 def _branch_arg(z: complex, center: float) -> float:
@@ -43,15 +45,18 @@ def _branch_arg(z: complex, center: float) -> float:
     return center + m
 
 
-def _safe(fn, z):
-    try:
-        return fn(z)
-    except OverflowError as exc:
-        raise EvaluationError(f"overflow evaluating at {z!r}", overflow=True) from exc
-    except ZeroDivisionError as exc:
-        raise EvaluationError(f"pole reached at {z!r}") from exc
-    except ValueError as exc:
-        raise EvaluationError(f"invalid value at {z!r}: {exc}") from exc
+# Float errors a primitive may raise; the chain walks catch them and type
+# them through _typed, so primitive methods are plain expressions.
+_FLOAT_ERRORS = (OverflowError, ZeroDivisionError, ValueError)
+
+
+def _typed(exc: Exception, z: complex) -> EvaluationError:
+    """The EvaluationError for a float error a primitive raised at input z."""
+    if isinstance(exc, OverflowError):
+        return EvaluationError(f"overflow evaluating at {z!r}", overflow=True)
+    if isinstance(exc, ZeroDivisionError):
+        return EvaluationError(f"pole reached at {z!r}")
+    return EvaluationError(f"invalid value at {z!r}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -74,21 +79,17 @@ class Mobius:
             raise ParameterError("Moebius coefficients must satisfy ad - bc != 0")
 
     def evaluate(self, z: complex) -> complex:
-        return _safe(lambda u: (self.a * u + self.b) / (self.c * u + self.d), z)
+        return (self.a * z + self.b) / (self.c * z + self.d)
 
     def derivative(self, z: complex) -> complex:
         det = self.a * self.d - self.b * self.c
-        return _safe(lambda u: det / (self.c * u + self.d) ** 2, z)
+        return det / (self.c * z + self.d) ** 2
 
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)
 
     def matrix(self):
         return (self.a, self.b, self.c, self.d)
-
-    def params(self):
-        return {"a": _cpair(self.a), "b": _cpair(self.b),
-                "c": _cpair(self.c), "d": _cpair(self.d)}
 
 
 @dataclass(frozen=True)
@@ -114,25 +115,19 @@ class Affine:
     def matrix(self):
         return (self.a, self.b, 0j, 1 + 0j)
 
-    def params(self):
-        return {"a": _cpair(self.a), "b": _cpair(self.b)}
-
 
 @dataclass(frozen=True)
 class Exp:
     op_name = "exp"
 
     def evaluate(self, z: complex) -> complex:
-        return _safe(cmath.exp, z)
+        return cmath.exp(z)
 
     def derivative(self, z: complex) -> complex:
-        return _safe(cmath.exp, z)
+        return cmath.exp(z)
 
     def inverse(self) -> "Log":
         return Log()
-
-    def params(self):
-        return {}
 
 
 @dataclass(frozen=True)
@@ -147,13 +142,10 @@ class Log:
 
     def derivative(self, z: complex) -> complex:
         _branch_arg(z, self.center)
-        return _safe(lambda u: 1.0 / u, z)
+        return 1.0 / z
 
     def inverse(self) -> Exp:
         return Exp()
-
-    def params(self):
-        return {"center": self.center}
 
 
 @dataclass(frozen=True)
@@ -169,18 +161,14 @@ class Power:
 
     def evaluate(self, z: complex) -> complex:
         arg = _branch_arg(z, self.center)
-        return _safe(lambda u: cmath.exp(self.p * complex(math.log(abs(u)), arg)), z)
+        return cmath.exp(self.p * complex(math.log(abs(z)), arg))
 
     def derivative(self, z: complex) -> complex:
         arg = _branch_arg(z, self.center)
-        logz = complex(math.log(abs(z)), arg)
-        return _safe(lambda u: self.p * cmath.exp((self.p - 1.0) * logz), z)
+        return self.p * cmath.exp((self.p - 1.0) * complex(math.log(abs(z)), arg))
 
     def inverse(self) -> "Power":
         return Power(1.0 / self.p, self.center * self.p)
-
-    def params(self):
-        return {"p": self.p, "center": self.center}
 
 
 @dataclass(frozen=True)
@@ -188,16 +176,13 @@ class Sin:
     op_name = "sin"
 
     def evaluate(self, z: complex) -> complex:
-        return _safe(cmath.sin, z)
+        return cmath.sin(z)
 
     def derivative(self, z: complex) -> complex:
-        return _safe(cmath.cos, z)
+        return cmath.cos(z)
 
     def inverse(self) -> "Asin":
         return Asin()
-
-    def params(self):
-        return {}
 
 
 @dataclass(frozen=True)
@@ -205,17 +190,14 @@ class Tanh:
     op_name = "tanh"
 
     def evaluate(self, z: complex) -> complex:
-        return _safe(cmath.tanh, z)
+        return cmath.tanh(z)
 
     def derivative(self, z: complex) -> complex:
-        c = _safe(cmath.cosh, z)
-        return _safe(lambda u: 1.0 / (c * c), z)
+        c = cmath.cosh(z)
+        return 1.0 / (c * c)
 
     def inverse(self) -> "Atanh":
         return Atanh()
-
-    def params(self):
-        return {}
 
 
 @dataclass(frozen=True)
@@ -225,16 +207,13 @@ class Asin:
     op_name = "asin"
 
     def evaluate(self, z: complex) -> complex:
-        return _safe(cmath.asin, z)
+        return cmath.asin(z)
 
     def derivative(self, z: complex) -> complex:
-        return _safe(lambda u: 1.0 / cmath.sqrt(1.0 - u * u), z)
+        return 1.0 / cmath.sqrt(1.0 - z * z)
 
     def inverse(self) -> Sin:
         return Sin()
-
-    def params(self):
-        return {}
 
 
 @dataclass(frozen=True)
@@ -244,16 +223,13 @@ class Atanh:
     op_name = "atanh"
 
     def evaluate(self, z: complex) -> complex:
-        return _safe(cmath.atanh, z)
+        return cmath.atanh(z)
 
     def derivative(self, z: complex) -> complex:
-        return _safe(lambda u: 1.0 / (1.0 - u * u), z)
+        return 1.0 / (1.0 - z * z)
 
     def inverse(self) -> Tanh:
         return Tanh()
-
-    def params(self):
-        return {}
 
 
 _PRIMITIVES = {
@@ -261,15 +237,14 @@ _PRIMITIVES = {
 }
 
 
-def _cpair(z: complex):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _from_cpair(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(v[0], v[1])
+def _params(prim) -> dict:
+    """The JSON parameters of a primitive, which from_dict reads back: its
+    fields, complex values as [re, im] pairs."""
+    out = {}
+    for f in fields(prim):
+        v = getattr(prim, f.name)
+        out[f.name] = [complex(v).real, complex(v).imag] if f.type == "complex" else v
+    return out
 
 
 def _fuse_chain(chain: Sequence) -> tuple:
@@ -277,7 +252,10 @@ def _fuse_chain(chain: Sequence) -> tuple:
 
     Fusing matters numerically: a composed chain like f^{-1} followed by a
     Moebius Koenigs map can saturate near the disk boundary if evaluated in
-    two steps, while the fused single Moebius stays well-conditioned.
+    two steps, while the fused single Moebius stays well-conditioned.  A
+    lone identity is kept as given, so a fused chain's primitive-wise
+    inverse is fused as it stands and inverts with the same bits (the
+    inverse of Affine(1, 0) is Affine(1, -0.0)).
     """
     out: list = []
     for prim in chain:
@@ -291,9 +269,7 @@ def _fuse_chain(chain: Sequence) -> tuple:
         else:
             out.append(prim)
     cleaned = [p for p in out if not (isinstance(p, Affine) and p.a == 1 and p.b == 0)]
-    if not cleaned:
-        cleaned = [Affine(1.0, 0.0)]
-    return tuple(cleaned)
+    return tuple(cleaned or out or [Affine(1.0, 0.0)])
 
 
 def _demote(m: Mobius):
@@ -326,27 +302,36 @@ class MapExpr:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, z: complex, check: bool = True) -> complex:
-        z = _c(z)
+        z = complex(z)
         if check and self.source is not None and not self.source.contains(z):
             raise DomainError(f"{z!r} is not in the map source")
         return self._evaluate_unchecked(z)
 
     def _evaluate_unchecked(self, z: complex) -> complex:
         w = z
-        for prim in self.chain:
-            w = prim.evaluate(w)
+        try:
+            for prim in self.chain:
+                w = prim.evaluate(w)
+        except _FLOAT_ERRORS as exc:
+            raise _typed(exc, w) from exc
         return w
 
-    def derivative(self, z: complex, check: bool = True) -> complex:
-        z = _c(z)
+    def jet(self, z: complex, check: bool = True) -> tuple:
+        """(h(z), h'(z)) in one walk of the chain (chain rule)."""
+        z = complex(z)
         if check and self.source is not None and not self.source.contains(z):
             raise DomainError(f"{z!r} is not in the map source")
-        w = z
-        deriv = 1.0 + 0.0j
-        for prim in self.chain:
-            deriv *= prim.derivative(w)
-            w = prim.evaluate(w)
-        return deriv
+        w, deriv = z, 1.0 + 0.0j
+        try:
+            for prim in self.chain:
+                deriv *= prim.derivative(w)
+                w = prim.evaluate(w)
+        except _FLOAT_ERRORS as exc:
+            raise _typed(exc, w) from exc
+        return w, deriv
+
+    def derivative(self, z: complex, check: bool = True) -> complex:
+        return self.jet(z, check)[1]
 
     def __call__(self, z: complex) -> complex:
         return self.evaluate(z)
@@ -355,11 +340,11 @@ class MapExpr:
 
     def invert(self, w: complex, seed: Optional[complex] = None,
                check: bool = True) -> complex:
-        w = _c(w)
+        w = complex(w)
         if check and self.target is not None and not self.target.contains(w):
             raise DomainError(f"{w!r} is not in the map target")
         try:
-            z, overflow = self._invert_closed_form(w), None
+            z, overflow = self.inverted()._evaluate_unchecked(w), None
         except EvaluationError as exc:
             z, overflow = None, (exc if exc.overflow else None)
         if z is not None and self._closed_form_acceptable(z, w):
@@ -375,53 +360,37 @@ class MapExpr:
             raise overflow from None
 
     def _closed_form_acceptable(self, z: complex, w: complex) -> bool:
-        if not self._needs_verification(z):
-            return True
+        # Near the source boundary a verified roundtrip would itself overflow;
+        # the closed form is trusted there.
+        if self.source is not None:
+            try:
+                if not self.source.boundary_distance(z, strict=False) > 1e-12:
+                    return True
+            except Exception:
+                pass
         try:
-            resid = abs(self._evaluate_unchecked(z) - w)
+            hz, dz = self.jet(z, check=False)
         except EvaluationError:
             # forward evaluation only fails in singular/boundary territory,
             # where the primitive-wise inverse is the trustworthy route
             return True
-        tol = _ROUNDTRIP_TOL * max(1.0, abs(w))
-        try:
-            # one ulp of z-space error is |h'(z)| ulp in w-space; do not
-            # reject an inverse for noise the roundtrip cannot avoid
-            cond = abs(self.derivative(z, check=False)) * (1.0 + abs(z)) * 1e-12
-            tol = max(tol, cond)
-        except EvaluationError:
-            return True
+        resid = abs(hz - w)
+        # one ulp of z-space error is |h'(z)| ulp in w-space; do not reject
+        # an inverse for noise the roundtrip cannot avoid
+        tol = max(_ROUNDTRIP_TOL * max(1.0, abs(w)),
+                  abs(dz) * (1.0 + abs(z)) * 1e-12)
         return resid <= tol
-
-    def _invert_closed_form(self, w: complex) -> complex:
-        z = w
-        for prim in reversed(self.chain):
-            z = prim.inverse().evaluate(z)
-        return z
-
-    def _needs_verification(self, z: complex) -> bool:
-        # Near the source boundary a verified roundtrip would itself overflow;
-        # the closed form is trusted there.
-        src = self.source
-        if src is None:
-            return True
-        try:
-            delta = src.boundary_distance(z, strict=False)
-        except Exception:
-            return True
-        return delta > 1e-12
 
     def _invert_newton(self, w: complex, seed: Optional[complex]) -> complex:
         if seed is None:
             raise InversionError(
                 f"closed-form inversion failed at {w!r} and no Newton seed given")
-        x = _c(seed)
+        x = complex(seed)
         best_x, best_r = x, math.inf
         tol = _ROUNDTRIP_TOL * max(1.0, abs(w))
         for _ in range(100):
             try:
-                fx = self._evaluate_unchecked(x)
-                dfx = self.derivative(x, check=False)
+                fx, dfx = self.jet(x, check=False)
             except EvaluationError:
                 break
             r = abs(fx - w)
@@ -456,7 +425,12 @@ class MapExpr:
     # -- structure ---------------------------------------------------------
 
     def inverted(self) -> "MapExpr":
-        """The inverse map as an expression (internal primitives allowed)."""
+        """The inverse map as an expression (internal primitives allowed),
+        built on the first call and kept."""
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "MapExpr":
         return MapExpr(tuple(p.inverse() for p in reversed(self.chain)),
                        source=self.target, target=self.source)
 
@@ -466,22 +440,29 @@ class MapExpr:
     def to_dict(self) -> dict:
         if not self.serializable():
             raise ParameterError("chain contains internal-only primitives")
-        return {"chain": [{"op": p.op_name, **p.params()} for p in self.chain]}
+        return {"chain": [{"op": p.op_name, **_params(p)} for p in self.chain]}
 
     @classmethod
     def from_dict(cls, data: dict, source=None, target=None) -> "MapExpr":
+        """The map of {"chain": [{"op": name, <parameters>}, ...]}; a
+        malformed spec raises ScenarioError (a ParameterError)."""
+        check_keys(data, ("chain",), ("chain",), "map")
+        if not isinstance(data["chain"], list):
+            raise ScenarioError("map chain must be a list")
         prims = []
         for item in data["chain"]:
-            item = dict(item)
-            op = item.pop("op")
+            op = item.get("op") if isinstance(item, dict) else None
             if op not in _PRIMITIVES:
-                raise ParameterError(f"unknown map primitive {op!r}")
+                raise ScenarioError(f"unknown map primitive {op!r}")
             kind = _PRIMITIVES[op]
-            if op in ("mobius", "affine"):
-                kwargs = {k: _from_cpair(v) for k, v in item.items()}
-            else:
-                kwargs = item
-            prims.append(kind(**kwargs))
+            params = fields(kind)
+            check_keys(item, ["op", *(f.name for f in params)],
+                        [f.name for f in params if f.default is MISSING],
+                        f"{op} primitive")
+            prims.append(kind(**{
+                f.name: (json_complex if f.type == "complex" else json_number)(
+                    item[f.name], f"{op}.{f.name}")
+                for f in params if f.name in item}))
         return cls(tuple(prims), source=source, target=target)
 
     @classmethod
@@ -489,18 +470,19 @@ class MapExpr:
         return cls((Affine(1.0, 0.0),), source=domain, target=domain)
 
 
-def compose(outer: MapExpr, inner: MapExpr, samples: int = 64,
-            seed: int = 7) -> MapExpr:
+def compose(outer: MapExpr, inner: MapExpr) -> MapExpr:
     """outer after inner.
 
-    Validation is sampled: inner images must land in the outer source, and
-    the composite is evaluated along fine paths between sample points so a
-    branch cut crossing the image is rejected (never silently re-rotated).
+    Validation is sampled at 64 seeded interior points of the inner source:
+    inner images must land in the outer source, and the composite is
+    evaluated along fine paths between sample points so a branch cut
+    crossing the image is rejected (never silently re-rotated).
     """
     composed = MapExpr(inner.chain + outer.chain,
                        source=inner.source, target=outer.target)
     if inner.target is not None and outer.source is not None:
-        pts = _sample_points(inner.source, samples, seed)
+        pts = [] if inner.source is None else inner.source.interior_samples(
+            _COMPOSE_SAMPLES, _COMPOSE_SEED)
         for z in pts:
             try:
                 w = inner.evaluate(z, check=False)
@@ -518,10 +500,13 @@ def _branch_args_along(m: MapExpr, z: complex):
     """Branch arguments seen by each Log/Power stage when evaluating at z."""
     w = z
     args = []
-    for prim in m.chain:
-        if isinstance(prim, (Log, Power)):
-            args.append(_branch_arg(w, prim.center))
-        w = prim.evaluate(w)
+    try:
+        for prim in m.chain:
+            if isinstance(prim, (Log, Power)):
+                args.append(_branch_arg(w, prim.center))
+            w = prim.evaluate(w)
+    except _FLOAT_ERRORS as exc:
+        raise _typed(exc, w) from exc
     return args
 
 
@@ -548,12 +533,3 @@ def _reject_cut_crossings(m: MapExpr, a: complex, b: complex,
                         f"composite crosses a branch cut near {z!r} "
                         f"(branch argument jumped {p:.3f} -> {q:.3f})")
         prev = args
-
-
-def _sample_points(domain, n: int, seed: int):
-    if domain is None:
-        return []
-    sampler = getattr(domain, "interior_samples", None)
-    if sampler is None:
-        return []
-    return sampler(n, seed)

@@ -9,16 +9,18 @@ and leave hyperbolic quantities to interval bounds.
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import hypgeo
 from .confmap import Affine, Exp, MapExpr, Mobius, Power, Sin
-from .errors import DomainError, EvaluationError, ParameterError
+from .errors import (DomainError, EvaluationError, ParameterError,
+                     ScenarioError, check_keys, json_complex, json_number)
 
 _E = math.e
 
@@ -180,11 +182,10 @@ class Domain:
             return None
         try:
             a = fmap.evaluate(complex(w0), check=False)
-            b = fmap.evaluate(complex(w), check=False)
+            b, db = fmap.jet(complex(w), check=False)
             if 1.0 - abs(b) < 1e-14 or 1.0 - abs(a) < 1e-14:
                 return None  # saturated pullback would freeze the kernel
-            return abs(fmap.derivative(complex(w), check=False)) \
-                * hypgeo.disk_criterion_kernel(a, b)
+            return abs(db) * hypgeo.disk_criterion_kernel(a, b)
         except EvaluationError:
             return None
 
@@ -262,7 +263,21 @@ class Domain:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The JSON spec domain_from_dict reads back: the kind and the
+        constructor fields, complex values as [re, im] and slits as
+        {"x", "y"} objects; a field that is None is left out."""
+        out = {"kind": self.kind}
+        for f in _spec_fields(type(self)):
+            v = getattr(self, f.name)
+            if f.type == "complex":
+                v = [complex(v).real, complex(v).imag]
+            elif f.name == "slits":
+                v = [{"x": x, "y": y} for x, y in v]
+            elif f.type == "dict":
+                v = dict(v)
+            if v is not None:
+                out[f.name] = v
+        return out
 
     def truncation(self):
         """Truncation metadata recorded in downstream reports."""
@@ -288,16 +303,10 @@ class HalfPlane(Domain):
         if self.orientation not in _ORIENTATIONS:
             raise ParameterError(f"unknown half-plane orientation {self.orientation!r}")
         object.__setattr__(self, "convex", True)
+        object.__setattr__(self, "_rhp", _rhp_affine(self.orientation, self.offset))
 
     def _rhp_coord(self, w: complex) -> complex:
-        w = complex(w)
-        if self.orientation == "right":
-            return w - self.offset
-        if self.orientation == "left":
-            return self.offset - w
-        if self.orientation == "upper":
-            return (w - 1j * self.offset) * -1j
-        return (w - 1j * self.offset) * 1j
+        return self._rhp.evaluate(complex(w))
 
     def contains(self, w: complex) -> bool:
         return self._rhp_coord(w).real > 0.0
@@ -308,8 +317,8 @@ class HalfPlane(Domain):
     @property
     def exact_map(self) -> MapExpr:
         # RHP -> D Moebius, preceded by the affine normalization
-        pre = _rhp_affine(self.orientation, self.offset)
-        return MapExpr((pre, Mobius(1, -1, 1, 1)), source=self, target=unit_disk())
+        return MapExpr((self._rhp, Mobius(1, -1, 1, 1)), source=self,
+                       target=unit_disk())
 
     def hyperbolic_density(self, w: complex) -> float:
         return 1.0 / (2.0 * self._rhp_coord(w).real)
@@ -339,27 +348,19 @@ class HalfPlane(Domain):
 
     def _proposal(self, rng) -> complex:
         zeta = complex(rng.uniform(1e-3, 4.0), rng.uniform(-4.0, 4.0))
-        if self.orientation == "right":
-            return zeta + self.offset
-        if self.orientation == "left":
-            return self.offset - zeta
-        if self.orientation == "upper":
-            return 1j * self.offset + 1j * zeta
-        return 1j * self.offset - 1j * zeta
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "orientation": self.orientation,
-                "offset": self.offset}
+        return self._rhp.inverse().evaluate(zeta)
 
 
 def _rhp_affine(orientation: str, offset: float) -> Affine:
+    """The affine map of a half-plane onto {Re > 0}: the one orientation
+    table (right: w - c, left: c - w, upper: -i(w - ic), lower: i(w - ic))."""
     if orientation == "right":
         return Affine(1.0, -offset)
     if orientation == "left":
         return Affine(-1.0, offset)
     if orientation == "upper":
         return Affine(-1j, -offset)
-    return Affine(1j, -offset)
+    return Affine(1j, offset)
 
 
 @dataclass(frozen=True)
@@ -422,10 +423,6 @@ class Strip(Domain):
     def _proposal(self, rng) -> complex:
         return complex(rng.uniform(-6.0, 6.0),
                        self.center + rng.uniform(-1, 1) * self.half_width * 0.999)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "half_width": self.half_width,
-                "center": self.center}
 
 
 @dataclass(frozen=True)
@@ -496,10 +493,6 @@ class HalfStrip(Domain):
         return complex(self.left + rng.uniform(1e-3, 6.0) * max(1.0, self.half_width),
                        self.center + rng.uniform(-1, 1) * self.half_width * 0.999)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "left": self.left,
-                "half_width": self.half_width, "center": self.center}
-
 
 @dataclass(frozen=True)
 class Disk(Domain):
@@ -568,11 +561,6 @@ class Disk(Domain):
         th = rng.uniform(-math.pi, math.pi)
         return self.center + r * cmath.exp(1j * th)
 
-    def to_dict(self) -> dict:
-        c = complex(self.center)
-        return {"kind": self.kind, "center": [c.real, c.imag],
-                "radius": self.radius}
-
 
 def unit_disk() -> Disk:
     return Disk(0j, 1.0)
@@ -637,13 +625,6 @@ class SlitStrip(Domain):
         return complex(rng.uniform(-1.5 * span, 4.0),
                        rng.uniform(-1, 1) * self.half_width * 0.999)
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "half_width": self.half_width,
-             "slits": [{"x": x, "y": y} for x, y in self.slits]}
-        if self.n_truncation is not None:
-            d["n_truncation"] = self.n_truncation
-        return d
-
     def truncation(self):
         return self.n_truncation
 
@@ -701,7 +682,7 @@ class _SplicedLogProfile(_Profile):
     """
 
     def __init__(self, mouth_cap: float = 2.0, lower_drop: float = 0.0):
-        if mouth_cap <= 1.0:
+        if json_number(mouth_cap, "mouth_cap") <= 1.0:
             raise ParameterError("mouth cap must exceed the profile value 1 at -e")
         self.mouth_cap = float(mouth_cap)
         self.lower_drop = float(lower_drop)
@@ -834,11 +815,12 @@ class _LogCosProfile(_Profile):
                        rng.uniform(-1, 1) * 0.5 * math.pi * 0.999)
 
 
+# profile name -> the profile, built from its keyword parameters
 _PROFILES = {
-    "inv_log": lambda p: _SplicedLogProfile(p.get("mouth_cap", 2.0), 0.0),
-    "inv_log_below": lambda p: _SplicedLogProfile(p.get("mouth_cap", 2.0), 1.0),
-    "exp": lambda p: _ExpProfile(),
-    "log_cos": lambda p: _LogCosProfile(),
+    "inv_log": lambda mouth_cap=2.0: _SplicedLogProfile(mouth_cap, 0.0),
+    "inv_log_below": lambda mouth_cap=2.0: _SplicedLogProfile(mouth_cap, 1.0),
+    "exp": _ExpProfile,
+    "log_cos": _LogCosProfile,
 }
 
 
@@ -855,8 +837,11 @@ class Channel(Domain):
     def __post_init__(self):
         if self.profile not in _PROFILES:
             raise ParameterError(f"unknown channel profile {self.profile!r}")
+        build = _PROFILES[self.profile]
+        check_keys(self.profile_params, inspect.signature(build).parameters,
+                    (), f"{self.profile} profile parameters")
         object.__setattr__(self, "convex", False)
-        object.__setattr__(self, "_impl", _PROFILES[self.profile](self.profile_params))
+        object.__setattr__(self, "_impl", build(**self.profile_params))
 
     def contains(self, w: complex) -> bool:
         return self._impl.contains(w)
@@ -880,10 +865,6 @@ class Channel(Domain):
 
     def _proposal(self, rng) -> complex:
         return self._impl.proposal(rng)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "profile": self.profile,
-                "profile_params": dict(self.profile_params)}
 
     def truncation(self):
         return self._impl.params() or None
@@ -988,10 +969,6 @@ class SpiralSector(Domain):
         th = rng.uniform(-1, 1) * self.half_angle * 0.999
         return cmath.exp(self.mu * complex(s, th))
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "mu": [self.mu.real, self.mu.imag],
-                "half_angle": self.half_angle}
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -1044,20 +1021,38 @@ def canonical_domain(kind: str, **params) -> Domain:
     return _CANONICAL[kind](**params)
 
 
+def _spec_fields(cls) -> list:
+    """The constructor fields a domain's JSON spec carries, in order."""
+    return [f for f in fields(cls) if f.init and f.name != "exact"]
+
+
 def domain_from_dict(data: dict) -> Domain:
-    data = dict(data)
-    kind = data.pop("kind", None)
+    """The domain of a JSON spec {"kind": ..., <constructor fields>}; a
+    malformed spec raises ScenarioError (a ParameterError)."""
+    kind = data.get("kind") if isinstance(data, dict) else None
     if kind not in _CANONICAL:
-        raise ParameterError(f"unknown domain kind {kind!r}")
-    if kind == "disk" and "center" in data:
-        c = data["center"]
-        data["center"] = complex(c[0], c[1]) if isinstance(c, list) else complex(c)
-    if kind == "spiralsector" and "mu" in data:
-        m = data["mu"]
-        data["mu"] = complex(m[0], m[1]) if isinstance(m, list) else complex(m)
-    if kind == "slitstrip" and "slits" in data:
-        data["slits"] = tuple((s["x"], s["y"]) for s in data["slits"])
-    return _CANONICAL[kind](**data)
+        raise ScenarioError(f"unknown domain kind {kind!r}")
+    cls = _CANONICAL[kind]
+    types = {f.name: f.type for f in _spec_fields(cls)}
+    check_keys(data, ["kind", *types], (), f"{kind} domain")
+    kwargs = {}
+    for key, v in data.items():
+        if key == "kind":
+            continue
+        ctx = f"{kind}.{key}"
+        if types[key] == "complex":
+            v = json_complex(v, ctx)
+        elif key == "slits":
+            if not isinstance(v, list):
+                raise ScenarioError(f"{ctx} must be a list")
+            for s in v:
+                check_keys(s, ("x", "y"), ("x", "y"), f"{ctx} item")
+            v = tuple((json_number(s["x"], ctx), json_number(s["y"], ctx)) for s in v)
+        elif types[key] not in ("str", "dict"):
+            # names and profile parameters are checked by the constructor
+            v = json_number(v, ctx)
+        kwargs[key] = v
+    return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -1065,19 +1060,18 @@ def domain_from_dict(data: dict) -> Domain:
 # ---------------------------------------------------------------------------
 
 _PROBE_TIMES = (0.1, 1.0, 10.0)
+_FLOW_SAMPLES = 200
 
 
-def is_convex_positive_direction(dom: Domain, sample_budget: int = 200,
-                                 seed: int = 11) -> bool:
+def is_convex_positive_direction(dom: Domain, seed: int = 11) -> bool:
     """Does dom + t stay inside dom?  Exact for built-in kinds."""
     exact = dom.is_convex_positive_exact()
     if exact is not None:
         return exact
-    return _flow_keeps_samples(dom, NONELLIPTIC, None, sample_budget, seed)
+    return _flow_keeps_samples(dom, NONELLIPTIC, None, seed)
 
 
-def is_spirallike(dom: Domain, mu: complex, sample_budget: int = 200,
-                  seed: int = 11) -> bool:
+def is_spirallike(dom: Domain, mu: complex, seed: int = 11) -> bool:
     """Does exp(-mu t) dom stay inside dom?  Exact for Disk(0, R) and for the
     matching spiral sector."""
     mu = complex(mu)
@@ -1086,13 +1080,13 @@ def is_spirallike(dom: Domain, mu: complex, sample_budget: int = 200,
     exact = dom.is_spirallike_exact(mu)
     if exact is not None:
         return exact
-    return _flow_keeps_samples(dom, ELLIPTIC, mu, sample_budget, seed)
+    return _flow_keeps_samples(dom, ELLIPTIC, mu, seed)
 
 
 def _flow_keeps_samples(dom: Domain, kind: str, mu: Optional[complex],
-                        sample_budget: int, seed: int) -> bool:
+                        seed: int) -> bool:
     """Does the forward Koenigs-plane flow keep sampled points inside dom?"""
-    for w in dom.interior_samples(sample_budget, seed):
+    for w in dom.interior_samples(_FLOW_SAMPLES, seed):
         for t in _PROBE_TIMES:
             if not dom.contains(koenigs_flow(kind, mu, w, t)):
                 return False

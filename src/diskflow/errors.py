@@ -1,4 +1,5 @@
-"""Exception hierarchy for the toolkit."""
+"""Exception hierarchy for the toolkit, and the checks that reject a
+malformed JSON spec (scenario, domain or map) with a ScenarioError."""
 
 
 class DiskflowError(Exception):
@@ -50,5 +51,36 @@ class CrossValidationError(DiskflowError):
         self.diagnostics = diagnostics or {}
 
 
-class ScenarioError(DiskflowError):
-    """Scenario document failed validation."""
+class ScenarioError(ParameterError):
+    """A scenario document, or a domain or map spec in one, failed
+    validation."""
+
+
+def check_keys(data, allowed, required, ctx: str) -> None:
+    """Reject a spec that is not an object, has a key outside ``allowed``
+    or lacks one of ``required``."""
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{ctx} must be an object, got {data!r}")
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ScenarioError(f"unknown key(s) {unknown} in {ctx}")
+    missing = [k for k in required if k not in data]
+    if missing:
+        raise ScenarioError(f"missing key(s) {missing} in {ctx}")
+
+
+def json_number(v, ctx: str):
+    """A JSON number, as given (booleans are not numbers)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ScenarioError(f"{ctx} must be a number, got {v!r}")
+    return v
+
+
+def json_complex(v, ctx: str) -> complex:
+    """A complex from a JSON number or an [re, im] pair."""
+    if isinstance(v, (list, tuple)):
+        if len(v) != 2:
+            raise ScenarioError(
+                f"{ctx}: complex values are [re, im] pairs, got {v!r}")
+        return complex(json_number(v[0], ctx), json_number(v[1], ctx))
+    return complex(json_number(v, ctx))

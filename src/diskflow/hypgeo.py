@@ -251,9 +251,8 @@ def domain_density(dom, w: complex) -> Interval:
     fmap = dom.exact_map
     if fmap is not None:
         try:
-            z = fmap.evaluate(w, check=False)
-            return Interval.exact(disk_density(z)
-                                  * abs(fmap.derivative(w, check=False)))
+            z, dz = fmap.jet(w, check=False)
+            return Interval.exact(disk_density(z) * abs(dz))
         except (EvaluationError, DomainError):
             pass
     return Interval.bounds(0.25 / delta, 1.0 / delta)

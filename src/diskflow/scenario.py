@@ -20,7 +20,7 @@ from .analysis import Heuristic, OrbitTrack
 from .catalog import BUILTIN_NAMES, builtin_semigroup, builtin_start
 from .confmap import MapExpr
 from .domains import Domain, domain_from_dict, unit_disk
-from .errors import ScenarioError
+from .errors import ScenarioError, check_keys, json_complex, json_number
 from .semigroup import ELLIPTIC, NONELLIPTIC, Semigroup
 
 
@@ -28,12 +28,6 @@ from .semigroup import ELLIPTIC, NONELLIPTIC, Semigroup
 def _schema() -> dict:
     path = Path(__file__).with_name("schemas") / "scenario.schema.json"
     return json.loads(path.read_text())
-
-
-def _reject_unknown(data: dict, allowed: dict, ctx: str):
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {ctx}")
 
 
 def _check_bounds(value, spec: dict, ctx: str):
@@ -46,19 +40,10 @@ def _check_bounds(value, spec: dict, ctx: str):
             f"{ctx} must be > {spec['exclusiveMinimum']}, got {value!r}")
 
 
-def _cpx(v, ctx: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(isinstance(x, (int, float)) for x in v)):
-        return complex(v[0], v[1])
-    raise ScenarioError(f"{ctx}: complex values are [re, im] pairs, got {v!r}")
-
-
 def _cpx_list(v, ctx: str) -> list:
     if not isinstance(v, list):
         raise ScenarioError(f"{ctx} must be a list")
-    return [_cpx(x, ctx) for x in v]
+    return [json_complex(x, ctx) for x in v]
 
 
 @dataclass(frozen=True)
@@ -74,12 +59,12 @@ class GridSpec:
         if not isinstance(data, dict):
             raise ScenarioError(f"{ctx} must be an object")
         keys = _schema()["definitions"]["grid"]["properties"]
-        _reject_unknown(data, keys, ctx)
+        check_keys(data, keys, (), ctx)
         kind = data.get("kind")
         if kind == "linear":
-            t0 = float(data.get("t0", 0.0))
-            t1 = float(data.get("t1", 10.0))
-            n = int(data.get("n", 101))
+            t0 = float(json_number(data.get("t0", 0.0), f"{ctx}.t0"))
+            t1 = float(json_number(data.get("t1", 10.0), f"{ctx}.t1"))
+            n = int(json_number(data.get("n", 101), f"{ctx}.n"))
             if not t1 > t0:
                 raise ScenarioError(f"{ctx}: need t1 > t0")
             _check_bounds(n, keys["n"], f"{ctx}.n")
@@ -88,7 +73,8 @@ class GridSpec:
             vals = data.get("values")
             if not isinstance(vals, list) or not vals:
                 raise ScenarioError(f"{ctx}: explicit grids need values")
-            return cls("explicit", values=tuple(float(v) for v in vals))
+            return cls("explicit", values=tuple(
+                float(json_number(v, f"{ctx}.values")) for v in vals))
         raise ScenarioError(f"{ctx}: unknown grid kind {kind!r}")
 
     def times(self) -> list:
@@ -126,7 +112,7 @@ class Scenario:
     def parse(cls, data: dict) -> "Scenario":
         if not isinstance(data, dict):
             raise ScenarioError("scenario must be a JSON object")
-        _reject_unknown(data, _schema()["properties"], "scenario")
+        check_keys(data, _schema()["properties"], (), "scenario")
 
         builtin = data.get("builtin")
         if builtin is not None and builtin not in BUILTIN_NAMES:
@@ -146,7 +132,7 @@ class Scenario:
             if kind == ELLIPTIC:
                 if "mu" not in data:
                     raise ScenarioError("elliptic scenarios need mu")
-                mu = _cpx(data["mu"], "mu")
+                mu = json_complex(data["mu"], "mu")
                 if mu.real <= 0:
                     raise ScenarioError("mu must have positive real part")
             elif "mu" in data:
@@ -183,7 +169,9 @@ class Scenario:
             if not isinstance(hd, dict):
                 raise ScenarioError("heuristic must be an object")
             keys = _schema()["properties"]["heuristic"]["properties"]
-            _reject_unknown(hd, keys, "heuristic")
+            check_keys(hd, keys, (), "heuristic")
+            for key, value in hd.items():
+                json_number(value, f"heuristic.{key}")
             heur = Heuristic(
                 window=int(hd.get("window", DEFAULT.window)),
                 growth_factor=float(hd.get("growth_factor",

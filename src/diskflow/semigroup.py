@@ -14,7 +14,7 @@ rounded onto the unit circle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ T_MAX_PROBE = 1.0e4
 _EXIT_BISECT_TOL = 1e-10
 _CROSS_TOL = 1e-6
 _ODE_TOL = 1e-9
+_DW_TOL = 1e-8  # the Denjoy-Wolff doubling stops once |phi_2T - phi_T| < this
 
 
 @dataclass(frozen=True)
@@ -118,10 +119,10 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 
 
 def integrate_complex(f: Callable[[float, complex], complex], z0: complex,
-                      t_grid: Sequence[float], rtol: float = _ODE_TOL,
-                      atol: float = _ODE_TOL) -> list:
+                      t_grid: Sequence[float]) -> list:
     """Integrate z' = f(t, z) through the strictly increasing grid, returning
-    the solution at every grid node (adaptive step, grid nodes hit exactly)."""
+    the solution at every grid node (adaptive step, grid nodes hit exactly;
+    relative and absolute step tolerance _ODE_TOL)."""
     ts = [float(t) for t in t_grid]
     out = [complex(z0)]
     t, z = ts[0], complex(z0)
@@ -140,7 +141,7 @@ def integrate_complex(f: Callable[[float, complex], complex], z0: complex,
                 k.append(f(t + h * sum(row), zi))
             z5 = z + h * sum(a * ki for a, ki in zip(_DP_A[-1], k))
             z4 = z + h * sum(b * ki for b, ki in zip(_DP_B4, k))
-            scale = atol + rtol * max(abs(z), abs(z5))
+            scale = _ODE_TOL + _ODE_TOL * max(abs(z), abs(z5))
             err = abs(z5 - z4) / scale
             if err <= 1.0:
                 t += h
@@ -193,7 +194,6 @@ class Semigroup:
     omega: Domain
     mu: Optional[complex] = None
     name: str = ""
-    _inverse: MapExpr = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (ELLIPTIC, NONELLIPTIC):
@@ -204,7 +204,6 @@ class Semigroup:
             object.__setattr__(self, "mu", complex(self.mu))
         elif self.mu is not None:
             raise ParameterError("non-elliptic semigroups carry no spectral value")
-        object.__setattr__(self, "_inverse", self.koenigs.inverted())
 
     # -- basic maps -----------------------------------------------------
 
@@ -238,10 +237,10 @@ class Semigroup:
     def generator(self, z: complex, check: bool = True) -> complex:
         """G(z) = 1/h'(z), or -mu h(z)/h'(z) for elliptic semigroups, through
         the forward map (independent of the inverse chain used by pullback)."""
-        d = self.koenigs.derivative(z, check=check)
+        h, d = self.koenigs.jet(z, check=check)
         if self.kind == NONELLIPTIC:
             return 1.0 / d
-        return -self.mu * self.koenigs.evaluate(z, check=check) / d
+        return -self.mu * h / d
 
     def generator_at_w(self, w: complex) -> complex:
         """Generator value at h^{-1}(w), via the inverse-chain derivative.
@@ -249,7 +248,7 @@ class Semigroup:
         Equal to ``generator(h^{-1}(w))`` but finite even when the disk point
         has rounded onto the unit circle."""
         try:
-            d = self._inverse.derivative(w, check=False)
+            d = self.koenigs.inverted().derivative(w, check=False)
         except EvaluationError:
             d = complex(math.nan)
         if not (math.isfinite(d.real) and math.isfinite(d.imag)):
@@ -369,7 +368,6 @@ class Semigroup:
     # -- asymptotics --------------------------------------------------------
 
     def denjoy_wolff_estimate(self, z: complex = 0j,
-                              tol: float = 1e-8,
                               max_time: float = 2.0 ** 60) -> DenjoyWolff:
         """Limit of phi_t(z) along a doubling grid (elliptic: h^{-1}(0)).
 
@@ -389,7 +387,7 @@ class Semigroup:
                 return DenjoyWolff(p_prev / max(abs(p_prev), 1e-300),
                                    t_prev, False, math.inf)
             diff = abs(p_cur - p_prev)
-            if diff < tol:
+            if diff < _DW_TOL:
                 tau = 2.0 * p_cur - p_prev  # Richardson for ~c/T tails
                 mag = abs(tau)
                 if mag > 0:
@@ -428,10 +426,10 @@ class Semigroup:
         if self.kind == ELLIPTIC:
             tau_resid = abs(self.koenigs_image(self.tau))
             checks["koenigs_vanishes_at_tau"] = (tau_resid < 1e-10, tau_resid)
-            ok = is_spirallike(self.omega, self.mu, 200, seed)
+            ok = is_spirallike(self.omega, self.mu, seed)
             checks["omega_spirallike"] = (ok, 0.0)
         else:
-            ok = is_convex_positive_direction(self.omega, 200, seed)
+            ok = is_convex_positive_direction(self.omega, seed)
             checks["omega_convex_positive"] = (ok, 0.0)
         return checks
 

@@ -10,7 +10,8 @@ from diskflow import (DomainError, ParameterError, canonical_domain,
                       is_spirallike, unit_disk)
 from diskflow.domains import (Channel, Disk, HalfPlane, HalfStrip,
                               SpiralSector, Strip, domain_from_dict)
-from diskflow.hypgeo import logsinh
+from diskflow.confmap import Affine, MapExpr, Mobius
+from diskflow.hypgeo import disk_density, disk_distance, logsinh
 
 E = math.e
 
@@ -328,3 +329,34 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
             domain_from_dict({"kind": "polygon"})
+
+
+class TestHalfPlaneOrientations:
+    """One orientation table: the exact map, the closed forms and the
+    samples all read the affine map onto {Re > 0}."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1.5, -2.25])
+    @pytest.mark.parametrize("orientation", ["right", "left", "upper", "lower"])
+    def test_pullback_matches_closed_forms(self, orientation, offset):
+        dom = HalfPlane(orientation, offset)
+        f = dom.exact_map
+        pts = dom.interior_samples(200, 41)
+        for z, w in zip(pts, pts[1:] + pts[:1]):
+            a, da = f.jet(z)
+            b = f.evaluate(w)
+            assert abs(a) < 1.0 and abs(b) < 1.0
+            assert disk_density(a) * abs(da) == pytest.approx(
+                dom.hyperbolic_density(z), rel=1e-12)
+            assert disk_distance(a, b) == pytest.approx(
+                dom.hyperbolic_distance(z, w), rel=1e-12, abs=1e-12)
+
+    def test_lower_offset_maps_into_the_disk(self):
+        # the exact map used to shift by -c instead of +c
+        w = HalfPlane("lower", 1.0).exact_map.evaluate(0.5j)
+        assert abs(w) < 1.0
+        assert w == pytest.approx(-1.0 / 3.0, abs=1e-15)
+
+    def test_upper_halfplane_keeps_its_chain(self):
+        # the uhp builtin's domain: same primitives, same bits
+        assert repr(HalfPlane("upper", 0.0).exact_map.chain) == repr(
+            MapExpr((Affine(-1j, -0.0), Mobius(1, -1, 1, 1))).chain)

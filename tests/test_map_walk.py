@@ -1,0 +1,330 @@
+"""The chain walks of ``MapExpr``: value, jet and closed-form inversion.
+
+A written-out copy of the previous walks (separate value and derivative
+walks, a closed form that rebuilt each inverse primitive per call, the
+acceptance check with its boundary-distance shortcut, and Newton) runs
+beside the package on seeded points of every shipped chain; both must give
+the same ``repr``, errors included.  Further tests pin the float-error
+typing at the walk (overflow in Log and Power used to escape as a raw
+``OverflowError``) and count the work one inversion does.
+"""
+
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from diskflow import EvaluationError, MapExpr, catalog, unit_disk
+from diskflow.confmap import (Affine, Asin, Atanh, Exp, Log, Mobius, Power,
+                              Sin, Tanh, _reject_cut_crossings)
+from diskflow.domains import HalfStrip
+from diskflow.errors import DiskflowError, InversionError
+
+from conftest import disk_points
+
+PRIMITIVES = (Mobius, Affine, Exp, Log, Power, Sin, Tanh, Asin, Atanh)
+
+
+# ---------------------------------------------------------------------------
+# the previous walks, written out
+# ---------------------------------------------------------------------------
+
+
+def _ref_safe(fn, z):
+    try:
+        return fn(z)
+    except OverflowError as exc:
+        raise EvaluationError(f"overflow evaluating at {z!r}",
+                              overflow=True) from exc
+    except ZeroDivisionError as exc:
+        raise EvaluationError(f"pole reached at {z!r}") from exc
+    except ValueError as exc:
+        raise EvaluationError(f"invalid value at {z!r}: {exc}") from exc
+
+
+def ref_evaluate(m, z):
+    w = complex(z)
+    for prim in m.chain:
+        w = _ref_safe(prim.evaluate, w)
+    return w
+
+
+def ref_derivative(m, z):
+    w = complex(z)
+    deriv = 1.0 + 0.0j
+    for prim in m.chain:
+        deriv *= _ref_safe(prim.derivative, w)
+        w = _ref_safe(prim.evaluate, w)
+    return deriv
+
+
+def ref_closed_form(m, w):
+    z = w
+    for prim in reversed(m.chain):
+        z = _ref_safe(prim.inverse().evaluate, z)
+    return z
+
+
+def ref_needs_verification(m, z):
+    if m.source is None:
+        return True
+    try:
+        delta = m.source.boundary_distance(z, strict=False)
+    except Exception:
+        return True
+    return delta > 1e-12
+
+
+def ref_acceptable(m, z, w):
+    if not ref_needs_verification(m, z):
+        return True
+    try:
+        resid = abs(ref_evaluate(m, z) - w)
+    except EvaluationError:
+        return True
+    tol = 1e-10 * max(1.0, abs(w))
+    try:
+        cond = abs(ref_derivative(m, z)) * (1.0 + abs(z)) * 1e-12
+        tol = max(tol, cond)
+    except EvaluationError:
+        return True
+    return resid <= tol
+
+
+def ref_newton(m, w, seed):
+    if seed is None:
+        raise InversionError(
+            f"closed-form inversion failed at {w!r} and no Newton seed given")
+    x = complex(seed)
+    best_x, best_r = x, math.inf
+    tol = 1e-10 * max(1.0, abs(w))
+    for _ in range(100):
+        try:
+            fx = ref_evaluate(m, x)
+            dfx = ref_derivative(m, x)
+        except EvaluationError:
+            break
+        r = abs(fx - w)
+        if r < best_r:
+            best_x, best_r = x, r
+        if r <= tol:
+            return x
+        if dfx == 0:
+            break
+        step = (fx - w) / dfx
+        accepted = False
+        for _ in range(20):
+            cand = x - step
+            try:
+                rc = abs(ref_evaluate(m, cand) - w)
+            except EvaluationError:
+                rc = math.inf
+            if rc < r:
+                x = cand
+                accepted = True
+                break
+            step /= 2.0
+        if not accepted:
+            break
+    if best_r <= tol:
+        return best_x
+    raise InversionError(f"Newton inversion failed at {w!r}",
+                         best_residual=best_r, best_point=best_x)
+
+
+def ref_invert(m, w, seed=None):
+    w = complex(w)
+    try:
+        z, overflow = ref_closed_form(m, w), None
+    except EvaluationError as exc:
+        z, overflow = None, (exc if exc.overflow else None)
+    if z is not None and ref_acceptable(m, z, w):
+        return z
+    try:
+        return ref_newton(m, w, seed if seed is not None else z)
+    except InversionError:
+        if overflow is None:
+            raise
+        raise overflow from None
+
+
+def outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except DiskflowError as exc:
+        return (f"{type(exc).__name__}: {exc} "
+                f"(overflow={getattr(exc, 'overflow', None)})")
+
+
+# ---------------------------------------------------------------------------
+# the maps and their seeded points
+# ---------------------------------------------------------------------------
+
+SIGNED_ZEROS = [complex(-0.0, 0.25), complex(0.25, -0.0), complex(-0.0, -0.0),
+                complex(0.0, -0.5), complex(-0.5, 0.0)]
+
+
+def _disk_inputs(seed):
+    rng = np.random.default_rng(seed)
+    pts = disk_points(rng, 30, 0.95)
+    pts += [0.999999 * complex(math.cos(a), math.sin(a)) for a in (0.3, 2.0, -2.7)]
+    return pts + SIGNED_ZEROS
+
+
+def _domain_inputs(dom, seed):
+    return dom.interior_samples(25, seed) + SIGNED_ZEROS
+
+
+def _maps():
+    """(label, map, points fed to evaluate/derivative, points fed to invert)."""
+    out = []
+    shift = MapExpr((Mobius(1, -0.3 + 0.1j, -0.3 - 0.1j, 1),),
+                    source=unit_disk(), target=unit_disk())
+    sgs = dict(((n, catalog.builtin_semigroup(n))
+                for n in catalog.BUILTIN_NAMES),
+               slit_tip=catalog.slit_tip_semigroup())
+    for k, (name, sg) in enumerate(sorted(sgs.items())):
+        h = sg.koenigs
+        zs = _disk_inputs(100 + k)
+        ws = [sg.orbit_w(z, t) for z in zs[:10] for t in (0.0, 0.5, 5.0, 50.0)]
+        ws += _domain_inputs(sg.omega, 200 + k)
+        out.append((f"{name}:koenigs", h, zs, ws))
+        out.append((f"{name}:inverse", h.inverted(), ws, zs))
+    channel = sgs["channel"].omega.exact_map
+    out.append(("channel:exact", channel,
+                _domain_inputs(sgs["channel"].omega, 7), _disk_inputs(8)))
+    for name in ("halfplane", "strip"):
+        conj = sgs[name].conjugate(shift).koenigs
+        zs = _disk_inputs(9)
+        out.append((f"{name}:conjugated", conj, zs,
+                    [conj.evaluate(z, check=False) + 0.5 for z in zs]))
+    hs = HalfStrip(-4.0, 0.5)
+    ws = _domain_inputs(hs, 10)
+    out.append(("halfstrip:exact", hs.exact_map, ws, _disk_inputs(11)))
+    out.append(("halfstrip:asin", hs.exact_map.inverted(), _disk_inputs(12), ws))
+    return out
+
+
+MAPS = _maps()
+
+
+@pytest.mark.parametrize("label,m,zs,ws", MAPS, ids=[m[0] for m in MAPS])
+def test_value_and_jet_keep_the_bits(label, m, zs, ws):
+    for z in zs:
+        value = outcome(ref_evaluate, m, z)
+        deriv = outcome(ref_derivative, m, z)
+        assert outcome(m.evaluate, z, False) == value
+        assert outcome(m.derivative, z, False) == deriv
+        if "Error" in value + deriv:
+            with pytest.raises(EvaluationError):
+                m.jet(z, check=False)
+        else:
+            assert repr(m.jet(z, check=False)) == repr(
+                (ref_evaluate(m, z), ref_derivative(m, z)))
+
+
+@pytest.mark.parametrize("label,m,zs,ws", MAPS, ids=[m[0] for m in MAPS])
+def test_invert_keeps_the_bits(label, m, zs, ws):
+    for w, seed in zip(ws, zs * 4):
+        assert outcome(m.invert, w, None, False) == outcome(ref_invert, m, w)
+        assert (outcome(m.invert, w, seed, False)
+                == outcome(ref_invert, m, w, seed))
+
+
+def test_identity_inverse_keeps_the_sign_of_zero():
+    # Affine(1, 0) inverts to Affine(1, -0.0); re-fusing it to Affine(1, 0)
+    # would turn -0.0 real parts of the dilation and spiral pullbacks into 0.0
+    h = catalog.builtin_semigroup("dilation").koenigs
+    assert repr(h.inverted().chain) == repr((Affine(1.0, -0.0),))
+    assert repr(h.invert(complex(-0.0, 0.25))) == "(-0+0.25j)"
+
+
+# ---------------------------------------------------------------------------
+# float errors are typed by the walk
+# ---------------------------------------------------------------------------
+
+HUGE = 1.5e308 + 1.5e308j
+
+
+@pytest.mark.parametrize("prim", [Log(), Power(0.5)], ids=["log", "power"])
+@pytest.mark.parametrize("method", ["evaluate", "derivative", "jet"])
+def test_overflow_in_a_primitive_is_typed(prim, method):
+    with pytest.raises(EvaluationError) as info:
+        getattr(MapExpr((prim,)), method)(HUGE)
+    assert info.value.overflow
+    assert str(info.value) == f"overflow evaluating at {HUGE!r}"
+
+
+def test_overflow_in_the_closed_form_is_typed():
+    # the inverse chain of Exp is Log, which overflows in |w|
+    with pytest.raises(EvaluationError) as info:
+        MapExpr((Exp(),)).invert(HUGE)
+    assert info.value.overflow
+
+
+def test_overflow_on_a_composition_path_is_skipped():
+    # the branch-argument walk types the overflow, so the cut check skips
+    # the point instead of crashing
+    # |z| passes the float range on the first path points
+    _reject_cut_crossings(MapExpr((Log(),)), 1.3e308 + 1.3e308j,
+                          1.2e308 + 1.2e308j)
+
+
+def test_pole_and_invalid_value_messages():
+    with pytest.raises(EvaluationError, match=r"pole reached at \(-1\+0j\)"):
+        MapExpr((Mobius(1, 0, 1, 1),)).evaluate(-1.0)
+    with pytest.raises(EvaluationError,
+                       match=r"log/power branch point 0 reached"):
+        MapExpr((Log(),)).derivative(0.0)
+
+
+# ---------------------------------------------------------------------------
+# work per inversion
+# ---------------------------------------------------------------------------
+
+
+def _fresh_channel_map():
+    h = catalog.builtin_semigroup("channel").koenigs
+    return MapExpr(h.chain, source=h.source, target=h.target)
+
+
+def test_invert_constructs_no_primitive_after_the_first_call(monkeypatch):
+    h = _fresh_channel_map()
+    w = h.evaluate(0.3 + 0.2j)
+    built = []
+    for cls in PRIMITIVES:
+        init = cls.__init__
+        monkeypatch.setattr(
+            cls, "__init__",
+            lambda self, *a, _init=init, **k: (built.append(type(self)),
+                                               _init(self, *a, **k))[1])
+    h.invert(w)
+    assert len(built) >= len(h.chain)  # the inverse chain, built once
+    built.clear()
+    for _ in range(3):
+        h.invert(w)
+    assert built == []
+
+
+def test_accepted_closed_form_walks_the_forward_chain_once(monkeypatch):
+    h = _fresh_channel_map()
+    z = 0.3 + 0.2j
+    w = h.evaluate(z)
+    h.invert(w)
+    calls = Counter()
+    for cls in PRIMITIVES:
+        for name in ("evaluate", "derivative"):
+            fn = getattr(cls, name)
+            monkeypatch.setattr(
+                cls, name,
+                lambda self, u, _fn=fn, _name=name: (
+                    calls.update([(id(self), _name)]), _fn(self, u))[1])
+    got = h.invert(w)
+    assert abs(got - z) < 1e-12
+    forward = [id(p) for p in h.chain]
+    inverse = [id(p) for p in h.inverted().chain]
+    assert [calls[(i, "evaluate")] for i in forward] == [1] * len(forward)
+    assert [calls[(i, "derivative")] for i in forward] == [1] * len(forward)
+    assert [calls[(i, "evaluate")] for i in inverse] == [1] * len(inverse)
+    assert sum(calls.values()) == 2 * len(forward) + len(inverse)

@@ -342,3 +342,62 @@ class TestAuditCommand:
         bwd = (tmp_path / "out" / "trace_p000_backward.csv").read_text()
         last = bwd.strip().splitlines()[-1].split(",")
         assert float(last[1]) == pytest.approx(0.5 * math.exp(0.5), abs=1e-6)
+
+
+class TestMalformedSpecs:
+    """A malformed domain or Koenigs spec is a validation error: exit 2 and
+    one ``error:`` line, never a traceback."""
+
+    MAPLESS = {"type": "nonelliptic", "start_w": [[1, 0]]}
+    MAPPED = {"type": "nonelliptic", "start_points": [[0, 0]],
+              "domain": {"kind": "halfplane"}}
+
+    @staticmethod
+    def _run(tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, payload)
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("domain,message", [
+        ({"kind": "strip", "foo": 1}, "unknown key(s) ['foo']"),
+        ({"kind": "strip", "half_width": "a"}, "must be a number"),
+        ({"kind": "disk", "center": [0]}, "[re, im] pairs"),
+        ({"kind": "slitstrip", "slits": [{"x": 1}]}, "missing key(s) ['y']"),
+        ({"kind": "channel", "profile": "inv_log",
+          "profile_params": {"mouthcap": 3}}, "unknown key(s) ['mouthcap']"),
+        ({"kind": "channel", "profile": "exp",
+          "profile_params": {"mouth_cap": 3}}, "unknown key(s) ['mouth_cap']"),
+    ], ids=["unknown-key", "non-numeric", "short-pair", "slit-without-y",
+            "misspelt-profile-param", "param-of-another-profile"])
+    def test_domain_spec(self, tmp_path, capsys, domain, message):
+        err = self._run(tmp_path, capsys, "criterion",
+                        {**self.MAPLESS, "domain": domain})
+        assert message in err
+
+    @pytest.mark.parametrize("koenigs,message", [
+        ({"chain": [{"op": "mobius", "a": [1]}]}, "missing key(s)"),
+        ({"chain": [{"op": "mobius", "a": [1], "b": [0, 0], "c": [0, 0],
+                     "d": [1, 0]}]}, "[re, im] pairs"),
+        ({"chain": [{"op": "log", "centre": 0}]}, "unknown key(s) ['centre']"),
+        ({"chain": [{"op": "power", "p": "x"}]}, "must be a number"),
+        ({"chan": []}, "unknown key(s) ['chan']"),
+    ], ids=["mobius-short", "mobius-short-pair", "misspelt-key",
+            "non-numeric", "misspelt-chain"])
+    def test_koenigs_spec(self, tmp_path, capsys, koenigs, message):
+        err = self._run(tmp_path, capsys, "trace",
+                        {**self.MAPPED, "koenigs": koenigs})
+        assert message in err
+
+    @pytest.mark.parametrize("override", [
+        {"forward_grid": {"kind": "linear", "t0": 0, "t1": "ten", "n": 5}},
+        {"forward_grid": {"kind": "explicit", "values": [0.0, "1"]}},
+        {"heuristic": {"window": "5"}},
+    ], ids=["linear-grid", "explicit-grid", "heuristic"])
+    def test_non_numeric_grid_or_heuristic(self, tmp_path, capsys, override):
+        err = self._run(tmp_path, capsys, "trace",
+                        {"builtin": "halfplane", **override})
+        assert "must be a number" in err

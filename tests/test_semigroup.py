@@ -296,21 +296,31 @@ class TestOrbitSampleInvariants:
 
 class TestContinuationHalving:
     def test_newton_only_chain_traced_with_halving(self, builtins):
-        # disable closed-form inversion so every step runs seeded Newton;
-        # coarse steps then rely on the automatic time-step halving
+        # disable closed-form inversion (the value walk of the inverse
+        # chain) so every step runs seeded Newton; coarse steps then rely on
+        # the automatic time-step halving
         sg = builtins["halfplane"]
         h = sg.koenigs
+        refused = []
+
+        class NoClosedForm(type(h)):
+            def _evaluate_unchecked(self, z):
+                from diskflow.errors import EvaluationError
+                refused.append(z)
+                raise EvaluationError("closed form disabled")
 
         class NewtonOnly(type(h)):
-            def _invert_closed_form(self, w):
-                from diskflow.errors import EvaluationError
-                raise EvaluationError("closed form disabled")
+            def inverted(self):
+                inv = super().inverted()
+                return NoClosedForm(inv.chain, source=inv.source,
+                                    target=inv.target)
 
         stubborn = NewtonOnly(h.chain, source=h.source, target=h.target)
         sg2 = Semigroup(NONELLIPTIC, stubborn, sg.omega)
         samples = sg2.forward_orbit(0j, [0.0, 5.0, 50.0], cross_check=False)
         assert samples[1].z == pytest.approx(5.0 / 7.0, abs=1e-9)
         assert samples[2].z == pytest.approx(50.0 / 52.0, abs=1e-9)
+        assert refused
 
 
 class TestIntegrator:
