@@ -729,6 +729,9 @@ def shift_classify(sg: Semigroup, z: complex) -> ShiftResult:
 # Ahlfors regularity of spiral traces
 # ---------------------------------------------------------------------------
 
+# audit disk radii are log-uniform in this range, times max(|w0|, 0.1)
+_AHLFORS_RADII = (0.05, 3.0)
+
 
 @dataclass(frozen=True)
 class SpiralSpec:
@@ -855,15 +858,13 @@ def _spiral_length_in_disk(spec: SpiralSpec, c: complex, r: float) -> float:
 
 
 def ahlfors_audit(spec: SpiralSpec, n_disks: int = 1000,
-                  radius_range=(0.05, 3.0), seed: int = 1234) -> AhlforsResult:
+                  seed: int = 1234) -> AhlforsResult:
     """Measure sup over random disks of length(trace inside disk)/radius and
     compare against 2 sqrt(alpha^2 + beta^2)/|alpha| (degenerate alpha = 0:
     circle, trivially regular, reported with an infinite formal bound)."""
     if n_disks < 1:
         raise ParameterError("ahlfors_audit needs n_disks >= 1")
-    r_lo, r_hi = radius_range
-    if not 0.0 < r_lo <= r_hi < math.inf:
-        raise ParameterError("radius_range must satisfy 0 < lo <= hi < inf")
+    r_lo, r_hi = _AHLFORS_RADII
     trivial = spec.alpha == 0.0 or spec.beta == 0.0
     if spec.alpha == 0.0:
         bound = math.inf

@@ -186,7 +186,7 @@ def suite_semigroup(seed: int = 0) -> list:
     out = []
     grid = [0.25 * i for i in range(41)]  # [0, 10]
     for name, sg in _builtins():
-        checks = sg.validate(n=30, seed=seed)
+        checks = sg.validate(seed=seed)
         ok = all(p for p, _ in checks.values())
         detail = "; ".join(f"{k}={v:.1e}" for k, (p, v) in checks.items())
         out.append(_check(f"{name}:type_invariants", ok, len(checks), detail))

@@ -30,6 +30,7 @@ from .errors import (
 _CUT_TOL = 1e-13
 _ROUNDTRIP_TOL = 1e-10
 _COMPOSE_SAMPLES, _COMPOSE_SEED = 64, 7
+_CUT_PATH_STEPS = 16
 
 
 def _branch_arg(z: complex, center: float) -> float:
@@ -344,9 +345,15 @@ class MapExpr:
         if check and self.target is not None and not self.target.contains(w):
             raise DomainError(f"{w!r} is not in the map target")
         try:
+            abs(w)  # the roundtrip tolerances scale with |w|
             z, overflow = self.inverted()._evaluate_unchecked(w), None
+        except OverflowError as exc:
+            raise _typed(exc, w) from exc
         except EvaluationError as exc:
             z, overflow = None, (exc if exc.overflow else None)
+        if z is not None and not cmath.isfinite(z):
+            # complex arithmetic overflows to inf or nan without raising
+            z, overflow = None, _typed(OverflowError(), w)
         if z is not None and self._closed_form_acceptable(z, w):
             return z
         try:
@@ -374,12 +381,18 @@ class MapExpr:
             # forward evaluation only fails in singular/boundary territory,
             # where the primitive-wise inverse is the trustworthy route
             return True
-        resid = abs(hz - w)
         # one ulp of z-space error is |h'(z)| ulp in w-space; do not reject
-        # an inverse for noise the roundtrip cannot avoid
-        tol = max(_ROUNDTRIP_TOL * max(1.0, abs(w)),
-                  abs(dz) * (1.0 + abs(z)) * 1e-12)
-        return resid <= tol
+        # an inverse for noise the roundtrip cannot avoid.  Past the float
+        # range a residual rejects and a noise bound accepts.
+        try:
+            resid = abs(hz - w)
+        except OverflowError:
+            return False
+        try:
+            noise = abs(dz) * (1.0 + abs(z)) * 1e-12
+        except OverflowError:
+            return True
+        return resid <= max(_ROUNDTRIP_TOL * max(1.0, abs(w)), noise)
 
     def _invert_newton(self, w: complex, seed: Optional[complex]) -> complex:
         if seed is None:
@@ -391,9 +404,9 @@ class MapExpr:
         for _ in range(100):
             try:
                 fx, dfx = self.jet(x, check=False)
-            except EvaluationError:
+                r = abs(fx - w)
+            except (EvaluationError, OverflowError):
                 break
-            r = abs(fx - w)
             if r < best_r:
                 best_x, best_r = x, r
             if r <= tol:
@@ -407,7 +420,7 @@ class MapExpr:
                 cand = x - step
                 try:
                     rc = abs(self._evaluate_unchecked(cand) - w)
-                except EvaluationError:
+                except (EvaluationError, OverflowError):
                     rc = math.inf
                 if rc < r:
                     x = cand
@@ -510,14 +523,14 @@ def _branch_args_along(m: MapExpr, z: complex):
     return args
 
 
-def _reject_cut_crossings(m: MapExpr, a: complex, b: complex,
-                          steps: int = 16):
-    """Walk a fine path from a to b; a branch argument jumping by more than
-    pi between neighbouring path points means an intermediate value crossed
-    a cut, which is rejected rather than re-rotated."""
+def _reject_cut_crossings(m: MapExpr, a: complex, b: complex):
+    """Walk a path of _CUT_PATH_STEPS steps from a to b; a branch argument
+    jumping by more than pi between neighbouring path points means an
+    intermediate value crossed a cut, which is rejected rather than
+    re-rotated."""
     prev = None
-    for k in range(steps + 1):
-        z = a + (b - a) * k / steps
+    for k in range(_CUT_PATH_STEPS + 1):
+        z = a + (b - a) * k / _CUT_PATH_STEPS
         if m.source is not None and not m.source.contains(z):
             prev = None
             continue

@@ -74,9 +74,10 @@ class Interval:
     def finite(self) -> bool:
         return math.isfinite(self.hi)
 
-    def widen(self, rel: float = _INFLATE) -> "Interval":
-        lo = self.lo - rel * abs(self.lo)
-        hi = self.hi + rel * abs(self.hi) if math.isfinite(self.hi) else self.hi
+    def widen(self) -> "Interval":
+        """[lo, hi] inflated by the relative _INFLATE at each finite end."""
+        lo = self.lo - _INFLATE * abs(self.lo)
+        hi = self.hi + _INFLATE * abs(self.hi) if math.isfinite(self.hi) else self.hi
         return Interval(lo, hi)
 
     def contains(self, x: float, slack: float = 0.0) -> bool:

@@ -171,6 +171,30 @@ class TestInvert:
             h.invert(500.0, seed=0j)
         assert exc.value.overflow
 
+    @pytest.mark.parametrize("seed", [None, 0.5])
+    @pytest.mark.parametrize("w", [1.5e308 + 1.5e308j, 9e307 + 9e307j])
+    def test_non_finite_closed_form_is_an_overflow(self, w, seed):
+        # the inverse Moebius divides inf by inf; once it returned nan+0j
+        h = catalog.builtin_semigroup("halfplane").koenigs
+        with pytest.raises(EvaluationError) as exc:
+            h.invert(w, seed=seed)
+        assert exc.value.overflow
+
+    @pytest.mark.parametrize("seed", [None, 0.5])
+    def test_modulus_past_the_float_range_is_an_overflow(self, seed):
+        # |w| > DBL_MAX: the roundtrip tolerance raised a raw OverflowError
+        # from abs(w)
+        with pytest.raises(EvaluationError) as exc:
+            MapExpr((Affine(1e308, 0.0),)).invert(1.5e308 + 1.5e308j,
+                                                  seed=seed)
+        assert exc.value.overflow
+
+    def test_preimage_modulus_past_the_float_range(self):
+        # |z| > DBL_MAX with finite parts: the acceptance tolerance raised
+        # a raw OverflowError from abs(z); the closed form is exact here
+        z = MapExpr((Affine(1e-300, 0.0),)).invert(1.5e8 + 1.5e8j)
+        assert (z.real, z.imag) == pytest.approx((1.5e308, 1.5e308), rel=1e-15)
+
     def test_inverted_expression(self):
         h = catalog.strip_semigroup().koenigs
         hinv = h.inverted()

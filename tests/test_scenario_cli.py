@@ -167,6 +167,31 @@ class TestTraceCommand:
                      "--out", str(tmp_path / "out")]) == 2
 
 
+    @pytest.mark.parametrize("koenigs,domain,start,t_end", [
+        # |w(t)| passes DBL_MAX: once a closed form outside the disk was
+        # accepted and the ODE cross-check failed on it instead
+        ({"op": "affine", "a": [1e308, 0], "b": [0, 0]}, "right",
+         [0.5, 0.85], 1.2e308),
+        # the inverse Moebius gives nan at a finite w(t), and Newton's
+        # residuals overflow on the way: once a nan row was written with
+        # exit 0
+        ({"op": "mobius", "a": [0, 2e307], "b": [0, 2e307], "c": [-1, 0],
+          "d": [1, 0]}, "upper", [0.5, 0.0], 1.6e308),
+    ])
+    def test_pullback_overflow_exits_3(self, koenigs, domain, start, t_end,
+                                       tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "type": "nonelliptic", "koenigs": {"chain": [koenigs]},
+            "domain": {"kind": "halfplane", "orientation": domain,
+                       "offset": 0.0},
+            "start_points": [start],
+            "forward_grid": {"kind": "explicit", "values": [0.0, t_end]},
+        })
+        assert main(["trace", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "overflow evaluating" in capsys.readouterr().err
+
+
 class TestCriterionCommand:
     def test_halfplane_fixture(self, tmp_path):
         cfg = write_config(tmp_path, {"builtin": "halfplane"})

@@ -1,16 +1,19 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from diskflow import (CrossValidationError, HorizonError, MapExpr,
-                      ParameterError, Semigroup, catalog, unit_disk)
+from diskflow import (CrossValidationError, HorizonError, InversionError,
+                      MapExpr, ParameterError, Semigroup, catalog,
+                      unit_disk)
 from diskflow.analysis import OrbitTrack, orbit_point_sampler
 from diskflow.audits import _Masked
 from diskflow.confmap import Mobius
 from diskflow.domains import HalfPlane, Strip
 from diskflow.semigroup import NONELLIPTIC, integrate_complex
 
-from conftest import disk_points
+from conftest import deadline, disk_points
 
 
 class TestPhi:
@@ -203,7 +206,7 @@ class TestFullOrbit:
 class TestSemigroupLaws:
     @pytest.mark.parametrize("name", sorted(catalog.BUILTIN_NAMES))
     def test_type_invariants(self, name, builtins):
-        checks = builtins[name].validate(n=30, seed=5)
+        checks = builtins[name].validate(seed=5)
         for key, (passed, worst) in checks.items():
             assert passed, f"{key} worst={worst}"
 
@@ -294,33 +297,59 @@ class TestOrbitSampleInvariants:
             assert abs(s.g - sg.generator_at_w(s.w)) < 1e-8
 
 
+def newton_only(sg):
+    """sg with closed-form inversion (the value walk of the inverse chain)
+    disabled, so every pullback step runs seeded Newton; also returns the
+    refused closed-form inputs and the depth of every _continue_invert
+    call."""
+    h = sg.koenigs
+    refused, depths = [], []
+
+    class NoClosedForm(type(h)):
+        def _evaluate_unchecked(self, z):
+            from diskflow.errors import EvaluationError
+            refused.append(z)
+            raise EvaluationError("closed form disabled")
+
+    class NewtonOnly(type(h)):
+        def inverted(self):
+            inv = super().inverted()
+            return NoClosedForm(inv.chain, source=inv.source,
+                                target=inv.target)
+
+    class Recording(Semigroup):
+        def _continue_invert(self, w0, t_from, z_from, t_to, backward,
+                             depth=0):
+            depths.append(depth)
+            return super()._continue_invert(w0, t_from, z_from, t_to,
+                                            backward, depth)
+
+    stubborn = NewtonOnly(h.chain, source=h.source, target=h.target)
+    return Recording(NONELLIPTIC, stubborn, sg.omega), refused, depths
+
+
 class TestContinuationHalving:
     def test_newton_only_chain_traced_with_halving(self, builtins):
-        # disable closed-form inversion (the value walk of the inverse
-        # chain) so every step runs seeded Newton; coarse steps then rely on
-        # the automatic time-step halving
-        sg = builtins["halfplane"]
-        h = sg.koenigs
-        refused = []
-
-        class NoClosedForm(type(h)):
-            def _evaluate_unchecked(self, z):
-                from diskflow.errors import EvaluationError
-                refused.append(z)
-                raise EvaluationError("closed form disabled")
-
-        class NewtonOnly(type(h)):
-            def inverted(self):
-                inv = super().inverted()
-                return NoClosedForm(inv.chain, source=inv.source,
-                                    target=inv.target)
-
-        stubborn = NewtonOnly(h.chain, source=h.source, target=h.target)
-        sg2 = Semigroup(NONELLIPTIC, stubborn, sg.omega)
+        # seeded Newton takes these coarse steps without halving
+        sg2, refused, _ = newton_only(builtins["halfplane"])
         samples = sg2.forward_orbit(0j, [0.0, 5.0, 50.0], cross_check=False)
         assert samples[1].z == pytest.approx(5.0 / 7.0, abs=1e-9)
         assert samples[2].z == pytest.approx(50.0 / 52.0, abs=1e-9)
         assert refused
+
+    def test_newton_only_long_step_halves(self, builtins):
+        # one step from t = 0 to 1e4 loses the root; halving recovers it
+        sg2, refused, depths = newton_only(builtins["uhp"])
+        samples = sg2.forward_orbit(0j, [0.0, 1e4], cross_check=False)
+        assert refused and max(depths) >= 1
+        assert samples[1].z == pytest.approx(1e4 / (1e4 + 2j), abs=1e-9)
+
+    def test_newton_only_halving_gives_up_at_depth_20(self, builtins):
+        sg2, _, depths = newton_only(builtins["strip"])
+        with deadline(10):
+            with pytest.raises(InversionError):
+                sg2.forward_orbit(0j, [0.0, 50.0], cross_check=False)
+        assert max(depths) == 20
 
 
 class TestIntegrator:
@@ -333,3 +362,33 @@ class TestIntegrator:
         got = integrate_complex(lambda t, z: 1j * z, 1.0 + 0j,
                                 [0.0, math.pi])
         assert got[1] == pytest.approx(-1.0, abs=1e-8)
+
+
+class TestConcurrentTraces:
+    @staticmethod
+    def trace(name):
+        # fresh semigroups, so the threads also race to build each map's
+        # lazily kept inverse chain
+        sg = catalog.builtin_semigroup(name)
+        z0 = catalog.builtin_start(name)
+        horizon = sg.backward_horizon(z0).value
+        t_back = min(5.0, 0.5 * horizon)
+        fwd = sg.forward_orbit(z0, [0.5 * i for i in range(11)],
+                               cross_check=True)
+        bwd = sg.backward_orbit(z0, [0.1 * t_back * i for i in range(11)],
+                                cross_check=True)
+        return repr(fwd), repr(bwd)
+
+    def test_threads_match_a_sequential_run(self):
+        # README: orbits may be computed concurrently without locking; the
+        # ODE cross-check must be re-entrant for this to hold
+        names = sorted(catalog.BUILTIN_NAMES)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(self.trace, n) for n in names]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == [self.trace(n) for n in names]
