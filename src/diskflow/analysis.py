@@ -395,17 +395,16 @@ class GeneratorTail:
     samples: tuple
 
 
-def backward_generator_limsup(sg: Semigroup, z: complex,
-                              heuristic: Heuristic = DEFAULT_HEURISTIC) -> GeneratorTail:
+def backward_generator_limsup(sg: Semigroup, z: complex) -> GeneratorTail:
     """|G| along the backward orbit on a grid accumulating at T_z."""
     track = OrbitTrack.from_semigroup(sg, z)
     ts = backward_tail_grid(track)
     samples = tuple((t, track.g_abs(t)) for t in ts)
-    k = min(heuristic.window, len(samples))
+    k = min(DEFAULT_HEURISTIC.window, len(samples))
     tail = [g for _, g in samples[-k:]]
-    trend = _trend(tail, heuristic.monotone_rel_tol)
+    trend = _trend(tail, DEFAULT_HEURISTIC.monotone_rel_tol)
     sup_tail = max(tail)
-    diverging = trend == "increasing" and sup_tail > heuristic.abs_threshold
+    diverging = trend == "increasing" and sup_tail > DEFAULT_HEURISTIC.abs_threshold
     return GeneratorTail(sup_tail, trend, diverging, samples)
 
 
@@ -817,23 +816,21 @@ def _spiral_length_in_disk(spec: SpiralSpec, c: complex, r: float) -> float:
         t_exit = math.log(hi_mod / mod0) / a
         t_tail = None
     t_enter = max(0.0, t_enter)
-    if t_exit is not None and t_exit < t_enter:
+    if t_exit < t_enter:
         return 0.0
 
     total = 0.0
-    if t_tail is not None and t_tail >= 0.0:
+    if t_tail is not None:
+        # t_tail >= 0 and t_exit = t_tail: the window ends where the tail starts
         total += (speed / abs(a)) * mod0 * math.exp(a * t_tail)
-        window_hi = t_tail
-    else:
-        window_hi = t_exit
-    if window_hi is None or window_hi <= t_enter:
+    if t_exit <= t_enter:
         return total
 
     # winding-resolved grid
-    span = window_hi - t_enter
+    span = t_exit - t_enter
     dt = min(math.pi / (6.0 * abs(b)) if b != 0 else span, span / 64.0)
     n = min(int(span / dt) + 2, 200000)
-    ts = np.linspace(t_enter, window_hi, n)
+    ts = np.linspace(t_enter, t_exit, n)
     inside = np.abs(spec.point(ts) - c) < r
     cross = []
     for i in np.flatnonzero(inside[:-1] != inside[1:]):
@@ -848,7 +845,7 @@ def _spiral_length_in_disk(spec: SpiralSpec, c: complex, r: float) -> float:
             else:
                 hi_t = mid
         cross.append(0.5 * (lo_t + hi_t))
-    marks = [t_enter] + cross + [window_hi]
+    marks = [t_enter] + cross + [t_exit]
     for i in range(len(marks) - 1):
         t_mid = 0.5 * (marks[i] + marks[i + 1])
         if abs(spec.point(t_mid) - c) < r:

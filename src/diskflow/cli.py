@@ -55,10 +55,8 @@ def _meta(seed: int, scenario: Scenario | None = None, **extra) -> dict:
         meta["scenario_hash"] = scenario.digest()
         meta["scenario_name"] = scenario.name
         meta["heuristic"] = scenario.heuristic.to_dict()
-        try:
-            meta["truncation"] = scenario.resolve_domain().truncation()
-        except DiskflowError:
-            meta["truncation"] = None
+        # trace and criterion have resolved this domain already
+        meta["truncation"] = scenario.resolve_domain().truncation()
     meta.update(extra)
     return meta
 

@@ -162,16 +162,35 @@ class Domain:
         raise NotImplementedError
 
     # -- optional exact structure ---------------------------------------
+    # The three hyperbolic hooks give a closed form where the kind has one,
+    # else the pullback through ``exact_map``, else None (no map, or the map
+    # fails there), which sends callers to interval bounds.
 
     @property
     def exact_map(self) -> Optional[MapExpr]:
         return None
 
     def hyperbolic_density(self, w: complex) -> Optional[float]:
-        return None
+        """lambda(w).  Default: lambda_D(h(w)) |h'(w)| through the exact map."""
+        fmap = self.exact_map
+        if fmap is None:
+            return None
+        try:
+            z, dz = fmap.jet(complex(w), check=False)
+            return hypgeo.disk_density(z) * abs(dz)
+        except (EvaluationError, DomainError):
+            return None
 
     def hyperbolic_distance(self, z: complex, w: complex) -> Optional[float]:
-        return None
+        """k(z, w).  Default: k_D(h(z), h(w)) through the exact map."""
+        fmap = self.exact_map
+        if fmap is None:
+            return None
+        try:
+            return hypgeo.disk_distance(fmap.evaluate(complex(z), check=False),
+                                        fmap.evaluate(complex(w), check=False))
+        except (EvaluationError, DomainError):
+            return None
 
     def criterion_kernel(self, w0: complex, w: complex) -> Optional[float]:
         """lambda(w) * exp(-2 k(w0, w)) with near-boundary cancellations done
@@ -298,11 +317,11 @@ class HalfPlane(Domain):
     offset: float = 0.0
 
     kind = "halfplane"
+    convex: bool = field(default=True, init=False)
 
     def __post_init__(self):
         if self.orientation not in _ORIENTATIONS:
             raise ParameterError(f"unknown half-plane orientation {self.orientation!r}")
-        object.__setattr__(self, "convex", True)
         object.__setattr__(self, "_rhp", _rhp_affine(self.orientation, self.offset))
 
     def _rhp_coord(self, w: complex) -> complex:
@@ -369,11 +388,11 @@ class Strip(Domain):
     center: float = 0.0
 
     kind = "strip"
+    convex: bool = field(default=True, init=False)
 
     def __post_init__(self):
         if self.half_width <= 0:
             raise ParameterError("strip half-width must be positive")
-        object.__setattr__(self, "convex", True)
 
     def contains(self, w: complex) -> bool:
         return abs(complex(w).imag - self.center) < self.half_width
@@ -432,11 +451,11 @@ class HalfStrip(Domain):
     center: float = 0.0
 
     kind = "halfstrip"
+    convex: bool = field(default=True, init=False)
 
     def __post_init__(self):
         if self.half_width <= 0:
             raise ParameterError("half-strip half-width must be positive")
-        object.__setattr__(self, "convex", True)
 
     def contains(self, w: complex) -> bool:
         w = complex(w)
@@ -500,11 +519,11 @@ class Disk(Domain):
     radius: float = 1.0
 
     kind = "disk"
+    convex: bool = field(default=True, init=False)
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ParameterError("disk radius must be positive")
-        object.__setattr__(self, "convex", True)
 
     def contains(self, w: complex) -> bool:
         return abs(complex(w) - self.center) < self.radius
@@ -580,7 +599,6 @@ class SlitStrip(Domain):
     def __post_init__(self):
         if self.half_width <= 0:
             raise ParameterError("strip half-width must be positive")
-        object.__setattr__(self, "convex", False)
         object.__setattr__(self, "slits", tuple((float(x), float(y))
                                                 for x, y in self.slits))
 
@@ -840,7 +858,6 @@ class Channel(Domain):
         build = _PROFILES[self.profile]
         check_keys(self.profile_params, inspect.signature(build).parameters,
                     (), f"{self.profile} profile parameters")
-        object.__setattr__(self, "convex", False)
         object.__setattr__(self, "_impl", build(**self.profile_params))
 
     def contains(self, w: complex) -> bool:
@@ -886,7 +903,6 @@ class SpiralSector(Domain):
         if not 0 < self.half_angle <= math.pi:
             raise ParameterError("half-angle must be in (0, pi]")
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "convex", False)
 
     def _theta(self, w: complex, k: int) -> float:
         # Im((Log w + 2 pi i k)/mu)

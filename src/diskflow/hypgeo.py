@@ -1,11 +1,12 @@
 """Hyperbolic geometry kernel (curvature -4 convention, density 1/(1-|z|^2)).
 
-Exact values are produced where a domain kind has a closed form or an exact
-Riemann map; otherwise operations return two-sided interval bounds from the
-comparison with the Euclidean boundary distance (1/(4 delta) <= lambda <=
-1/delta, and the log lower bound for distances, factor 1/2 on convex
-domains).  Intervals use plain floating point with a documented 1e-12
-relative inflation; they are audit aids, not formal enclosures.
+Exact values come from the domain's hyperbolic hooks (a closed form, else
+the pullback through its exact Riemann map); where the hooks give none,
+operations return two-sided interval bounds from the comparison with the
+Euclidean boundary distance (1/(4 delta) <= lambda <= 1/delta, and the log
+lower bound for distances, factor 1/2 on convex domains).  Intervals use
+plain floating point with a documented 1e-12 relative inflation; they are
+audit aids, not formal enclosures.
 
 Distances in half-planes, strips and half-strips route through an upper
 half-plane kernel carried in log-modulus/argument form, so quantities like
@@ -19,7 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, EvaluationError, ParameterError
+from .errors import DomainError, ParameterError
 
 BOUNDARY_CUTOFF = 1e-13
 _INFLATE = 1e-12
@@ -80,8 +81,8 @@ class Interval:
         hi = self.hi + _INFLATE * abs(self.hi) if math.isfinite(self.hi) else self.hi
         return Interval(lo, hi)
 
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
+    def contains(self, x: float) -> bool:
+        return self.lo <= x <= self.hi
 
     # monotone arithmetic (enclosure-preserving)
 
@@ -240,32 +241,25 @@ def _check_interior(dom, w: complex) -> float:
 def domain_density(dom, w: complex) -> Interval:
     """Hyperbolic density of a simply connected domain, as an interval.
 
-    Degenerate [v, v] when the domain has a closed form or an exact Riemann
-    map; otherwise (or when the map overflows far out) the two-sided bound
-    [1/(4 delta), 1/delta].
+    Degenerate [v, v] when the domain's ``hyperbolic_density`` hook gives a
+    value; otherwise (no closed form or exact map, or the map overflows far
+    out) the two-sided bound [1/(4 delta), 1/delta].
     """
     w = complex(w)
     delta = _check_interior(dom, w)
     exact = dom.hyperbolic_density(w)
     if exact is not None:
         return Interval.exact(exact)
-    fmap = dom.exact_map
-    if fmap is not None:
-        try:
-            z, dz = fmap.jet(w, check=False)
-            return Interval.exact(disk_density(z) * abs(dz))
-        except (EvaluationError, DomainError):
-            pass
     return Interval.bounds(0.25 / delta, 1.0 / delta)
 
 
 def domain_distance(dom, z: complex, w: complex, enclosure=None) -> Interval:
     """Hyperbolic distance between two points of a domain, as an interval.
 
-    Exact (degenerate) via a closed form or exact-map pullback.  Otherwise
-    the lower bound is (1/4) log(1 + |z-w|/min(delta(z), delta(w))) -- 1/2
-    when the domain is flagged convex -- and the upper bound comes from an
-    enclosed subdomain with an exact distance: caller-supplied through
+    Exact (degenerate) when the domain's ``hyperbolic_distance`` hook gives
+    a value.  Otherwise the lower bound is (1/4) log(1 + |z-w|/r0) with
+    r0 = min(delta(z), delta(w)) -- 1/2 when the domain is flagged convex --
+    and the upper bound is that hook on an enclosed subdomain: supplied as
     ``enclosure``, or the domain's ``rightward_half_strip`` for horizontal
     pairs in a domain convex in the positive direction.  When no enclosure
     is available the upper endpoint is +inf.
@@ -279,13 +273,6 @@ def domain_distance(dom, z: complex, w: complex, enclosure=None) -> Interval:
     exact = dom.hyperbolic_distance(z, w)
     if exact is not None:
         return Interval.exact(exact)
-    fmap = dom.exact_map
-    if fmap is not None:
-        try:
-            return Interval.exact(disk_distance(fmap.evaluate(z, check=False),
-                                                fmap.evaluate(w, check=False)))
-        except (EvaluationError, DomainError):
-            pass
 
     c = 0.5 if dom.convex else 0.25
     r0 = min(dz, dw)
@@ -298,9 +285,6 @@ def domain_distance(dom, z: complex, w: complex, enclosure=None) -> Interval:
         if not (sub.contains(z) and sub.contains(w)):
             raise DomainError("enclosure does not contain both points")
         hi_val = sub.hyperbolic_distance(z, w)
-        if hi_val is None and sub.exact_map is not None:
-            hi_val = disk_distance(sub.exact_map.evaluate(z, check=False),
-                                   sub.exact_map.evaluate(w, check=False))
         if hi_val is not None:
             hi = hi_val
     if hi < lo:

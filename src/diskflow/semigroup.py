@@ -109,8 +109,8 @@ def integrate_complex(f: Callable[[float, complex], complex], z0: complex,
     """Integrate z' = f(t, z) through the strictly increasing grid, returning
     the solution at every grid node (SciPy's adaptive DOP853 with relative
     and absolute tolerance _ODE_TOL, read at the nodes from its dense
-    output).  A non-finite field value or a failed step ends the run with
-    the "ODE step size collapsed" CrossValidationError."""
+    output).  A failing or non-finite field value, or a failed step, ends the
+    run with the "ODE step size collapsed" CrossValidationError."""
     ts = [float(t) for t in t_grid]
     for a, b in zip(ts, ts[1:]):
         if b <= a:
@@ -119,8 +119,13 @@ def integrate_complex(f: Callable[[float, complex], complex], z0: complex,
         return [complex(z0)]
 
     def rhs(t, y):
+        try:
+            v = f(float(t), complex(y[0]))
+        except EvaluationError as exc:
+            raise CrossValidationError(
+                f"ODE step size collapsed: {exc}",
+                diagnostics={"t": float(t), "z": complex(y[0])}) from exc
         # SciPy takes a NaN first step from a NaN field and never stops
-        v = f(float(t), complex(y[0]))
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise CrossValidationError(
                 f"ODE step size collapsed: non-finite field value at t={t}",
@@ -163,7 +168,12 @@ def koenigs_horizon(omega: Domain, kind: str, mu: Optional[complex],
 
 @dataclass(frozen=True)
 class Semigroup:
-    """Koenigs data (kind, spectral value, Koenigs map, Koenigs domain)."""
+    """Koenigs data (kind, spectral value, Koenigs map, Koenigs domain).
+
+    The Koenigs map's source is the unit disk: the pullback-vs-ODE tolerance
+    _CROSS_TOL is absolute and the criterion's generator sandwich reads |z|
+    as a disk modulus, so both fail on other sources (orbits run off to
+    infinity in a half-plane f(D)); use ``conjugate`` instead."""
 
     kind: str
     koenigs: MapExpr
@@ -430,7 +440,9 @@ class ConjugatedSemigroup:
 
     The conjugated Koenigs map h_D = h . f^{-1} shares the Koenigs domain, so
     orbits pull back through h_D directly; adjacent Moebius factors fuse, so
-    the evaluation does not round through the disk boundary."""
+    the evaluation does not round through the disk boundary.  It offers
+    ``phi`` and ``generator`` only: orbit tracing, its cross-check and the
+    criteria assume a disk source (see Semigroup)."""
 
     def __init__(self, base: Semigroup, f: MapExpr):
         self.base = base
@@ -452,12 +464,3 @@ class ConjugatedSemigroup:
         """G^D(zeta) = f'(f^{-1}(zeta)) G(f^{-1}(zeta)) (chain rule)."""
         z = self.f.invert(zeta, check=False)
         return self.f.derivative(z) * self.base.generator(z)
-
-    def forward_orbit(self, zeta: complex, t_grid: Sequence[float]) -> list:
-        ts = _validated_grid(t_grid, require_zero_start=True)
-        out = []
-        seed = complex(zeta)
-        for t in ts:
-            seed = self.phi(t, zeta, seed=seed) if t != 0.0 else complex(zeta)
-            out.append((t, seed))
-        return out

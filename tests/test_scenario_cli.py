@@ -191,6 +191,21 @@ class TestTraceCommand:
                      "--out", str(tmp_path / "out")]) == 3
         assert "overflow evaluating" in capsys.readouterr().err
 
+    def test_ode_field_failure_names_the_cross_check(self, tmp_path, capsys):
+        # the ODE state runs past |z| ~ 1e222 on the last step; the field's
+        # overflow used to reach the CLI without naming the ODE
+        cfg = write_config(tmp_path, {
+            "builtin": "halfplane",
+            "forward_grid": {"kind": "explicit",
+                             "values": [0.0, 1.0, 1.5e308, 1.79e308]},
+        })
+        assert main(["trace", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: ODE step size collapsed: overflow evaluating" \
+            in err
+        assert "diagnostics: {'t': " in err
+
 
 class TestCriterionCommand:
     def test_halfplane_fixture(self, tmp_path):

@@ -4,9 +4,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from diskflow import (CrossValidationError, HorizonError, InversionError,
-                      MapExpr, ParameterError, Semigroup, catalog,
-                      unit_disk)
+from diskflow import (CrossValidationError, EvaluationError, HorizonError,
+                      InversionError, MapExpr, ParameterError, Semigroup,
+                      catalog, unit_disk)
 from diskflow.analysis import OrbitTrack, orbit_point_sampler
 from diskflow.audits import _Masked
 from diskflow.confmap import Mobius
@@ -362,6 +362,24 @@ class TestIntegrator:
         got = integrate_complex(lambda t, z: 1j * z, 1.0 + 0j,
                                 [0.0, math.pi])
         assert got[1] == pytest.approx(-1.0, abs=1e-8)
+
+    def test_field_error_is_the_cross_checks_own_error(self):
+        # a field that fails raised its own EvaluationError, which named
+        # neither the ODE nor the check
+        def field(t, z):
+            if z.real > 2.0:
+                raise EvaluationError(f"overflow evaluating at {z!r}",
+                                      overflow=True)
+            return 1.0 + 0j
+
+        with pytest.raises(CrossValidationError) as info:
+            integrate_complex(field, 0j, [0.0, 1.0, 5.0])
+        err = info.value
+        assert str(err).startswith(
+            "ODE step size collapsed: overflow evaluating at")
+        assert isinstance(err.__cause__, EvaluationError)
+        assert err.diagnostics["t"] > 2.0
+        assert err.diagnostics["z"].real > 2.0
 
 
 class TestConcurrentTraces:
