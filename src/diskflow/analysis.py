@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import hypgeo
 from .domains import Domain
@@ -190,6 +189,10 @@ _ARC_RTOL = 1e-6  # relative error of a converged arc length
 
 
 def _quad(f, a, b):
+    # imported on first use: SciPy takes most of a cold start, and only the
+    # g_abs quadrature (Hayman-Wu) needs it
+    from scipy.integrate import quad
+
     # full_output silences the roundoff warning for violently decaying tails
     res = quad(f, a, b, limit=400, full_output=1)
     return res[0], res[1]
@@ -778,7 +781,9 @@ def _spiral_length_in_disk(spec: SpiralSpec, c: complex, r: float) -> float:
     Crossing times are bracketed on a winding-resolved grid and bisected
     until the midpoint rounds onto an end (at most 60 halvings); each inside
     piece contributes (speed/|alpha|) |w0| |e^{a t1} - e^{a t2}|.  The
-    circle alpha = 0 takes the closed-form arc length.
+    circle alpha = 0 takes the closed-form arc length.  An inward spiral
+    against a disk whose edge passes through its centre (r == |c|) is a
+    ParameterError: the tail crosses that edge infinitely often.
     """
     a, b = spec.alpha, spec.beta
     speed = spec.speed_factor()
@@ -802,6 +807,10 @@ def _spiral_length_in_disk(spec: SpiralSpec, c: complex, r: float) -> float:
         if lo_mod <= 0:
             # once |gamma| < r - |c| the whole tail is inside
             rin = r - abs(c)
+            if rin == 0.0:
+                raise ParameterError(
+                    f"disk |w - {c}| < {r!r} passes through the spiral's "
+                    "centre 0: the tail crosses its edge infinitely often")
             t_tail = 0.0 if mod0 <= rin else math.log(rin / mod0) / a
             t_exit = t_tail
         else:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .confmap import MapExpr, compose
 from .domains import (ELLIPTIC, NONELLIPTIC, Domain,
@@ -131,6 +130,10 @@ def integrate_complex(f: Callable[[float, complex], complex], z0: complex,
                 f"ODE step size collapsed: non-finite field value at t={t}",
                 diagnostics={"t": float(t), "z": complex(y[0]), "f": v})
         return [v]
+
+    # imported on first use: SciPy takes most of a cold start, and only the
+    # ODE cross-check needs it
+    from scipy.integrate import solve_ivp
 
     with np.errstate(all="ignore"):
         sol = solve_ivp(rhs, (ts[0], ts[-1]), [complex(z0)], method="DOP853",

@@ -1,0 +1,175 @@
+"""SciPy is imported on first use, by the two functions that integrate.
+
+``semigroup.integrate_complex`` (the ODE cross-check) and ``analysis._quad``
+(the quadrature behind ``arc_length(g_abs=...)`` and Hayman-Wu) import
+``scipy.integrate`` inside their bodies, so ``import diskflow`` and every
+command that never integrates start without SciPy.  The pytest process has
+imported SciPy already (other test modules use it), so the checks below run
+in a fresh interpreter on the package sources."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import diskflow
+from diskflow import analysis, catalog
+from diskflow.analysis import OrbitTrack, SpiralSpec
+from diskflow.domains import example2_domain
+
+SRC = Path(diskflow.__file__).resolve().parent.parent
+TESTS = Path(__file__).resolve().parent
+
+
+def run_child(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter that imports the package from its
+    source tree and this module for its fixtures (which import only the
+    package); the code's last stdout line is a JSON object."""
+    env = dict(os.environ, PYTHONPATH=f"{SRC}{os.pathsep}{TESTS}")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def mapless_criterion():
+    track = OrbitTrack.from_omega(example2_domain(), 0j)
+    return analysis.backward_criterion(track, t_max=64.0)
+
+
+def ahlfors():
+    return analysis.ahlfors_audit(SpiralSpec(1.0 + 0.5j, -0.5, 1.25),
+                                  n_disks=25, seed=7)
+
+
+def hayman_wu():
+    return analysis.hayman_wu_audit(catalog.builtin_semigroup("strip"),
+                                    catalog.builtin_start("strip"))
+
+
+def cross_checked_orbit():
+    sg = catalog.builtin_semigroup("spiral")
+    return sg.forward_orbit(catalog.builtin_start("spiral"),
+                            [0.5 * i for i in range(11)], cross_check=True)
+
+
+COLD_START = """\
+import json, sys
+import diskflow, diskflow.cli
+seen = {"import": "scipy" in sys.modules}
+import test_cold_start as t
+out = {}
+out["criterion"] = repr(t.mapless_criterion())
+seen["criterion"] = "scipy" in sys.modules
+out["ahlfors"] = repr(t.ahlfors())
+seen["ahlfors"] = "scipy" in sys.modules
+out["hayman_wu"] = repr(t.hayman_wu())
+seen["hayman_wu"] = "scipy" in sys.modules
+print(json.dumps({"seen": seen, "out": out}))
+"""
+
+
+def test_scipy_loads_only_where_the_package_integrates():
+    res = run_child(COLD_START)
+    assert res["seen"] == {"import": False, "criterion": False,
+                           "ahlfors": False, "hayman_wu": True}
+    assert res["out"] == {"criterion": repr(mapless_criterion()),
+                          "ahlfors": repr(ahlfors()),
+                          "hayman_wu": repr(hayman_wu())}
+
+
+def test_cross_checked_orbit_loads_scipy_with_the_same_samples():
+    res = run_child("""\
+import json, sys
+import test_cold_start as t
+before = "scipy" in sys.modules
+out = repr(t.cross_checked_orbit())
+print(json.dumps({"before": before, "after": "scipy" in sys.modules,
+                  "out": out}))
+""")
+    assert (res["before"], res["after"]) == (False, True)
+    assert res["out"] == repr(cross_checked_orbit())
+
+
+CONCURRENT_COLD_START = """\
+import json, sys, threading
+from concurrent.futures import ThreadPoolExecutor
+from diskflow import catalog, semigroup
+from test_semigroup import TestConcurrentTraces
+
+names = sorted(catalog.BUILTIN_NAMES)
+barrier = threading.Barrier(len(names), timeout=60)
+first = threading.local()
+integrate = semigroup.integrate_complex
+
+def at_the_barrier(*args, **kwargs):
+    # every thread's first integration starts at the same moment, so the
+    # deferred import of scipy.integrate runs under contention
+    if not getattr(first, "done", False):
+        first.done = True
+        barrier.wait()
+    return integrate(*args, **kwargs)
+
+semigroup.integrate_complex = at_the_barrier
+before = "scipy" in sys.modules
+sys.setswitchinterval(1e-5)
+with ThreadPoolExecutor(max_workers=len(names)) as pool:
+    threaded = [list(r) for r in pool.map(TestConcurrentTraces.trace, names,
+                                           timeout=120)]
+print(json.dumps({"before": before, "names": names, "threaded": threaded}))
+"""
+
+
+def test_threads_enter_the_first_integration_together():
+    # README: orbits may be computed concurrently without locking, including
+    # the first cross-check of a process, which imports SciPy
+    # (imported here, so pytest does not collect the class twice)
+    from test_semigroup import TestConcurrentTraces
+
+    res = run_child(CONCURRENT_COLD_START)
+    assert res["before"] is False
+    assert res["names"] == sorted(catalog.BUILTIN_NAMES)
+    assert res["threaded"] == [list(TestConcurrentTraces.trace(n))
+                               for n in res["names"]]
+
+
+def _module_level_imports(tree):
+    """Import nodes that run when the module is imported: everything outside
+    function bodies (class bodies and top-level if/try blocks included)."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _imports_scipy(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        names = [alias.name for alias in node.names]
+    return any(n == "scipy" or n.startswith("scipy.") for n in names)
+
+
+def test_no_module_imports_scipy_at_top_level():
+    paths = sorted(Path(diskflow.__file__).parent.glob("*.py"))
+    assert {"analysis.py", "semigroup.py"} <= {p.name for p in paths}
+    found = [f"{path.name}:{node.lineno}"
+             for path in paths
+             for node in _module_level_imports(ast.parse(path.read_text()))
+             if _imports_scipy(node)]
+    assert found == []
+
+
+def test_the_guard_sees_top_level_and_nested_imports():
+    tree = ast.parse("import numpy\nfrom scipy.integrate import quad\n"
+                     "if True:\n    import scipy\n"
+                     "class A:\n    from scipy import special\n"
+                     "def f():\n    from scipy.integrate import solve_ivp\n")
+    assert sorted(n.lineno for n in _module_level_imports(tree)
+                  if _imports_scipy(n)) == [2, 4, 6]

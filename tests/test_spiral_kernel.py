@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from diskflow.analysis import SpiralSpec, _spiral_length_in_disk
+from diskflow.errors import ParameterError
 
 
 def _numpy_point(spec, t):
@@ -158,6 +159,21 @@ def test_inside_tail_and_exit_cases_hold_bits():
         got = _spiral_length_in_disk(spec, c, r)
         assert got > 0.0
         assert repr(got) == repr(_reference_length(spec, c, r)), (spec, c, r)
+
+
+def test_inward_tail_through_a_disk_edge_at_the_centre_is_typed():
+    # r == |c|: the disk's edge passes through the spiral's centre 0, so the
+    # tail enters and leaves it without end; the tail start log(rin / |w0|)
+    # took log(0) and raised a bare "math domain error"
+    spec = SpiralSpec(1.0, -1.0, 1.0)
+    for c, r in ((0.5 + 0j, 0.5), (0.3 - 0.4j, 0.5), (-2.0j, 2.0)):
+        with pytest.raises(ParameterError, match="passes through the spiral"):
+            _spiral_length_in_disk(spec, c, r)
+    # either side of the edge, and an outward spiral on it, keep a length
+    assert _spiral_length_in_disk(spec, 0.5 + 0j, 0.5000001) > 0.0
+    assert _spiral_length_in_disk(spec, 0.5 + 0j, 0.4999999) > 0.0
+    assert _spiral_length_in_disk(SpiralSpec(1.0, 1.0, 1.0), 0.5 + 0j,
+                                  0.5) == 0.0
 
 
 @pytest.mark.parametrize("beta", [1.0, 1e-13, -2.0])
