@@ -297,44 +297,57 @@ def lipschitz_quotient(sampler: Callable[[float], Optional[complex]],
         if ts and t - ts[-1] < 0.5 * fine_step * max(1.0, abs(t)):
             continue
         ts.append(t)
-    sup = 0.0
-    pairs = 0
-    skipped = 0
-    vals = {}
-
-    def get(t):
-        nonlocal skipped
-        if t not in vals:
-            v = sampler(t)
-            if v is not None and not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                v = None
-            if v is None:
-                skipped += 1
-            vals[t] = v
-        return vals[t]
-
-    for a, b in zip(ts, ts[1:]):
-        va, vb = get(a), get(b)
-        if va is not None and vb is not None and b > a:
-            sup = max(sup, abs(vb - va) / (b - a))
-            pairs += 1
+    # (a, b, b - a): consecutive pairs, then the adjacent pair at relative
+    # step 1e-7 from each t
+    steps = [(a, b, b - a) for a, b in zip(ts, ts[1:])]
     for t in ts:
         h = fine_step * max(1.0, abs(t))
         a, b = (t, t + h) if t + h <= t1 else (t - h, t)
-        if a < t0:
-            continue
-        va, vb = get(a), get(b)
+        if a >= t0:
+            steps.append((a, b, h))
+    # each distinct time is sampled once, in the order the pairs first use it
+    vals = dict.fromkeys(t for a, b, _ in steps for t in (a, b))
+    skipped = 0
+    for t in vals:
+        v = sampler(t)
+        if v is not None and not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            v = None
+        if v is None:
+            skipped += 1
+        vals[t] = v
+    sup = 0.0
+    pairs = 0
+    for a, b, h in steps:
+        va, vb = vals[a], vals[b]
         if va is not None and vb is not None:
-            sup = max(sup, abs(vb - va) / h)
+            q = abs(vb - va) / h
+            if q > sup:
+                sup = q
             pairs += 1
     return Quotient(sup, pairs, skipped)
 
 
 def orbit_point_sampler(sg, z: complex) -> Callable[[float], Optional[complex]]:
-    """Forward-orbit evaluator by Koenigs pullback (None on overflow)."""
+    """Forward-orbit evaluator t -> phi_t(z) by Koenigs pullback (None on
+    overflow of h(z) or of the inverse)."""
+    try:
+        w0 = sg.koenigs_image(z)
+    except EvaluationError:
+        w0 = None
+    return _image_sampler(sg, z, w0)
+
+
+def _image_sampler(sg, z: complex,
+                   w0: Optional[complex]) -> Callable[[float], Optional[complex]]:
+    """orbit_point_sampler from w0 = h(z), evaluated once per orbit rather
+    than once per sample; w0 None (h(z) overflowed) makes every sample None."""
     def sample(t: float) -> Optional[complex]:
+        if t < 0:
+            raise ParameterError("phi is defined for t >= 0")
+        if w0 is None:
+            return None
         try:
-            return sg.phi(t, z)
+            return sg.phi_from_image(t, w0, z)
         except EvaluationError:
             return None
     return sample
@@ -351,17 +364,20 @@ def forward_certificate(sg: Semigroup, z: complex) -> Certificate:
     """Forward-orbit Lipschitz certificate.
 
     Non-elliptic constant: 1/delta_Omega(h(z)).  Elliptic constant:
-    |mu h(z)| / dist(orbit image, boundary), the distance taken over a
-    refined polyline of the image spiral.  The quotient measured over
-    [0, 100] must not exceed the certificate by more than 5%.
+    |mu h(z)| / dist(orbit image, boundary), the distance in closed form
+    where the domain has one (``Domain.spiral_gap``), else over a refined
+    polyline of the image spiral.  The quotient measured over [0, 100] must
+    not exceed the certificate by more than 5%.
     """
     w0 = sg.koenigs_image(z)
     if sg.kind == NONELLIPTIC:
         constant = 1.0 / sg.omega.boundary_distance(w0)
     else:
-        gap = _spiral_image_gap(sg.omega, w0, sg.mu)
+        gap = sg.omega.spiral_gap(w0, sg.mu)
+        if gap is None:
+            gap = _spiral_image_gap(sg.omega, w0, sg.mu)
         constant = abs(sg.mu * w0) / gap
-    measured = lipschitz_quotient(orbit_point_sampler(sg, z), 0.0, 100.0).value
+    measured = lipschitz_quotient(_image_sampler(sg, z, w0), 0.0, 100.0).value
     return Certificate(constant, measured, measured <= constant * (1.0 + 5e-2))
 
 
@@ -801,6 +817,22 @@ def _spiral_length_in_disk(spec: SpiralSpec, c: complex, r: float) -> float:
     # only times with |gamma| in [max(|c|-r, 0), |c|+r] can be inside
     hi_mod = abs(c) + r
     lo_mod = abs(c) - r
+    # a trace that reaches that annulus only past the float range of |w0|
+    # (|lo_mod| / |w0| underflows inward, lo_mod / |w0| overflows outward)
+    # restarts where it gets there: nothing before is inside
+    if a < 0:
+        edge, past = hi_mod, mod0 > hi_mod and abs(lo_mod) / mod0 == 0.0
+    else:
+        edge, past = lo_mod, mod0 < lo_mod and lo_mod / mod0 == math.inf
+    if past:
+        t_s = (math.log(edge) - math.log(mod0)) / a
+        turn = cmath.phase(spec.w0) + b * t_s
+        if not math.isfinite(turn):
+            raise ParameterError(
+                f"spiral {spec} winds past the float range before it "
+                f"reaches the disk |w - {c}| < {r!r}")
+        return _spiral_length_in_disk(SpiralSpec(cmath.rect(edge, turn), a, b),
+                                      c, r)
     if a < 0:
         t_enter = 0.0 if mod0 <= hi_mod else math.log(hi_mod / mod0) / a
         t_tail = None
@@ -822,6 +854,10 @@ def _spiral_length_in_disk(spec: SpiralSpec, c: complex, r: float) -> float:
             t_enter = 0.0
         if hi_mod < mod0:
             return 0.0
+        if hi_mod / mod0 == math.inf:
+            raise ParameterError(
+                f"spiral {spec} leaves the disk |w - {c}| < {r!r} only past "
+                "the float range of its modulus")
         t_exit = math.log(hi_mod / mod0) / a
         t_tail = None
     t_enter = max(0.0, t_enter)

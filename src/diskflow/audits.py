@@ -405,10 +405,10 @@ def suite_backward(seed: int = 0) -> list:
 
         def full(t, sg=sg, z=z, w0=w0):
             if t >= 0:
-                return sg.phi(t, z)
+                return sg.phi_from_image(t, w0, z)
             return sg.koenigs.invert(sg.ray_w(w0, -t, backward=True), seed=z)
 
-        qf = lipschitz_quotient(lambda t: sg.phi(t, z), 0.0, 10.0).value
+        qf = lipschitz_quotient(full, 0.0, 10.0).value
         qb = lipschitz_quotient(lambda t: full(-t), 0.0, a).value
         qfull = lipschitz_quotient(full, -a, 10.0).value
         target = max(qf, qb)

@@ -251,6 +251,11 @@ class Domain:
         """Same for the elliptic backward trace {exp(mu t) w: t >= 0}."""
         return ("unknown", None)
 
+    def spiral_gap(self, w: complex, mu: complex) -> Optional[float]:
+        """dist(forward trace {exp(-mu t) w: t >= 0}, boundary) in closed
+        form, or None (callers then refine a polyline of the trace)."""
+        return None
+
     def imag_bounded(self) -> tuple:
         """(Im w bounded below, Im w bounded above) over the domain.
 
@@ -571,6 +576,13 @@ class Disk(Domain):
             t = math.log(self.radius / abs(complex(w))) / complex(mu).real
             return ("finite", t)
         return ("unknown", None)
+
+    def spiral_gap(self, w: complex, mu: complex) -> Optional[float]:
+        # Re mu > 0 shrinks |exp(-mu t) w| as t grows, so around the centre
+        # the gap r - |w(t)| is smallest at t = 0
+        if self.center == 0 and complex(mu).real > 0:
+            return self.boundary_distance(w, strict=False)
+        return None
 
     def imag_bounded(self) -> tuple:
         return (True, True)

@@ -220,8 +220,17 @@ class Semigroup:
         """phi_t(z) by Koenigs pullback (t >= 0)."""
         if t < 0:
             raise ParameterError("phi is defined for t >= 0")
-        w = self.orbit_w(z, t)
-        return self.koenigs.invert(w, seed=seed if seed is not None else z)
+        return self.phi_from_image(t, self.koenigs_image(z),
+                                   seed if seed is not None else z)
+
+    def phi_from_image(self, t: float, w0: complex, seed: complex) -> complex:
+        """phi_t(z) from the known Koenigs image w0 = h(z), Newton seeded at
+        ``seed`` (z itself in ``phi``): the pullback step ``phi`` shares with
+        the orbit samplers, which evaluate h(z) once per orbit (t >= 0)."""
+        if t < 0:
+            raise ParameterError("phi is defined for t >= 0")
+        return self.koenigs.invert(koenigs_flow(self.kind, self.mu, w0, t),
+                                   seed=seed)
 
     def generator(self, z: complex, check: bool = True) -> complex:
         """G(z) = 1/h'(z), or -mu h(z)/h'(z) for elliptic semigroups, through
@@ -444,8 +453,9 @@ class ConjugatedSemigroup:
     The conjugated Koenigs map h_D = h . f^{-1} shares the Koenigs domain, so
     orbits pull back through h_D directly; adjacent Moebius factors fuse, so
     the evaluation does not round through the disk boundary.  It offers
-    ``phi`` and ``generator`` only: orbit tracing, its cross-check and the
-    criteria assume a disk source (see Semigroup)."""
+    ``phi`` (with its pullback step and Koenigs image) and ``generator``
+    only: orbit tracing, its cross-check and the criteria assume a disk
+    source (see Semigroup)."""
 
     def __init__(self, base: Semigroup, f: MapExpr):
         self.base = base
@@ -455,13 +465,18 @@ class ConjugatedSemigroup:
         self.kind = base.kind
         self.mu = base.mu
 
-    def phi(self, t: float, zeta: complex, seed: Optional[complex] = None) -> complex:
+    def koenigs_image(self, zeta: complex) -> complex:
+        return self.koenigs.evaluate(zeta, check=False)
+
+    # the same formula as Semigroup.phi, over this class's image and step
+    phi = Semigroup.phi
+
+    def phi_from_image(self, t: float, w0: complex, seed: complex) -> complex:
+        """Semigroup.phi_from_image for the conjugated Koenigs map."""
         if t < 0:
             raise ParameterError("phi is defined for t >= 0")
-        w = koenigs_flow(self.kind, self.mu,
-                         self.koenigs.evaluate(zeta, check=False), t)
-        return self.koenigs.invert(w, seed=seed if seed is not None else zeta,
-                                   check=False)
+        return self.koenigs.invert(koenigs_flow(self.kind, self.mu, w0, t),
+                                   seed=seed, check=False)
 
     def generator(self, zeta: complex) -> complex:
         """G^D(zeta) = f'(f^{-1}(zeta)) G(f^{-1}(zeta)) (chain rule)."""

@@ -357,6 +357,34 @@ class TestAhlfors:
         got = _spiral_length_in_disk(spec, c, r)
         assert got == pytest.approx(oracle, abs=2e-3)
 
+    def test_disk_past_the_float_range_of_the_base_point(self):
+        # r / |w0| = 1e-330 underflowed to 0 and log(0) raised a bare
+        # ValueError; the trace now restarts where |gamma| reaches the disk,
+        # and the whole tail inside |w| < 1e-30 is sqrt(2) 1e-30 long
+        spec = SpiralSpec(1e300, -1.0, 1.0)
+        got = _spiral_length_in_disk(spec, 0j, 1e-30)
+        assert got == pytest.approx(math.sqrt(2.0) * 1e-30, rel=1e-12)
+        # off centre: the tail inside |w| < r - |c| lies in the disk, and the
+        # disk inside |w| < r + |c|
+        got = _spiral_length_in_disk(spec, 1e-31 + 0j, 1e-30)
+        assert math.sqrt(2.0) * 9e-31 <= got <= math.sqrt(2.0) * 1.1e-30
+        # only the tail start underflows: (r + |c|) / |w0| ~ 2e-310 is
+        # subnormal, (r - |c|) / |w0| ~ 1e-325 rounds to 0
+        c = complex(1e-10 * (1.0 - 1e-15))
+        got = _spiral_length_in_disk(spec, c, 1e-10)
+        assert math.sqrt(2.0) * (1e-10 - c.real) <= got <= \
+            math.sqrt(2.0) * (1e-10 + c.real)
+        # outward, from far inside to a far disk: the ray crosses a diameter
+        ray = SpiralSpec(1e-300, 1.0, 0.0)
+        assert _spiral_length_in_disk(ray, 1e10 + 0j, 1.0) == \
+            pytest.approx(2.0, rel=1e-6)
+
+    def test_exit_past_the_float_range_is_typed(self):
+        # the outward trace starts inside and leaves only at 1e310 |w0|,
+        # past what its pieces can represent
+        with pytest.raises(ParameterError, match="float range"):
+            _spiral_length_in_disk(SpiralSpec(1e-300, 1.0, 1.0), 0j, 1e10)
+
     def test_zero_base_rejected(self):
         with pytest.raises(ParameterError):
             SpiralSpec(0.0, -1.0, 1.0)
