@@ -13,6 +13,7 @@ absolute threshold) are explicit and recorded in every report.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -20,6 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import hypgeo
+from .confmap import complex_abs
 from .domains import Domain
 from .errors import DiskflowError, DomainError, EvaluationError, ParameterError
 from .hypgeo import Interval
@@ -281,7 +283,44 @@ def lipschitz_quotient(sampler: Callable[[float], Optional[complex]],
     (consecutive pairs of 60 offsets from each end, and adjacent fine pairs
     at relative step 1e-7).  Samples evaluating to None or a
     non-finite value (e.g. past an overflow horizon) are skipped and counted.
+    Each distinct time is sampled once, in the order the pairs first use it.
     """
+    plan = _pair_plan(t0, t1)
+    vals = np.empty(plan.times.size, complex)
+    for k, t in enumerate(plan.times.tolist()):
+        v = sampler(t)
+        vals[k] = complex(math.nan, math.nan) if v is None else v
+    return plan.quotient(vals)
+
+
+@dataclass(frozen=True)
+class _PairPlan:
+    """The pairs of lipschitz_quotient on one interval: its distinct
+    ``times`` in the order the pairs first use them, and per pair the
+    indices ``first``/``second`` of its two times and its ``step``."""
+
+    times: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    step: np.ndarray
+
+    def quotient(self, vals: np.ndarray) -> Quotient:
+        """The Quotient of the samples ``vals`` at ``times`` (complex; a
+        sample that is not finite, NaN for None, is skipped), with the bits
+        of the scalar sup over |vb - va| / step."""
+        ok = np.isfinite(vals.real) & np.isfinite(vals.imag)
+        both = ok[self.first] & ok[self.second]
+        a, b = vals[self.first[both]], vals[self.second[both]]
+        with np.errstate(all="ignore"):
+            dist, overflow = complex_abs(b.real - a.real, b.imag - a.imag)
+            if overflow.any():
+                raise OverflowError("absolute value too large")
+            q = dist / self.step[both]
+        sup = float(q.max()) if q.size else 0.0
+        return Quotient(max(0.0, sup), int(both.sum()), int((~ok).sum()))
+
+
+def _pair_plan(t0: float, t1: float) -> _PairPlan:
     if not t1 > t0:
         raise ParameterError("need a nondegenerate interval")
     span = t1 - t0
@@ -305,42 +344,33 @@ def lipschitz_quotient(sampler: Callable[[float], Optional[complex]],
         a, b = (t, t + h) if t + h <= t1 else (t - h, t)
         if a >= t0:
             steps.append((a, b, h))
-    # each distinct time is sampled once, in the order the pairs first use it
-    vals = dict.fromkeys(t for a, b, _ in steps for t in (a, b))
-    skipped = 0
-    for t in vals:
-        v = sampler(t)
-        if v is not None and not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            v = None
-        if v is None:
-            skipped += 1
-        vals[t] = v
-    sup = 0.0
-    pairs = 0
-    for a, b, h in steps:
-        va, vb = vals[a], vals[b]
-        if va is not None and vb is not None:
-            q = abs(vb - va) / h
-            if q > sup:
-                sup = q
-            pairs += 1
-    return Quotient(sup, pairs, skipped)
+    index = {}
+    for a, b, _ in steps:
+        index.setdefault(a, len(index))
+        index.setdefault(b, len(index))
+    plan = _PairPlan(np.array(list(index), dtype=float),
+                     np.array([index[a] for a, _, _ in steps], dtype=np.intp),
+                     np.array([index[b] for _, b, _ in steps], dtype=np.intp),
+                     np.array([h for _, _, h in steps], dtype=float))
+    for arr in (plan.times, plan.first, plan.second, plan.step):
+        arr.flags.writeable = False
+    return plan
+
+
+@functools.cache
+def _certificate_plan() -> _PairPlan:
+    """The pairs of every forward certificate, on [0, 100]."""
+    return _pair_plan(0.0, 100.0)
 
 
 def orbit_point_sampler(sg, z: complex) -> Callable[[float], Optional[complex]]:
-    """Forward-orbit evaluator t -> phi_t(z) by Koenigs pullback (None on
-    overflow of h(z) or of the inverse)."""
+    """Forward-orbit evaluator t -> phi_t(z) by Koenigs pullback, from h(z)
+    evaluated once per orbit (None on overflow of h(z) or of the inverse)."""
     try:
         w0 = sg.koenigs_image(z)
     except EvaluationError:
         w0 = None
-    return _image_sampler(sg, z, w0)
 
-
-def _image_sampler(sg, z: complex,
-                   w0: Optional[complex]) -> Callable[[float], Optional[complex]]:
-    """orbit_point_sampler from w0 = h(z), evaluated once per orbit rather
-    than once per sample; w0 None (h(z) overflowed) makes every sample None."""
     def sample(t: float) -> Optional[complex]:
         if t < 0:
             raise ParameterError("phi is defined for t >= 0")
@@ -377,7 +407,10 @@ def forward_certificate(sg: Semigroup, z: complex) -> Certificate:
         if gap is None:
             gap = _spiral_image_gap(sg.omega, w0, sg.mu)
         constant = abs(sg.mu * w0) / gap
-    measured = lipschitz_quotient(_image_sampler(sg, z, w0), 0.0, 100.0).value
+    # every sample time in one array pullback (NaN where the step raises
+    # EvaluationError, which the quotient skips)
+    plan = _certificate_plan()
+    measured = plan.quotient(sg.phi_from_image(plan.times, w0, z)).value
     return Certificate(constant, measured, measured <= constant * (1.0 + 5e-2))
 
 
@@ -716,10 +749,12 @@ def shift_classify(sg: Semigroup, z: complex) -> ShiftResult:
         raise DiskflowError("Denjoy-Wolff estimate did not converge "
                             f"(last diff {dw.last_diff:.3e})")
     tau = dw.point
+    # h(z) once: the estimate above evaluated it, so it does not raise here
+    w0 = sg.koenigs_image(z)
 
     def c_of_gamma(t: float) -> Optional[complex]:
         try:
-            zt = sg.phi(t, z)
+            zt = sg.phi_from_image(t, w0, z)
         except DiskflowError:
             return None
         den = tau - zt
@@ -728,7 +763,7 @@ def shift_classify(sg: Semigroup, z: complex) -> ShiftResult:
         return (tau + zt) / den
 
     res = []
-    for t, _ in probe_schedule(sg.omega, lambda t: sg.orbit_w(z, t)):
+    for t, _ in probe_schedule(sg.omega, lambda t: sg.ray_w(w0, t)):
         v = c_of_gamma(t)
         if v is None:
             break

@@ -5,6 +5,10 @@ log, power, sin, tanh).  Chains evaluate, differentiate (chain rule), and
 invert either primitive-by-primitive in closed form or by seeded Newton
 iteration.  Branch-carrying primitives (log, power) store an explicit
 branch-center angle; evaluation within 1e-13 of the cut is an error.
+
+``MapExpr.invert`` also takes a complex array.  Each primitive's expression
+then runs once on re/im pairs of float64 arrays whose arithmetic replays
+CPython's complex formulas, so every entry has the bits of the scalar call.
 """
 
 from __future__ import annotations
@@ -13,7 +17,11 @@ import cmath
 import math
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
+from itertools import repeat
+from types import ModuleType
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     CompositionError,
@@ -33,19 +41,6 @@ _COMPOSE_SAMPLES, _COMPOSE_SEED = 64, 7
 _CUT_PATH_STEPS = 16
 
 
-def _branch_arg(z: complex, center: float) -> float:
-    """Argument of z in the branch (center-pi, center+pi]; error near the cut."""
-    if z == 0:
-        raise EvaluationError("log/power branch point 0 reached")
-    m = math.remainder(cmath.phase(z) - center, 2.0 * math.pi)
-    if math.pi - abs(m) < _CUT_TOL:
-        raise EvaluationError(
-            f"value {z!r} lies within {_CUT_TOL} of the branch cut at angle "
-            f"{center + math.pi:.6f}"
-        )
-    return center + m
-
-
 # Float errors a primitive may raise; the chain walks catch them and type
 # them through _typed, so primitive methods are plain expressions.
 _FLOAT_ERRORS = (OverflowError, ZeroDivisionError, ValueError)
@@ -58,6 +53,261 @@ def _typed(exc: Exception, z: complex) -> EvaluationError:
     if isinstance(exc, ZeroDivisionError):
         return EvaluationError(f"pole reached at {z!r}")
     return EvaluationError(f"invalid value at {z!r}: {exc}")
+
+
+# ---------------------------------------------------------------------------
+# The two number types of a primitive's expression
+# ---------------------------------------------------------------------------
+#
+# A primitive's expression runs on a Python complex or on a _ReIm, which
+# holds float64 arrays of real and imaginary parts.  The functions it calls
+# come from a namespace ``f``: _SCALAR (math and cmath themselves) for a
+# complex, and a _ReImMath for a _ReIm, which makes the same math/cmath call
+# on each entry's Python value.  NumPy's own complex arithmetic, arctan2,
+# log and remainder round differently from CPython's in the last bits, so
+# they are not used.  Where the scalar expression would raise, the _ReIm
+# marks the entry in its namespace's ``faults`` and goes on.
+
+# _SCALAR is a module object because CPython specializes attribute loads
+# from modules: the scalar route then runs at the speed of direct calls.
+_SCALAR = ModuleType("diskflow.confmap.scalar")
+vars(_SCALAR).update(
+    exp=cmath.exp, sin=cmath.sin, cos=cmath.cos, tanh=cmath.tanh,
+    cosh=cmath.cosh, asin=cmath.asin, atanh=cmath.atanh, sqrt=cmath.sqrt,
+    phase=cmath.phase, log=math.log, remainder=math.remainder,
+    complex=complex, fails=bool)
+
+
+def _operand(x) -> tuple:
+    """(re, im) of an operand of _ReIm arithmetic.  A Python number becomes
+    complex(x, 0.0) first, as Python 3.11 promotes an int or float before
+    mixing it with a complex."""
+    if type(x) is _ReIm:
+        return x.real, x.imag
+    x = complex(x)
+    return x.real, x.imag
+
+
+def _prod(ar, ai, br, bi) -> tuple:
+    """_Py_c_prod."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _quot(ar, ai, br, bi) -> tuple:
+    """_Py_c_quot, and where the divisor is 0 (a ZeroDivisionError on the
+    scalar route).  Smith's method scales by the larger part of the
+    divisor; an entry with a NaN part in the divisor takes the second
+    branch, which gives NaN as C does."""
+    br, bi = np.asarray(br, float), np.asarray(bi, float)
+    by_im = ~(abs(br) >= abs(bi))
+    ratio = bi / br
+    denom = br + bi * ratio
+    re, im = (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+    if by_im.any():
+        ratio = br / bi
+        denom = br * ratio + bi
+        np.copyto(re, (ar * ratio + ai) / denom, where=by_im)
+        np.copyto(im, (ai * ratio - ar) / denom, where=by_im)
+    return re, im, (br == 0) & (bi == 0)
+
+
+def complex_abs(re, im) -> tuple:
+    """abs(complex(re, im)) entry by entry with the scalar bits (_Py_c_abs
+    is hypot), and where the scalar abs raises OverflowError: an infinite
+    result from finite parts."""
+    h = np.hypot(re, im)
+    overflow = np.isinf(h)
+    if overflow.any():
+        overflow &= np.isfinite(re) & np.isfinite(im)
+    return h, overflow
+
+
+class _ReIm:
+    """Complex entries held as float64 arrays of real and imaginary parts.
+
+    Arithmetic replays CPython 3.11's complex formulas on the parts, so each
+    entry has the bits of the scalar expression: + and - part by part, *
+    as _Py_c_prod, / as _Py_c_quot, ``** 2`` as c_powu's 1 * (z * z), and
+    abs as hypot.  Where the scalar expression raises (division by 0, an
+    overflowing abs or power), the entry is marked in ``f.faults``."""
+
+    __slots__ = ("real", "imag", "f")
+    __array_ufunc__ = None  # a NumPy scalar operand defers to the methods
+    __hash__ = None
+
+    def __init__(self, real, imag, f):
+        self.real, self.imag, self.f = real, imag, f
+
+    def __add__(self, other):
+        br, bi = _operand(other)
+        return _ReIm(self.real + br, self.imag + bi, self.f)
+
+    __radd__ = __add__  # IEEE addition commutes bit for bit
+
+    def __sub__(self, other):
+        br, bi = _operand(other)
+        return _ReIm(self.real - br, self.imag - bi, self.f)
+
+    def __rsub__(self, other):
+        ar, ai = _operand(other)
+        return _ReIm(ar - self.real, ai - self.imag, self.f)
+
+    def __mul__(self, other):
+        return _ReIm(*_prod(self.real, self.imag, *_operand(other)), self.f)
+
+    def __rmul__(self, other):
+        return _ReIm(*_prod(*_operand(other), self.real, self.imag), self.f)
+
+    def __truediv__(self, other):
+        return self._quotient(self.real, self.imag, *_operand(other))
+
+    def __rtruediv__(self, other):
+        return self._quotient(*_operand(other), self.real, self.imag)
+
+    def _quotient(self, ar, ai, br, bi):
+        re, im, zero = _quot(ar, ai, br, bi)
+        self.f.faults |= zero
+        return _ReIm(re, im, self.f)
+
+    def __pow__(self, n):
+        if n != 2:
+            raise TypeError("the pair route squares only")
+        # c_powu(z, 2) is 1 * (z * z); an infinite part is an OverflowError
+        re, im = _prod(1.0, 0.0, *_prod(self.real, self.imag,
+                                         self.real, self.imag))
+        self.f.faults |= np.isinf(re) | np.isinf(im)
+        return _ReIm(re, im, self.f)
+
+    def hypot(self) -> tuple:
+        return complex_abs(self.real, self.imag)
+
+    def __abs__(self):
+        h, overflow = self.hypot()
+        self.f.faults |= overflow
+        return h
+
+    def __eq__(self, other):
+        br, bi = _operand(other)
+        return (self.real == br) & (self.imag == bi)
+
+    def finite(self) -> np.ndarray:
+        return np.isfinite(self.real) & np.isfinite(self.imag)
+
+    def tolist(self) -> list:
+        z = np.empty(len(self.real), complex)
+        z.real, z.imag = self.real, self.imag
+        return z.tolist()
+
+    def per_entry(self, fn, dtype) -> np.ndarray:
+        """fn on each entry's Python complex; an entry whose call raises
+        anything is a fault (and reads 0), so it takes the scalar route,
+        which raises or catches the error as it does alone."""
+        out = np.zeros(len(self.real), dtype)
+        for k, z in enumerate(self.tolist()):
+            try:
+                out[k] = fn(z)
+            except Exception:
+                self.f.faults[k] = True
+        return out
+
+    def apart(self) -> "_ReIm":
+        """The same entries under a fresh namespace: the faults of what is
+        computed from them are read apart from this one's."""
+        return _ReImMath(len(self.real)).complex(self.real, self.imag)
+
+
+def _entrywise(fn):
+    """A _ReImMath function making the math/cmath call ``fn`` per entry."""
+    def apply(self, z):
+        return self.values(self.each(fn, z.tolist()))
+    return apply
+
+
+class _ReImMath:
+    """The namespace ``f`` of a _ReIm expression, holding its faults.  Each
+    function makes the scalar route's math/cmath call on every entry's
+    Python value; an entry whose call raises a float error is a fault and
+    reads NaN."""
+
+    def __init__(self, n: int):
+        self.faults = np.zeros(n, bool)
+
+    def fails(self, cond) -> bool:
+        """A scalar route's raising test: mark the entries and go on."""
+        self.faults |= cond
+        return False
+
+    def complex(self, re: np.ndarray, im: np.ndarray) -> _ReIm:
+        return _ReIm(re, im, self)
+
+    def of_array(self, z: np.ndarray) -> _ReIm:
+        if z.ndim != 1:
+            raise ParameterError("the array route takes 1-d arrays")
+        return self.complex(z.real, z.imag)
+
+    def each(self, fn, *columns) -> list:
+        try:
+            return list(map(fn, *columns))
+        except _FLOAT_ERRORS:
+            out = []
+            for k, args in enumerate(zip(*columns)):
+                try:
+                    out.append(fn(*args))
+                except _FLOAT_ERRORS:
+                    self.faults[k] = True
+                    out.append(math.nan)
+            return out
+
+    def values(self, vals: list) -> _ReIm:
+        z = np.array(vals, dtype=complex)
+        return _ReIm(z.real, z.imag, self)
+
+    def phase(self, z: _ReIm) -> np.ndarray:
+        return np.array(self.each(cmath.phase, z.tolist()))
+
+    def log(self, x: np.ndarray) -> np.ndarray:
+        return np.array(self.each(math.log, x.tolist()))
+
+    def remainder(self, x: np.ndarray, y: float) -> np.ndarray:
+        return np.array(self.each(math.remainder, x.tolist(), repeat(y)))
+
+    exp = _entrywise(cmath.exp)
+    sin = _entrywise(cmath.sin)
+    cos = _entrywise(cmath.cos)
+    tanh = _entrywise(cmath.tanh)
+    cosh = _entrywise(cmath.cosh)
+    asin = _entrywise(cmath.asin)
+    atanh = _entrywise(cmath.atanh)
+    sqrt = _entrywise(cmath.sqrt)
+
+
+def on_array(body, x: np.ndarray) -> np.ndarray:
+    """``body(v, f)`` for every entry v of the array x, in one call on its
+    re/im pairs: a complex array with the bits of each scalar call
+    ``body(v, cmath-and-math)``.  An entry the pairs fault on is recomputed
+    by the scalar call, which raises as it would alone."""
+    f = _ReImMath(x.size)
+    with np.errstate(all="ignore"):
+        v = body(f.of_array(x), f)
+    out = np.empty(x.size, complex)
+    out.real, out.imag = v.real, v.imag
+    for k in np.flatnonzero(f.faults):
+        out[k] = body(x[k].item(), _SCALAR)
+    return out
+
+
+def _branch_arg(z: complex, center: float, f=_SCALAR) -> float:
+    """Argument of z in the branch (center-pi, center+pi]; error at the
+    branch point 0 and near the cut."""
+    m = f.remainder(f.phase(z) - center, 2.0 * math.pi)
+    if f.fails((z == 0) | (math.pi - abs(m) < _CUT_TOL)):
+        if z == 0:
+            raise EvaluationError("log/power branch point 0 reached")
+        raise EvaluationError(
+            f"value {z!r} lies within {_CUT_TOL} of the branch cut at angle "
+            f"{center + math.pi:.6f}"
+        )
+    return center + m
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +329,10 @@ class Mobius:
         if det == 0:
             raise ParameterError("Moebius coefficients must satisfy ad - bc != 0")
 
-    def evaluate(self, z: complex) -> complex:
+    def evaluate(self, z: complex, f=_SCALAR) -> complex:
         return (self.a * z + self.b) / (self.c * z + self.d)
 
-    def derivative(self, z: complex) -> complex:
+    def derivative(self, z: complex, f=_SCALAR) -> complex:
         det = self.a * self.d - self.b * self.c
         return det / (self.c * z + self.d) ** 2
 
@@ -104,10 +354,10 @@ class Affine:
         if self.a == 0:
             raise ParameterError("affine scale must be nonzero")
 
-    def evaluate(self, z: complex) -> complex:
+    def evaluate(self, z: complex, f=_SCALAR) -> complex:
         return self.a * z + self.b
 
-    def derivative(self, z: complex) -> complex:
+    def derivative(self, z: complex, f=_SCALAR) -> complex:
         return self.a
 
     def inverse(self) -> "Affine":
@@ -121,11 +371,11 @@ class Affine:
 class Exp:
     op_name = "exp"
 
-    def evaluate(self, z: complex) -> complex:
-        return cmath.exp(z)
+    def evaluate(self, z: complex, f=_SCALAR) -> complex:
+        return f.exp(z)
 
-    def derivative(self, z: complex) -> complex:
-        return cmath.exp(z)
+    def derivative(self, z: complex, f=_SCALAR) -> complex:
+        return f.exp(z)
 
     def inverse(self) -> "Log":
         return Log()
@@ -137,12 +387,12 @@ class Log:
 
     op_name = "log"
 
-    def evaluate(self, z: complex) -> complex:
-        arg = _branch_arg(z, self.center)
-        return complex(math.log(abs(z)), arg)
+    def evaluate(self, z: complex, f=_SCALAR) -> complex:
+        arg = _branch_arg(z, self.center, f)
+        return f.complex(f.log(abs(z)), arg)
 
-    def derivative(self, z: complex) -> complex:
-        _branch_arg(z, self.center)
+    def derivative(self, z: complex, f=_SCALAR) -> complex:
+        _branch_arg(z, self.center, f)
         return 1.0 / z
 
     def inverse(self) -> Exp:
@@ -160,13 +410,13 @@ class Power:
         if self.p == 0:
             raise ParameterError("power exponent must be nonzero")
 
-    def evaluate(self, z: complex) -> complex:
-        arg = _branch_arg(z, self.center)
-        return cmath.exp(self.p * complex(math.log(abs(z)), arg))
+    def evaluate(self, z: complex, f=_SCALAR) -> complex:
+        arg = _branch_arg(z, self.center, f)
+        return f.exp(self.p * f.complex(f.log(abs(z)), arg))
 
-    def derivative(self, z: complex) -> complex:
-        arg = _branch_arg(z, self.center)
-        return self.p * cmath.exp((self.p - 1.0) * complex(math.log(abs(z)), arg))
+    def derivative(self, z: complex, f=_SCALAR) -> complex:
+        arg = _branch_arg(z, self.center, f)
+        return self.p * f.exp((self.p - 1.0) * f.complex(f.log(abs(z)), arg))
 
     def inverse(self) -> "Power":
         return Power(1.0 / self.p, self.center * self.p)
@@ -176,11 +426,11 @@ class Power:
 class Sin:
     op_name = "sin"
 
-    def evaluate(self, z: complex) -> complex:
-        return cmath.sin(z)
+    def evaluate(self, z: complex, f=_SCALAR) -> complex:
+        return f.sin(z)
 
-    def derivative(self, z: complex) -> complex:
-        return cmath.cos(z)
+    def derivative(self, z: complex, f=_SCALAR) -> complex:
+        return f.cos(z)
 
     def inverse(self) -> "Asin":
         return Asin()
@@ -190,11 +440,11 @@ class Sin:
 class Tanh:
     op_name = "tanh"
 
-    def evaluate(self, z: complex) -> complex:
-        return cmath.tanh(z)
+    def evaluate(self, z: complex, f=_SCALAR) -> complex:
+        return f.tanh(z)
 
-    def derivative(self, z: complex) -> complex:
-        c = cmath.cosh(z)
+    def derivative(self, z: complex, f=_SCALAR) -> complex:
+        c = f.cosh(z)
         return 1.0 / (c * c)
 
     def inverse(self) -> "Atanh":
@@ -207,11 +457,11 @@ class Asin:
 
     op_name = "asin"
 
-    def evaluate(self, z: complex) -> complex:
-        return cmath.asin(z)
+    def evaluate(self, z: complex, f=_SCALAR) -> complex:
+        return f.asin(z)
 
-    def derivative(self, z: complex) -> complex:
-        return 1.0 / cmath.sqrt(1.0 - z * z)
+    def derivative(self, z: complex, f=_SCALAR) -> complex:
+        return 1.0 / f.sqrt(1.0 - z * z)
 
     def inverse(self) -> Sin:
         return Sin()
@@ -223,10 +473,10 @@ class Atanh:
 
     op_name = "atanh"
 
-    def evaluate(self, z: complex) -> complex:
-        return cmath.atanh(z)
+    def evaluate(self, z: complex, f=_SCALAR) -> complex:
+        return f.atanh(z)
 
-    def derivative(self, z: complex) -> complex:
+    def derivative(self, z: complex, f=_SCALAR) -> complex:
         return 1.0 / (1.0 - z * z)
 
     def inverse(self) -> Tanh:
@@ -308,11 +558,17 @@ class MapExpr:
             raise DomainError(f"{z!r} is not in the map source")
         return self._evaluate_unchecked(z)
 
-    def _evaluate_unchecked(self, z: complex) -> complex:
+    def _evaluate_unchecked(self, z: complex, f=None) -> complex:
+        """The value walk; ``f`` is the namespace of a _ReIm z (a complex
+        walks with one-argument primitive calls)."""
         w = z
         try:
-            for prim in self.chain:
-                w = prim.evaluate(w)
+            if f is None:
+                for prim in self.chain:
+                    w = prim.evaluate(w)
+            else:
+                for prim in self.chain:
+                    w = prim.evaluate(w, f)
         except _FLOAT_ERRORS as exc:
             raise _typed(exc, w) from exc
         return w
@@ -322,11 +578,18 @@ class MapExpr:
         z = complex(z)
         if check and self.source is not None and not self.source.contains(z):
             raise DomainError(f"{z!r} is not in the map source")
+        return self._jet(z)
+
+    def _jet(self, z: complex, f=None) -> tuple:
         w, deriv = z, 1.0 + 0.0j
         try:
             for prim in self.chain:
-                deriv *= prim.derivative(w)
-                w = prim.evaluate(w)
+                if f is None:
+                    deriv *= prim.derivative(w)
+                    w = prim.evaluate(w)
+                else:
+                    deriv *= prim.derivative(w, f)
+                    w = prim.evaluate(w, f)
         except _FLOAT_ERRORS as exc:
             raise _typed(exc, w) from exc
         return w, deriv
@@ -341,6 +604,15 @@ class MapExpr:
 
     def invert(self, w: complex, seed: Optional[complex] = None,
                check: bool = True) -> complex:
+        """h^{-1}(w): the closed form where the roundtrip accepts it, else
+        Newton from ``seed`` (or from the closed form).
+
+        ``w`` may be a 1-d complex array, which gives a complex array with
+        each scalar call's bits: NaN where the scalar call raises
+        EvaluationError, and any other error raised as the first entry
+        (in array order) raises it."""
+        if isinstance(w, np.ndarray):
+            return self._invert_array(w, seed, check)
         w = complex(w)
         if check and self.target is not None and not self.target.contains(w):
             raise DomainError(f"{w!r} is not in the map target")
@@ -366,7 +638,58 @@ class MapExpr:
                 raise
             raise overflow from None
 
+    def _invert_array(self, w: np.ndarray, seed: Optional[complex],
+                      check: bool) -> np.ndarray:
+        """invert over an array: the target check, the closed form and its
+        acceptance run once on the re/im pairs of w.  An entry that any of
+        them faults on or rejects takes the scalar invert (Newton, typed
+        errors), so every entry has the scalar call's outcome."""
+        w = np.asarray(w, dtype=complex)
+        n = w.size
+        with np.errstate(all="ignore"):
+            wp = _ReImMath(n).of_array(w)
+            if check and self.target is not None:
+                wp.f.fails(~self.target.contains_many(wp))
+            abs(wp)
+            z = self.inverted()._evaluate_unchecked(wp, wp.f)
+            done = ~wp.f.faults & z.finite() & self._accepts(z, wp)
+        out = np.empty(n, complex)
+        out.real, out.imag = z.real, z.imag
+        for k in np.flatnonzero(~done):
+            try:
+                out[k] = self.invert(w[k].item(), seed, check)
+            except EvaluationError:
+                out[k] = complex(math.nan, math.nan)
+        return out
+
+    def _accepts(self, z: _ReIm, w: _ReIm) -> np.ndarray:
+        """_closed_form_acceptable(z, w) of every entry, as a mask.  Its
+        stages catch their errors apart, so each stage reads only the faults
+        of what it computes."""
+        near = np.zeros(len(z.real), bool)
+        if self.source is not None:
+            zs = z.apart()
+            delta = self.source.boundary_distance_many(zs)
+            near = ~zs.f.faults & ~(delta > 1e-12)
+        zj = z.apart()
+        hz, dz = self._jet(zj, zj.f)
+        jet_failed = zj.f.faults
+        if not isinstance(dz, _ReIm):  # every primitive's derivative constant
+            dz = zj.f.complex(np.full(len(z.real), dz.real),
+                              np.full(len(z.real), dz.imag))
+        resid, resid_overflow = (hz - w).hypot()
+        dz_abs, dz_overflow = dz.hypot()
+        z_abs, z_overflow = z.hypot()
+        noise = dz_abs * (1.0 + z_abs) * 1e-12
+        w_abs = w.hypot()[0]
+        # Python's max(a, b) is b only where b > a
+        tol = _ROUNDTRIP_TOL * np.where(w_abs > 1.0, w_abs, 1.0)
+        within = resid <= np.where(noise > tol, noise, tol)
+        return near | jet_failed | (~resid_overflow & (
+            dz_overflow | z_overflow | within))
+
     def _closed_form_acceptable(self, z: complex, w: complex) -> bool:
+        # (_accepts mirrors this decision on arrays, stage by stage.)
         # Near the source boundary a verified roundtrip would itself overflow;
         # the closed form is trusted there.
         if self.source is not None:
@@ -376,7 +699,7 @@ class MapExpr:
             except Exception:
                 pass
         try:
-            hz, dz = self.jet(z, check=False)
+            hz, dz = self._jet(z)
         except EvaluationError:
             # forward evaluation only fails in singular/boundary territory,
             # where the primitive-wise inverse is the trustworthy route
@@ -403,7 +726,7 @@ class MapExpr:
         tol = _ROUNDTRIP_TOL * max(1.0, abs(w))
         for _ in range(100):
             try:
-                fx, dfx = self.jet(x, check=False)
+                fx, dfx = self._jet(x)
                 r = abs(fx - w)
             except (EvaluationError, OverflowError):
                 break

@@ -13,12 +13,13 @@ import inspect
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import hypgeo
-from .confmap import Affine, Exp, MapExpr, Mobius, Power, Sin
+from .confmap import Affine, Exp, MapExpr, Mobius, Power, Sin, on_array
 from .errors import (DomainError, EvaluationError, ParameterError,
                      ScenarioError, check_keys, json_complex, json_number)
 
@@ -30,10 +31,20 @@ NONELLIPTIC = "nonelliptic"
 
 def koenigs_flow(kind: str, mu: Optional[complex], w0: complex, t: float,
                  backward: bool = False) -> complex:
-    """Koenigs-plane orbit at time t: w0 +/- t, or w0 exp(-/+ mu t)."""
+    """Koenigs-plane orbit at time t: w0 +/- t, or w0 exp(-/+ mu t).
+
+    An array of times gives the complex array of the scalar calls' values,
+    bit for bit: NumPy adds a float array to a complex part by part, as
+    CPython does, and the elliptic product runs on confmap's re/im pairs."""
     if kind == NONELLIPTIC:
         return w0 - t if backward else w0 + t
-    return w0 * cmath.exp(mu * t if backward else -mu * t)
+    if isinstance(t, np.ndarray):
+        return on_array(partial(_spiral_point, mu, w0, backward), t)
+    return _spiral_point(mu, w0, backward, t, cmath)
+
+
+def _spiral_point(mu, w0, backward, t, f):
+    return w0 * f.exp(mu * t if backward else -mu * t)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +171,23 @@ class Domain:
 
     def _distance(self, w: complex) -> float:
         raise NotImplementedError
+
+    # The same queries over the map algebra's re/im pairs (confmap._ReIm),
+    # each entry with the scalar method's bits; an entry whose scalar call
+    # raises is marked a fault of the pairs.  By default the scalar method
+    # runs per entry; a kind with array formulas sets ``_distance_many``.
+
+    _distance_many = None
+
+    def contains_many(self, w) -> np.ndarray:
+        return w.per_entry(self.contains, bool)
+
+    def boundary_distance_many(self, w) -> np.ndarray:
+        """boundary_distance(., strict=False) of every entry."""
+        if self._distance_many is None:
+            return w.per_entry(
+                lambda v: self.boundary_distance(v, strict=False), float)
+        return np.where(self.contains_many(w), self._distance_many(w), 0.0)
 
     # -- optional exact structure ---------------------------------------
     # The three hyperbolic hooks give a closed form where the kind has one,
@@ -338,6 +366,12 @@ class HalfPlane(Domain):
     def _distance(self, w: complex) -> float:
         return self._rhp_coord(w).real
 
+    def contains_many(self, w) -> np.ndarray:
+        return self._rhp.evaluate(w).real > 0.0
+
+    def _distance_many(self, w) -> np.ndarray:
+        return self._rhp.evaluate(w).real
+
     @property
     def exact_map(self) -> MapExpr:
         # RHP -> D Moebius, preceded by the affine normalization
@@ -404,6 +438,12 @@ class Strip(Domain):
 
     def _distance(self, w: complex) -> float:
         return self.half_width - abs(complex(w).imag - self.center)
+
+    def contains_many(self, w) -> np.ndarray:
+        return abs(w.imag - self.center) < self.half_width
+
+    def _distance_many(self, w) -> np.ndarray:
+        return self.half_width - abs(w.imag - self.center)
 
     @property
     def exact_map(self) -> MapExpr:
@@ -535,6 +575,12 @@ class Disk(Domain):
 
     def _distance(self, w: complex) -> float:
         return self.radius - abs(complex(w) - self.center)
+
+    def contains_many(self, w) -> np.ndarray:
+        return abs(w - self.center) < self.radius
+
+    def _distance_many(self, w) -> np.ndarray:
+        return self.radius - abs(w - self.center)
 
     @property
     def exact_map(self) -> Optional[MapExpr]:

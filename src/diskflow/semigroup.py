@@ -223,14 +223,22 @@ class Semigroup:
         return self.phi_from_image(t, self.koenigs_image(z),
                                    seed if seed is not None else z)
 
+    # whether the pullback step checks that the flowed image lies in the
+    # Koenigs map's target
+    _checks_target = True
+
     def phi_from_image(self, t: float, w0: complex, seed: complex) -> complex:
         """phi_t(z) from the known Koenigs image w0 = h(z), Newton seeded at
         ``seed`` (z itself in ``phi``): the pullback step ``phi`` shares with
-        the orbit samplers, which evaluate h(z) once per orbit (t >= 0)."""
-        if t < 0:
+        the orbit samplers, which evaluate h(z) once per orbit (t >= 0).
+
+        An array of times gives a complex array with each scalar step's
+        bits from one array pullback (``MapExpr.invert``): NaN where the
+        step raises EvaluationError."""
+        if (t < 0).any() if isinstance(t, np.ndarray) else t < 0:
             raise ParameterError("phi is defined for t >= 0")
         return self.koenigs.invert(koenigs_flow(self.kind, self.mu, w0, t),
-                                   seed=seed)
+                                   seed=seed, check=self._checks_target)
 
     def generator(self, z: complex, check: bool = True) -> complex:
         """G(z) = 1/h'(z), or -mu h(z)/h'(z) for elliptic semigroups, through
@@ -468,15 +476,11 @@ class ConjugatedSemigroup:
     def koenigs_image(self, zeta: complex) -> complex:
         return self.koenigs.evaluate(zeta, check=False)
 
-    # the same formula as Semigroup.phi, over this class's image and step
+    # Semigroup's phi and pullback step, over this class's Koenigs map,
+    # whose target the step does not check
     phi = Semigroup.phi
-
-    def phi_from_image(self, t: float, w0: complex, seed: complex) -> complex:
-        """Semigroup.phi_from_image for the conjugated Koenigs map."""
-        if t < 0:
-            raise ParameterError("phi is defined for t >= 0")
-        return self.koenigs.invert(koenigs_flow(self.kind, self.mu, w0, t),
-                                   seed=seed, check=False)
+    phi_from_image = Semigroup.phi_from_image
+    _checks_target = False
 
     def generator(self, zeta: complex) -> complex:
         """G^D(zeta) = f'(f^{-1}(zeta)) G(f^{-1}(zeta)) (chain rule)."""

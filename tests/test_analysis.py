@@ -1,6 +1,8 @@
 import cmath
+import hashlib
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -15,6 +17,7 @@ from diskflow.analysis import (CERTIFIED, FINITE_HORIZON, INCONCLUSIVE,
                                hayman_wu_audit, lipschitz_quotient,
                                orbit_point_sampler, regularity_classify,
                                shift_classify, _spiral_length_in_disk)
+from diskflow.confmap import MapExpr
 from diskflow.domains import example1_domain
 
 from conftest import disk_points
@@ -323,6 +326,40 @@ class TestShift:
     def test_elliptic_not_applicable(self, builtins):
         assert shift_classify(builtins["dilation"], 0.5 + 0j).classification \
             == SHIFT_NOT_APPLICABLE
+
+    # sha256 (first 16 hex digits) of repr(ShiftResult) from the code that
+    # re-evaluated h(z) at every probe and quotient time
+    REPRS = {
+        "uhp": ["36b3c47b9b601f33", "f1f5f9c781757831", "38b32b579c16b703",
+                "f140badf82533b16", "c51f8989bc929c8a"],
+        "halfplane": ["b924afaf6ee61752"] * 5,
+    }
+
+    @pytest.mark.parametrize("name", sorted(REPRS))
+    def test_results_keep_their_bits(self, name, builtins):
+        rng = np.random.default_rng(23)
+        starts = [0j] + disk_points(rng, 4, 0.9)
+        digests = [hashlib.sha256(repr(shift_classify(builtins[name], z))
+                                  .encode()).hexdigest()[:16] for z in starts]
+        assert digests == self.REPRS[name]
+
+    def test_koenigs_image_evaluated_once_past_the_estimate(self, builtins,
+                                                             monkeypatch):
+        sg = builtins["uhp"]
+        z = 0.2 - 0.3j
+        calls = []
+        evaluate = MapExpr.evaluate
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(MapExpr, "evaluate", counted)
+        sg.denjoy_wolff_estimate(z)
+        estimate = len(calls)
+        calls.clear()
+        shift_classify(sg, z)
+        assert len(calls) == estimate + 1
 
 
 class TestAhlfors:

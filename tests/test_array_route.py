@@ -1,0 +1,465 @@
+"""The array route of the map algebra keeps the scalar route's bits.
+
+``MapExpr.invert`` on a complex array runs each primitive's expression once
+on re/im pairs of float64 arrays (``confmap._ReIm``), whose arithmetic
+replays CPython's complex formulas and whose transcendental functions make
+the scalar route's own math/cmath call per entry.  Entries the pairs fault
+on or the acceptance check rejects take the scalar ``invert``.  Every test
+here compares the array route against scalar calls, entry by entry, by
+``repr`` or by the type of the error raised.
+"""
+
+import cmath
+import math
+import operator
+
+import numpy as np
+import pytest
+
+from diskflow import analysis, catalog
+from diskflow.analysis import (Certificate, forward_certificate,
+                               lipschitz_quotient, orbit_point_sampler)
+from diskflow.confmap import (Affine, Exp, Log, MapExpr, Mobius, Power,
+                              _ReImMath, complex_abs)
+from diskflow.domains import (ELLIPTIC, NONELLIPTIC, Disk, HalfPlane, Strip,
+                              koenigs_flow, unit_disk)
+from diskflow.errors import EvaluationError, ParameterError
+
+from conftest import disk_points
+
+SPECIALS = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324,
+            -5e-324, 2.2e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+            1e154, 1e-154]
+
+
+def _parts(rng, n):
+    """n float64 values: signs and exponents across the whole float range,
+    with zeros, infinities, NaN, subnormals and the extremes mixed in."""
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-325, 308.25, n)
+    x[rng.random(n) < 0.1] = rng.normal(size=n)[:1]  # some ties
+    pick = rng.random(n) < 0.05
+    x[pick] = rng.choice(SPECIALS, int(pick.sum()))
+    return x
+
+
+def _complexes(rng, n):
+    with np.errstate(over="ignore"):
+        re, im = _parts(rng, n), _parts(rng, n)
+    return re, im
+
+
+def _scalar(fn, *args):
+    """repr of the scalar result, or the type of the error it raises."""
+    try:
+        return repr(fn(*args))
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_entries(f, got, expected):
+    """Faulted entries must be exactly those whose scalar call raises; every
+    other entry has the scalar call's repr."""
+    values = got.tolist() if hasattr(got, "tolist") else got
+    for k, (g, e) in enumerate(zip(values, expected)):
+        if isinstance(e, type):
+            assert f.faults[k], (k, e)
+        else:
+            assert not f.faults[k], (k, e)
+            assert repr(g) == e, (k, g, e)
+
+
+N_ARITH = 100_000
+
+
+class TestArithmeticReplaysCPython:
+    """>= 1e5 seeded inputs per operation, special values mixed in."""
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
+    def test_binary_operations(self, op):
+        # + and - round once per part; * and / carry the formulas
+        n = N_ARITH if op in ("mul", "truediv") else N_ARITH // 5
+        rng = np.random.default_rng([5, len(op)])
+        ar, ai = _complexes(rng, n)
+        br, bi = _complexes(rng, n)
+        fn = getattr(operator, op)
+        f = _ReImMath(n)
+        with np.errstate(all="ignore"):
+            got = fn(f.complex(ar, ai), f.complex(br, bi))
+        expected = [_scalar(fn, complex(a, b), complex(c, d)) for a, b, c, d
+                    in zip(ar.tolist(), ai.tolist(), br.tolist(), bi.tolist())]
+        _assert_entries(f, got.tolist(), expected)
+
+    @pytest.mark.parametrize("other", [2, 0.5, -0.0, 0, 1j, complex(-0.0, 3.0)])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
+    def test_python_numbers_are_promoted_as_in_3_11(self, op, other):
+        # an int or float operand becomes complex(x, 0.0) on either side
+        rng = np.random.default_rng([6, len(op)])
+        re, im = _complexes(rng, 4000)
+        fn = getattr(operator, op)
+        zs = [complex(a, b) for a, b in zip(re.tolist(), im.tolist())]
+        for left in (True, False):
+            f = _ReImMath(len(zs))
+            pair = f.complex(re, im)
+            with np.errstate(all="ignore"):
+                got = fn(pair, other) if left else fn(other, pair)
+            expected = [_scalar(fn, z, other) if left else _scalar(fn, other, z)
+                        for z in zs]
+            _assert_entries(f, got.tolist(), expected)
+
+    def test_numpy_scalars_defer_to_the_pairs(self):
+        f = _ReImMath(3)
+        pair = f.complex(np.array([1.0, -0.0, 3.0]), np.array([0.5, 2.0, -0.0]))
+        with np.errstate(all="ignore"):
+            for op in (operator.add, operator.sub, operator.mul,
+                       operator.truediv):
+                assert repr(op(np.float64(0.25), pair).tolist()) == \
+                    repr(op(0.25, pair).tolist())
+
+    def test_square_is_cpythons_power(self):
+        rng = np.random.default_rng(7)
+        re, im = _complexes(rng, N_ARITH)
+        f = _ReImMath(N_ARITH)
+        with np.errstate(all="ignore"):
+            got = f.complex(re, im) ** 2
+        expected = [_scalar(lambda z: z ** 2, complex(a, b))
+                    for a, b in zip(re.tolist(), im.tolist())]
+        _assert_entries(f, got.tolist(), expected)
+
+    def test_abs_is_hypot(self):
+        # pins np.hypot, the one NumPy call of the route with a rounding
+        # choice, against abs(complex) on 2e5 inputs
+        rng = np.random.default_rng(8)
+        for _ in range(2):
+            re, im = _complexes(rng, N_ARITH)
+            f = _ReImMath(N_ARITH)
+            with np.errstate(all="ignore"):
+                got = abs(f.complex(re, im))
+            expected = [_scalar(abs, complex(a, b))
+                        for a, b in zip(re.tolist(), im.tolist())]
+            _assert_entries(f, got.tolist(), expected)
+            with np.errstate(all="ignore"):
+                h, overflow = complex_abs(re, im)
+            assert np.array_equal(overflow, f.faults)
+
+    def test_the_route_squares_only(self):
+        f = _ReImMath(2)
+        with pytest.raises(TypeError):
+            f.complex(np.ones(2), np.zeros(2)) ** 3
+
+
+class TestEntrywiseFunctions:
+    @pytest.mark.parametrize("name", ["exp", "sin", "cos", "tanh", "cosh",
+                                      "asin", "atanh", "sqrt"])
+    def test_complex_functions_make_the_cmath_call(self, name):
+        rng = np.random.default_rng([9, len(name)])
+        re, im = _complexes(rng, 5000)
+        re[:2000] = rng.normal(0.0, 400.0, 2000)  # exp/sinh overflows
+        f = _ReImMath(re.size)
+        got = getattr(f, name)(f.complex(re, im))
+        fn = getattr(cmath, name)
+        expected = [_scalar(fn, complex(a, b))
+                    for a, b in zip(re.tolist(), im.tolist())]
+        _assert_entries(f, got.tolist(), expected)
+
+    def test_phase_log_and_remainder(self):
+        rng = np.random.default_rng(10)
+        re, im = _complexes(rng, 5000)
+        f = _ReImMath(re.size)
+        z = f.complex(re, im)
+        _assert_entries(f, f.phase(z).tolist(),
+                        [_scalar(cmath.phase, v) for v in z.tolist()])
+        x = _parts(rng, 5000)
+        for fn, got in ((math.log, lambda g: g.log(x)),
+                        (lambda v: math.remainder(v, 2.0 * math.pi),
+                         lambda g: g.remainder(x, 2.0 * math.pi))):
+            g = _ReImMath(x.size)
+            _assert_entries(g, got(g).tolist(), [_scalar(fn, v) for v in x.tolist()])
+
+
+# ---------------------------------------------------------------------------
+# MapExpr.invert on arrays
+# ---------------------------------------------------------------------------
+
+
+def _invert_outcome(m, w, seed, check):
+    try:
+        return repr(m.invert(w, seed, check))
+    except Exception as exc:
+        return type(exc)
+
+
+def _array_outcomes(m, ws, seed, check):
+    got = m.invert(np.array(ws, dtype=complex), seed, check)
+    return [EvaluationError if cmath.isnan(v) else repr(v) for v in got.tolist()]
+
+
+def _assert_invert_matches(m, ws, seed, check):
+    """One array call over ws gives each scalar call's outcome: NaN where it
+    raises EvaluationError, and the first other error (in array order) is
+    raised by the whole call."""
+    expected = [_invert_outcome(m, w, seed, check) for w in ws]
+    raising = [e for e in expected if isinstance(e, type)
+               and e is not EvaluationError]
+    if raising:
+        with pytest.raises(raising[0]):
+            m.invert(np.array(ws, dtype=complex), seed, check)
+    else:
+        assert _array_outcomes(m, ws, seed, check) == expected
+    return expected
+
+
+def _assert_each_entry_matches(m, ws, seed, check):
+    for w in ws:
+        expected = _invert_outcome(m, w, seed, check)
+        try:
+            got = m.invert(np.array([w], dtype=complex), seed, check)[0].item()
+        except Exception as exc:
+            assert type(exc) is expected, (w, exc)
+            continue
+        if expected is EvaluationError:
+            assert cmath.isnan(got), w
+        else:
+            assert repr(got) == expected, (w, got)
+
+
+def _maps():
+    sgs = {n: catalog.builtin_semigroup(n) for n in catalog.BUILTIN_NAMES}
+    sgs["slit_tip"] = catalog.slit_tip_semigroup()
+    f = MapExpr((Mobius(1, 0, -1, 1),), source=unit_disk())
+    sgs["strip_conjugated"] = sgs["strip"].conjugate(f)
+    return sgs
+
+
+SEMIGROUPS = _maps()
+N_POINTS = 10_000
+
+
+def _orbit_images(sg, rng, n_starts, n_times, radius=1.0):
+    """Koenigs images of forward orbits from n_starts seeded starts with
+    |z| up to radius (1 - 1e-15) whose image is finite, at seeded times in
+    [0, 100], and the starts."""
+    times = np.concatenate([[0.0], 100.0 * 10.0 ** rng.uniform(-9, 0, n_times - 1)])
+    out = []
+    while len(out) < n_starts:
+        r = radius * (1.0 - 10.0 ** rng.uniform(-15, 0))
+        z = r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        try:
+            w0 = sg.koenigs_image(z)
+        except EvaluationError:
+            continue
+        out.append((z, [koenigs_flow(sg.kind, sg.mu, w0, float(t)) for t in times]))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SEMIGROUPS))
+def test_orbit_pullbacks_keep_the_bits(name):
+    sg = SEMIGROUPS[name]
+    check = sg._checks_target
+    rng = np.random.default_rng([12, len(name)])
+    # the conjugated source f(D) is {Re > -1/2}
+    orbits = _orbit_images(sg, rng, 100, 100,
+                           0.5 if name == "strip_conjugated" else 1.0)
+    everything = [w for _, ws in orbits for w in ws]
+    assert len(everything) == N_POINTS
+    _assert_invert_matches(sg.koenigs, everything, None, check)
+    for z, ws in orbits[:20]:
+        _assert_invert_matches(sg.koenigs, ws, z, check)
+
+
+@pytest.mark.parametrize("name", sorted(SEMIGROUPS))
+def test_domain_points_keep_the_bits(name):
+    sg = SEMIGROUPS[name]
+    ws = sg.omega.interior_samples(N_POINTS, 13)
+    _assert_invert_matches(sg.koenigs, ws, None, sg._checks_target)
+    _assert_invert_matches(sg.koenigs, ws, 0.1 + 0.1j, False)
+
+
+def _edge_points(sg):
+    h = sg.koenigs
+    out = [0j, -1 + 0j, 1 + 0j, 1j, -1j, 2j, -2j, -1e-300 + 0j, 5e-324j,
+           complex(math.nan, 0.0), complex(0.0, math.nan),
+           complex(math.inf, 0.0), complex(-math.inf, 1.0),
+           1.5e308 + 1.5e308j, -1.5e308 + 0j, 1.5e308j, 1e200 + 1e-200j,
+           -5.0 + 0j, -5.0 + 1e-17j, -5.0 - 1e-17j, 1e-17j - 0.5]
+    # images of points within 1e-13 of the unit circle, and of the pole z = 1
+    for gap in (1e-13, 3e-14, 1e-15, 1e-16):
+        for th in (0.0, 1e-8, 0.7, -2.0, math.pi):
+            z = (1.0 - gap) * cmath.exp(1j * th)
+            try:
+                out.append(h.evaluate(z, check=False))
+            except EvaluationError:
+                pass
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SEMIGROUPS))
+def test_edge_entries_each_keep_the_outcome(name):
+    sg = SEMIGROUPS[name]
+    ws = _edge_points(sg)
+    for check in (True, False):
+        for seed in (None, 0.1 + 0.1j):
+            _assert_each_entry_matches(sg.koenigs, ws, seed, check)
+            _assert_invert_matches(sg.koenigs, ws, seed, False)
+
+
+@pytest.mark.parametrize("m", [
+    MapExpr((Exp(),)),                       # closed form Log: cut on (-inf, 0]
+    MapExpr((Log(1.0),)),
+    MapExpr((Power(0.5, 0.3), Affine(2.0, 1j))),
+    MapExpr((Mobius(1, 0, 1, 1),)),          # pole at z = -1
+], ids=["exp", "log", "power", "mobius"])
+def test_cuts_poles_and_branch_points(m):
+    rng = np.random.default_rng(14)
+    ws = [complex(x, y) for x, y in zip(rng.normal(0, 3, 2000), rng.normal(0, 3, 2000))]
+    ws += [complex(x, s * 0.0) for x in (-3.0, -1.0, -1e-300, 0.0, 1.0)
+           for s in (1.0, -1.0)]
+    ws += [cmath.exp(1j * (math.pi - d)) for d in (0.0, 1e-14, 1e-13, 2e-13)]
+    ws += [-1 + 0j, 1 + 0j, 1.5e308 + 0j, -1.5e308 + 1.5e308j]
+    _assert_each_entry_matches(m, ws[-20:], None, False)
+    _assert_invert_matches(m, ws, None, False)
+    _assert_invert_matches(m, ws, 0.5 + 0.5j, False)
+
+
+def test_array_input_must_be_one_dimensional():
+    h = SEMIGROUPS["strip"].koenigs
+    with pytest.raises(ParameterError):
+        h.invert(np.zeros((2, 2), complex))
+    assert h.invert(np.zeros(0, complex)).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the layers above confmap
+# ---------------------------------------------------------------------------
+
+
+class TestDomainArrays:
+    DOMAINS = [unit_disk(), Disk(0.5 - 0.25j, 2.0), Strip(1.0, 0.0),
+               Strip(0.5, -1.0), *(HalfPlane(o, 0.5) for o in
+                                   ("right", "left", "upper", "lower")),
+               catalog.builtin_semigroup("channel").omega]
+
+    @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: repr(d)[:40])
+    def test_membership_and_distance_keep_the_bits(self, dom):
+        rng = np.random.default_rng(15)
+        re, im = _complexes(rng, 3000)
+        re[:1500], im[:1500] = rng.normal(0, 2, (2, 1500))
+        if dom.kind == "channel":
+            # no array formulas: the default loops over the scalar methods,
+            # which are slow far out, so few entries do
+            re, im = re[1450:1550], im[1450:1550]
+        zs = [complex(a, b) for a, b in zip(re.tolist(), im.tolist())]
+        for method, many in (("contains", "contains_many"),
+                             ("boundary_distance", "boundary_distance_many")):
+            fn = getattr(dom, method)
+            args = () if method == "contains" else (False,)
+            f = _ReImMath(len(zs))
+            with np.errstate(all="ignore"):
+                got = getattr(dom, many)(f.complex(re, im))
+            expected = []
+            for z in zs:
+                try:
+                    expected.append(repr(fn(z, *args)))
+                except Exception as exc:
+                    expected.append(type(exc))
+            _assert_entries(f, got.tolist(), expected)
+
+
+class TestFlowAndStep:
+    @pytest.mark.parametrize("kind,mu,w0", [
+        (NONELLIPTIC, None, 0.3 - 0.0j), (NONELLIPTIC, None, complex(-0.0, -0.0)),
+        (ELLIPTIC, 1.0 + 0j, 0.5j), (ELLIPTIC, 1.0 + 1.0j, 0.3 - 0.2j),
+        (ELLIPTIC, 0.2 - 3.0j, complex(-0.0, 0.7))])
+    def test_koenigs_flow_arrays_keep_the_bits(self, kind, mu, w0):
+        rng = np.random.default_rng(16)
+        ts = np.concatenate([[0.0, -0.0, 1e-300, 800.0],
+                             rng.uniform(0, 100, 500)])
+        for backward in (False, True):
+            expected = []
+            for t in ts.tolist():
+                try:
+                    expected.append(repr(koenigs_flow(kind, mu, w0, t, backward)))
+                except OverflowError:
+                    expected.append(None)
+            if None in expected:
+                # exp(mu t) past the float range raises, as the scalar call
+                with pytest.raises(OverflowError):
+                    koenigs_flow(kind, mu, w0, ts, backward)
+                assert backward
+                expected = expected[1:3]
+                ts = ts[1:3]
+            got = koenigs_flow(kind, mu, w0, ts, backward)
+            assert [repr(v) for v in got.tolist()] == expected
+
+    @pytest.mark.parametrize("name", sorted(SEMIGROUPS))
+    def test_pullback_step_arrays_keep_the_bits(self, name):
+        sg = SEMIGROUPS[name]
+        plan = analysis._certificate_plan()
+        rng = np.random.default_rng([17, len(name)])
+        for z in disk_points(rng, 4, 0.9 if sg.kind == NONELLIPTIC else 0.45):
+            w0 = sg.koenigs_image(z)
+            got = sg.phi_from_image(plan.times, w0, z)
+            for t, g in zip(plan.times.tolist(), got.tolist()):
+                try:
+                    assert repr(g) == repr(sg.phi_from_image(t, w0, z))
+                except EvaluationError:
+                    assert cmath.isnan(g)
+
+    def test_negative_times_are_parameter_errors(self):
+        sg = SEMIGROUPS["halfplane"]
+        with pytest.raises(ParameterError):
+            sg.phi_from_image(np.array([0.0, -1.0]), 1.0 + 0j, 0j)
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("name", sorted(catalog.BUILTIN_NAMES))
+    def test_certificates_equal_the_sampled_quotient(self, name):
+        sg = SEMIGROUPS[name]
+        rng = np.random.default_rng([18, len(name)])
+        for z in disk_points(rng, 10, 0.8) + [catalog.builtin_start(name)]:
+            cert = forward_certificate(sg, z)
+            q = lipschitz_quotient(orbit_point_sampler(sg, z), 0.0, 100.0)
+            assert repr(cert) == repr(Certificate(
+                cert.constant, q.value, q.value <= cert.constant * (1.0 + 5e-2)))
+
+    @pytest.mark.parametrize("name", sorted(catalog.BUILTIN_NAMES))
+    def test_one_array_pullback_and_no_scalar_inverts(self, name, monkeypatch):
+        # on the built-in orbits every sample is taken by the array route
+        sg = SEMIGROUPS[name]
+        calls = []
+        invert = MapExpr.invert
+
+        def counted(self, w, *args, **kwargs):
+            calls.append(isinstance(w, np.ndarray))
+            return invert(self, w, *args, **kwargs)
+
+        monkeypatch.setattr(MapExpr, "invert", counted)
+        rng = np.random.default_rng([19, len(name)])
+        for z in disk_points(rng, 10, 0.8):
+            forward_certificate(sg, z)
+        assert calls == [True] * 10
+
+    def test_the_plan_is_shared_read_only(self):
+        plan = analysis._certificate_plan()
+        assert plan is analysis._certificate_plan()
+        assert plan.times.size == 212
+        with pytest.raises(ValueError):
+            plan.times[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# ROADMAP 8(a): a closed form outside the map's source is still accepted
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 8(a): the near-boundary "
+                   "shortcut of _closed_form_acceptable trusts non-members")
+@pytest.mark.parametrize("route", ["scalar", "array"])
+def test_wrong_branch_of_the_log_is_rejected(route):
+    h = MapExpr((Affine(0.5, 1.5j * math.pi), Exp()), source=unit_disk())
+    z = 0.1 + 0.2j
+    w = h.evaluate(z)
+    if route == "scalar":
+        got = h.invert(w, seed=z)
+    else:
+        got = h.invert(np.array([w]), seed=z)[0]
+    assert abs(got - z) < 1e-12, got
