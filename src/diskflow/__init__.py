@@ -61,7 +61,6 @@ from .scenario import GridSpec, Scenario
 from .semigroup import (
     ELLIPTIC,
     NONELLIPTIC,
-    ConjugatedSemigroup,
     DenjoyWolff,
     Horizon,
     OrbitSample,

@@ -107,7 +107,11 @@ class OrbitTrack:
         return abs(self.semigroup.generator_at_w(self.w(t)))
 
     def z_modulus(self) -> Optional[float]:
-        return abs(self.z) if self.z is not None else None
+        """|z| for the generator sandwich, which reads it as a disk modulus:
+        None without a start point or off a unit-disk source."""
+        if self.z is None or not self.semigroup.disk_source:
+            return None
+        return abs(self.z)
 
 
 def backward_tail_grid(track: OrbitTrack, t_max: float = T_MAX_PROBE) -> list:
@@ -249,10 +253,14 @@ HAYMAN_WU_BOUND = 4.0 * math.pi
 
 
 def hayman_wu_audit(sg: Semigroup, z: complex) -> dict:
-    """Full-orbit length against the 4*pi line-preimage bound."""
+    """Full-orbit length against the 4*pi line-preimage bound, a theorem
+    about the unit disk."""
     if sg.kind != NONELLIPTIC:
         raise ParameterError("the line-preimage audit applies to non-elliptic "
                              "semigroups")
+    if not sg.disk_source:
+        raise ParameterError("the line-preimage audit needs the unit disk "
+                             "as source")
     w0 = sg.koenigs_image(z)
     horizon = sg.backward_horizon(z)
     g_fwd = lambda t: abs(sg.generator_at_w(sg.ray_w(w0, t)))
@@ -363,7 +371,8 @@ def _certificate_plan() -> _PairPlan:
     return _pair_plan(0.0, 100.0)
 
 
-def orbit_point_sampler(sg, z: complex) -> Callable[[float], Optional[complex]]:
+def orbit_point_sampler(sg: Semigroup,
+                        z: complex) -> Callable[[float], Optional[complex]]:
     """Forward-orbit evaluator t -> phi_t(z) by Koenigs pullback, from h(z)
     evaluated once per orbit (None on overflow of h(z) or of the inverse)."""
     try:

@@ -23,7 +23,7 @@ from diskflow.confmap import (Affine, Exp, Log, MapExpr, Mobius, Power,
                               _ReImMath, complex_abs)
 from diskflow.domains import (ELLIPTIC, NONELLIPTIC, Disk, HalfPlane, Strip,
                               koenigs_flow, unit_disk)
-from diskflow.errors import EvaluationError, ParameterError
+from diskflow.errors import DomainError, EvaluationError, ParameterError
 
 from conftest import disk_points
 
@@ -254,23 +254,22 @@ def _orbit_images(sg, rng, n_starts, n_times, radius=1.0):
 @pytest.mark.parametrize("name", sorted(SEMIGROUPS))
 def test_orbit_pullbacks_keep_the_bits(name):
     sg = SEMIGROUPS[name]
-    check = sg._checks_target
     rng = np.random.default_rng([12, len(name)])
     # the conjugated source f(D) is {Re > -1/2}
     orbits = _orbit_images(sg, rng, 100, 100,
                            0.5 if name == "strip_conjugated" else 1.0)
     everything = [w for _, ws in orbits for w in ws]
     assert len(everything) == N_POINTS
-    _assert_invert_matches(sg.koenigs, everything, None, check)
+    _assert_invert_matches(sg.koenigs, everything, None, True)
     for z, ws in orbits[:20]:
-        _assert_invert_matches(sg.koenigs, ws, z, check)
+        _assert_invert_matches(sg.koenigs, ws, z, True)
 
 
 @pytest.mark.parametrize("name", sorted(SEMIGROUPS))
 def test_domain_points_keep_the_bits(name):
     sg = SEMIGROUPS[name]
     ws = sg.omega.interior_samples(N_POINTS, 13)
-    _assert_invert_matches(sg.koenigs, ws, None, sg._checks_target)
+    _assert_invert_matches(sg.koenigs, ws, None, True)
     _assert_invert_matches(sg.koenigs, ws, 0.1 + 0.1j, False)
 
 
@@ -395,7 +394,10 @@ class TestFlowAndStep:
         sg = SEMIGROUPS[name]
         plan = analysis._certificate_plan()
         rng = np.random.default_rng([17, len(name)])
-        for z in disk_points(rng, 4, 0.9 if sg.kind == NONELLIPTIC else 0.45):
+        # the conjugated source f(D) is {Re > -1/2}
+        radius = (0.5 if name == "strip_conjugated" else
+                  0.9 if sg.kind == NONELLIPTIC else 0.45)
+        for z in disk_points(rng, 4, radius):
             w0 = sg.koenigs_image(z)
             got = sg.phi_from_image(plan.times, w0, z)
             for t, g in zip(plan.times.tolist(), got.tolist()):
@@ -408,6 +410,17 @@ class TestFlowAndStep:
         sg = SEMIGROUPS["halfplane"]
         with pytest.raises(ParameterError):
             sg.phi_from_image(np.array([0.0, -1.0]), 1.0 + 0j, 0j)
+
+    def test_starts_outside_the_source_are_domain_errors(self):
+        # z lies outside f(D) = {Re > -1/2}: its image under h . f^{-1} is
+        # outside the strip, and the step checks the map's target
+        sg = SEMIGROUPS["strip_conjugated"]
+        z = -0.8 + 0.3j
+        w0 = sg.koenigs_image(z)
+        with pytest.raises(DomainError):
+            sg.phi_from_image(1.0, w0, z)
+        with pytest.raises(DomainError):
+            sg.phi_from_image(np.array([0.0, 1.0]), w0, z)
 
 
 class TestCertificates:

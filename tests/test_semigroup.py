@@ -2,18 +2,22 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from diskflow import (CrossValidationError, EvaluationError, HorizonError,
                       InversionError, MapExpr, ParameterError, Semigroup,
                       catalog, unit_disk)
-from diskflow.analysis import OrbitTrack, orbit_point_sampler
+from diskflow.analysis import (OrbitTrack, backward_criterion,
+                               hayman_wu_audit, orbit_point_sampler,
+                               shift_classify)
 from diskflow.audits import _Masked
-from diskflow.confmap import Mobius
-from diskflow.domains import HalfPlane, Strip
+from diskflow.confmap import Mobius, compose
+from diskflow.domains import HalfPlane, Strip, koenigs_flow
 from diskflow.semigroup import NONELLIPTIC, integrate_complex
 
 from conftest import deadline, disk_points
+from test_confmap import quadratic_map
 
 
 class TestPhi:
@@ -273,7 +277,6 @@ class TestConjugation:
 
     def test_chain_rule_generator(self, builtins):
         # f(z) = z - z^2/2: G^D(0) = f'(0) G(0) = 0.5
-        from test_confmap import quadratic_map
         conj = builtins["halfplane"].conjugate(quadratic_map())
         assert conj.generator(0j) == pytest.approx(0.5, abs=1e-10)
 
@@ -283,6 +286,100 @@ class TestConjugation:
         sample = orbit_point_sampler(conj, 0j)
         assert sample(1.0) is not None
         assert sample(1000.0) is None  # past the representable horizon
+
+    def test_conjugate_is_a_semigroup(self, builtins):
+        sg = builtins["strip"]
+        conj = sg.conjugate(quadratic_map())
+        assert type(conj) is Semigroup
+        assert (conj.kind, conj.omega, conj.mu, conj.name) == \
+            (sg.kind, sg.omega, sg.mu, sg.name)
+        assert sg.disk_source and not conj.disk_source
+
+    def test_cross_check_is_relative_off_the_disk(self, builtins):
+        # on f(D) = {Re > -1/2} the orbit runs off to |z_t| ~ 4e6 by t = 10,
+        # where the pullback and the ODE agree to a relative ~2e-9 but an
+        # absolute ~7e-3
+        strip = builtins["strip"]
+        f = MapExpr((Mobius(1, 0, -1, 1),), source=unit_disk())
+        sg = Semigroup("nonelliptic", compose(strip.koenigs, f.inverted()),
+                       strip.omega)
+        samples = sg.forward_orbit(0.1, [0.0, 1.0, 2.0, 5.0, 10.0])
+        assert abs(samples[-1].z) > 1e6
+
+    @pytest.mark.parametrize("zeta", [0j, 0.1 + 0.1j])
+    def test_sandwich_is_not_checked_off_the_disk(self, builtins, zeta):
+        conj = builtins["halfplane"].conjugate(quadratic_map())
+        rep = backward_criterion(OrbitTrack.from_semigroup(conj, zeta))
+        assert rep.z_modulus is None
+        assert not rep.sandwich_checked and rep.sandwich_ok
+        rep = backward_criterion(OrbitTrack.from_semigroup(
+            builtins["halfplane"], zeta))
+        assert rep.sandwich_checked and rep.sandwich_ok
+
+    def test_denjoy_wolff_refuses_other_sources(self, builtins):
+        # the estimate projects onto the unit circle; on the quadratic
+        # conjugate the true point is f(1) = 1/2
+        conj = builtins["halfplane"].conjugate(quadratic_map())
+        with pytest.raises(ParameterError):
+            conj.denjoy_wolff_estimate(0j)
+        with pytest.raises(ParameterError):
+            conj.tau
+        with pytest.raises(ParameterError):
+            shift_classify(builtins["uhp"].conjugate(quadratic_map()), 0j)
+        # elliptic: h^{-1}(0) holds on every source
+        dil = builtins["dilation"].conjugate(quadratic_map())
+        assert dil.tau == dil.denjoy_wolff_estimate().point
+        assert abs(dil.tau) < 1e-12
+
+    def test_hayman_wu_refuses_other_sources(self, builtins):
+        conj = builtins["halfplane"].conjugate(quadratic_map())
+        with pytest.raises(ParameterError):
+            hayman_wu_audit(conj, 0j)
+
+
+def _chain_rule_generator(sg, f, zeta):
+    """G^D(zeta) = f'(f^{-1}(zeta)) G(f^{-1}(zeta)): the generator of the
+    conjugate by the chain rule through the base semigroup."""
+    z = f.invert(zeta, check=False)
+    return f.derivative(z) * sg.generator(z)
+
+
+def _unchecked_phi(sg, f, t, zeta):
+    """phi_t^D(zeta) by pullback through h . f^{-1} with neither the source
+    nor the target checked."""
+    h = compose(sg.koenigs, f.inverted())
+    w0 = h.evaluate(zeta, check=False)
+    return h.invert(koenigs_flow(sg.kind, sg.mu, w0, t), seed=zeta,
+                    check=False)
+
+
+class TestConjugationAgainstReferences:
+    CASES = [(base, f) for base in ("halfplane", "strip")
+             for f in ("quadratic", "mobius")]
+
+    @staticmethod
+    def _conjugation(builtins, base, f):
+        fs = {"quadratic": quadratic_map(),
+              "mobius": MapExpr((Mobius(1, 0, -1, 1),), source=unit_disk())}
+        sg = builtins[base]
+        rng = np.random.default_rng([41, len(base), len(f)])
+        zetas = [fs[f].evaluate(z) for z in disk_points(rng, 8, 0.9)]
+        return sg, fs[f], sg.conjugate(fs[f]), zetas
+
+    @pytest.mark.parametrize("base,f", CASES)
+    def test_generator_matches_the_chain_rule(self, builtins, base, f):
+        sg, fmap, conj, zetas = self._conjugation(builtins, base, f)
+        for zeta in zetas:
+            ref = _chain_rule_generator(sg, fmap, zeta)
+            assert abs(conj.generator(zeta) - ref) <= 1e-12 * abs(ref), zeta
+
+    @pytest.mark.parametrize("base,f", CASES)
+    def test_phi_matches_the_unchecked_step(self, builtins, base, f):
+        sg, fmap, conj, zetas = self._conjugation(builtins, base, f)
+        for zeta in zetas:
+            for t in (0.0, 0.3, 1.0, 4.0, 25.0):
+                assert repr(conj.phi(t, zeta)) == \
+                    repr(_unchecked_phi(sg, fmap, t, zeta)), (zeta, t)
 
 
 class TestOrbitSampleInvariants:
