@@ -285,20 +285,19 @@ class Quotient:
     skipped: int
 
 
-def lipschitz_quotient(sampler: Callable[[float], Optional[complex]],
+def lipschitz_quotient(sample: Callable[[np.ndarray], np.ndarray],
                        t0: float, t1: float) -> Quotient:
     """sup |gamma(t) - gamma(s)| / |t - s| over a log-spaced family of pairs
     (consecutive pairs of 60 offsets from each end, and adjacent fine pairs
-    at relative step 1e-7).  Samples evaluating to None or a
-    non-finite value (e.g. past an overflow horizon) are skipped and counted.
-    Each distinct time is sampled once, in the order the pairs first use it.
+    at relative step 1e-7).
+
+    ``sample`` maps the distinct times of the pairs (one float64 array, in
+    the order the pairs first use them) to gamma at those times (a complex
+    array) in one call.  Samples that are NaN or otherwise not finite (e.g.
+    past an overflow horizon) are skipped and counted.
     """
     plan = _pair_plan(t0, t1)
-    vals = np.empty(plan.times.size, complex)
-    for k, t in enumerate(plan.times.tolist()):
-        v = sampler(t)
-        vals[k] = complex(math.nan, math.nan) if v is None else v
-    return plan.quotient(vals)
+    return plan.quotient(sample(plan.times))
 
 
 @dataclass(frozen=True)
@@ -322,12 +321,18 @@ class _PairPlan:
         with np.errstate(all="ignore"):
             dist, overflow = complex_abs(b.real - a.real, b.imag - a.imag)
             if overflow.any():
-                raise OverflowError("absolute value too large")
+                raise EvaluationError("overflow in a Lipschitz quotient",
+                                      overflow=True)
             q = dist / self.step[both]
         sup = float(q.max()) if q.size else 0.0
         return Quotient(max(0.0, sup), int(both.sum()), int((~ok).sum()))
 
 
+# plans kept by _pair_plan: a run uses a handful of intervals
+_PLAN_CACHE = 32
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE)
 def _pair_plan(t0: float, t1: float) -> _PairPlan:
     if not t1 > t0:
         raise ParameterError("need a nondegenerate interval")
@@ -365,33 +370,6 @@ def _pair_plan(t0: float, t1: float) -> _PairPlan:
     return plan
 
 
-@functools.cache
-def _certificate_plan() -> _PairPlan:
-    """The pairs of every forward certificate, on [0, 100]."""
-    return _pair_plan(0.0, 100.0)
-
-
-def orbit_point_sampler(sg: Semigroup,
-                        z: complex) -> Callable[[float], Optional[complex]]:
-    """Forward-orbit evaluator t -> phi_t(z) by Koenigs pullback, from h(z)
-    evaluated once per orbit (None on overflow of h(z) or of the inverse)."""
-    try:
-        w0 = sg.koenigs_image(z)
-    except EvaluationError:
-        w0 = None
-
-    def sample(t: float) -> Optional[complex]:
-        if t < 0:
-            raise ParameterError("phi is defined for t >= 0")
-        if w0 is None:
-            return None
-        try:
-            return sg.phi_from_image(t, w0, z)
-        except EvaluationError:
-            return None
-    return sample
-
-
 @dataclass(frozen=True)
 class Certificate:
     constant: float
@@ -418,8 +396,8 @@ def forward_certificate(sg: Semigroup, z: complex) -> Certificate:
         constant = abs(sg.mu * w0) / gap
     # every sample time in one array pullback (NaN where the step raises
     # EvaluationError, which the quotient skips)
-    plan = _certificate_plan()
-    measured = plan.quotient(sg.phi_from_image(plan.times, w0, z)).value
+    measured = lipschitz_quotient(lambda ts: sg.phi_from_image(ts, w0, z),
+                                  0.0, 100.0).value
     return Certificate(constant, measured, measured <= constant * (1.0 + 5e-2))
 
 
@@ -761,23 +739,24 @@ def shift_classify(sg: Semigroup, z: complex) -> ShiftResult:
     # h(z) once: the estimate above evaluated it, so it does not raise here
     w0 = sg.koenigs_image(z)
 
-    def c_of_gamma(t: float) -> Optional[complex]:
-        try:
-            zt = sg.phi_from_image(t, w0, z)
-        except DiskflowError:
-            return None
-        den = tau - zt
-        if den == 0:
-            return None
-        return (tau + zt) / den
+    def cayley(ts: np.ndarray) -> np.ndarray:
+        # C(gamma_z(t)) from one array pullback, each entry in Python complex
+        # arithmetic (CPython's bits); NaN where the step skipped (NaN) or
+        # gamma_z(t) == tau
+        return np.array([complex(math.nan, math.nan)
+                         if cmath.isnan(zt) or zt == tau
+                         else (tau + zt) / (tau - zt)
+                         for zt in sg.phi_from_image(ts, w0, z).tolist()],
+                        dtype=complex)
 
+    probes = [t for t, _ in probe_schedule(sg.omega,
+                                           lambda t: sg.ray_w(w0, t))]
     res = []
-    for t, _ in probe_schedule(sg.omega, lambda t: sg.ray_w(w0, t)):
-        v = c_of_gamma(t)
-        if v is None:
+    for t, v in zip(probes, cayley(np.array(probes, dtype=float)).tolist()):
+        if cmath.isnan(v):
             break
         res.append((t, v.real))
-    quo = lipschitz_quotient(c_of_gamma, 0.0, 100.0).value
+    quo = lipschitz_quotient(cayley, 0.0, 100.0).value
     re_vals = [r for _, r in res]
     sup_re = max(re_vals) if re_vals else None
     tail = re_vals[-5:]

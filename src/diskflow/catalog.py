@@ -170,7 +170,7 @@ def slit_tip_track() -> OrbitTrack:
     on the slit axis (the pullback roundtrip would leave ~1e-17 imaginary
     dust and the ray would sneak past the measure-zero slit)."""
     sg = slit_tip_semigroup()
-    z0 = sg.disk_point(1.0 + 0j)
+    z0 = sg.koenigs.invert(1.0 + 0j)
     return OrbitTrack(omega=sg.omega, w0=1.0 + 0j, kind=NONELLIPTIC,
                       semigroup=sg, z=z0, label="slit_tip")
 

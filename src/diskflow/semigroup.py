@@ -208,14 +208,9 @@ class Semigroup:
     def koenigs_image(self, z: complex) -> complex:
         return self.koenigs.evaluate(z)
 
-    def disk_point(self, w: complex, seed: Optional[complex] = None) -> complex:
-        return self.koenigs.invert(w, seed=seed)
-
     @property
     def tau(self) -> complex:
         """Denjoy-Wolff point; for elliptic semigroups h(tau) = 0."""
-        if self.kind == ELLIPTIC:
-            return self.koenigs.invert(0.0)
         return self.denjoy_wolff_estimate().point
 
     def orbit_w(self, z: complex, t: float, backward: bool = False) -> complex:

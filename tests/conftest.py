@@ -1,10 +1,12 @@
 import contextlib
+import math
 import signal
 
 import numpy as np
 import pytest
 
 from diskflow import catalog
+from diskflow.errors import EvaluationError
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +24,30 @@ def disk_points(rng, n, r_hi=0.8, r_lo=0.0):
     r = np.sqrt(rng.uniform(r_lo ** 2, r_hi ** 2, size=n))
     th = rng.uniform(-np.pi, np.pi, size=n)
     return [complex(a * np.cos(b), a * np.sin(b)) for a, b in zip(r, th)]
+
+
+def each_time(fn):
+    """The array sampler of ``lipschitz_quotient`` from a scalar reference
+    ``fn``: t -> complex, or None for a skipped sample (NaN), called once per
+    time in array order."""
+    def sample(ts):
+        return np.array([complex(math.nan, math.nan) if (v := fn(t)) is None
+                         else v for t in ts.tolist()], dtype=complex)
+    return sample
+
+
+def scalar_orbit(sg, z):
+    """The scalar reference of a certificate's orbit sampler: t ->
+    phi_t(z) by the pullback step from h(z), None where it raises
+    EvaluationError."""
+    w0 = sg.koenigs_image(z)
+
+    def step(t):
+        try:
+            return sg.phi_from_image(t, w0, z)
+        except EvaluationError:
+            return None
+    return step
 
 
 @contextlib.contextmanager

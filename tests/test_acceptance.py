@@ -13,8 +13,7 @@ from diskflow.analysis import (CERTIFIED, NON_REGULAR, REGULAR, SHIFT_FINITE,
                                backward_generator_limsup, bilipschitz_probe,
                                euclidean_sufficient_test, forward_certificate,
                                hayman_wu_audit, lipschitz_quotient,
-                               orbit_point_sampler, regularity_classify,
-                               shift_classify)
+                               regularity_classify, shift_classify)
 from diskflow.cli import main
 from diskflow.confmap import Affine, MapExpr, Mobius, Power
 from diskflow.domains import HalfStrip, example1_domain, unit_disk
@@ -268,14 +267,17 @@ def test_14_conjugation(builtins, rng):
     bounded_ok = True
     for z in disk_points(rng, 20, 0.7):
         zeta = quad.evaluate(z)
-        q = lipschitz_quotient(orbit_point_sampler(conj, zeta), 0.0, 50.0).value
+        w0 = conj.koenigs_image(zeta)
+        q = lipschitz_quotient(lambda ts: conj.phi_from_image(ts, w0, zeta),
+                               0.0, 50.0).value
         bound = 4.0 * 1.5 / sg.omega.boundary_distance(sg.koenigs_image(z))
         bounded_ok = bounded_ok and q <= bound * 1.05
     # (b) hyperbolic base into a half-plane: quotients grow across decades
     mob = MapExpr((Mobius(1, 0, -1, 1),), source=unit_disk())
     conj2 = builtins["strip"].conjugate(mob)
-    sampler = orbit_point_sampler(conj2, 0j)
-    qs = [lipschitz_quotient(sampler, 0.0, T).value
+    w0 = conj2.koenigs_image(0j)
+    qs = [lipschitz_quotient(lambda ts: conj2.phi_from_image(ts, w0, 0j),
+                             0.0, T).value
           for T in (10.0, 100.0, 1000.0)]
     growing = qs[0] < qs[1] < qs[2] and all(math.isfinite(q) for q in qs)
     report(14, bounded_ok and growing,

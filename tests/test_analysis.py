@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from diskflow import ParameterError, SpiralSpec, catalog
+from diskflow import (EvaluationError, ParameterError, SpiralSpec, analysis,
+                     catalog)
 from diskflow.analysis import (CERTIFIED, FINITE_HORIZON, INCONCLUSIVE,
                                NON_REGULAR, REGULAR, REFUTED_TREND,
                                SHIFT_FINITE, SHIFT_NOT_APPLICABLE, Heuristic,
@@ -15,12 +16,12 @@ from diskflow.analysis import (CERTIFIED, FINITE_HORIZON, INCONCLUSIVE,
                                backward_tail_grid, bilipschitz_probe,
                                euclidean_sufficient_test, forward_certificate,
                                hayman_wu_audit, lipschitz_quotient,
-                               orbit_point_sampler, regularity_classify,
-                               shift_classify, _spiral_length_in_disk)
+                               regularity_classify, shift_classify,
+                               _spiral_length_in_disk)
 from diskflow.confmap import MapExpr
 from diskflow.domains import example1_domain
 
-from conftest import disk_points
+from conftest import disk_points, each_time
 
 
 class TestArcLength:
@@ -97,25 +98,46 @@ class TestHaymanWu:
 class TestLipschitzQuotient:
     def test_halfplane_orbit_sup(self):
         # gamma(t) = t/(2+t): sup of |gamma'| = 1/2 at t = 0
-        q = lipschitz_quotient(lambda t: complex(t / (2.0 + t)), 0.0, 100.0)
+        q = lipschitz_quotient(each_time(lambda t: complex(t / (2.0 + t))),
+                               0.0, 100.0)
         assert q.value == pytest.approx(0.5, abs=1e-6)
 
     def test_constant_curve(self):
-        q = lipschitz_quotient(lambda t: 1j, 0.0, 10.0)
+        q = lipschitz_quotient(each_time(lambda t: 1j), 0.0, 10.0)
         assert q.value == 0.0
 
     def test_exponential_decay(self):
         # gamma(t) = 0.5 e^{-t}: sup = |gamma'(0)| = 0.5
-        q = lipschitz_quotient(lambda t: complex(0.5 * math.exp(-t)), 0.0,
-                               10.0)
+        q = lipschitz_quotient(
+            each_time(lambda t: complex(0.5 * math.exp(-t))), 0.0, 10.0)
         assert q.value == pytest.approx(0.5, abs=1e-6)
 
     def test_skips_overflowed_samples(self):
         def sampler(t):
             return None if t > 5.0 else complex(t)
-        q = lipschitz_quotient(sampler, 0.0, 10.0)
+        q = lipschitz_quotient(each_time(sampler), 0.0, 10.0)
         assert q.skipped > 0
         assert q.value == pytest.approx(1.0, abs=1e-6)
+
+    def test_overflowing_difference_is_a_typed_overflow(self):
+        # |gamma(b) - gamma(a)| past the float range maps to exit 3
+        with pytest.raises(EvaluationError) as err:
+            lipschitz_quotient(
+                lambda ts: np.where(ts > 5.0, complex(1.5e308, 1.5e308), 0j),
+                0.0, 10.0)
+        assert err.value.overflow
+
+    def test_one_sampler_call_on_the_plan_times(self):
+        calls = []
+
+        def sample(ts):
+            calls.append(ts)
+            return ts.astype(complex)
+
+        q = lipschitz_quotient(sample, 0.0, 10.0)
+        assert len(calls) == 1 and calls[0].dtype == np.float64
+        assert calls[0] is analysis._pair_plan(0.0, 10.0).times
+        assert q.value == pytest.approx(1.0) and q.skipped == 0
 
 
 class TestForwardCertificate:
@@ -518,7 +540,9 @@ class TestConjugationTrends:
         conj = sg.conjugate(f)
         for z in disk_points(rng, 20, 0.7):
             zeta = f.evaluate(z)
-            q = lipschitz_quotient(orbit_point_sampler(conj, zeta), 0.0, 50.0)
+            w0 = conj.koenigs_image(zeta)
+            q = lipschitz_quotient(
+                lambda ts: conj.phi_from_image(ts, w0, zeta), 0.0, 50.0)
             w0 = sg.koenigs_image(z)
             bound = 4.0 * 1.5 / sg.omega.boundary_distance(w0)
             assert q.value <= bound * 1.05
@@ -530,8 +554,9 @@ class TestConjugationTrends:
 
         f = MapExpr((Mobius(1, 0, -1, 1),), source=unit_disk())
         conj = builtins["strip"].conjugate(f)
-        sampler = orbit_point_sampler(conj, 0j)
-        qs = [lipschitz_quotient(sampler, 0.0, T).value
+        w0 = conj.koenigs_image(0j)
+        qs = [lipschitz_quotient(lambda ts: conj.phi_from_image(ts, w0, 0j),
+                                 0.0, T).value
               for T in (10.0, 100.0, 1000.0)]
         assert qs[0] < qs[1] < qs[2]
         assert all(math.isfinite(q) for q in qs)

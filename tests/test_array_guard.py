@@ -40,7 +40,8 @@ ROUTE = {
                    "_distance_many", "boundary_distance_many"},
     "semigroup.py": {"phi_from_image"},
     "analysis.py": {"lipschitz_quotient", "_PairPlan", "_pair_plan",
-                    "forward_certificate"},
+                    "forward_certificate", "shift_classify"},
+    "audits.py": {"suite_backward"},
 }
 
 

@@ -18,14 +18,14 @@ import pytest
 
 from diskflow import analysis, catalog
 from diskflow.analysis import (Certificate, forward_certificate,
-                               lipschitz_quotient, orbit_point_sampler)
+                               lipschitz_quotient)
 from diskflow.confmap import (Affine, Exp, Log, MapExpr, Mobius, Power,
                               _ReImMath, complex_abs)
 from diskflow.domains import (ELLIPTIC, NONELLIPTIC, Disk, HalfPlane, Strip,
                               koenigs_flow, unit_disk)
 from diskflow.errors import DomainError, EvaluationError, ParameterError
 
-from conftest import disk_points
+from conftest import disk_points, each_time, scalar_orbit
 
 SPECIALS = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324,
             -5e-324, 2.2e-308, 1.7976931348623157e308, -1.7976931348623157e308,
@@ -392,7 +392,7 @@ class TestFlowAndStep:
     @pytest.mark.parametrize("name", sorted(SEMIGROUPS))
     def test_pullback_step_arrays_keep_the_bits(self, name):
         sg = SEMIGROUPS[name]
-        plan = analysis._certificate_plan()
+        plan = analysis._pair_plan(0.0, 100.0)
         rng = np.random.default_rng([17, len(name)])
         # the conjugated source f(D) is {Re > -1/2}
         radius = (0.5 if name == "strip_conjugated" else
@@ -430,7 +430,7 @@ class TestCertificates:
         rng = np.random.default_rng([18, len(name)])
         for z in disk_points(rng, 10, 0.8) + [catalog.builtin_start(name)]:
             cert = forward_certificate(sg, z)
-            q = lipschitz_quotient(orbit_point_sampler(sg, z), 0.0, 100.0)
+            q = lipschitz_quotient(each_time(scalar_orbit(sg, z)), 0.0, 100.0)
             assert repr(cert) == repr(Certificate(
                 cert.constant, q.value, q.value <= cert.constant * (1.0 + 5e-2)))
 
@@ -452,11 +452,22 @@ class TestCertificates:
         assert calls == [True] * 10
 
     def test_the_plan_is_shared_read_only(self):
-        plan = analysis._certificate_plan()
-        assert plan is analysis._certificate_plan()
+        plan = analysis._pair_plan(0.0, 100.0)
+        assert plan is analysis._pair_plan(0.0, 100.0)
         assert plan.times.size == 212
         with pytest.raises(ValueError):
             plan.times[0] = 1.0
+
+    def test_certificates_build_no_plan_after_the_first(self):
+        # a plan costs about half a certificate: a miss per certificate
+        # would add half again to each
+        sg = SEMIGROUPS["halfplane"]
+        forward_certificate(sg, 0j)
+        misses = analysis._pair_plan.cache_info().misses
+        rng = np.random.default_rng(20)
+        for z in disk_points(rng, 10, 0.8):
+            forward_certificate(sg, z)
+        assert analysis._pair_plan.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,25 @@
 """Forward certificates do their per-orbit work once, with the same bits.
 
-The orbit sampler evaluates h(z) once per orbit and pulls back through each
-semigroup's ``phi_from_image`` step; ``lipschitz_quotient`` samples each of
-its distinct times once; on an origin-centred disk the elliptic gap comes
-from ``Domain.spiral_gap`` rather than a polyline.  Each is pinned against
-the per-sample route it replaced.
+A certificate evaluates h(z) once per orbit and pulls back through the
+semigroup's ``phi_from_image`` step; ``lipschitz_quotient`` hands its
+sampler each of its distinct times once, in one array; on an origin-centred
+disk the elliptic gap comes from ``Domain.spiral_gap`` rather than a
+polyline.  Each is pinned against the per-sample route it replaced.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from diskflow import analysis, catalog
-from diskflow.analysis import (Quotient, forward_certificate,
-                               lipschitz_quotient, orbit_point_sampler)
+from diskflow.analysis import Quotient, forward_certificate, lipschitz_quotient
 from diskflow.confmap import MapExpr, Mobius
 from diskflow.domains import Disk, SpiralSector, unit_disk
 from diskflow.errors import EvaluationError, ParameterError
 
-from conftest import disk_points
+from conftest import disk_points, each_time, scalar_orbit
 
 
 def _reference_quotient(sampler, t0, t1):
@@ -80,10 +80,10 @@ def _recorded(sampler):
     return sample, calls
 
 
-def _quotient_times(t0, t1):
-    sample, calls = _recorded(lambda t: complex(t))
-    lipschitz_quotient(sample, t0, t1)
-    return calls
+def _orbit(sg, z):
+    """The array sampler of a certificate's orbit: one array pullback."""
+    w0 = sg.koenigs_image(z)
+    return lambda ts: sg.phi_from_image(ts, w0, z)
 
 
 def _conjugated(builtins):
@@ -112,7 +112,8 @@ class TestQuotientSamplesEachTimeOnce:
         fn, t0, t1 = self.ANALYTIC[case]
         new, new_calls = _recorded(fn)
         old, old_calls = _recorded(fn)
-        assert lipschitz_quotient(new, t0, t1) == _reference_quotient(old, t0, t1)
+        assert lipschitz_quotient(each_time(new), t0, t1) == \
+            _reference_quotient(old, t0, t1)
         assert new_calls == old_calls
         assert len(set(new_calls)) == len(new_calls)
 
@@ -121,69 +122,67 @@ class TestQuotientSamplesEachTimeOnce:
         sg = builtins[name]
         rng = np.random.default_rng([11, len(name)])
         for z in disk_points(rng, 3, 0.9) + [catalog.builtin_start(name)]:
-            sampler = orbit_point_sampler(sg, z)
-            q = lipschitz_quotient(sampler, 0.0, 100.0)
-            assert q == _reference_quotient(sampler, 0.0, 100.0)
+            q = lipschitz_quotient(_orbit(sg, z), 0.0, 100.0)
+            assert q == _reference_quotient(scalar_orbit(sg, z), 0.0, 100.0)
             assert q.pairs > 0
 
     def test_conjugated_overflow_skips_match_the_reference(self, builtins):
-        sampler = orbit_point_sampler(_conjugated(builtins), 0j)
-        q = lipschitz_quotient(sampler, 0.0, 1000.0)
+        conj = _conjugated(builtins)
+        q = lipschitz_quotient(_orbit(conj, 0j), 0.0, 1000.0)
         assert q.skipped > 0
-        assert q == _reference_quotient(sampler, 0.0, 1000.0)
+        assert q == _reference_quotient(scalar_orbit(conj, 0j), 0.0, 1000.0)
 
 
 class TestSamplerMatchesPhi:
+    @staticmethod
+    def _assert_phi_bits(sg, z, times):
+        """The array step at ``times`` has phi's bits, NaN where phi raises
+        EvaluationError; returns the number of NaN entries."""
+        nans = 0
+        got = _orbit(sg, z)(np.array(times))
+        for t, g in zip(times, got.tolist()):
+            try:
+                expected = sg.phi(t, z)
+            except EvaluationError:
+                assert cmath.isnan(g), (z, t)
+                nans += 1
+            else:
+                assert _same_bits(g, expected), (z, t)
+        return nans
+
     @pytest.mark.parametrize("name", sorted(catalog.BUILTIN_NAMES))
     def test_builtins_bit_for_bit(self, name, builtins):
         sg = builtins[name]
-        times = _quotient_times(0.0, 100.0)
+        times = analysis._pair_plan(0.0, 100.0).times.tolist()
         rng = np.random.default_rng([29, len(name)])
         for z in disk_points(rng, 3, 0.9):
-            sample = orbit_point_sampler(sg, z)
-            for t in times:
-                try:
-                    expected = sg.phi(t, z)
-                except EvaluationError:
-                    expected = None
-                assert _same_bits(sample(t), expected), (z, t)
+            self._assert_phi_bits(sg, z, times)
 
     def test_conjugated_bit_for_bit(self, builtins):
         conj = _conjugated(builtins)
         rng = np.random.default_rng(31)
         zetas = [0j] + [complex(x, y) for x, y in
                         zip(rng.uniform(-0.4, 0.4, 3), rng.uniform(-0.4, 0.4, 3))]
-        nones = 0
-        for zeta in zetas:
-            sample = orbit_point_sampler(conj, zeta)
-            for t in _quotient_times(0.0, 1000.0):
-                try:
-                    expected = conj.phi(t, zeta)
-                except EvaluationError:
-                    expected = None
-                got = sample(t)
-                nones += got is None
-                assert _same_bits(got, expected), (zeta, t)
-        assert nones > 0  # the pullback overflows past t ~ 700
+        times = analysis._pair_plan(0.0, 1000.0).times.tolist()
+        nans = sum(self._assert_phi_bits(conj, zeta, times) for zeta in zetas)
+        assert nans > 0  # the pullback overflows past t ~ 700
 
     def test_negative_time_is_a_parameter_error(self, builtins):
-        sample = orbit_point_sampler(builtins["halfplane"], 0j)
+        sample = _orbit(builtins["halfplane"], 0j)
         with pytest.raises(ParameterError):
-            sample(-1.0)
+            sample(np.array([0.0, -1.0]))
         with pytest.raises(ParameterError):
             builtins["halfplane"].phi_from_image(-1.0, 1.0 + 0j, 0j)
 
-    def test_overflowing_image_samples_none(self, monkeypatch, builtins):
+    def test_overflowing_image_is_a_typed_error(self, monkeypatch, builtins):
         sg = builtins["strip"]
 
         def overflow(self, z, check=True):
             raise EvaluationError("overflow", overflow=True)
 
         monkeypatch.setattr(MapExpr, "evaluate", overflow)
-        sample = orbit_point_sampler(sg, 0j)
-        assert sample(0.0) is None and sample(5.0) is None
-        with pytest.raises(ParameterError):
-            sample(-1.0)
+        with pytest.raises(EvaluationError):
+            forward_certificate(sg, 0j)
         with pytest.raises(EvaluationError):
             sg.phi(1.0, 0j)
 

@@ -9,8 +9,7 @@ from diskflow import (CrossValidationError, EvaluationError, HorizonError,
                       InversionError, MapExpr, ParameterError, Semigroup,
                       catalog, unit_disk)
 from diskflow.analysis import (OrbitTrack, backward_criterion,
-                               hayman_wu_audit, orbit_point_sampler,
-                               shift_classify)
+                               hayman_wu_audit, shift_classify)
 from diskflow.audits import _Masked
 from diskflow.confmap import Mobius, compose
 from diskflow.domains import HalfPlane, Strip, koenigs_flow
@@ -283,9 +282,10 @@ class TestConjugation:
     def test_orbit_sampler_handles_overflow(self, builtins):
         f = MapExpr((Mobius(1, 0, -1, 1),), source=unit_disk())
         conj = builtins["strip"].conjugate(f)
-        sample = orbit_point_sampler(conj, 0j)
-        assert sample(1.0) is not None
-        assert sample(1000.0) is None  # past the representable horizon
+        z1, z1000 = conj.phi_from_image(np.array([1.0, 1000.0]),
+                                        conj.koenigs_image(0j), 0j).tolist()
+        assert math.isfinite(z1.real) and math.isfinite(z1.imag)
+        assert math.isnan(z1000.real)  # past the representable horizon
 
     def test_conjugate_is_a_semigroup(self, builtins):
         sg = builtins["strip"]

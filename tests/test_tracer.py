@@ -2,21 +2,28 @@
 
 ``bench/tracer.py`` patches package attributes by name; a rename in the
 package makes ``install`` fail here instead of only under a traced bench
-run.  No timing is taken."""
+run, and a route that bypasses a patched name reads 0 here.  No timing is
+taken."""
 
 import sys
 from pathlib import Path
 
+from diskflow import analysis, catalog
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_install_wraps_and_uninstall_restores():
+def _tracer():
     sys.path.insert(0, str(BENCH))
     try:
         from tracer import Tracer
     finally:
         sys.path.remove(str(BENCH))
-    tracer = Tracer()
+    return Tracer()
+
+
+def test_install_wraps_and_uninstall_restores():
+    tracer = _tracer()
     tracer.install()
     try:
         patches = list(tracer._patches)
@@ -27,3 +34,14 @@ def test_install_wraps_and_uninstall_restores():
         tracer.uninstall()
     for owner, attr, original in patches:
         assert getattr(owner, attr) is original
+
+
+def test_certificate_quotients_are_counted():
+    tracer = _tracer()
+    tracer.install()
+    try:
+        analysis.forward_certificate(catalog.builtin_semigroup("halfplane"),
+                                     0j)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["analysis.lipschitz_quotient.pairs"] > 0
