@@ -115,37 +115,48 @@ class OrbitTrack:
 
 
 def backward_tail_grid(track: OrbitTrack, t_max: float = T_MAX_PROBE) -> list:
-    """Times accumulating at the horizon: t_j = T (1 - 2^-j), j <= 45, for
-    finite T, the doubling ``probe_schedule`` otherwise; both stop at the
-    first time that is not usable."""
+    """(t, delta_Omega(w(t))) pairs at times accumulating at the horizon:
+    t_j = T (1 - 2^-j), j <= 45, for finite T, the doubling
+    ``probe_schedule`` otherwise; both stop at the first time that is not
+    usable (see ``_probe``).  The first pair is t = 0, with delta None where
+    w0 is not a finite point of the domain.  Each delta is the one the probe
+    measured, for callers to reuse instead of measuring it again."""
+    probe0 = _probe(track.omega, track.w, 0.0)
+    pairs = [(0.0, None if probe0 is None else probe0[0])]
     horizon = track.horizon()
-    ts = [0.0]
     if horizon.finite:
         T = horizon.value
         for j in range(1, 46):
             t = T * (1.0 - 2.0 ** -j)
-            if t <= ts[-1]:
+            if t <= pairs[-1][0]:
                 continue
-            if not _usable_time(track, t):
+            probe = _probe(track.omega, track.w, t)
+            if probe is None or not probe[1]:
                 break
-            ts.append(t)
+            pairs.append((t, probe[0]))
     else:
-        ts.extend(t for t, _ in probe_schedule(track.omega, track.w, t_max))
-    return ts
+        pairs.extend(probe_schedule(track.omega, track.w, t_max))
+    return pairs
 
 
 def probe_schedule(omega: Domain, path: Callable[[float], complex],
                    t_max: float = T_MAX_PROBE, start: float = 1.0,
-                   collapse: bool = False):
+                   collapse: bool = False, measured: Optional[dict] = None):
     """Doubling probe times t = start, 2 start, 4 start, ... along the
     Koenigs-plane path w(t), yielded as (t, delta_Omega(w(t))).
 
     The one stop rule of every tail probe: t is finite and at most
     ``t_max``, and w(t) is a usable point of the domain (see ``_probe``).
     With ``collapse`` the first point of the domain that is not usable ends
-    the schedule as its last item."""
+    the schedule as its last item.  ``measured`` maps times to the probes
+    its caller has made of the same path in the same call; the schedule
+    takes the probe of t from it rather than measure w(t) again, so the
+    caller may add entries between items.  Each yielded delta is measured
+    once, and callers pass it on instead of measuring it again."""
+    measured = {} if measured is None else measured
     t = start
-    while t <= t_max and (probe := _probe(omega, path, t)) is not None:
+    while t <= t_max and (probe := measured.pop(t, None)
+                          or _probe(omega, path, t)) is not None:
         delta, usable = probe
         if usable or collapse:
             yield t, delta
@@ -172,11 +183,6 @@ def _probe(omega: Domain, path: Callable[[float], complex],
         return None
     return delta, (delta >= hypgeo.BOUNDARY_CUTOFF
                    and delta > 4.0 * math.ulp(abs(w)))
-
-
-def _usable_time(track: OrbitTrack, t: float) -> bool:
-    probe = _probe(track.omega, track.w, t)
-    return probe is not None and probe[1]
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +443,7 @@ class GeneratorTail:
 def backward_generator_limsup(sg: Semigroup, z: complex) -> GeneratorTail:
     """|G| along the backward orbit on a grid accumulating at T_z."""
     track = OrbitTrack.from_semigroup(sg, z)
-    ts = backward_tail_grid(track)
-    samples = tuple((t, track.g_abs(t)) for t in ts)
+    samples = tuple((t, track.g_abs(t)) for t, _ in backward_tail_grid(track))
     k = min(DEFAULT_HEURISTIC.window, len(samples))
     tail = [g for _, g in samples[-k:]]
     trend = _trend(tail, DEFAULT_HEURISTIC.monotone_rel_tol)
@@ -508,12 +513,15 @@ class CriterionReport:
         }
 
 
-def criterion_ratio(track: OrbitTrack, t: float,
-                    enclosure=None) -> Interval:
+def criterion_ratio(track: OrbitTrack, t: float, enclosure=None,
+                    delta=None, delta0=None) -> Interval:
     """The criterion ratio at one sample time, as an interval.
 
     Non-elliptic: lambda(h(z)-t) / exp(2 k(h(z), h(z)-t)); elliptic samples
     carry the exp(Re mu t) weight.  Endpoints combine in log space.
+    ``delta`` and ``delta0`` are delta_Omega(w(t)) and delta_Omega(w0) where
+    the caller has measured them (``backward_tail_grid`` gives both); each
+    one not given is measured here when the interval route needs it.
     """
     w = track.w(t)
     if not track.omega.contains(w):
@@ -522,12 +530,13 @@ def criterion_ratio(track: OrbitTrack, t: float,
     kernel = track.omega.criterion_kernel(track.w0, w)
     if kernel is not None:
         return Interval.exact(kernel * math.exp(weight))
-    lam = hypgeo.domain_density(track.omega, w)
+    lam = hypgeo.domain_density(track.omega, w, delta)
     if t == 0.0:
         dist = Interval.exact(0.0)
     else:
         dist = hypgeo.domain_distance(track.omega, track.w0, w,
-                                      enclosure=enclosure)
+                                      enclosure=enclosure, delta_z=delta0,
+                                      delta_w=delta)
     if lam.lo > 0 and math.isfinite(dist.hi):
         lo = math.exp(math.log(lam.lo) - 2.0 * dist.hi + weight)
     else:
@@ -553,15 +562,17 @@ def backward_criterion(track: OrbitTrack,
     threshold.  Anything else is Inconclusive.
     """
     horizon = track.horizon()
-    ts = backward_tail_grid(track, t_max=t_max)
+    grid = backward_tail_grid(track, t_max=t_max)
+    delta0 = grid[0][1]
     samples = []
     worst_slack = 0.0
     sandwich_ok = True
     checked = False
     zmod = track.z_modulus()
-    for t in ts:
+    for t, delta in grid:
         enc = enclosure_factory(t) if (enclosure_factory and t > 0) else None
-        ratio = criterion_ratio(track, t, enclosure=enc)
+        ratio = criterion_ratio(track, t, enclosure=enc, delta=delta,
+                                delta0=delta0)
         g = track.g_abs(t)
         if g is not None and zmod is not None:
             checked = True
@@ -655,11 +666,17 @@ def regularity_classify(track: OrbitTrack,
     if horizon.finite:
         return RegularityResult(FINITE_HORIZON, (), horizon.value, threshold)
     steps = []
-    # each step pairs t with t + 1, and both must lie within t_max
-    for t, _ in probe_schedule(track.omega, track.w, t_max - 1.0):
-        if not _usable_time(track, t + 1.0):
+    # each step pairs t with t + 1, and both must lie within t_max; the end
+    # probe of t = 1 is also the schedule's next probe
+    measured = {}
+    for t, delta in probe_schedule(track.omega, track.w, t_max - 1.0,
+                                   measured=measured):
+        end = _probe(track.omega, track.w, t + 1.0)
+        if end is None or not end[1]:
             break
-        k = hypgeo.domain_distance(track.omega, track.w(t), track.w(t + 1.0))
+        measured[t + 1.0] = end
+        k = hypgeo.domain_distance(track.omega, track.w(t), track.w(t + 1.0),
+                                   delta_z=delta, delta_w=end[0])
         steps.append((t, k))
     if len(steps) < 2:
         return RegularityResult(NON_REGULAR, tuple(steps), horizon.value,

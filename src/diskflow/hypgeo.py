@@ -228,32 +228,39 @@ def sin_logpoint(u: complex) -> UhpLogPoint:
 # ---------------------------------------------------------------------------
 
 
-def _check_interior(dom, w: complex) -> float:
+def _check_interior(dom, w: complex, delta=None) -> float:
+    """delta_Omega(w), or ``delta`` as given: a caller that measured it for
+    this point vouches that w lies in the domain.  Raises where delta is
+    below the machine boundary cutoff."""
     w = complex(w)
-    if not dom.contains(w):
-        raise DomainError(f"{w!r} is not in the domain {dom!r}")
-    delta = dom.boundary_distance(w)
+    if delta is None:
+        if not dom.contains(w):
+            raise DomainError(f"{w!r} is not in the domain {dom!r}")
+        delta = dom.boundary_distance(w)
     if delta < BOUNDARY_CUTOFF:
         raise DomainError(f"{w!r} is numerically on the boundary (delta={delta})")
     return delta
 
 
-def domain_density(dom, w: complex) -> Interval:
+def domain_density(dom, w: complex, delta=None) -> Interval:
     """Hyperbolic density of a simply connected domain, as an interval.
 
     Degenerate [v, v] when the domain's ``hyperbolic_density`` hook gives a
     value; otherwise (no closed form or exact map, or the map overflows far
-    out) the two-sided bound [1/(4 delta), 1/delta].
+    out) the two-sided bound [1/(4 delta), 1/delta].  ``delta`` is
+    delta_Omega(w) where the caller has measured it; else it is measured
+    here.
     """
     w = complex(w)
-    delta = _check_interior(dom, w)
+    delta = _check_interior(dom, w, delta)
     exact = dom.hyperbolic_density(w)
     if exact is not None:
         return Interval.exact(exact)
     return Interval.bounds(0.25 / delta, 1.0 / delta)
 
 
-def domain_distance(dom, z: complex, w: complex, enclosure=None) -> Interval:
+def domain_distance(dom, z: complex, w: complex, enclosure=None,
+                    delta_z=None, delta_w=None) -> Interval:
     """Hyperbolic distance between two points of a domain, as an interval.
 
     Exact (degenerate) when the domain's ``hyperbolic_distance`` hook gives
@@ -262,11 +269,13 @@ def domain_distance(dom, z: complex, w: complex, enclosure=None) -> Interval:
     and the upper bound is that hook on an enclosed subdomain: supplied as
     ``enclosure``, or the domain's ``rightward_half_strip`` for horizontal
     pairs in a domain convex in the positive direction.  When no enclosure
-    is available the upper endpoint is +inf.
+    is available the upper endpoint is +inf.  ``delta_z`` and ``delta_w``
+    are delta(z) and delta(w) where the caller has measured them; each one
+    not given is measured here.
     """
     z, w = complex(z), complex(w)
-    dz = _check_interior(dom, z)
-    dw = _check_interior(dom, w)
+    dz = _check_interior(dom, z, delta_z)
+    dw = _check_interior(dom, w, delta_w)
     if z == w:
         return Interval.exact(0.0)
 

@@ -343,8 +343,8 @@ class TestDomainArrays:
         re, im = _complexes(rng, 3000)
         re[:1500], im[:1500] = rng.normal(0, 2, (2, 1500))
         if dom.kind == "channel":
-            # no array formulas: the default loops over the scalar methods,
-            # which are slow far out, so few entries do
+            # no array distance: the default loops over the scalar method,
+            # which is slow far out, so few entries do
             re, im = re[1450:1550], im[1450:1550]
         zs = [complex(a, b) for a, b in zip(re.tolist(), im.tolist())]
         for method, many in (("contains", "contains_many"),
@@ -361,6 +361,49 @@ class TestDomainArrays:
                 except Exception as exc:
                     expected.append(type(exc))
             _assert_entries(f, got.tolist(), expected)
+
+
+    def test_log_cos_membership_keeps_the_bits(self):
+        # the edges of the strip |Im w| < pi/2 and of the tongue
+        # Re w > log cos(Im w), one ulp either side, and non-finite parts
+        dom = catalog.builtin_semigroup("channel").omega
+        rng = np.random.default_rng(16)
+        half = 0.5 * math.pi
+        ys = [half, math.nextafter(half, 0.0), math.nextafter(half, 4.0),
+              2.0, 3.5, 1e300, *rng.uniform(-1.6, 1.6, 300).tolist()]
+        ys += [-y for y in ys]
+        zs = [complex(x, y) for y in ys for x in rng.uniform(-5.0, 5.0, 2)]
+        for y in ys[6:12] + rng.uniform(-half, half, 100).tolist():
+            if abs(y) < half:
+                x = math.log(math.cos(y))
+                zs += [complex(x, y), complex(math.nextafter(x, -math.inf), y),
+                       complex(math.nextafter(x, math.inf), y)]
+        for a in (0.0, -40.0, math.inf, -math.inf, math.nan):
+            for b in (0.0, 1.0, half, math.inf, -math.inf, math.nan):
+                zs += [complex(a, b), complex(b, a)]
+        f = _ReImMath(len(zs))
+        got = dom.contains_many(f.complex(np.array([z.real for z in zs]),
+                                          np.array([z.imag for z in zs])))
+        assert got.tolist() == [dom.contains(z) for z in zs]
+        # math.log never meets the cosine of a point outside the strip,
+        # which is negative from |Im w| = 2 on and would fault the entry
+        assert not f.faults.any()
+
+    def test_channel_certificates_check_targets_on_the_pairs(
+            self, monkeypatch):
+        sg = SEMIGROUPS["channel"]
+        w0 = sg.koenigs_image(0.3 - 0.2j)
+        calls = []
+        contains = type(sg.omega).contains
+
+        def counted(self, w):
+            calls.append(w)
+            return contains(self, w)
+
+        monkeypatch.setattr(type(sg.omega), "contains", counted)
+        forward_certificate(sg, 0.3 - 0.2j)
+        # only the start's boundary distance asks the scalar test
+        assert calls == [w0]
 
 
 class TestFlowAndStep:
