@@ -16,7 +16,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -789,6 +789,9 @@ def shift_classify(sg: Semigroup, z: complex) -> ShiftResult:
 
 # audit disk radii are log-uniform in this range, times max(|w0|, 0.1)
 _AHLFORS_RADII = (0.05, 3.0)
+# grid points evaluated in one array call; the disks of a larger batch are
+# measured in runs of at most this many points, so memory stays bounded
+_GRID_POINTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -798,6 +801,9 @@ class SpiralSpec:
     w0: complex
     alpha: float
     beta: float
+    # the exponent alpha + i beta, formed once; point and the spiral-length
+    # kernel read it
+    mu: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w0 = complex(self.w0)
@@ -808,14 +814,15 @@ class SpiralSpec:
         if self.alpha == 0 and self.beta == 0:
             raise ParameterError("alpha = beta = 0 traces a single point")
         object.__setattr__(self, "w0", w0)
+        object.__setattr__(self, "mu", complex(self.alpha, self.beta))
 
     def point(self, t):
         """gamma(t).  A float t (np.float64 included) takes the cmath path,
         which rounds like NumPy's scalar path; an array keeps NumPy's array
         path, which rounds differently, so each input kind keeps its bits."""
         if isinstance(t, float):
-            return self.w0 * cmath.exp(complex(self.alpha, self.beta) * t)
-        return self.w0 * np.exp((self.alpha + 1j * self.beta) * t)
+            return self.w0 * cmath.exp(self.mu * t)
+        return self.w0 * np.exp(self.mu * t)
 
     def speed_factor(self) -> float:
         return math.hypot(self.alpha, self.beta)
@@ -831,16 +838,29 @@ class AhlforsResult:
     worst: Optional[dict] = None
 
 
-def _spiral_length_in_disk(spec: SpiralSpec, c: complex, r: float) -> float:
-    """Exact-by-pieces length of the spiral trace inside |w - c| < r.
+class _SpiralWindow(NamedTuple):
+    """The time window [t_enter, t_exit] in which the trace may cross the
+    edge of disk ``index``, gridded at n points; ``total`` is the length
+    found before it (the inside tail)."""
 
-    Crossing times are bracketed on a winding-resolved grid and bisected
-    until the midpoint rounds onto an end (at most 60 halvings); each inside
-    piece contributes (speed/|alpha|) |w0| |e^{a t1} - e^{a t2}|.  The
-    circle alpha = 0 takes the closed-form arc length.  An inward spiral
-    against a disk whose edge passes through its centre (r == |c|) is a
-    ParameterError: the tail crosses that edge infinitely often.
-    """
+    index: int
+    c: complex
+    r: float
+    total: float
+    t_enter: float
+    t_exit: float
+    n: int
+
+
+def _spiral_window(spec: SpiralSpec, c: complex, r: float):
+    """Plan the length of the trace inside |w - c| < r in scalar code:
+    (the length, None) where no crossing is left to find, else (the inside
+    tail's length, (t_enter, t_exit, n)): the window to grid at n points
+    and bisect.  Disks that need no grid take their length
+    here: the circle alpha = 0 in closed form, an annulus the trace misses,
+    a window holding only the inside tail, and a trace that reaches the
+    disk only past the float range of |w0| (measured from where it gets
+    there)."""
     a, b = spec.alpha, spec.beta
     speed = spec.speed_factor()
     mod0 = abs(spec.w0)
@@ -850,9 +870,9 @@ def _spiral_length_in_disk(spec: SpiralSpec, c: complex, r: float) -> float:
         # wholly inside gives 2 pi mod0 and one wholly outside gives 0
         rho = abs(c)
         if rho == 0.0:
-            return 2.0 * math.pi * mod0 if mod0 < r else 0.0
+            return (2.0 * math.pi * mod0 if mod0 < r else 0.0), None
         k = (mod0 * mod0 + rho * rho - r * r) / (2.0 * mod0 * rho)
-        return 2.0 * mod0 * math.acos(min(1.0, max(-1.0, k)))
+        return 2.0 * mod0 * math.acos(min(1.0, max(-1.0, k))), None
 
     # only times with |gamma| in [max(|c|-r, 0), |c|+r] can be inside
     hi_mod = abs(c) + r
@@ -872,7 +892,7 @@ def _spiral_length_in_disk(spec: SpiralSpec, c: complex, r: float) -> float:
                 f"spiral {spec} winds past the float range before it "
                 f"reaches the disk |w - {c}| < {r!r}")
         return _spiral_length_in_disk(SpiralSpec(cmath.rect(edge, turn), a, b),
-                                      c, r)
+                                      c, r), None
     if a < 0:
         t_enter = 0.0 if mod0 <= hi_mod else math.log(hi_mod / mod0) / a
         t_tail = None
@@ -893,7 +913,7 @@ def _spiral_length_in_disk(spec: SpiralSpec, c: complex, r: float) -> float:
         else:
             t_enter = 0.0
         if hi_mod < mod0:
-            return 0.0
+            return 0.0, None
         if hi_mod / mod0 == math.inf:
             raise ParameterError(
                 f"spiral {spec} leaves the disk |w - {c}| < {r!r} only past "
@@ -902,41 +922,126 @@ def _spiral_length_in_disk(spec: SpiralSpec, c: complex, r: float) -> float:
         t_tail = None
     t_enter = max(0.0, t_enter)
     if t_exit < t_enter:
-        return 0.0
+        return 0.0, None
 
     total = 0.0
     if t_tail is not None:
         # t_tail >= 0 and t_exit = t_tail: the window ends where the tail starts
         total += (speed / abs(a)) * mod0 * math.exp(a * t_tail)
     if t_exit <= t_enter:
-        return total
+        return total, None
 
     # winding-resolved grid
     span = t_exit - t_enter
     dt = min(math.pi / (6.0 * abs(b)) if b != 0 else span, span / 64.0)
     n = min(int(span / dt) + 2, 200000)
-    ts = np.linspace(t_enter, t_exit, n)
-    inside = np.abs(spec.point(ts) - c) < r
-    cross = []
-    for i in np.flatnonzero(inside[:-1] != inside[1:]):
-        lo_t, hi_t, lo_in = float(ts[i]), float(ts[i + 1]), bool(inside[i])
-        for _ in range(60):
+    return total, (t_enter, t_exit, n)
+
+
+def _grid(windows):
+    """Every window's np.linspace(t_enter, t_exit, n), concatenated, with
+    linspace's bits: arange * ((stop - start) / (n - 1)) + start, and the
+    last entry set to stop (linspace itself where that step is 0); and the
+    number of the window each entry belongs to."""
+    ns = np.array([w.n for w in windows])
+    starts = np.array([w.t_enter for w in windows])
+    stops = np.array([w.t_exit for w in windows])
+    steps = (stops - starts) / (ns - 1)
+    first = np.cumsum(ns) - ns
+    seg = np.repeat(np.arange(len(windows)), ns)
+    ts = (np.arange(len(seg)) - first[seg]) * steps[seg] + starts[seg]
+    ts[first + ns - 1] = stops
+    for k in np.flatnonzero(steps == 0.0).tolist():
+        ts[first[k]:first[k] + ns[k]] = np.linspace(starts[k], stops[k], ns[k])
+    return ts, seg
+
+
+def _measure_windows(spec: SpiralSpec, windows, lengths: list,
+                     halvings: list):
+    """Grid, bisect and sum the windows of one batch: one array evaluation
+    of the trace on all their grids, then a scalar bisection of every
+    crossing and the scalar sum of each disk's inside pieces, in order.
+    Each length is stored at its window's index; the halvings of each
+    crossing are appended to ``halvings``."""
+    ts, seg = _grid(windows)
+    cs = np.array([w.c for w in windows])
+    rs = np.array([w.r for w in windows])
+    inside = np.abs(spec.point(ts) - cs[seg]) < rs[seg]
+    # sign changes between neighbours on one window's grid
+    at = np.flatnonzero((inside[:-1] != inside[1:]) & (seg[:-1] == seg[1:]))
+    cross = [[] for _ in windows]
+    # w0 * exp(mu * t) below is SpiralSpec.point on a float, inlined: a
+    # method call per halving made the kernel about 20% slower
+    w0, mu, exp = spec.w0, spec.mu, cmath.exp
+    for k, lo_t, hi_t, lo_in in zip(seg[at].tolist(), ts[at].tolist(),
+                                    ts[at + 1].tolist(), inside[at].tolist()):
+        c, r = windows[k].c, windows[k].r
+        # bisect until the midpoint rounds onto an end; further halvings
+        # could only leave it where it is
+        for h in range(60):
             mid = 0.5 * (lo_t + hi_t)
             if mid == lo_t or mid == hi_t:
-                # further halvings could only leave the midpoint where it is
                 break
-            if (abs(spec.point(mid) - c) < r) == lo_in:
+            if (abs(w0 * exp(mu * mid) - c) < r) == lo_in:
                 lo_t = mid
             else:
                 hi_t = mid
-        cross.append(0.5 * (lo_t + hi_t))
-    marks = [t_enter] + cross + [t_exit]
-    for i in range(len(marks) - 1):
-        t_mid = 0.5 * (marks[i] + marks[i + 1])
-        if abs(spec.point(t_mid) - c) < r:
-            total += (speed / abs(a)) * mod0 * abs(math.exp(a * marks[i])
-                                                   - math.exp(a * marks[i + 1]))
-    return total
+        else:
+            h = 60
+        halvings.append(h)
+        cross[k].append(0.5 * (lo_t + hi_t))
+    a = spec.alpha
+    scale = (spec.speed_factor() / abs(a)) * abs(w0)
+    for win, found in zip(windows, cross):
+        c, r, total = win.c, win.r, win.total
+        marks = [win.t_enter] + found + [win.t_exit]
+        for i in range(len(marks) - 1):
+            t_mid = 0.5 * (marks[i] + marks[i + 1])
+            if abs(w0 * exp(mu * t_mid) - c) < r:
+                total += scale * abs(math.exp(a * marks[i])
+                                     - math.exp(a * marks[i + 1]))
+        lengths[win.index] = total
+
+
+def _spiral_lengths(spec: SpiralSpec, disks):
+    """Exact-by-pieces lengths of the spiral trace inside each disk
+    |w - c| < r of ``disks``, a sequence of (c, r), and the number of
+    halvings each crossing took, in grid order.
+
+    Each disk's window is planned in scalar code, in list order, so the
+    first disk that raises a ParameterError is the one reported.  Crossing
+    times are bracketed on winding-resolved grids, all of them evaluated in
+    one array call (one per _GRID_POINTS points), and bisected on Python
+    floats until the midpoint rounds onto an end (at most 60 halvings);
+    each inside piece contributes (speed/|alpha|) |w0| |e^{a t1} - e^{a t2}|.
+    The circle alpha = 0 takes the closed-form arc length.  An inward
+    spiral against a disk whose edge passes through its centre (r == |c|)
+    is a ParameterError: the tail crosses that edge infinitely often.
+    """
+    lengths = []
+    windows = []
+    for c, r in disks:
+        total, plan = _spiral_window(spec, c, r)
+        if plan is not None:
+            windows.append(_SpiralWindow(len(lengths), c, r, total, *plan))
+        lengths.append(total)
+    halvings = []
+    batch, size = [], 0
+    for win in windows:
+        if batch and size + win.n > _GRID_POINTS:
+            _measure_windows(spec, batch, lengths, halvings)
+            batch, size = [], 0
+        batch.append(win)
+        size += win.n
+    if batch:
+        _measure_windows(spec, batch, lengths, halvings)
+    return lengths, halvings
+
+
+def _spiral_length_in_disk(spec: SpiralSpec, c: complex, r: float) -> float:
+    """Length of the spiral trace inside |w - c| < r: the one-disk call of
+    the kernel ``_spiral_lengths``."""
+    return _spiral_lengths(spec, [(c, r)])[0][0]
 
 
 def ahlfors_audit(spec: SpiralSpec, n_disks: int = 1000,
@@ -952,19 +1057,26 @@ def ahlfors_audit(spec: SpiralSpec, n_disks: int = 1000,
         bound = math.inf
     else:
         bound = 2.0 * spec.speed_factor() / abs(spec.alpha)
-    rng = np.random.default_rng(seed)
+    # centers biased onto and near the trace, radii log-uniform; each disk's
+    # four uniforms come from one draw, row by row in the order that four
+    # Generator.uniform calls took them, and the radii keep NumPy's exp
+    u = np.random.default_rng(seed).random((n_disks, 4))
+
+    def uniform(k, lo, hi):
+        # Generator.uniform(lo, hi) computes lo + (hi - lo) * next_double
+        return lo + (hi - lo) * u[:, k]
+
+    t_refs = uniform(0, 0.0, 6.0 / max(abs(spec.alpha), 0.25)).tolist()
+    radii = (np.exp(uniform(1, math.log(r_lo), math.log(r_hi)))
+             * max(abs(spec.w0), 0.1)).tolist()
+    offsets = uniform(2, -0.8, 0.8).tolist()
+    turns = uniform(3, -math.pi, math.pi).tolist()
+    disks = [(spec.point(t_ref) + r * off * cmath.exp(1j * turn), r)
+             for t_ref, r, off, turn in zip(t_refs, radii, offsets, turns)]
+    lengths, _ = _spiral_lengths(spec, disks)
     sup = 0.0
     worst = None
-    mod0 = abs(spec.w0)
-    for _ in range(n_disks):
-        # centers biased onto and near the trace, radii log-uniform
-        t_ref = rng.uniform(0.0, 6.0 / max(abs(spec.alpha), 0.25))
-        base = spec.point(t_ref)
-        r = float(np.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
-                  * max(mod0, 0.1))
-        c = complex(base) + r * rng.uniform(-0.8, 0.8) * cmath.exp(
-            1j * rng.uniform(-math.pi, math.pi))
-        ell = _spiral_length_in_disk(spec, c, r)
+    for (c, r), ell in zip(disks, lengths):
         ratio = ell / r
         if ratio > sup:
             sup = ratio

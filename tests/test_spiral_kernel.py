@@ -1,13 +1,16 @@
 """The spiral-length kernel returns the bits of its 60-step predecessor.
 
-``analysis._spiral_length_in_disk`` finds the grid's sign changes with NumPy
-and bisects each crossing with the scalar ``SpiralSpec.point`` until the
-midpoint rounds onto an end.  ``_reference_length`` below is the kernel it
-replaced, kept verbatim apart from the evaluator: every scalar evaluation
-there went through NumPy's scalar path, and every crossing took exactly 60
-halvings.  Its circle branch (alpha = 0) samples one turn at 4096 points;
-the kernel now takes the arc length in closed form, which the samples
-approximate to within a few grid steps."""
+``analysis._spiral_lengths`` plans each disk's window in scalar code,
+evaluates the winding grids of all its disks in one array call, and
+bisects each crossing on Python floats with ``cmath`` until the midpoint
+rounds onto an end.  ``_spiral_length_in_disk`` is its one-disk call.
+``_reference_length`` below is the kernel it replaced, kept verbatim apart
+from the evaluator: every scalar evaluation there went through NumPy's
+scalar path, and every crossing took exactly 60 halvings.  Its circle
+branch (alpha = 0) samples one turn at 4096 points; the kernel now takes
+the arc length in closed form, which the samples approximate to within a
+few grid steps.  ``_reference_audit`` is ``ahlfors_audit`` before it drew
+and measured all its disks at once."""
 
 import cmath
 import math
@@ -15,7 +18,9 @@ import math
 import numpy as np
 import pytest
 
-from diskflow.analysis import SpiralSpec, _spiral_length_in_disk
+from diskflow import analysis
+from diskflow.analysis import (AhlforsResult, SpiralSpec, ahlfors_audit,
+                               _spiral_length_in_disk, _spiral_lengths)
 from diskflow.errors import ParameterError
 
 
@@ -90,7 +95,9 @@ def _reference_length(spec, c, r):
 
 
 # (w0, alpha, beta): both signs of alpha, the ray beta = 0, the circle
-# alpha = 0, slow and fast winding, and a base point off the unit circle
+# alpha = 0, slow and fast winding, a base point off the unit circle, and
+# |alpha| < 0.25 with |w0| < 0.1, where the audit clamps its reference-time
+# range and its radius scale
 SPECS = [
     (1.0 + 0j, -1.0, 1.0),
     (1.0 + 0j, 1.0, 1.0),
@@ -102,6 +109,8 @@ SPECS = [
     (1.0 + 0j, -0.26, 1.9),
     (0.3 - 0.7j, 1.7, -0.8),
     (2.5 + 1.0j, -0.4, 0.9),
+    (0.05 + 0.02j, -0.1, 1.3),
+    (0.03j, 0.2, -0.7),
 ]
 
 
@@ -130,9 +139,11 @@ def test_same_bits_as_the_sixty_step_kernel(w0, alpha, beta):
     spec = SpiralSpec(w0, alpha, beta)
     rng = np.random.default_rng([SPECS.index((w0, alpha, beta)), 5])
     n_disks = 40 if alpha == 0.0 else 200
+    disks = _disks(spec, rng, n_disks)
+    batched, _ = _spiral_lengths(spec, disks)
     positive = 0
-    for c, r in _disks(spec, rng, n_disks):
-        got = _spiral_length_in_disk(spec, c, r)
+    for (c, r), got in zip(disks, batched):
+        assert repr(_spiral_length_in_disk(spec, c, r)) == repr(got)
         want = _reference_length(spec, c, r)
         if alpha == 0.0:
             # two ends of the arc, each off by at most a grid step, and the
@@ -214,6 +225,22 @@ def test_array_point_keeps_numpy_array_path():
     assert got.tobytes() == _numpy_point(spec, ts).tobytes()
 
 
+def test_grid_has_linspace_bits():
+    # random windows, plus spans whose step underflows to 0, where linspace
+    # (and so the grid) switches to arange / (n - 1) * span
+    rng = np.random.default_rng(20261019)
+    windows = []
+    for k in range(300):
+        t0 = float(rng.uniform(0.0, 50.0)) if k % 3 else 0.0
+        span = float(np.exp(rng.uniform(-30.0, 5.0)))
+        windows.append((t0, t0 + span, int(rng.integers(2, 400))))
+    windows += [(0.0, 3 * 5e-324, 10), (0.0, 5e-324, 2), (1e-320, 2e-320, 7)]
+    ts, seg = analysis._grid([analysis._SpiralWindow(k, 0j, 1.0, 0.0, *w)
+                              for k, w in enumerate(windows)])
+    for k, (t0, t1, n) in enumerate(windows):
+        assert ts[seg == k].tobytes() == np.linspace(t0, t1, n).tobytes()
+
+
 def _calls(monkeypatch):
     point = SpiralSpec.point
     calls = []
@@ -229,40 +256,126 @@ def _calls(monkeypatch):
 @pytest.mark.parametrize("w0,alpha,beta", SPECS)
 def test_one_array_call_and_at_most_sixty_halvings(monkeypatch, w0, alpha,
                                                    beta):
+    # the bisection evaluates the trace inline, so the halvings are read
+    # from the kernel's own count, and SpiralSpec.point sees only the grid
     spec = SpiralSpec(w0, alpha, beta)
     rng = np.random.default_rng([SPECS.index((w0, alpha, beta)), 7])
     disks = _disks(spec, rng, 60)
     calls, point = _calls(monkeypatch)
-    gridded = crossings = halvings = 0
+    lengths, halvings = _spiral_lengths(spec, disks)
+    if alpha == 0.0:
+        assert not calls and not halvings         # closed form
+        return
+    # one grid evaluation for the whole batch, and no scalar evaluation
+    assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+    # one disk at a time: at most one grid each, its crossings are the sign
+    # changes on that grid, and the batch bisects each the same way
+    gridded, per_disk = 0, []
     for c, r in disks:
         del calls[:]
-        _spiral_length_in_disk(spec, c, r)
-        arrays = [t for t in calls if isinstance(t, np.ndarray)]
-        scalars = [t for t in calls if not isinstance(t, np.ndarray)]
-        assert all(type(t) is float for t in scalars)
-        if alpha == 0.0:
-            assert not arrays and not scalars     # closed form
-            continue
-        assert len(arrays) <= 1
-        if not arrays:
-            assert not scalars
+        length, counts = _spiral_lengths(spec, [(c, r)])
+        assert len(calls) <= 1
+        if not calls:
+            assert not counts
             continue
         gridded += 1
-        ts = arrays[0]
+        ts = calls[0]
         inside = np.abs(point(spec, ts) - c) < r
-        brackets = np.flatnonzero(inside[:-1] != inside[1:])
-        # one midpoint test per piece between crossings, after the bisections
-        assert len(scalars) >= len(brackets) + 1
-        bisections = scalars[:len(scalars) - len(brackets) - 1]
-        for i in brackets:
-            k = sum(ts[i] < t < ts[i + 1] for t in bisections)
-            assert 1 <= k <= 60
-        assert len(bisections) == sum(
-            sum(ts[i] < t < ts[i + 1] for t in bisections) for i in brackets)
-        crossings += len(brackets)
-        halvings += len(bisections)
-    if alpha != 0.0:
-        assert gridded > len(disks) // 2
-        assert crossings > 0
-        # float resolution comes before the cap of 60 on most crossings
-        assert halvings < 60 * crossings
+        assert len(counts) == np.count_nonzero(inside[:-1] != inside[1:])
+        per_disk += counts
+    assert halvings == per_disk
+    assert gridded > len(disks) // 2
+    assert halvings and all(1 <= h <= 60 for h in halvings)
+    # float resolution comes before the cap of 60 on most crossings
+    assert sum(halvings) < 60 * len(halvings)
+
+
+def _reference_audit(spec, n_disks=1000, seed=1234):
+    """ahlfors_audit before the batch kernel, verbatim: four
+    Generator.uniform draws per disk, one disk at a time."""
+    r_lo, r_hi = analysis._AHLFORS_RADII
+    trivial = spec.alpha == 0.0 or spec.beta == 0.0
+    if spec.alpha == 0.0:
+        bound = math.inf
+    else:
+        bound = 2.0 * spec.speed_factor() / abs(spec.alpha)
+    rng = np.random.default_rng(seed)
+    sup = 0.0
+    worst = None
+    mod0 = abs(spec.w0)
+    for _ in range(n_disks):
+        # centers biased onto and near the trace, radii log-uniform
+        t_ref = rng.uniform(0.0, 6.0 / max(abs(spec.alpha), 0.25))
+        base = spec.point(t_ref)
+        r = float(np.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
+                  * max(mod0, 0.1))
+        c = complex(base) + r * rng.uniform(-0.8, 0.8) * cmath.exp(
+            1j * rng.uniform(-math.pi, math.pi))
+        ell = _spiral_length_in_disk(spec, c, r)
+        ratio = ell / r
+        if ratio > sup:
+            sup = ratio
+            worst = {"center": [c.real, c.imag], "radius": r, "length": ell}
+    passed = sup <= bound * (1.0 + 1e-3)
+    return AhlforsResult(sup, bound, passed, trivial, n_disks, worst)
+
+
+@pytest.mark.parametrize("w0,alpha,beta", SPECS)
+def test_audit_equals_the_per_disk_loop(w0, alpha, beta):
+    spec = SpiralSpec(w0, alpha, beta)
+    for seed in (1, 2, 424259):
+        for n_disks in (1, 25, 1000):
+            assert repr(ahlfors_audit(spec, n_disks, seed)) == \
+                repr(_reference_audit(spec, n_disks, seed)), (seed, n_disks)
+
+
+def test_one_draw_call_keeps_the_uniform_and_exp_bits():
+    # Generator.uniform(lo, hi) is lo + (hi - lo) * next_double, so one
+    # random((n, 4)) call replays four uniform calls per disk; the radii
+    # then take NumPy's array exp where each disk took its scalar exp
+    n = 100_000
+    lo, hi = math.log(0.05), math.log(3.0)
+    one_by_one = np.random.default_rng(20261019)
+    drawn = [one_by_one.uniform(lo, hi) for _ in range(n)]
+    batched = lo + (hi - lo) * np.random.default_rng(20261019).random(n)
+    assert batched.tolist() == drawn
+    assert np.exp(batched).tolist() == [float(np.exp(x)) for x in drawn]
+
+
+_INWARD = SpiralSpec(1.0, -1.0, 1.0)
+_OUTWARD = SpiralSpec(1e-300, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("spec,disks", [
+    # r == |c| on an inward spiral: the tail crosses the edge without end
+    (_INWARD, [(0.4 + 0.1j, 0.3), (0.1 + 0.05j, 0.5), (0.5 + 0j, 0.5),
+               (2.0 + 0j, 1.0), (0.3 - 0.4j, 0.5), (0.2j, 0.7)]),
+    # an outward spiral that leaves the disk only past the float range
+    (_OUTWARD, [(1e10 + 0j, 1.0), (0j, 1e10), (5.0 + 0j, 1.0),
+                (1e-5 + 0j, 1e10), (3e4 + 0j, 2.0)]),
+])
+def test_first_failing_disk_in_list_order_raises(spec, disks):
+    def per_disk():
+        return [_spiral_length_in_disk(spec, c, r) for c, r in disks]
+
+    with pytest.raises(ParameterError) as want:
+        per_disk()
+    with pytest.raises(ParameterError) as got:
+        _spiral_lengths(spec, disks)
+    assert str(got.value) == str(want.value)
+    # the failing disks raise in either order, each with its own message
+    with pytest.raises(ParameterError) as rev:
+        _spiral_lengths(spec, disks[::-1])
+    assert str(rev.value) != str(got.value)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 11: crossing times t ~ log(d)/alpha carry an absolute "
+    "error of about ulp(t), and each piece |w0| |e^{a t1} - e^{a t2}| "
+    "cancels, so the length loses digits in proportion to d"))
+@pytest.mark.parametrize("d", [1e4, 1e8])
+def test_far_ray_measures_the_diameter(d):
+    # the ray through the diameter of the unit disk centred at d measures
+    # 2; the kernel reads 2 + 9.09e-12 at d = 1e4 and 2 - 1.79e-7 at 1e8
+    got = _spiral_length_in_disk(SpiralSpec(1.0, 1.0, 0.0), complex(d), 1.0)
+    assert abs(got - 2.0) <= 1e-14
