@@ -558,17 +558,12 @@ class MapExpr:
             raise DomainError(f"{z!r} is not in the map source")
         return self._evaluate_unchecked(z)
 
-    def _evaluate_unchecked(self, z: complex, f=None) -> complex:
-        """The value walk; ``f`` is the namespace of a _ReIm z (a complex
-        walks with one-argument primitive calls)."""
+    def _evaluate_unchecked(self, z: complex, f=_SCALAR) -> complex:
+        """The value walk; ``f`` is the namespace of z's number type."""
         w = z
         try:
-            if f is None:
-                for prim in self.chain:
-                    w = prim.evaluate(w)
-            else:
-                for prim in self.chain:
-                    w = prim.evaluate(w, f)
+            for prim in self.chain:
+                w = prim.evaluate(w, f)
         except _FLOAT_ERRORS as exc:
             raise _typed(exc, w) from exc
         return w
@@ -580,16 +575,12 @@ class MapExpr:
             raise DomainError(f"{z!r} is not in the map source")
         return self._jet(z)
 
-    def _jet(self, z: complex, f=None) -> tuple:
+    def _jet(self, z: complex, f=_SCALAR) -> tuple:
         w, deriv = z, 1.0 + 0.0j
         try:
             for prim in self.chain:
-                if f is None:
-                    deriv *= prim.derivative(w)
-                    w = prim.evaluate(w)
-                else:
-                    deriv *= prim.derivative(w, f)
-                    w = prim.evaluate(w, f)
+                deriv *= prim.derivative(w, f)
+                w = prim.evaluate(w, f)
         except _FLOAT_ERRORS as exc:
             raise _typed(exc, w) from exc
         return w, deriv
@@ -663,33 +654,27 @@ class MapExpr:
         return out
 
     def _accepts(self, z: _ReIm, w: _ReIm) -> np.ndarray:
-        """_closed_form_acceptable(z, w) of every entry, as a mask.  Its
-        stages catch their errors apart, so each stage reads only the faults
-        of what it computes."""
-        near = np.zeros(len(z.real), bool)
-        if self.source is not None:
-            zs = z.apart()
-            delta = self.source.boundary_distance_many(zs)
-            near = ~zs.f.faults & ~(delta > 1e-12)
-        zj = z.apart()
+        """The entries whose closed form _closed_form_acceptable(z, w)
+        accepts by proof: the forward jet faults, or the residual does not
+        overflow and lies within max(tol, noise).  Every entry this marks is
+        accepted by the scalar rule with the same bits; one it leaves
+        unmarked takes the scalar invert, which applies the whole rule."""
+        zj = z.apart()  # the jet's faults, read apart from the inversion's
         hz, dz = self._jet(zj, zj.f)
-        jet_failed = zj.f.faults
-        if not isinstance(dz, _ReIm):  # every primitive's derivative constant
-            dz = zj.f.complex(np.full(len(z.real), dz.real),
-                              np.full(len(z.real), dz.imag))
         resid, resid_overflow = (hz - w).hypot()
-        dz_abs, dz_overflow = dz.hypot()
-        z_abs, z_overflow = z.hypot()
-        noise = dz_abs * (1.0 + z_abs) * 1e-12
+        # np.hypot also takes dz where every derivative is a constant; an
+        # overflowing |dz| or |z| is an infinite noise, which accepts as
+        # the scalar rule's OverflowError does
+        noise = np.hypot(dz.real, dz.imag) * (1.0 + z.hypot()[0]) * 1e-12
         w_abs = w.hypot()[0]
         # Python's max(a, b) is b only where b > a
         tol = _ROUNDTRIP_TOL * np.where(w_abs > 1.0, w_abs, 1.0)
-        within = resid <= np.where(noise > tol, noise, tol)
-        return near | jet_failed | (~resid_overflow & (
-            dz_overflow | z_overflow | within))
+        return zj.f.faults | (~resid_overflow
+                              & (resid <= np.where(noise > tol, noise, tol)))
 
     def _closed_form_acceptable(self, z: complex, w: complex) -> bool:
-        # (_accepts mirrors this decision on arrays, stage by stage.)
+        # (_accepts marks a subset of what this accepts, on arrays; a
+        # tightening here must tighten it too.)
         # Near the source boundary a verified roundtrip would itself overflow;
         # the closed form is trusted there.
         if self.source is not None:

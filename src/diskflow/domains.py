@@ -173,22 +173,13 @@ class Domain:
     def _distance(self, w: complex) -> float:
         raise NotImplementedError
 
-    # The same queries over the map algebra's re/im pairs (confmap._ReIm),
-    # each entry with the scalar method's bits; an entry whose scalar call
+    # contains over the map algebra's re/im pairs (confmap._ReIm), each
+    # entry with the scalar method's bits; an entry whose scalar call
     # raises is marked a fault of the pairs.  By default the scalar method
-    # runs per entry; a kind with array formulas sets ``_distance_many``.
-
-    _distance_many = None
+    # runs per entry; a kind with an array formula overrides it.
 
     def contains_many(self, w) -> np.ndarray:
         return w.per_entry(self.contains, bool)
-
-    def boundary_distance_many(self, w) -> np.ndarray:
-        """boundary_distance(., strict=False) of every entry."""
-        if self._distance_many is None:
-            return w.per_entry(
-                lambda v: self.boundary_distance(v, strict=False), float)
-        return np.where(self.contains_many(w), self._distance_many(w), 0.0)
 
     # -- optional exact structure ---------------------------------------
     # The three hyperbolic hooks give a closed form where the kind has one,
@@ -370,9 +361,6 @@ class HalfPlane(Domain):
     def contains_many(self, w) -> np.ndarray:
         return self._rhp.evaluate(w).real > 0.0
 
-    def _distance_many(self, w) -> np.ndarray:
-        return self._rhp.evaluate(w).real
-
     @property
     def exact_map(self) -> MapExpr:
         # RHP -> D Moebius, preceded by the affine normalization
@@ -442,9 +430,6 @@ class Strip(Domain):
 
     def contains_many(self, w) -> np.ndarray:
         return abs(w.imag - self.center) < self.half_width
-
-    def _distance_many(self, w) -> np.ndarray:
-        return self.half_width - abs(w.imag - self.center)
 
     @property
     def exact_map(self) -> MapExpr:
@@ -579,9 +564,6 @@ class Disk(Domain):
 
     def contains_many(self, w) -> np.ndarray:
         return abs(w - self.center) < self.radius
-
-    def _distance_many(self, w) -> np.ndarray:
-        return self.radius - abs(w - self.center)
 
     @property
     def exact_map(self) -> Optional[MapExpr]:

@@ -36,8 +36,7 @@ PINNED = {
 # the array route: the whole of confmap, and these functions and classes
 ROUTE = {
     "confmap.py": None,
-    "domains.py": {"koenigs_flow", "_spiral_point", "contains_many",
-                   "_distance_many", "boundary_distance_many"},
+    "domains.py": {"koenigs_flow", "_spiral_point", "contains_many"},
     "semigroup.py": {"phi_from_image"},
     "analysis.py": {"lipschitz_quotient", "_PairPlan", "_pair_plan",
                     "forward_certificate", "shift_classify"},

@@ -23,7 +23,8 @@ from diskflow.confmap import (Affine, Exp, Log, MapExpr, Mobius, Power,
                               _ReImMath, complex_abs)
 from diskflow.domains import (ELLIPTIC, NONELLIPTIC, Disk, HalfPlane, Strip,
                               koenigs_flow, unit_disk)
-from diskflow.errors import DomainError, EvaluationError, ParameterError
+from diskflow.errors import (DomainError, EvaluationError, InversionError,
+                             ParameterError)
 
 from conftest import disk_points, each_time, scalar_orbit
 
@@ -301,19 +302,27 @@ def test_edge_entries_each_keep_the_outcome(name):
             _assert_invert_matches(sg.koenigs, ws, seed, False)
 
 
-@pytest.mark.parametrize("m", [
-    MapExpr((Exp(),)),                       # closed form Log: cut on (-inf, 0]
-    MapExpr((Log(1.0),)),
-    MapExpr((Power(0.5, 0.3), Affine(2.0, 1j))),
-    MapExpr((Mobius(1, 0, 1, 1),)),          # pole at z = -1
-], ids=["exp", "log", "power", "mobius"])
-def test_cuts_poles_and_branch_points(m):
+CUT_MAPS = {
+    "exp": MapExpr((Exp(),)),                # closed form Log: cut on (-inf, 0]
+    "log": MapExpr((Log(1.0),)),
+    "power": MapExpr((Power(0.5, 0.3), Affine(2.0, 1j))),
+    "mobius": MapExpr((Mobius(1, 0, 1, 1),)),  # pole at z = -1
+}
+
+
+def _cut_points():
     rng = np.random.default_rng(14)
     ws = [complex(x, y) for x, y in zip(rng.normal(0, 3, 2000), rng.normal(0, 3, 2000))]
     ws += [complex(x, s * 0.0) for x in (-3.0, -1.0, -1e-300, 0.0, 1.0)
            for s in (1.0, -1.0)]
     ws += [cmath.exp(1j * (math.pi - d)) for d in (0.0, 1e-14, 1e-13, 2e-13)]
     ws += [-1 + 0j, 1 + 0j, 1.5e308 + 0j, -1.5e308 + 1.5e308j]
+    return ws
+
+
+@pytest.mark.parametrize("m", CUT_MAPS.values(), ids=CUT_MAPS.keys())
+def test_cuts_poles_and_branch_points(m):
+    ws = _cut_points()
     _assert_each_entry_matches(m, ws[-20:], None, False)
     _assert_invert_matches(m, ws, None, False)
     _assert_invert_matches(m, ws, 0.5 + 0.5j, False)
@@ -324,6 +333,70 @@ def test_array_input_must_be_one_dimensional():
     with pytest.raises(ParameterError):
         h.invert(np.zeros((2, 2), complex))
     assert h.invert(np.zeros(0, complex)).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the array acceptance keeps one obligation: a subset of the scalar rule
+# ---------------------------------------------------------------------------
+
+
+def _filter_obligation(m, ws):
+    """Assert that every entry of ws whose closed form ``MapExpr._accepts``
+    marks, and which the scalar invert reaches with that closed form, is
+    accepted by ``_closed_form_acceptable``; count those entries, and the
+    entries whose closed form the scalar rule rejects."""
+    seen = []
+    accepts = MapExpr._accepts
+
+    def recorded(self, z, w):
+        mask = accepts(self, z, w)
+        seen.append((z.tolist(), mask.tolist()))
+        return mask
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MapExpr, "_accepts", recorded)
+        try:
+            m.invert(np.array(ws, dtype=complex), None, False)
+        except InversionError:
+            pass  # an entry the filter left failed on the scalar route
+    [(zs, mask)] = seen
+    marked = rejected = 0
+    for w, z, accepted in zip(ws, zs, mask):
+        try:
+            abs(w)  # the scalar invert's first step, as in invert
+            closed = m.inverted()._evaluate_unchecked(w)
+        except (OverflowError, EvaluationError):
+            continue  # the pairs faulted here: the entry was never done
+        if not cmath.isfinite(closed):
+            continue
+        assert repr(closed) == repr(z), w
+        if accepted:
+            assert m._closed_form_acceptable(closed, w), w
+            marked += 1
+        elif not m._closed_form_acceptable(closed, w):
+            rejected += 1
+    return marked, rejected
+
+
+@pytest.mark.parametrize("name", sorted(SEMIGROUPS))
+def test_the_filter_accepts_only_what_the_scalar_rule_accepts(name):
+    sg = SEMIGROUPS[name]
+    rng = np.random.default_rng([21, len(name)])
+    re, im = _complexes(rng, 2000)
+    ws = (_edge_points(sg) + _cut_points()
+          + [complex(a, b) for a, b in zip(re.tolist(), im.tolist())]
+          + sg.omega.interior_samples(500, 22))
+    marked, _ = _filter_obligation(sg.koenigs, ws)
+    assert marked > 500
+
+
+@pytest.mark.parametrize("name", sorted(CUT_MAPS))
+def test_the_filter_accepts_only_what_the_scalar_rule_accepts_on_cuts(name):
+    marked, rejected = _filter_obligation(CUT_MAPS[name], _cut_points())
+    assert marked > 500
+    if name in ("log", "power"):
+        # closed forms off the branch's image: the residual rejects them
+        assert rejected > 100
 
 
 # ---------------------------------------------------------------------------
@@ -338,29 +411,21 @@ class TestDomainArrays:
                catalog.builtin_semigroup("channel").omega]
 
     @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: repr(d)[:40])
-    def test_membership_and_distance_keep_the_bits(self, dom):
+    def test_membership_keeps_the_bits(self, dom):
         rng = np.random.default_rng(15)
         re, im = _complexes(rng, 3000)
         re[:1500], im[:1500] = rng.normal(0, 2, (2, 1500))
-        if dom.kind == "channel":
-            # no array distance: the default loops over the scalar method,
-            # which is slow far out, so few entries do
-            re, im = re[1450:1550], im[1450:1550]
         zs = [complex(a, b) for a, b in zip(re.tolist(), im.tolist())]
-        for method, many in (("contains", "contains_many"),
-                             ("boundary_distance", "boundary_distance_many")):
-            fn = getattr(dom, method)
-            args = () if method == "contains" else (False,)
-            f = _ReImMath(len(zs))
-            with np.errstate(all="ignore"):
-                got = getattr(dom, many)(f.complex(re, im))
-            expected = []
-            for z in zs:
-                try:
-                    expected.append(repr(fn(z, *args)))
-                except Exception as exc:
-                    expected.append(type(exc))
-            _assert_entries(f, got.tolist(), expected)
+        f = _ReImMath(len(zs))
+        with np.errstate(all="ignore"):
+            got = dom.contains_many(f.complex(re, im))
+        expected = []
+        for z in zs:
+            try:
+                expected.append(repr(dom.contains(z)))
+            except Exception as exc:
+                expected.append(type(exc))
+        _assert_entries(f, got.tolist(), expected)
 
 
     def test_log_cos_membership_keeps_the_bits(self):

@@ -318,8 +318,8 @@ def test_accepted_closed_form_walks_the_forward_chain_once(monkeypatch):
             fn = getattr(cls, name)
             monkeypatch.setattr(
                 cls, name,
-                lambda self, u, _fn=fn, _name=name: (
-                    calls.update([(id(self), _name)]), _fn(self, u))[1])
+                lambda self, u, f, _fn=fn, _name=name: (
+                    calls.update([(id(self), _name)]), _fn(self, u, f))[1])
     got = h.invert(w)
     assert abs(got - z) < 1e-12
     forward = [id(p) for p in h.chain]
