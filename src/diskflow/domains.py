@@ -522,9 +522,18 @@ class HalfStrip(Domain):
         return scale / (2.0 * math.cos(u.real))
 
     def hyperbolic_distance(self, z: complex, w: complex) -> float:
-        pz = hypgeo.sin_logpoint(self._halfstrip_coord(z))
-        pw = hypgeo.sin_logpoint(self._halfstrip_coord(w))
-        return hypgeo.uhp_distance_log(pz, pw)
+        z, w = complex(z), complex(w)
+        uz, uw = self._halfstrip_coord(z), self._halfstrip_coord(w)
+        if uz.imag > 30.0 and uw.imag > 30.0:
+            # both deep: depths from the shared abscissa mid, as Strip does,
+            # since w - left absorbs w once ulp(left) exceeds |w|
+            mid = 0.5 * (z.real + w.real)
+            scale = 0.5 * math.pi / self.half_width
+            return hypgeo.uhp_distance_log(
+                hypgeo.deep_sin_logpoint(uz.real, scale * (z.real - mid)),
+                hypgeo.deep_sin_logpoint(uw.real, scale * (w.real - mid)))
+        return hypgeo.uhp_distance_log(hypgeo.sin_logpoint(uz),
+                                       hypgeo.sin_logpoint(uw))
 
     def criterion_kernel(self, w0: complex, w: complex) -> float:
         k = self.hyperbolic_distance(w0, w)

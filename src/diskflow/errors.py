@@ -44,7 +44,9 @@ class HorizonError(DiskflowError):
 
 
 class CrossValidationError(DiskflowError):
-    """Pullback and ODE orbit traces disagree; carries diagnostics."""
+    """Two independent computations of one quantity disagree: pullback and
+    ODE orbit traces, or a distance's upper bound and its lower bound;
+    carries diagnostics."""
 
     def __init__(self, message, *, diagnostics=None):
         super().__init__(message)

@@ -20,10 +20,14 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ParameterError
+from .errors import CrossValidationError, DomainError, ParameterError
 
 BOUNDARY_CUTOFF = 1e-13
 _INFLATE = 1e-12
+# a distance's upper bound may fall below its lower bound by this many ulps
+# of the lower bound (9.1e-13 relative, inside _INFLATE) and is reconciled;
+# past it domain_distance raises CrossValidationError
+RECONCILE_ULPS = 4096
 
 
 def logsinh(x: float) -> float:
@@ -217,10 +221,22 @@ def sin_logpoint(u: complex) -> UhpLogPoint:
     a, b = u.real, u.imag
     if b <= 30.0:
         return UhpLogPoint.from_point(cmath.sin(u))
-    # sin(a+ib) = sin(a)cosh(b) + i cos(a)sinh(b) ~ (e^b/2)(sin a + i cos a);
-    # relative corrections are O(e^{-2b}) < 1e-26 here.
+    return deep_sin_logpoint(a, b)
+
+
+def deep_sin_logpoint(a: float, depth: float) -> UhpLogPoint:
+    """sin(a + ib) for b > 30 as a log-form UHP point, with its log-modulus
+    shifted by depth - b.
+
+    sin(a+ib) = sin(a)cosh(b) + i cos(a)sinh(b) ~ (e^b/2)(sin a + i cos a);
+    relative corrections are O(e^{-2b}) < 1e-26 here.  Two points given
+    their depths from one reference get the same shift, which leaves their
+    distance unchanged, and the depths keep digits that b itself, measured
+    from a far-away origin, has lost.
+    """
     w_dir = complex(math.sin(a), math.cos(a))
-    return UhpLogPoint(b - math.log(2.0) + math.log(abs(w_dir)), cmath.phase(w_dir))
+    return UhpLogPoint(depth - math.log(2.0) + math.log(abs(w_dir)),
+                       cmath.phase(w_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +313,13 @@ def domain_distance(dom, z: complex, w: complex, enclosure=None,
         if hi_val is not None:
             hi = hi_val
     if hi < lo:
-        # both are rigorous in exact arithmetic; reconcile fp slop
+        # both are rigorous in exact arithmetic: reconcile float slop, and
+        # raise on a larger gap, which only a wrong distance makes
+        if lo - hi > RECONCILE_ULPS * math.ulp(lo):
+            raise CrossValidationError(
+                f"distance upper bound {hi!r} lies below its lower bound "
+                f"{lo!r} for {z!r}, {w!r}",
+                diagnostics={"lo": lo, "hi": hi, "enclosure": repr(sub)})
         lo = hi = 0.5 * (lo + hi)
     return Interval.bounds(lo, hi)
 

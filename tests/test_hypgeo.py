@@ -3,12 +3,16 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from diskflow import (DomainError, HalfPlane, Interval, ParameterError,
-                      Strip, disk_density, disk_distance, domain_density,
-                      domain_distance, example1_domain)
+from diskflow import (CrossValidationError, DomainError, HalfPlane, Interval,
+                      ParameterError, Strip, catalog, disk_density,
+                      disk_distance, domain_density, domain_distance,
+                      example1_domain)
+from diskflow.audits import _Masked
+from diskflow.cli import main
 from diskflow.confmap import Mobius
 from diskflow.domains import Disk, HalfStrip
-from diskflow.hypgeo import logsinh, sin_logpoint, uhp_distance_log, UhpLogPoint
+from diskflow.hypgeo import (RECONCILE_ULPS, logsinh, sin_logpoint,
+                             uhp_distance_log, UhpLogPoint)
 
 from conftest import disk_points
 
@@ -164,6 +168,98 @@ class TestDomainDistance:
     def test_same_point(self):
         iv = domain_distance(Strip(1.0, 0.0), 0.2j, 0.2j)
         assert iv.lo == iv.hi == 0.0
+
+
+class _FixedEnclosure:
+    """An enclosure stub whose distance is the given value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def contains(self, w):
+        return True
+
+    def hyperbolic_distance(self, z, w):
+        return self.value
+
+
+class TestDeepHalfStrips:
+    """ROADMAP 8(c): ``w - left`` absorbed w once ulp(left) exceeded |w|, so
+    the half-strip distance collapsed (0.0 at left = -2^64), and
+    domain_distance reconciled the collapsed upper bound with its lower
+    bound."""
+
+    @pytest.mark.parametrize("n", [8, 32, 52, 64, 200, 500])
+    def test_example1_enclosures_keep_their_digits(self, n):
+        # on the axis the distance is 0.5 (logsinh(A) - logsinh(B)) with
+        # A = (pi n/2) 2^n and B = (pi n/2)(2^n - t): (A - B)/2 = pi n t/4
+        # up to e^{-2B}
+        t = n + 0.5
+        sigma = HalfStrip(left=-2.0 ** n, half_width=1.0 / n)
+        got = sigma.hyperbolic_distance(0j, complex(-t, 0.0))
+        assert got == pytest.approx(math.pi * n * t / 4.0, rel=1e-12)
+
+    def test_the_collapsed_distance(self):
+        sigma = HalfStrip(left=-2.0 ** 64, half_width=1.0 / 64)
+        assert sigma.hyperbolic_distance(0j, -64 + 0j) == \
+            pytest.approx(1024.0 * math.pi, rel=1e-12)
+        iv = domain_distance(example1_domain(40), 0j, -64 + 0j,
+                             enclosure=sigma)
+        assert iv.lo <= iv.hi
+        assert iv.hi == pytest.approx(1024.0 * math.pi, rel=1e-11)
+
+    def test_off_axis_pairs_near_the_left_end(self):
+        # left is near: w - left keeps its digits, and the depth form
+        # agrees with the form measured from left
+        sigma = HalfStrip(left=-100.0, half_width=1.0, center=0.25)
+        for z, w in ((-10 + 0.3j, -20 - 0.5j), (5 + 1.2j, -60 - 0.7j),
+                     (-70 + 0.9j, -70.5 - 0.74j)):
+            ref = uhp_distance_log(
+                sin_logpoint(sigma._halfstrip_coord(z)),
+                sin_logpoint(sigma._halfstrip_coord(w)))
+            assert sigma.hyperbolic_distance(z, w) == pytest.approx(ref, rel=1e-12)
+            assert sigma.hyperbolic_distance(w, z) == \
+                sigma.hyperbolic_distance(z, w)
+
+
+class TestBoundsThatCross:
+    Z, W = 0j, -4.0 + 0j
+
+    def lower_bound(self, dom):
+        # domain_distance's log bound, with r0 = delta = 1 on the axis
+        return (0.5 if dom.convex else 0.25) * math.log1p(abs(self.Z - self.W))
+
+    def test_a_collapsed_upper_bound_raises(self):
+        dom = _Masked(Strip(1.0, 0.0))
+        with pytest.raises(CrossValidationError):
+            domain_distance(dom, self.Z, self.W, enclosure=_FixedEnclosure(0.0))
+
+    def test_float_slop_is_reconciled_within_the_stated_ulps(self):
+        dom = _Masked(Strip(1.0, 0.0))
+        lo = self.lower_bound(dom)
+        hi = lo - RECONCILE_ULPS * math.ulp(lo)
+        iv = domain_distance(dom, self.Z, self.W, enclosure=_FixedEnclosure(hi))
+        assert iv.lo <= hi and lo <= iv.hi
+        with pytest.raises(CrossValidationError):
+            domain_distance(dom, self.Z, self.W,
+                            enclosure=_FixedEnclosure(hi - math.ulp(lo)))
+
+    def test_the_cli_exits_3(self, tmp_path, monkeypatch, capsys):
+        class Collapsed(HalfStrip):
+            def hyperbolic_distance(self, z, w):
+                return 0.0
+
+        original = catalog.example1_enclosure
+
+        def enclosure(t):
+            sigma = original(t)
+            return None if sigma is None else Collapsed(
+                sigma.left, sigma.half_width, sigma.center)
+
+        monkeypatch.setattr(catalog, "example1_enclosure", enclosure)
+        assert main(["examples", "--id", "1", "--tmax", "8",
+                     "--out", str(tmp_path)]) == 3
+        assert "lies below its lower bound" in capsys.readouterr().err
 
 
 class TestInterval:
