@@ -790,7 +790,8 @@ def shift_classify(sg: Semigroup, z: complex) -> ShiftResult:
 # audit disk radii are log-uniform in this range, times max(|w0|, 0.1)
 _AHLFORS_RADII = (0.05, 3.0)
 # grid points evaluated in one array call; the disks of a larger batch are
-# measured in runs of at most this many points, so memory stays bounded
+# measured in runs of at most this many points, so memory stays bounded,
+# and a window that needs more is a ParameterError
 _GRID_POINTS = 1 << 18
 
 
@@ -931,11 +932,18 @@ def _spiral_window(spec: SpiralSpec, c: complex, r: float):
     if t_exit <= t_enter:
         return total, None
 
-    # winding-resolved grid
+    # winding-resolved grid; a window shorter than 64 subnormal spacings
+    # (span / 64 underflows to 0) is gridded at its two ends
     span = t_exit - t_enter
     dt = min(math.pi / (6.0 * abs(b)) if b != 0 else span, span / 64.0)
-    n = min(int(span / dt) + 2, 200000)
-    return total, (t_enter, t_exit, n)
+    steps = span / dt if dt > 0.0 else 0.0
+    if steps + 2 > _GRID_POINTS:
+        # a coarser grid would alias the crossings
+        raise ParameterError(
+            f"spiral {spec} needs {steps:.3g} grid steps to resolve its "
+            f"winding through the disk |w - {c}| < {r!r}; at most "
+            f"{_GRID_POINTS - 2} are measured")
+    return total, (t_enter, t_exit, int(steps) + 2)
 
 
 def _grid(windows):

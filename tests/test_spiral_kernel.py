@@ -187,6 +187,32 @@ def test_inward_tail_through_a_disk_edge_at_the_centre_is_typed():
                                   0.5) == 0.0
 
 
+def test_a_window_past_the_grid_is_typed_not_aliased():
+    # 2.65e6 grid steps of at most 30 degrees of winding each: the old cap
+    # of 200000 points sampled the window at 6 turns a step and read
+    # 386333.8 (the whole window on its full grid reads 94525.1); the
+    # kernel measures at most _GRID_POINTS points a window
+    spec = SpiralSpec(1.0, -0.001, 1000.0)
+    with pytest.raises(ParameterError, match="grid steps"):
+        _spiral_length_in_disk(spec, 0.5 + 0j, 0.3)
+    with pytest.raises(ParameterError, match="grid steps"):
+        _spiral_lengths(spec, [(0.5 + 0j, 0.01), (0.5 + 0j, 0.3)])
+    # a window on a grid of 76406 points is measured as before
+    assert _spiral_length_in_disk(spec, 0.5 + 0j, 0.01) == \
+        _reference_length(spec, 0.5 + 0j, 0.01)
+
+
+def test_a_window_of_a_few_subnormals_is_measured_from_its_ends():
+    # span 1.1e-323: span / 64 underflowed to 0, and int(span / dt) raised
+    # a bare ZeroDivisionError.  The trace is the ray from 1 outward, so
+    # the length is r - 1, up to one step of exp(alpha t) between
+    # neighbouring subnormal times
+    spec = SpiralSpec(1.0, 1e308, 0.0)
+    r = 1.0 + 1e-15
+    got = _spiral_length_in_disk(spec, 0j, r)
+    assert abs(got - (r - 1.0)) <= spec.alpha * 5e-324
+
+
 @pytest.mark.parametrize("beta", [1.0, 1e-13, -2.0])
 def test_circle_arc_in_closed_form(beta):
     # |w| = 1 against |w +/- 1| < 0.5: the arc where cos(angle) > 7/8; the
