@@ -932,7 +932,7 @@ def _spiral_window(spec: SpiralSpec, c: complex, r: float):
     if t_exit <= t_enter:
         return total, None
 
-    # winding-resolved grid; a window shorter than 64 subnormal spacings
+    # winding-resolved grid; a window of at most 32 subnormal spacings
     # (span / 64 underflows to 0) is gridded at its two ends
     span = t_exit - t_enter
     dt = min(math.pi / (6.0 * abs(b)) if b != 0 else span, span / 64.0)

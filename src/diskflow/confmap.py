@@ -662,9 +662,9 @@ class MapExpr:
         zj = z.apart()  # the jet's faults, read apart from the inversion's
         hz, dz = self._jet(zj, zj.f)
         resid, resid_overflow = (hz - w).hypot()
-        # np.hypot also takes dz where every derivative is a constant; an
-        # overflowing |dz| or |z| is an infinite noise, which accepts as
-        # the scalar rule's OverflowError does
+        # np.hypot also takes dz where every derivative is a constant (a
+        # complex); an overflowing |dz| or |z| makes the noise infinite, and
+        # the scalar rule accepts there too
         noise = np.hypot(dz.real, dz.imag) * (1.0 + z.hypot()[0]) * 1e-12
         w_abs = w.hypot()[0]
         # Python's max(a, b) is b only where b > a

@@ -225,14 +225,14 @@ def sin_logpoint(u: complex) -> UhpLogPoint:
 
 
 def deep_sin_logpoint(a: float, depth: float) -> UhpLogPoint:
-    """sin(a + ib) for b > 30 as a log-form UHP point, with its log-modulus
-    shifted by depth - b.
+    """sin(a + ib), for some b > 30, as a log-form UHP point whose
+    log-modulus is shifted by depth - b.
 
     sin(a+ib) = sin(a)cosh(b) + i cos(a)sinh(b) ~ (e^b/2)(sin a + i cos a);
-    relative corrections are O(e^{-2b}) < 1e-26 here.  Two points given
-    their depths from one reference get the same shift, which leaves their
-    distance unchanged, and the depths keep digits that b itself, measured
-    from a far-away origin, has lost.
+    relative corrections are O(e^{-2b}) < 1e-26 here.  Points whose depths
+    are their b less one shared constant get the same shift, which leaves
+    their distances unchanged, and keep digits that b itself, measured from
+    a far-away origin, has lost.
     """
     w_dir = complex(math.sin(a), math.cos(a))
     return UhpLogPoint(depth - math.log(2.0) + math.log(abs(w_dir)),
