@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -52,9 +52,7 @@ class Heuristic:
     monotone_rel_tol: float = 1.0e-9
 
     def to_dict(self) -> dict:
-        return {"window": self.window, "growth_factor": self.growth_factor,
-                "abs_threshold": self.abs_threshold,
-                "monotone_rel_tol": self.monotone_rel_tol}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 DEFAULT_HEURISTIC = Heuristic()
@@ -167,10 +165,10 @@ def probe_schedule(omega: Domain, path: Callable[[float], complex],
 
 def _probe(omega: Domain, path: Callable[[float], complex],
            t: float) -> Optional[tuple]:
-    """(delta_Omega(w(t)), usable) when t is finite and w(t) is a finite
-    point of the domain, else None.  Usable: delta is at least the machine
-    boundary cutoff and above four float spacings of |w(t)|, so distance
-    bounds and enclosure fits still resolve the point."""
+    """(delta_Omega(w(t)), usable) when t is finite and w(t) is a point of
+    the domain with a finite modulus, else None.  Usable: delta is at least
+    the machine boundary cutoff and above four float spacings of |w(t)|, so
+    distance bounds and enclosure fits still resolve the point."""
     if not math.isfinite(t):
         return None
     try:
@@ -178,11 +176,12 @@ def _probe(omega: Domain, path: Callable[[float], complex],
         if not (cmath.isfinite(w) and omega.contains(w)):
             return None
         delta = omega.boundary_distance(w)
+        usable = (delta >= hypgeo.BOUNDARY_CUTOFF
+                  and delta > 4.0 * math.ulp(abs(w)))
     except (OverflowError, DiskflowError):
         # e.g. spiral traces past the representable modulus
         return None
-    return delta, (delta >= hypgeo.BOUNDARY_CUTOFF
-                   and delta > 4.0 * math.ulp(abs(w)))
+    return delta, usable
 
 
 # ---------------------------------------------------------------------------

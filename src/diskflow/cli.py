@@ -188,9 +188,7 @@ def _example1_report(truncation: int, tmax: float, seed: int) -> dict:
                   for t, d in probe_schedule(dom, track.w, min(tmax, 1024.0),
                                              start=2.0)]
 
-    report = backward_criterion(
-        track, enclosure_factory=catalog.example1_enclosure, t_max=tmax,
-        notes={"discrepancy": _EXAMPLE1_NOTE})
+    report = backward_criterion(track, t_max=tmax, **_criterion_extras(track))
     reg = regularity_classify(track, t_max=tmax)
     return {
         "truncation": truncation,

@@ -9,7 +9,6 @@ and leave hyperbolic quantities to interval bounds.
 from __future__ import annotations
 
 import cmath
-import inspect
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -168,7 +167,11 @@ class Domain:
             if strict:
                 raise DomainError(f"{w!r} is not in {self!r}")
             return 0.0
-        return self._distance(w)
+        try:
+            return self._distance(w)
+        except OverflowError as exc:
+            raise EvaluationError(f"the boundary distance of {w!r} leaves "
+                                  f"the float range", overflow=True) from exc
 
     def _distance(self, w: complex) -> float:
         raise NotImplementedError
@@ -176,7 +179,8 @@ class Domain:
     # contains over the map algebra's re/im pairs (confmap._ReIm), each
     # entry with the scalar method's bits; an entry whose scalar call
     # raises is marked a fault of the pairs.  By default the scalar method
-    # runs per entry; a kind with an array formula overrides it.
+    # runs per entry; a kind whose membership test is one expression that
+    # also runs on the pairs sets contains_many = contains.
 
     def contains_many(self, w) -> np.ndarray:
         return w.per_entry(self.contains, bool)
@@ -353,13 +357,12 @@ class HalfPlane(Domain):
         return self._rhp.evaluate(complex(w))
 
     def contains(self, w: complex) -> bool:
-        return self._rhp_coord(w).real > 0.0
+        return self._rhp.evaluate(w).real > 0.0
+
+    contains_many = contains
 
     def _distance(self, w: complex) -> float:
         return self._rhp_coord(w).real
-
-    def contains_many(self, w) -> np.ndarray:
-        return self._rhp.evaluate(w).real > 0.0
 
     @property
     def exact_map(self) -> MapExpr:
@@ -368,19 +371,24 @@ class HalfPlane(Domain):
                        target=unit_disk())
 
     def hyperbolic_density(self, w: complex) -> float:
-        return 1.0 / (2.0 * self._rhp_coord(w).real)
+        # 1 / (2 Re zeta) with the same bits, and not 0 where 2 Re zeta
+        # overflows
+        return 0.5 / self._rhp_coord(w).real
 
     def hyperbolic_distance(self, z: complex, w: complex) -> float:
         a, b = self._rhp_coord(z), self._rhp_coord(w)
         u = abs(a - b) ** 2 / (2.0 * a.real * b.real)
         return 0.5 * hypgeo._arccosh1p(u)
 
-    def criterion_kernel(self, w0: complex, w: complex) -> float:
-        # lambda(w) e^{-2k} = 2 Re zeta0 / (|zeta0 + conj(zeta)|^2 (1+r)^2)
+    def criterion_kernel(self, w0: complex, w: complex) -> Optional[float]:
+        # lambda(w) e^{-2k} = 2 Re zeta0 / (|zeta0 + conj(zeta)|^2 (1+r)^2);
+        # once the denominator overflows this reads 0 or NaN, so far out the
+        # callers take the density and distance hooks instead
         a, b = self._rhp_coord(w0), self._rhp_coord(w)
         q = abs(a + b.conjugate())
         r = abs(a - b) / q
-        return 2.0 * a.real / (q * q * (1.0 + r) ** 2)
+        den = q * q * (1.0 + r) ** 2
+        return 2.0 * a.real / den if math.isfinite(den) else None
 
     def is_convex_positive_exact(self) -> bool:
         return self.orientation != "left"
@@ -423,13 +431,12 @@ class Strip(Domain):
             raise ParameterError("strip half-width must be positive")
 
     def contains(self, w: complex) -> bool:
-        return abs(complex(w).imag - self.center) < self.half_width
+        return abs(w.imag - self.center) < self.half_width
+
+    contains_many = contains
 
     def _distance(self, w: complex) -> float:
         return self.half_width - abs(complex(w).imag - self.center)
-
-    def contains_many(self, w) -> np.ndarray:
-        return abs(w.imag - self.center) < self.half_width
 
     @property
     def exact_map(self) -> MapExpr:
@@ -451,7 +458,8 @@ class Strip(Domain):
         return 0.25 * math.pi / (a * math.cos(0.5 * math.pi * y / a))
 
     def hyperbolic_distance(self, z: complex, w: complex) -> float:
-        mid = 0.5 * (complex(z).real + complex(w).real)
+        # halves first: the sum of two abscissae past 2^1023 overflows
+        mid = 0.5 * complex(z).real + 0.5 * complex(w).real
         return hypgeo.uhp_distance_log(self._uhp_logpoint(z, mid),
                                        self._uhp_logpoint(w, mid))
 
@@ -527,7 +535,7 @@ class HalfStrip(Domain):
         if uz.imag > 30.0 and uw.imag > 30.0:
             # both deep: depths from the shared abscissa mid, as Strip does,
             # since w - left absorbs w once ulp(left) exceeds |w|
-            mid = 0.5 * (z.real + w.real)
+            mid = 0.5 * z.real + 0.5 * w.real
             scale = 0.5 * math.pi / self.half_width
             return hypgeo.uhp_distance_log(
                 hypgeo.deep_sin_logpoint(uz.real, scale * (z.real - mid)),
@@ -566,13 +574,12 @@ class Disk(Domain):
             raise ParameterError("disk radius must be positive")
 
     def contains(self, w: complex) -> bool:
-        return abs(complex(w) - self.center) < self.radius
+        return abs(w - self.center) < self.radius
+
+    contains_many = contains
 
     def _distance(self, w: complex) -> float:
         return self.radius - abs(complex(w) - self.center)
-
-    def contains_many(self, w) -> np.ndarray:
-        return abs(w - self.center) < self.radius
 
     @property
     def exact_map(self) -> Optional[MapExpr]:
@@ -697,7 +704,7 @@ class SlitStrip(Domain):
         return self.n_truncation
 
 
-# -- channel profiles --------------------------------------------------------
+# -- channels ----------------------------------------------------------------
 
 # The largest x whose math.exp is finite
 _EXP_X_MAX = math.log(sys.float_info.max)
@@ -718,51 +725,75 @@ def _log_cos(y):
     return np.log(np.cos(y))
 
 
-class _Profile:
-    """Boundary description of a channel kind: membership + boundary parts."""
+@dataclass(frozen=True)
+class Channel(Domain):
+    """Channel domain defined by a named profile.
 
-    name = "abstract"
+    ``Channel(profile=p, ...)`` builds p's kind, the subclass that
+    ``_PROFILES`` names and that answers the hooks; ``params`` are the
+    profile parameters the kind takes.
+    """
 
-    def contains(self, w: complex) -> bool:
-        raise NotImplementedError
+    profile: str = "inv_log"
+    profile_params: dict = field(default_factory=dict)
+    exact: Optional[MapExpr] = None
 
-    def contains_many(self, w) -> np.ndarray:
-        """``contains`` of every entry of confmap's re/im pairs."""
-        return w.per_entry(self.contains, bool)
+    kind = "channel"
+    params = ()
 
-    def distance(self, w: complex) -> float:
-        raise NotImplementedError
+    def __new__(cls, profile: str = "inv_log", *args, **kwargs):
+        # a kind's own __new__ (copy, pickle) keeps the kind
+        if cls is Channel:
+            cls = _PROFILES.get(profile, cls)
+        return super().__new__(cls)
 
-    def ray_horizon(self, w: complex):
-        raise NotImplementedError
+    def __post_init__(self):
+        if _PROFILES.get(self.profile) is not type(self):
+            raise ParameterError(f"unknown channel profile {self.profile!r}")
+        check_keys(self.profile_params, self.params, (),
+                   f"{self.profile} profile parameters")
+
+    def __repr__(self) -> str:
+        # every kind prints as the call that builds it
+        args = ", ".join(f"{f.name}={getattr(self, f.name)!r}"
+                         for f in fields(self) if f.repr)
+        return f"Channel({args})"
+
+    @property
+    def exact_map(self) -> Optional[MapExpr]:
+        return self.exact
+
+    def is_convex_positive_exact(self) -> bool:
+        # all shipped profiles have half-widths non-decreasing rightward
+        return True
 
     def imag_bounded(self) -> tuple:
         # the shipped channels open into a half-plane or widen without bound
         return (False, False)
 
-    def params(self) -> dict:
-        return {}
 
-
-class _SplicedLogProfile(_Profile):
+class _InvLogChannel(Channel):
     """Half-plane {Re > -1} spliced at x = -e with a 1/log channel.
 
     The exact profile 1/log|x| is used for x <= -e; on [-e, -1] the half-width
     blends linearly up to ``mouth_cap`` (the 1/log singularity at |x| = 1 is
-    never evaluated).  ``lower_drop`` = 1 gives the asymmetric variant with
-    lower edge -1 - 1/log|x|.
+    never evaluated).  The lower edge sits ``lower_drop`` below the mirror
+    image of the upper one.
     """
 
-    def __init__(self, mouth_cap: float = 2.0, lower_drop: float = 0.0):
+    params = ("mouth_cap",)
+    lower_drop = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        mouth_cap = self.profile_params.get("mouth_cap", 2.0)
         if json_number(mouth_cap, "mouth_cap") <= 1.0:
             raise ParameterError("mouth cap must exceed the profile value 1 at -e")
-        self.mouth_cap = float(mouth_cap)
-        self.lower_drop = float(lower_drop)
-        self.name = "inv_log" if lower_drop == 0.0 else "inv_log_below"
+        object.__setattr__(self, "mouth_cap", float(mouth_cap))
 
     def _upper(self, x):
         """Upper edge at x; an array of x takes NumPy and must lie in
-        x <= -e, the only part ``distance`` samples."""
+        x <= -e, the only part ``_distance`` samples."""
         if not isinstance(x, float):
             return 1.0 / np.log(-x)
         if x <= -_E:
@@ -780,8 +811,7 @@ class _SplicedLogProfile(_Profile):
             return True
         return self._lower(w.real) < w.imag < self._upper(w.real)
 
-    def distance(self, w: complex) -> float:
-        w = complex(w)
+    def _distance(self, w: complex) -> float:
         up_cap = self.mouth_cap
         lo_cap = -self.mouth_cap - self.lower_drop
         cands = []
@@ -803,27 +833,33 @@ class _SplicedLogProfile(_Profile):
             d0 = min(d0, dist_to_curve(w, lambda x: _graph(x, edge(x)), x_lo, x_hi))
         return d0
 
-    def ray_horizon(self, w: complex):
-        y = complex(w).imag
-        if self.lower_drop == 0.0:
-            if y == 0.0:
-                return ("infinite", None)
-        else:
-            if -1.0 <= y <= 0.0:
-                return ("infinite", None)
+    def backward_ray_horizon(self, w: complex):
+        # the leftward ray stays inside along the axis only
+        if complex(w).imag == 0.0:
+            return ("infinite", None)
         return ("exits", None)
 
-    def proposal(self, rng) -> complex:
+    def _proposal(self, rng) -> complex:
         return complex(rng.uniform(-8.0, 4.0), rng.uniform(-3.5, 2.5))
 
-    def params(self) -> dict:
+    def truncation(self):
         return {"mouth_cap": self.mouth_cap, "lower_drop": self.lower_drop}
 
 
-class _ExpProfile(_Profile):
-    """Two-sided exponential channel {|Im w| < exp(Re w)} (whole line)."""
+class _InvLogBelowChannel(_InvLogChannel):
+    """The asymmetric variant, with lower edge -1 - 1/log|x|; it contains
+    the strip {-1 < Im < 0}."""
 
-    name = "exp"
+    lower_drop = 1.0
+
+    def backward_ray_horizon(self, w: complex):
+        if -1.0 <= complex(w).imag <= 0.0:
+            return ("infinite", None)
+        return ("exits", None)
+
+
+class _ExpChannel(Channel):
+    """Two-sided exponential channel {|Im w| < exp(Re w)} (whole line)."""
 
     def contains(self, w: complex) -> bool:
         w = complex(w)
@@ -832,33 +868,32 @@ class _ExpProfile(_Profile):
             return True
         return w.real > math.log(abs(w.imag))
 
-    def distance(self, w: complex) -> float:
-        w = complex(w)
-        d0 = math.exp(min(w.real, 700.0)) - abs(w.imag)
-        # beyond _EXP_X_MAX the edges lie farther than d0 and math.exp
-        # overflows
-        x_hi = min(w.real + d0, _EXP_X_MAX)
-        x_lo = w.real - d0
+    def _distance(self, w: complex) -> float:
+        # d0, the distance to the edge point above x (above 700 past there,
+        # where math.exp is still finite), bounds delta; the edges within d0
+        # of w lie in x +/- d0, and beyond _EXP_X_MAX they lie farther
+        x, y = w.real, abs(w.imag)
+        d0 = math.exp(x) - y if x <= 700.0 else \
+            math.hypot(x - 700.0, math.exp(700.0) - y)
+        x_lo, x_hi = x - d0, min(x + d0, _EXP_X_MAX)
         d = dist_to_curve(w, lambda x: _graph(x, _exp(x)), x_lo, x_hi)
         return min(d, dist_to_curve(w, lambda x: _graph(x, -_exp(x)), x_lo, x_hi))
 
-    def ray_horizon(self, w: complex):
+    def backward_ray_horizon(self, w: complex):
         w = complex(w)
         if w.imag == 0.0:
             return ("infinite", None)
         return ("finite", w.real - math.log(abs(w.imag)))
 
-    def proposal(self, rng) -> complex:
+    def _proposal(self, rng) -> complex:
         x = rng.uniform(-4.0, 3.0)
         return complex(x, rng.uniform(-1, 1) * math.exp(x) * 0.999)
 
 
-class _LogCosProfile(_Profile):
+class _LogCosChannel(Channel):
     """{|Im w| < pi/2, Re w > log cos(Im w)}: the strip minus a leftward
     tongue pinching at the origin.  Exact image of the unit disk under a
     Moebius/log chain, so it supports an exact map (set by the caller)."""
-
-    name = "log_cos"
 
     def contains(self, w: complex) -> bool:
         w = complex(w)
@@ -876,82 +911,32 @@ class _LogCosProfile(_Profile):
         out[inside] = w.real[inside] > np.array(w.f.each(math.log, cos))
         return out
 
-    def distance(self, w: complex) -> float:
-        w = complex(w)
+    def _distance(self, w: complex) -> float:
         d0 = 0.5 * math.pi - abs(w.imag)
         y_max = 0.5 * math.pi * (1.0 - 1e-12)
-        y_lo, y_hi = -y_max, y_max
         d = dist_to_curve(w, lambda y: _graph(_log_cos(y), y),
-                          y_lo, y_hi, n0=1200)
+                          -y_max, y_max, n0=1200)
         return min(d0, d)
 
-    def ray_horizon(self, w: complex):
+    def backward_ray_horizon(self, w: complex):
         w = complex(w)
         return ("finite", w.real - math.log(math.cos(w.imag)))
 
     def imag_bounded(self) -> tuple:
         return (True, True)
 
-    def proposal(self, rng) -> complex:
+    def _proposal(self, rng) -> complex:
         return complex(rng.uniform(-4.0, 4.0),
                        rng.uniform(-1, 1) * 0.5 * math.pi * 0.999)
 
 
-# profile name -> the profile, built from its keyword parameters
+# profile name -> the kind Channel(profile=name) builds
 _PROFILES = {
-    "inv_log": lambda mouth_cap=2.0: _SplicedLogProfile(mouth_cap, 0.0),
-    "inv_log_below": lambda mouth_cap=2.0: _SplicedLogProfile(mouth_cap, 1.0),
-    "exp": _ExpProfile,
-    "log_cos": _LogCosProfile,
+    "inv_log": _InvLogChannel,
+    "inv_log_below": _InvLogBelowChannel,
+    "exp": _ExpChannel,
+    "log_cos": _LogCosChannel,
 }
-
-
-@dataclass(frozen=True)
-class Channel(Domain):
-    """Channel domain defined by a named profile."""
-
-    profile: str = "inv_log"
-    profile_params: dict = field(default_factory=dict)
-    exact: Optional[MapExpr] = None
-
-    kind = "channel"
-
-    def __post_init__(self):
-        if self.profile not in _PROFILES:
-            raise ParameterError(f"unknown channel profile {self.profile!r}")
-        build = _PROFILES[self.profile]
-        check_keys(self.profile_params, inspect.signature(build).parameters,
-                    (), f"{self.profile} profile parameters")
-        object.__setattr__(self, "_impl", build(**self.profile_params))
-
-    def contains(self, w: complex) -> bool:
-        return self._impl.contains(w)
-
-    def contains_many(self, w) -> np.ndarray:
-        return self._impl.contains_many(w)
-
-    def _distance(self, w: complex) -> float:
-        return self._impl.distance(w)
-
-    @property
-    def exact_map(self) -> Optional[MapExpr]:
-        return self.exact
-
-    def is_convex_positive_exact(self) -> bool:
-        # all shipped profiles have half-widths non-decreasing rightward
-        return True
-
-    def backward_ray_horizon(self, w: complex):
-        return self._impl.ray_horizon(w)
-
-    def imag_bounded(self) -> tuple:
-        return self._impl.imag_bounded()
-
-    def _proposal(self, rng) -> complex:
-        return self._impl.proposal(rng)
-
-    def truncation(self):
-        return self._impl.params() or None
 
 
 @dataclass(frozen=True)

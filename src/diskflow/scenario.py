@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -162,8 +162,7 @@ class Scenario:
         bwd = GridSpec.parse(data["backward_grid"], "backward_grid") \
             if "backward_grid" in data else None
 
-        DEFAULT = Heuristic()
-        heur = DEFAULT
+        heur = Heuristic()
         if "heuristic" in data:
             hd = data["heuristic"]
             if not isinstance(hd, dict):
@@ -172,14 +171,9 @@ class Scenario:
             check_keys(hd, keys, (), "heuristic")
             for key, value in hd.items():
                 json_number(value, f"heuristic.{key}")
-            heur = Heuristic(
-                window=int(hd.get("window", DEFAULT.window)),
-                growth_factor=float(hd.get("growth_factor",
-                                           DEFAULT.growth_factor)),
-                abs_threshold=float(hd.get("abs_threshold",
-                                           DEFAULT.abs_threshold)),
-                monotone_rel_tol=float(hd.get("monotone_rel_tol",
-                                              DEFAULT.monotone_rel_tol)))
+            # each value is cast to the type of its field's default
+            heur = Heuristic(**{f.name: type(f.default)(hd.get(f.name, f.default))
+                                for f in fields(Heuristic)})
             for key, value in heur.to_dict().items():
                 _check_bounds(value, keys[key], f"heuristic.{key}")
 

@@ -36,7 +36,8 @@ PINNED = {
 # the array route: the whole of confmap, and these functions and classes
 ROUTE = {
     "confmap.py": None,
-    "domains.py": {"koenigs_flow", "_spiral_point", "contains_many"},
+    "domains.py": {"koenigs_flow", "_spiral_point", "contains",
+                   "contains_many"},
     "semigroup.py": {"phi_from_image"},
     "analysis.py": {"lipschitz_quotient", "_PairPlan", "_pair_plan",
                     "forward_certificate", "shift_classify"},

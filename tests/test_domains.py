@@ -111,6 +111,14 @@ class TestExampleChannels:
         d = dom.boundary_distance(-10.0)
         assert d == pytest.approx(math.exp(-10.0), rel=1e-3)
 
+    def test_exp_channel_past_the_exp_cap(self):
+        # w sits level with the edge point above x = 700, beside the wall
+        # the edge forms there; the old bound e^700 - |Im w| read 0 and put
+        # the distance at the edge point above w, 1.5e306 away
+        dom = exp_channel_domain()
+        d = dom.boundary_distance(complex(705.0, math.exp(700.0)))
+        assert d == pytest.approx(5.0, rel=1e-9)
+
     def test_log_cos_channel(self):
         dom = Channel(profile="log_cos")
         assert dom.contains(math.log(2.0))
@@ -311,16 +319,38 @@ class TestSerialization:
     DOMS = [
         HalfPlane("upper", 0.5), Strip(2.0, -1.0), HalfStrip(-3.0, 0.25, 0.5),
         Disk(1 - 1j, 3.0), example1_domain(5), example2_domain(),
+        example3_domain(), exp_channel_domain(), Channel(profile="log_cos"),
         SpiralSector(mu=2.0 - 1.0j, half_angle=0.7),
     ]
 
-    @pytest.mark.parametrize("dom", DOMS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("dom", DOMS, ids=lambda d: d.kind if getattr(
+        d, "profile", "inv_log") == "inv_log" else f"{d.kind}-{d.profile}")
     def test_roundtrip(self, dom):
         clone = domain_from_dict(dom.to_dict())
+        assert clone == dom
         for w in dom.interior_samples(50, 23):
             assert clone.contains(w)
             assert clone.boundary_distance(w) == pytest.approx(
                 dom.boundary_distance(w), rel=1e-12)
+
+    @pytest.mark.parametrize("profile", ["inv_log", "inv_log_below", "exp",
+                                         "log_cos"])
+    def test_channel_kinds_print_as_channels(self, profile):
+        # error messages print the domain as the call that builds it
+        dom = Channel(profile=profile)
+        assert dom.kind == "channel"
+        assert repr(dom).startswith(f"Channel(convex=False, profile={profile!r}")
+        assert dom != Channel(profile="log_cos" if profile != "log_cos" else "exp")
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "channel", "profile": "sinc"},
+        {"kind": "channel", "profile": "exp", "profile_params": {"mouth_cap": 3}},
+        {"kind": "channel", "profile": "inv_log",
+         "profile_params": {"mouth_cap": 1.0}},
+    ], ids=["profile", "parameter", "mouth-cap"])
+    def test_bad_channel_rejected(self, spec):
+        with pytest.raises(ParameterError):
+            domain_from_dict(spec)
 
     def test_slit_list_schema(self):
         d = example1_domain(2).to_dict()

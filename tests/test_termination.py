@@ -12,7 +12,8 @@ import pytest
 
 from diskflow.analysis import OrbitTrack
 from diskflow.cli import main
-from diskflow.domains import dist_to_curve, example2_domain
+from diskflow.domains import (canonical_domain, dist_to_curve,
+                              example2_domain)
 from diskflow.errors import CrossValidationError
 from diskflow.semigroup import exit_time, integrate_complex
 
@@ -92,3 +93,37 @@ def test_ode_non_finite_error_estimate_collapses(field, z0):
     with deadline(10):
         with pytest.raises(CrossValidationError, match="collapsed"):
             integrate_complex(field, z0, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("domain,start_w,code", [
+    # |w| overflows: the start is probed as unusable, and the half-plane
+    # kernel, whose denominator overflows, leaves the sample to the density
+    ({"kind": "halfplane", "orientation": "upper", "offset": 0.0},
+     [1.5e308, 1.5e308], 0),
+    # every edge point the distance can see lies past the float range
+    ({"kind": "channel", "profile": "exp"}, [1.5e308, 0.5], 3),
+    # the strip's midpoint abscissa is formed from halves
+    ({"kind": "strip", "half_width": 1.0, "center": 0.0}, [1.5e308, 0.5], 0),
+])
+def test_starts_at_the_edge_of_the_float_range(domain, start_w, code,
+                                               tmp_path, capsys):
+    # these once ended in an uncaught OverflowError (exit 1) or in a NaN
+    # interval (exit 2)
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"type": "nonelliptic", "koenigs": None,
+                                  "domain": domain, "start_w": [start_w]}))
+    with deadline(30):
+        got = main(["criterion", "--config", str(config),
+                    "--out", str(tmp_path / "out")])
+    assert got == code
+    if code == 0:
+        report = json.loads(
+            (tmp_path / "out" / "criterion_p000.json").read_text())
+        (sample,) = report["samples"]
+        # the ratio at t = 0 is the density at the start
+        w = complex(*start_w)
+        expected = canonical_domain(**domain).hyperbolic_density(w)
+        assert 0.0 < sample["ratio_lo"] <= sample["ratio_hi"]
+        assert sample["ratio_hi"] == pytest.approx(expected, rel=1e-9)
+    else:
+        assert "float range" in capsys.readouterr().err
