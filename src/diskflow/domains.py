@@ -92,13 +92,17 @@ def dist_to_curve(w: complex, curve: Callable,
     path when it is not finite, when its interval meets a neighbour's, or
     when it meets the lowest interval.  Every other comparison decides alike
     on both paths, so the best sample and the local minima are those of
-    scalar sampling, bit for bit.  Each local minimum (endpoints included)
-    is refined on the scalar path by ternary search until the parameter
-    interval is below ``tol`` (also in absolute distance terms for
-    unit-scale data) or stops shrinking in floating point.
+    scalar sampling, bit for bit.  Equal parameters, as a window only a few
+    floats wide gives, are recomputed once.  Each local minimum (endpoints
+    included) is refined on the scalar path by ternary search until the
+    parameter interval is below ``tol`` (also in absolute distance terms for
+    unit-scale data) or stops shrinking in floating point; a bracket equal
+    to the one before it is refined once.  A scalar distance that passes
+    the float range counts as +inf, and ``EvaluationError`` is raised when
+    every one does.
     """
     if not s_hi > s_lo:
-        return abs(w - curve(s_lo))
+        return _finite(_sample_dist(w, curve, s_lo))
     ss = np.linspace(s_lo, s_hi, n0)
     # distances, not squares, which overflow once |w| passes about 1e154
     with np.errstate(all="ignore"):
@@ -114,21 +118,31 @@ def dist_to_curve(w: complex, curve: Callable,
     near = (d_lo[1:] <= d_hi[:-1]) & (d_lo[:-1] <= d_hi[1:])
     redo[:-1] |= near
     redo[1:] |= near
+    # the grid is sorted, so equal parameters (a window only a few floats
+    # wide) sit side by side and take one scalar value
+    s_prev = math.nan
     for i in np.flatnonzero(redo):
-        d[i] = abs(w - curve(ss[i]))
+        if ss[i] != s_prev:
+            s_prev, d_prev = ss[i], _sample_dist(w, curve, ss[i])
+        d[i] = d_prev
     best = float(d.min())
-    # bracket local minima (including the endpoints)
+    # bracket local minima (including the endpoints); a bracket equal to the
+    # one before refines to the same value
     at_min = np.ones(n0, dtype=bool)
     at_min[1:] &= d[1:] <= d[:-1]
     at_min[:-1] &= d[:-1] <= d[1:]
+    last = None
     for i in np.flatnonzero(at_min):
         # Python floats: the same IEEE steps as np.float64, done faster
         lo = float(ss[max(0, i - 1)])
         hi = float(ss[min(n0 - 1, i + 1)])
+        if (lo, hi) == last:
+            continue
+        last = (lo, hi)
         while hi - lo > tol:
             m1 = lo + (hi - lo) / 3.0
             m2 = hi - (hi - lo) / 3.0
-            if abs(w - curve(m1)) <= abs(w - curve(m2)):
+            if _sample_dist(w, curve, m1) <= _sample_dist(w, curve, m2):
                 if m2 == hi:
                     break
                 hi = m2
@@ -136,8 +150,24 @@ def dist_to_curve(w: complex, curve: Callable,
                 break
             else:
                 lo = m1
-        best = min(best, abs(w - curve(0.5 * (lo + hi))))
-    return best
+        best = min(best, _sample_dist(w, curve, 0.5 * (lo + hi)))
+    return _finite(best)
+
+
+def _sample_dist(w: complex, curve: Callable, s: float) -> float:
+    """|w - curve(s)| on the scalar path, or +inf where it passes the float
+    range: such a sample lies farther than any finite one."""
+    try:
+        return abs(w - curve(s))
+    except OverflowError:
+        return math.inf
+
+
+def _finite(d: float) -> float:
+    if d == math.inf:
+        raise EvaluationError("every distance to the curve leaves the float "
+                              "range", overflow=True)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +407,18 @@ class HalfPlane(Domain):
 
     def hyperbolic_distance(self, z: complex, w: complex) -> float:
         a, b = self._rhp_coord(z), self._rhp_coord(w)
-        u = abs(a - b) ** 2 / (2.0 * a.real * b.real)
+        den = 2.0 * a.real * b.real
+        try:
+            num = abs(a - b) ** 2
+        except OverflowError:
+            num = math.inf
+        if num == math.inf or den == math.inf:
+            # u = 8 (|a/4 - b/4| / (sqrt(Re a) sqrt(Re b)))^2, each factor
+            # in range where the square or the product is not
+            q = abs(0.25 * a - 0.25 * b) / math.sqrt(a.real) / math.sqrt(b.real)
+            u = 8.0 * q * q
+        else:
+            u = num / den
         return 0.5 * hypgeo._arccosh1p(u)
 
     def criterion_kernel(self, w0: complex, w: complex) -> Optional[float]:
@@ -507,8 +548,14 @@ class HalfStrip(Domain):
 
     def _halfstrip_coord(self, w: complex) -> complex:
         # u = i pi (w - left - i c) / (2 r): {|Re u| < pi/2, Im u > 0}
-        return 1j * math.pi * (complex(w) - self.left - 1j * self.center) \
+        w = complex(w)
+        u = 1j * math.pi * (w - self.left - 1j * self.center) \
             / (2.0 * self.half_width)
+        if not cmath.isfinite(u):
+            # the same u from halves, divided before the product with pi
+            u = 1j * math.pi * ((0.5 * w - 0.5 * self.left - 0.5j * self.center)
+                                / self.half_width)
+        return u
 
     @property
     def exact_map(self) -> MapExpr:
@@ -771,6 +818,41 @@ class Channel(Domain):
         # the shipped channels open into a half-plane or widen without bound
         return (False, False)
 
+    def _edges_distance(self, w: complex, d: float, x_lo: float,
+                        x_hi: float) -> float:
+        """min(d, the distances from w to the upper edge x + i upper(x) and
+        the lower edge x - i (upper(x) + lower_drop), x_lo <= x <= x_hi), for
+        the two-edge kinds, whose ``_upper`` is >= 0 on the window.
+
+        The upper edge lies in Im >= 0 and the lower one in Im <= -drop, so
+        the vertical gaps max(0, -Im w) and max(0, Im w + drop) bound the
+        distances to them.  The edges are measured nearest gap first, and an
+        edge whose gap exceeds the running distance cannot hold the minimum.
+        Without a drop the lower edge is the upper one's mirror image and is
+        measured as the upper edge seen from conj(w): |w - conj c| and
+        |conj w - c| round alike.  On the axis that is w itself, so one
+        measurement serves both edges.
+        """
+        def upper(x):
+            return _graph(x, self._upper(x))
+
+        drop = self.lower_drop
+        edges = [(max(0.0, -w.imag), w, upper)]
+        if drop != 0.0:
+            edges.append((max(0.0, w.imag + drop), w,
+                          lambda x: _graph(x, self._lower(x))))
+        elif w.imag != 0.0:
+            edges.append((max(0.0, w.imag), w.conjugate(), upper))
+        edges.sort(key=lambda e: e[0])
+        for gap, v, curve in edges:
+            # Rounding keeps |Im(v - c)| at or above the float gap, and
+            # hypot, within 1 ulp, keeps |v - c| there too; the factor
+            # leaves 4 ulps more before an edge counts as farther than d.
+            if gap * (1.0 - 2.0 ** -50) > d:
+                break
+            d = min(d, dist_to_curve(v, curve, x_lo, x_hi))
+        return d
+
 
 class _InvLogChannel(Channel):
     """Half-plane {Re > -1} spliced at x = -e with a 1/log channel.
@@ -826,12 +908,11 @@ class _InvLogChannel(Channel):
         cands.append(_dist_point_segment(w, complex(-_E, -1.0 - self.lower_drop),
                                          complex(-1.0, lo_cap)))
         d0 = min(cands)
-        # profile curves for x <= -e, on the window that can still matter
+        # profile curves for x <= -e, on the window that can still matter;
+        # there the upper edge has Im in (0, 1]
         x_hi = -_E
         x_lo = min(w.real - d0, x_hi - 1.0)
-        for edge in (self._upper, self._lower):
-            d0 = min(d0, dist_to_curve(w, lambda x: _graph(x, edge(x)), x_lo, x_hi))
-        return d0
+        return self._edges_distance(w, d0, x_lo, x_hi)
 
     def backward_ray_horizon(self, w: complex):
         # the leftward ray stays inside along the axis only
@@ -861,6 +942,9 @@ class _InvLogBelowChannel(_InvLogChannel):
 class _ExpChannel(Channel):
     """Two-sided exponential channel {|Im w| < exp(Re w)} (whole line)."""
 
+    _upper = staticmethod(_exp)
+    lower_drop = 0.0
+
     def contains(self, w: complex) -> bool:
         w = complex(w)
         # |y| < e^x  <=>  x > log|y|
@@ -876,8 +960,7 @@ class _ExpChannel(Channel):
         d0 = math.exp(x) - y if x <= 700.0 else \
             math.hypot(x - 700.0, math.exp(700.0) - y)
         x_lo, x_hi = x - d0, min(x + d0, _EXP_X_MAX)
-        d = dist_to_curve(w, lambda x: _graph(x, _exp(x)), x_lo, x_hi)
-        return min(d, dist_to_curve(w, lambda x: _graph(x, -_exp(x)), x_lo, x_hi))
+        return self._edges_distance(w, math.inf, x_lo, x_hi)
 
     def backward_ray_horizon(self, w: complex):
         w = complex(w)

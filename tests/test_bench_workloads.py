@@ -4,12 +4,16 @@
 fails here instead of only under a bench run.  Each workload's operation
 list is built at seed 1 and every operation runs once.  No timing is taken
 and no deadline is set: the bench's interval timer, left with the default
-handler, would end the test process."""
+handler, would end the test process.  The boundary-distance work of one
+``mapless_criterion`` pass is counted too, so that redundant edge or sample
+work fails here and not only as a slower bench run."""
 
 import sys
 from pathlib import Path
 
 import pytest
+
+from diskflow import domains
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -35,3 +39,26 @@ def test_every_operation_passes_its_check(name):
         if not passed:
             wrong.append(f"{op.label}: {record}")
     assert wrong == []
+
+
+def test_mapless_pass_measures_each_channel_edge_once(monkeypatch):
+    # a pass makes 177 channel boundary distances; on the parent they took
+    # 354 dist_to_curve calls (both edges everywhere) and 36,828 scalar
+    # curve evaluations
+    build, make_ops = _workloads().WORKLOADS["mapless_criterion"]
+    ops = make_ops(1, build())
+    count = {"calls": 0, "scalar": 0}
+    dist_to_curve = domains.dist_to_curve
+
+    def counted(w, curve, *args, **kwargs):
+        def scalar_counted(s):
+            if isinstance(s, float):
+                count["scalar"] += 1
+            return curve(s)
+        count["calls"] += 1
+        return dist_to_curve(w, scalar_counted, *args, **kwargs)
+    monkeypatch.setattr(domains, "dist_to_curve", counted)
+    for op in ops:
+        op.run()
+    assert count["calls"] == 188
+    assert count["scalar"] <= 36828 // 2

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from diskflow import (DomainError, ParameterError, canonical_domain,
                       is_spirallike, unit_disk)
 from diskflow.domains import (Channel, Disk, HalfPlane, HalfStrip,
                               SpiralSector, Strip, domain_from_dict)
+from diskflow import hypgeo
 from diskflow.confmap import Affine, MapExpr, Mobius
 from diskflow.hypgeo import disk_density, disk_distance, logsinh
 
@@ -148,6 +150,20 @@ class TestCanonical:
         z, w = complex(-1.0, 0.3), complex(0.5, -0.2)
         assert dom.hyperbolic_distance(z, w) == pytest.approx(
             disk_distance(f.evaluate(z), f.evaluate(w)), rel=1e-9)
+
+    def test_halfstrip_far_out_coordinate(self):
+        # i pi (w - left) overflowed before the division by 2r, and the
+        # half-strip enclosures of a far-out channel start read a NaN
+        # argument; a similar half-strip 2^20 times smaller measures it
+        big = HalfStrip(left=3.75e307, half_width=3.74625e307, center=0.5)
+        s = 2.0 ** -20
+        small = HalfStrip(left=3.75e307 * s, half_width=3.74625e307 * s,
+                          center=0.5 * s)
+        z, w = complex(1.5e308, 0.5), complex(7.5e307, 0.5)
+        assert big.hyperbolic_distance(z, w) == pytest.approx(
+            small.hyperbolic_distance(z * s, w * s), rel=1e-12)
+        assert big.hyperbolic_density(z) == pytest.approx(
+            small.hyperbolic_density(z * s) * s, rel=1e-12)
 
     def test_strip_density_quarter_pi(self):
         assert canonical_domain("strip", half_width=1.0).hyperbolic_density(
@@ -379,6 +395,29 @@ class TestHalfPlaneOrientations:
                 dom.hyperbolic_density(z), rel=1e-12)
             assert disk_distance(a, b) == pytest.approx(
                 dom.hyperbolic_distance(z, w), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("z,w", [(1e154, 1e155),
+                                     (1e160, 1e160 + 1e150),
+                                     (1e300 + 1e300j, 1e300 - 1e300j)])
+    def test_far_out_pairs_keep_their_distance(self, z, w):
+        # |a - b|^2 or 2 Re a Re b passes the float range: the first pair
+        # raised OverflowError, the second read 0.0
+        a, b = complex(z), complex(w)
+        dre, dim = Fraction(a.real) - Fraction(b.real), \
+            Fraction(a.imag) - Fraction(b.imag)
+        u = (dre ** 2 + dim ** 2) / (2 * Fraction(a.real) * Fraction(b.real))
+        # 0.5 arccosh(1 + u) = asinh(sqrt(u / 2)), which keeps small u
+        want = math.asinh(math.sqrt(u / 2))
+        assert HalfPlane("right").hyperbolic_distance(z, w) == \
+            pytest.approx(want, rel=1e-12)
+
+    def test_finite_pairs_keep_their_bits(self):
+        dom = HalfPlane("right")
+        pts = dom.interior_samples(100, 43)
+        for z, w in zip(pts, pts[1:]):
+            u = abs(z - w) ** 2 / (2.0 * z.real * w.real)
+            assert dom.hyperbolic_distance(z, w) == \
+                0.5 * hypgeo._arccosh1p(u)
 
     def test_lower_offset_maps_into_the_disk(self):
         # the exact map used to shift by -c instead of +c

@@ -13,7 +13,7 @@ import pytest
 from diskflow.analysis import OrbitTrack
 from diskflow.cli import main
 from diskflow.domains import (canonical_domain, dist_to_curve,
-                              example2_domain)
+                              example2_domain, exp_channel_domain)
 from diskflow.errors import CrossValidationError
 from diskflow.semigroup import exit_time, integrate_complex
 
@@ -95,35 +95,48 @@ def test_ode_non_finite_error_estimate_collapses(field, z0):
             integrate_complex(field, z0, [0.0, 1.0])
 
 
-@pytest.mark.parametrize("domain,start_w,code", [
-    # |w| overflows: the start is probed as unusable, and the half-plane
-    # kernel, whose denominator overflows, leaves the sample to the density
-    ({"kind": "halfplane", "orientation": "upper", "offset": 0.0},
-     [1.5e308, 1.5e308], 0),
-    # every edge point the distance can see lies past the float range
-    ({"kind": "channel", "profile": "exp"}, [1.5e308, 0.5], 3),
-    # the strip's midpoint abscissa is formed from halves
-    ({"kind": "strip", "half_width": 1.0, "center": 0.0}, [1.5e308, 0.5], 0),
-])
-def test_starts_at_the_edge_of_the_float_range(domain, start_w, code,
-                                               tmp_path, capsys):
-    # these once ended in an uncaught OverflowError (exit 1) or in a NaN
-    # interval (exit 2)
+def _criterion_report(domain, start_w, tmp_path):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps({"type": "nonelliptic", "koenigs": None,
                                   "domain": domain, "start_w": [start_w]}))
     with deadline(30):
-        got = main(["criterion", "--config", str(config),
-                    "--out", str(tmp_path / "out")])
-    assert got == code
-    if code == 0:
-        report = json.loads(
-            (tmp_path / "out" / "criterion_p000.json").read_text())
-        (sample,) = report["samples"]
-        # the ratio at t = 0 is the density at the start
-        w = complex(*start_w)
-        expected = canonical_domain(**domain).hyperbolic_density(w)
-        assert 0.0 < sample["ratio_lo"] <= sample["ratio_hi"]
-        assert sample["ratio_hi"] == pytest.approx(expected, rel=1e-9)
-    else:
-        assert "float range" in capsys.readouterr().err
+        code = main(["criterion", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    return json.loads((tmp_path / "out" / "criterion_p000.json").read_text())
+
+
+@pytest.mark.parametrize("domain,start_w", [
+    # |w| overflows: the start is probed as unusable, and the half-plane
+    # kernel, whose denominator overflows, leaves the sample to the density
+    ({"kind": "halfplane", "orientation": "upper", "offset": 0.0},
+     [1.5e308, 1.5e308]),
+    # the strip's midpoint abscissa is formed from halves
+    ({"kind": "strip", "half_width": 1.0, "center": 0.0}, [1.5e308, 0.5]),
+])
+def test_starts_at_the_edge_of_the_float_range(domain, start_w, tmp_path):
+    # these once ended in an uncaught OverflowError (exit 1) or in a NaN
+    # interval (exit 2)
+    report = _criterion_report(domain, start_w, tmp_path)
+    (sample,) = report["samples"]
+    # the ratio at t = 0 is the density at the start
+    w = complex(*start_w)
+    expected = canonical_domain(**domain).hyperbolic_density(w)
+    assert 0.0 < sample["ratio_lo"] <= sample["ratio_hi"]
+    assert sample["ratio_hi"] == pytest.approx(expected, rel=1e-9)
+
+
+def test_exp_channel_start_at_the_edge_of_the_float_range(tmp_path):
+    # once an OverflowError (exit 1), then an EvaluationError (exit 3) from
+    # the window's top edge sample, 1.8e308 above the axis; that sample only
+    # lies farther than the others.  The half-strip enclosures around the
+    # start then need their coordinate formed from halves (a NaN, exit 2).
+    w = complex(1.5e308, 0.5)
+    delta = exp_channel_domain().boundary_distance(w)
+    report = _criterion_report({"kind": "channel", "profile": "exp"},
+                               [w.real, w.imag], tmp_path)
+    first = report["samples"][0]
+    # at t = 0 the ratio is the density, which 1/(4 delta) and 1/delta bound
+    assert first["t"] == 0.0
+    assert 0.25 / delta <= first["ratio_lo"] * (1 + 1e-9)
+    assert first["ratio_lo"] <= first["ratio_hi"] <= (1.0 / delta) * (1 + 1e-9)
