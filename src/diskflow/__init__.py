@@ -17,10 +17,10 @@ from .analysis import (
     ahlfors_audit,
     arc_length,
     backward_criterion,
-    backward_generator_limsup,
     bilipschitz_probe,
     euclidean_sufficient_test,
     forward_certificate,
+    generator_tail,
     hayman_wu_audit,
     lipschitz_quotient,
     regularity_classify,

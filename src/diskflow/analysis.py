@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -114,53 +115,54 @@ class OrbitTrack:
 
 def backward_tail_grid(track: OrbitTrack, t_max: float = T_MAX_PROBE) -> list:
     """(t, delta_Omega(w(t))) pairs at times accumulating at the horizon:
-    t_j = T (1 - 2^-j), j <= 45, for finite T, the doubling
-    ``probe_schedule`` otherwise; both stop at the first time that is not
-    usable (see ``_probe``).  The first pair is t = 0, with delta None where
-    w0 is not a finite point of the domain.  Each delta is the one the probe
-    measured, for callers to reuse instead of measuring it again."""
+    t_j = T (1 - 2^-j), j <= 45, for finite T, the doubling times up to
+    ``t_max`` otherwise, walked by ``probe_schedule``.  The first pair is
+    t = 0, with delta None where w0 is not a finite point of the domain.
+    Each delta is the one the probe measured, for callers to reuse instead
+    of measuring it again."""
     probe0 = _probe(track.omega, track.w, 0.0)
-    pairs = [(0.0, None if probe0 is None else probe0[0])]
     horizon = track.horizon()
     if horizon.finite:
-        T = horizon.value
-        for j in range(1, 46):
-            t = T * (1.0 - 2.0 ** -j)
-            if t <= pairs[-1][0]:
-                continue
-            probe = _probe(track.omega, track.w, t)
-            if probe is None or not probe[1]:
-                break
-            pairs.append((t, probe[0]))
+        times = (horizon.value * (1.0 - 2.0 ** -j) for j in range(1, 46))
     else:
-        pairs.extend(probe_schedule(track.omega, track.w, t_max))
-    return pairs
+        times = doubling(1.0, t_max)
+    return [(0.0, None if probe0 is None else probe0[0]),
+            *probe_schedule(track.omega, track.w, times)]
+
+
+def doubling(start: float, t_max: float):
+    """The doubling times start, 2 start, 4 start, ... up to ``t_max``,
+    ending before the first that is not finite."""
+    t = start
+    while t <= t_max and math.isfinite(t):
+        yield t
+        t *= 2.0
 
 
 def probe_schedule(omega: Domain, path: Callable[[float], complex],
-                   t_max: float = T_MAX_PROBE, start: float = 1.0,
-                   collapse: bool = False, measured: Optional[dict] = None):
-    """Doubling probe times t = start, 2 start, 4 start, ... along the
-    Koenigs-plane path w(t), yielded as (t, delta_Omega(w(t))).
+                   times: Iterable[float], collapse: bool = False):
+    """(t, delta_Omega(w(t))) along the Koenigs-plane path w(t) at the
+    increasing positive ``times``; a time not above the one before it is
+    skipped, so a stream that names a time twice probes it once.
 
-    The one stop rule of every tail probe: t is finite and at most
-    ``t_max``, and w(t) is a usable point of the domain (see ``_probe``).
-    With ``collapse`` the first point of the domain that is not usable ends
-    the schedule as its last item.  ``measured`` maps times to the probes
-    its caller has made of the same path in the same call; the schedule
-    takes the probe of t from it rather than measure w(t) again, so the
-    caller may add entries between items.  Each yielded delta is measured
-    once, and callers pass it on instead of measuring it again."""
-    measured = {} if measured is None else measured
-    t = start
-    while t <= t_max and (probe := measured.pop(t, None)
-                          or _probe(omega, path, t)) is not None:
+    The one stop rule of every tail probe after t = 0: w(t) is a usable
+    point of the domain (see ``_probe``).  With ``collapse`` the first
+    point of the domain that is not usable ends the schedule as its last
+    item.  Each yielded delta is measured once, and callers pass it on
+    instead of measuring it again."""
+    last = 0.0
+    for t in times:
+        if t <= last:
+            continue
+        last = t
+        probe = _probe(omega, path, t)
+        if probe is None:
+            return
         delta, usable = probe
         if usable or collapse:
             yield t, delta
         if not usable:
             return
-        t *= 2.0
 
 
 def _probe(omega: Domain, path: Callable[[float], complex],
@@ -439,10 +441,13 @@ class GeneratorTail:
     samples: tuple
 
 
-def backward_generator_limsup(sg: Semigroup, z: complex) -> GeneratorTail:
-    """|G| along the backward orbit on a grid accumulating at T_z."""
-    track = OrbitTrack.from_semigroup(sg, z)
-    samples = tuple((t, track.g_abs(t)) for t, _ in backward_tail_grid(track))
+def generator_tail(report: CriterionReport) -> GeneratorTail:
+    """|G| along the backward orbit, read from the samples of a
+    map-backed criterion report; a mapless report has no |G| to read."""
+    samples = tuple((s.t, s.g_abs) for s in report.samples)
+    if any(g is None for _, g in samples):
+        raise ParameterError("the generator tail needs a map-backed "
+                             "criterion report")
     k = min(DEFAULT_HEURISTIC.window, len(samples))
     tail = [g for _, g in samples[-k:]]
     trend = _trend(tail, DEFAULT_HEURISTIC.monotone_rel_tol)
@@ -664,19 +669,16 @@ def regularity_classify(track: OrbitTrack,
     horizon = track.horizon()
     if horizon.finite:
         return RegularityResult(FINITE_HORIZON, (), horizon.value, threshold)
-    steps = []
-    # each step pairs t with t + 1, and both must lie within t_max; the end
-    # probe of t = 1 is also the schedule's next probe
-    measured = {}
-    for t, delta in probe_schedule(track.omega, track.w, t_max - 1.0,
-                                   measured=measured):
-        end = _probe(track.omega, track.w, t + 1.0)
-        if end is None or not end[1]:
-            break
-        measured[t + 1.0] = end
-        k = hypgeo.domain_distance(track.omega, track.w(t), track.w(t + 1.0),
-                                   delta_z=delta, delta_w=end[0])
-        steps.append((t, k))
+    # each step pairs t with t + 1, and both must lie within t_max; one
+    # stream probes both ends, 1, 2, 3, 4, 5, 8, 9, ..., so the end of
+    # t = 1 is the probe of t = 2
+    starts = list(doubling(1.0, t_max - 1.0))
+    deltas = dict(probe_schedule(track.omega, track.w,
+                                 (s for t in starts for s in (t, t + 1.0))))
+    steps = [(t, hypgeo.domain_distance(track.omega, track.w(t),
+                                        track.w(t + 1.0), delta_z=deltas[t],
+                                        delta_w=deltas[t + 1.0]))
+             for t in itertools.takewhile(lambda t: t + 1.0 in deltas, starts)]
     if len(steps) < 2:
         return RegularityResult(NON_REGULAR, tuple(steps), horizon.value,
                                 threshold)
@@ -711,7 +713,7 @@ def euclidean_sufficient_test(track: OrbitTrack,
     if track.horizon().finite:
         raise ParameterError("the Euclidean test requires an infinite horizon")
     samples = tuple((t, t * delta) for t, delta in probe_schedule(
-        track.omega, track.w, t_max, collapse=True))
+        track.omega, track.w, doubling(1.0, t_max), collapse=True))
     if not samples:
         return EuclideanTest(0.0, False, ())
     liminf = min(v for _, v in samples[-5:])
@@ -765,8 +767,8 @@ def shift_classify(sg: Semigroup, z: complex) -> ShiftResult:
                          for zt in sg.phi_from_image(ts, w0, z).tolist()],
                         dtype=complex)
 
-    probes = [t for t, _ in probe_schedule(sg.omega,
-                                           lambda t: sg.ray_w(w0, t))]
+    probes = [t for t, _ in probe_schedule(sg.omega, lambda t: sg.ray_w(w0, t),
+                                           doubling(1.0, T_MAX_PROBE))]
     res = []
     for t, v in zip(probes, cayley(np.array(probes, dtype=float)).tolist()):
         if cmath.isnan(v):

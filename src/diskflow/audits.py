@@ -16,11 +16,10 @@ from . import catalog, hypgeo
 from .analysis import (CERTIFIED, FINITE_HORIZON, NON_REGULAR, REGULAR,
                        REFUTED_TREND, SHIFT_FINITE, SHIFT_NOT_APPLICABLE,
                        OrbitTrack, SpiralSpec, ahlfors_audit,
-                       backward_criterion, backward_generator_limsup,
-                       bilipschitz_probe, euclidean_sufficient_test,
-                       forward_certificate, hayman_wu_audit,
-                       lipschitz_quotient, regularity_classify,
-                       shift_classify)
+                       backward_criterion, bilipschitz_probe,
+                       euclidean_sufficient_test, forward_certificate,
+                       generator_tail, hayman_wu_audit, lipschitz_quotient,
+                       regularity_classify, shift_classify)
 from .catalog import (BUILTIN_NAMES, CONVEX_BUILTINS, NONELLIPTIC_BUILTINS,
                       builtin_semigroup, builtin_start)
 from .confmap import Mobius
@@ -322,20 +321,16 @@ def suite_backward(seed: int = 0) -> list:
     # consistency: Certified <=> bounded generator tail
     mism = []
     for name in BUILTIN_NAMES:
-        sg = builtin_semigroup(name)
-        tail = backward_generator_limsup(sg, builtin_start(name))
         certified = reports[name].verdict == CERTIFIED
-        if certified == tail.diverging:
+        if certified == generator_tail(reports[name]).diverging:
             mism.append(name)
-    tip_tail = backward_generator_limsup(catalog.slit_tip_track().semigroup,
-                                         catalog.slit_tip_track().z)
-    if (tip.verdict == REFUTED_TREND) != tip_tail.diverging:
+    if (tip.verdict == REFUTED_TREND) != generator_tail(tip).diverging:
         mism.append("slit_tip")
     out.append(_check("criterion_matches_generator_tail", not mism, len(BUILTIN_NAMES) + 1,
                       f"mismatches: {mism}"))
 
-    hp_tail = backward_generator_limsup(builtin_semigroup("halfplane"), 0j)
-    el_tail = backward_generator_limsup(builtin_semigroup("dilation"), 0.5 + 0j)
+    hp_tail = generator_tail(reports["halfplane"])
+    el_tail = generator_tail(reports["dilation"])
     out.append(_check("generator_limsup_anchors",
                       abs(hp_tail.sup_tail - 2.0) < 1e-6
                       and abs(el_tail.sup_tail - 1.0) < 1e-6, 2,
@@ -375,7 +370,7 @@ def suite_backward(seed: int = 0) -> list:
 
     # Cor 1.4: regular orbits have bounded generator tails
     for name in ("strip", "uhp"):
-        tail = backward_generator_limsup(builtin_semigroup(name), 0j)
+        tail = generator_tail(reports[name])
         out.append(_check(f"{name}:cor14_regular_implies_bounded",
                           not tail.diverging and tail.sup_tail < 1e3, 1,
                           f"sup {tail.sup_tail:.3g}"))

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, catalog
-from .analysis import (DEFAULT_HEURISTIC, backward_criterion,
+from .analysis import (DEFAULT_HEURISTIC, backward_criterion, doubling,
                        euclidean_sufficient_test, probe_schedule,
                        regularity_classify)
 from .audits import SUITES, run_suite
@@ -185,8 +185,8 @@ def _example1_report(truncation: int, tmax: float, seed: int) -> dict:
                            "displayed_expression": catalog.example1_displayed_expression(t)})
 
     delta_rows = [{"t": t, "delta": d, "claimed_bound": 1.0 / math.floor(t)}
-                  for t, d in probe_schedule(dom, track.w, min(tmax, 1024.0),
-                                             start=2.0)]
+                  for t, d in probe_schedule(dom, track.w,
+                                             doubling(2.0, min(tmax, 1024.0)))]
 
     report = backward_criterion(track, t_max=tmax, **_criterion_extras(track))
     reg = regularity_classify(track, t_max=tmax)
@@ -207,7 +207,8 @@ def _example_channel_report(example_id: int, tmax: float, seed: int) -> dict:
     dom = track.omega
     delta_rows = [{"t": t, "delta": d, "inv_log_t": 1.0 / math.log(t),
                    "t_times_delta": t * d}
-                  for t, d in probe_schedule(dom, track.w, tmax, start=4.0)]
+                  for t, d in probe_schedule(dom, track.w,
+                                             doubling(4.0, tmax))]
     report = backward_criterion(track, t_max=tmax)
     reg = regularity_classify(track, t_max=tmax)
     euc = euclidean_sufficient_test(track, t_max=tmax)

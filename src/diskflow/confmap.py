@@ -588,9 +588,6 @@ class MapExpr:
     def derivative(self, z: complex, check: bool = True) -> complex:
         return self.jet(z, check)[1]
 
-    def __call__(self, z: complex) -> complex:
-        return self.evaluate(z)
-
     # -- inversion ---------------------------------------------------------
 
     def invert(self, w: complex, seed: Optional[complex] = None,

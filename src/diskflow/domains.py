@@ -75,11 +75,11 @@ def _dist_point_segment(w: complex, a: complex, b: complex) -> float:
 # The spiral edge rounds re and im alike on both paths; each of its parts
 # carries 24u relative (exp, cos or sin, and up to two products).
 _SAMPLE_ULPS = 64
+_REFINE_TOL = 1e-9
 
 
 def dist_to_curve(w: complex, curve: Callable,
-                  s_lo: float, s_hi: float, n0: int = 600,
-                  tol: float = 1e-9) -> float:
+                  s_lo: float, s_hi: float, n0: int = 600) -> float:
     """Distance from ``w`` to a smooth parametric curve on [s_lo, s_hi].
 
     ``curve`` maps a float (np.float64 included) to a complex through
@@ -95,11 +95,11 @@ def dist_to_curve(w: complex, curve: Callable,
     scalar sampling, bit for bit.  Equal parameters, as a window only a few
     floats wide gives, are recomputed once.  Each local minimum (endpoints
     included) is refined on the scalar path by ternary search until the
-    parameter interval is below ``tol`` (also in absolute distance terms for
-    unit-scale data) or stops shrinking in floating point; a bracket equal
-    to the one before it is refined once.  A scalar distance that passes
-    the float range counts as +inf, and ``EvaluationError`` is raised when
-    every one does.
+    parameter interval is below ``_REFINE_TOL`` (also in absolute distance
+    terms for unit-scale data) or stops shrinking in floating point; a
+    bracket equal to the one before it is refined once.  A scalar distance
+    that passes the float range counts as +inf, and ``EvaluationError`` is
+    raised when every one does.
     """
     if not s_hi > s_lo:
         return _finite(_sample_dist(w, curve, s_lo))
@@ -139,7 +139,7 @@ def dist_to_curve(w: complex, curve: Callable,
         if (lo, hi) == last:
             continue
         last = (lo, hi)
-        while hi - lo > tol:
+        while hi - lo > _REFINE_TOL:
             m1 = lo + (hi - lo) / 3.0
             m2 = hi - (hi - lo) / 3.0
             if _sample_dist(w, curve, m1) <= _sample_dist(w, curve, m2):
@@ -412,13 +412,22 @@ class HalfPlane(Domain):
             num = abs(a - b) ** 2
         except OverflowError:
             num = math.inf
-        if num == math.inf or den == math.inf:
-            # u = 8 (|a/4 - b/4| / (sqrt(Re a) sqrt(Re b)))^2, each factor
-            # in range where the square or the product is not
-            q = abs(0.25 * a - 0.25 * b) / math.sqrt(a.real) / math.sqrt(b.real)
-            u = 8.0 * q * q
-        else:
-            u = num / den
+        tiny = sys.float_info.min
+        if tiny <= num < math.inf and tiny <= den < math.inf:
+            return 0.5 * hypgeo._arccosh1p(num / den)
+        # u = 8 (|a/4 - b/4| / (sqrt(Re a) sqrt(Re b)))^2, each factor in
+        # range where the square or the product overflows or underflows
+        d = abs(0.25 * a - 0.25 * b)
+        q = d / math.sqrt(a.real) / math.sqrt(b.real)
+        u = 8.0 * q * q
+        if u == math.inf:
+            # arccosh(1 + u) = log(2u) + O(1/u), on log q, which stays in
+            # range where q itself may not
+            return (math.log(4.0) + math.log(d)
+                    - 0.5 * (math.log(a.real) + math.log(b.real)))
+        if u < 1e-16:
+            # arccosh(1 + u) = sqrt(2u) (1 - u/12 + ...), where u underflows
+            return 2.0 * q
         return 0.5 * hypgeo._arccosh1p(u)
 
     def criterion_kernel(self, w0: complex, w: complex) -> Optional[float]:

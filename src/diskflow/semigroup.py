@@ -57,7 +57,6 @@ class Horizon:
 
     value: float
     method: str  # "analytic" | "bisection" | "probe"
-    probe_horizon: Optional[float] = None
 
     @property
     def finite(self) -> bool:
@@ -76,8 +75,8 @@ def exit_time(inside: Callable[[float], bool], guaranteed: bool) -> Horizon:
     """First time the predicate fails, by doubling bracket + bisection down
     to 1e-10 or to adjacent floats (the spacing passes 1e-10 beyond ~1e6).
 
-    When the exit is not guaranteed, probing stops at T_MAX_PROBE and the
-    +inf sentinel carries that probe horizon."""
+    When the exit is not guaranteed, probing stops at T_MAX_PROBE with
+    the +inf sentinel, whose method "probe" says how it was found."""
     if not inside(0.0):
         return Horizon(0.0, "bisection")
     hi = 1.0
@@ -87,7 +86,7 @@ def exit_time(inside: Callable[[float], bool], guaranteed: bool) -> Horizon:
         lo = hi
         hi *= 2.0
         if hi > cap:
-            return Horizon(math.inf, "probe", probe_horizon=T_MAX_PROBE)
+            return Horizon(math.inf, "probe")
         if hi > 1e300:
             raise HorizonError("exit-time bracketing diverged")
     while hi - lo > _EXIT_BISECT_TOL:

@@ -10,8 +10,8 @@ from diskflow import catalog
 from diskflow.analysis import (CERTIFIED, NON_REGULAR, REGULAR, SHIFT_FINITE,
                                SHIFT_NOT_APPLICABLE, OrbitTrack, SpiralSpec,
                                ahlfors_audit, backward_criterion,
-                               backward_generator_limsup, bilipschitz_probe,
-                               euclidean_sufficient_test, forward_certificate,
+                               bilipschitz_probe, euclidean_sufficient_test,
+                               forward_certificate, generator_tail,
                                hayman_wu_audit, lipschitz_quotient,
                                regularity_classify, shift_classify)
 from diskflow.cli import main
@@ -128,11 +128,12 @@ def test_07_criterion_tail_consistency(builtins):
         sg = builtins[name]
         z = catalog.builtin_start(name)
         rep = backward_criterion(OrbitTrack.from_semigroup(sg, z))
-        tail = backward_generator_limsup(sg, z)
-        if (rep.verdict == CERTIFIED) == tail.diverging:
+        if (rep.verdict == CERTIFIED) == generator_tail(rep).diverging:
             mismatches.append(name)
-    hp = backward_generator_limsup(builtins["halfplane"], 0j)
-    el = backward_generator_limsup(builtins["dilation"], 0.5 + 0j)
+    hp = generator_tail(backward_criterion(
+        OrbitTrack.from_semigroup(builtins["halfplane"], 0j)))
+    el = generator_tail(backward_criterion(
+        OrbitTrack.from_semigroup(builtins["dilation"], 0.5 + 0j)))
     ok = (not mismatches and abs(hp.sup_tail - 2.0) < 1e-6
           and abs(el.sup_tail - 1.0) < 1e-6)
     report(7, ok,

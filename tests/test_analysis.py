@@ -12,9 +12,9 @@ from diskflow.analysis import (CERTIFIED, FINITE_HORIZON, INCONCLUSIVE,
                                NON_REGULAR, REGULAR, REFUTED_TREND,
                                SHIFT_FINITE, SHIFT_NOT_APPLICABLE, Heuristic,
                                OrbitTrack, ahlfors_audit, arc_length,
-                               backward_criterion, backward_generator_limsup,
-                               backward_tail_grid, bilipschitz_probe,
-                               euclidean_sufficient_test, forward_certificate,
+                               backward_criterion, backward_tail_grid,
+                               bilipschitz_probe, euclidean_sufficient_test,
+                               forward_certificate, generator_tail,
                                hayman_wu_audit, lipschitz_quotient,
                                regularity_classify, shift_classify,
                                _spiral_length_in_disk)
@@ -164,26 +164,34 @@ class TestForwardCertificate:
             assert forward_certificate(sg, z).passed
 
 
+def _tail(sg, z):
+    return generator_tail(backward_criterion(OrbitTrack.from_semigroup(sg, z)))
+
+
 class TestGeneratorTail:
     def test_halfplane(self, builtins):
-        tail = backward_generator_limsup(builtins["halfplane"], 0j)
+        tail = _tail(builtins["halfplane"], 0j)
         assert tail.sup_tail == pytest.approx(2.0, abs=1e-6)
         assert not tail.diverging
 
     def test_dilation(self, builtins):
-        tail = backward_generator_limsup(builtins["dilation"], 0.5 + 0j)
+        tail = _tail(builtins["dilation"], 0.5 + 0j)
         assert tail.sup_tail == pytest.approx(1.0, abs=1e-6)
         assert not tail.diverging
 
     def test_strip_decays(self, builtins):
-        tail = backward_generator_limsup(builtins["strip"], 0j)
+        tail = _tail(builtins["strip"], 0j)
         assert tail.trend in ("decreasing", "flat")
         assert tail.sup_tail < math.pi / 4.0
 
     def test_slit_tip_diverges(self):
-        track = catalog.slit_tip_track()
-        tail = backward_generator_limsup(track.semigroup, track.z)
+        tail = generator_tail(backward_criterion(catalog.slit_tip_track()))
         assert tail.diverging
+
+    def test_a_mapless_report_has_no_tail(self):
+        with pytest.raises(ParameterError, match="map-backed"):
+            generator_tail(backward_criterion(catalog.example_track(2),
+                                              t_max=4.0))
 
 
 class TestBackwardCriterion:
@@ -248,7 +256,7 @@ class TestBackwardCriterion:
             sg = builtins[name]
             z = catalog.builtin_start(name)
             rep = backward_criterion(OrbitTrack.from_semigroup(sg, z))
-            tail = backward_generator_limsup(sg, z)
+            tail = generator_tail(rep)
             assert (rep.verdict == CERTIFIED) == (not tail.diverging)
 
     @pytest.mark.parametrize("name", ["halfplane", "strip", "uhp",

@@ -21,7 +21,7 @@ import pytest
 from diskflow import catalog, hypgeo
 from diskflow.analysis import (CriterionSample, OrbitTrack, _probe,
                                backward_criterion, backward_tail_grid,
-                               probe_schedule, regularity_classify)
+                               regularity_classify)
 from diskflow.domains import Domain, example2_domain
 from diskflow.errors import DomainError
 from diskflow.hypgeo import Interval
@@ -105,16 +105,6 @@ def test_regularity_measures_each_point_once(track, measured):
     assert counts[1] == counts[0]
 
 
-def test_a_measured_probe_is_taken_not_repeated(measured):
-    track = catalog.example_track(2)
-    known = {2.0: _probe(track.omega, track.w, 2.0)}
-    measured.clear()
-    got = list(probe_schedule(track.omega, track.w, 4.0, measured=known))
-    assert [t for t, _ in got] == [1.0, 2.0, 4.0]
-    assert measured == [track.w(1.0), track.w(4.0)]
-    assert not known
-
-
 def test_a_given_delta_still_guards_the_boundary():
     dom = catalog.example_track(2).omega
     with pytest.raises(DomainError, match="numerically on the boundary"):
@@ -133,6 +123,15 @@ def _reference_usable_time(track, t):
     return probe is not None and probe[1]
 
 
+def _reference_doubling(track, t_max):
+    ts = []
+    t = 1.0
+    while t <= t_max and _reference_usable_time(track, t):
+        ts.append(t)
+        t *= 2.0
+    return ts
+
+
 def _reference_tail_grid(track, t_max):
     horizon = track.horizon()
     ts = [0.0]
@@ -146,7 +145,7 @@ def _reference_tail_grid(track, t_max):
                 break
             ts.append(t)
     else:
-        ts.extend(t for t, _ in probe_schedule(track.omega, track.w, t_max))
+        ts.extend(_reference_doubling(track, t_max))
     return ts
 
 
@@ -186,7 +185,7 @@ def _reference_samples(track, t_max, enclosure_factory=None):
 
 def _reference_steps(track, t_max):
     steps = []
-    for t, _ in probe_schedule(track.omega, track.w, t_max - 1.0):
+    for t in _reference_doubling(track, t_max - 1.0):
         if not _reference_usable_time(track, t + 1.0):
             break
         k = hypgeo.domain_distance(track.omega, track.w(t), track.w(t + 1.0))

@@ -115,11 +115,11 @@ def _checked(shares):
     On a grid of distinct values without repeated brackets that is every
     refinement call of the reference.  The share of recomputed samples goes
     to ``shares``."""
-    def shadow(w, curve, s_lo, s_hi, n0=600, tol=1e-9):
+    def shadow(w, curve, s_lo, s_hi, n0=600):
         new, old, brackets = [], [], []
-        got = dist_to_curve(w, _logged(curve, new), s_lo, s_hi, n0, tol)
+        got = dist_to_curve(w, _logged(curve, new), s_lo, s_hi, n0)
         want = _reference_dist(
-            w, _logged(curve, old), s_lo, s_hi, n0, tol,
+            w, _logged(curve, old), s_lo, s_hi, n0,
             on_bracket=lambda lo, hi: brackets.append((lo, hi, len(old))))
         assert repr(got) == repr(want), w
         if not s_hi > s_lo:

@@ -1,5 +1,7 @@
 import cmath
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -398,18 +400,30 @@ class TestHalfPlaneOrientations:
 
     @pytest.mark.parametrize("z,w", [(1e154, 1e155),
                                      (1e160, 1e160 + 1e150),
-                                     (1e300 + 1e300j, 1e300 - 1e300j)])
+                                     (1e300 + 1e300j, 1e300 - 1e300j),
+                                     (1e-170, 2e-170),
+                                     (1.2345e-161, 7.7e-161),
+                                     (3e-158, 1e-157),
+                                     (1e-300, 1e300),
+                                     (1.0, 1.0 + 1e-170j)])
     def test_far_out_pairs_keep_their_distance(self, z, w):
-        # |a - b|^2 or 2 Re a Re b passes the float range: the first pair
-        # raised OverflowError, the second read 0.0
+        # |a - b|^2 or 2 Re a Re b leaves the normal float range: the first
+        # pair raised OverflowError, the second read 0.0; of the pairs near
+        # the boundary the first raised ZeroDivisionError, the next two
+        # lost digits in subnormal terms, (1e-300, 1e300) read inf and the
+        # last read 0.0
         a, b = complex(z), complex(w)
         dre, dim = Fraction(a.real) - Fraction(b.real), \
             Fraction(a.imag) - Fraction(b.imag)
         u = (dre ** 2 + dim ** 2) / (2 * Fraction(a.real) * Fraction(b.real))
-        # 0.5 arccosh(1 + u) = asinh(sqrt(u / 2)), which keeps small u
-        want = math.asinh(math.sqrt(u / 2))
+        # 0.5 arccosh(1 + u) = asinh(x), x = sqrt(u / 2), as
+        # log(x + sqrt(x^2 + 1)) with digits enough to keep a tiny x
+        with decimal.localcontext() as ctx:
+            ctx.prec = 400
+            x = (Decimal(u.numerator) / Decimal(2 * u.denominator)).sqrt()
+            want = float((x + (x * x + 1).sqrt()).ln())
         assert HalfPlane("right").hyperbolic_distance(z, w) == \
-            pytest.approx(want, rel=1e-12)
+            pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_finite_pairs_keep_their_bits(self):
         dom = HalfPlane("right")

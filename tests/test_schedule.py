@@ -1,16 +1,18 @@
-"""The doubling probe schedule behind every Koenigs-plane tail probe.
+"""The probe schedule behind every Koenigs-plane tail probe.
 
-It stops before t = inf and before the boundary distance falls to a few
-float spacings of |w|; at the default t_max it visits the same times as the
-per-loop rule it replaced (delta >= 1e-13 only), written out below as the
-reference."""
+It walks an increasing time stream, skips a time not above the last, and
+stops before the boundary distance falls to a few float spacings of |w|;
+``doubling`` ends before t = inf.  On every track and t_max below it
+visits the same times as the doubling loop it replaced, written out below
+as the reference."""
 
+import cmath
 import math
 
 import pytest
 
 from diskflow import catalog
-from diskflow.analysis import (OrbitTrack, backward_tail_grid,
+from diskflow.analysis import (OrbitTrack, backward_tail_grid, doubling,
                                euclidean_sufficient_test, probe_schedule,
                                regularity_classify, shift_classify)
 from diskflow.domains import HalfPlane, Strip
@@ -27,14 +29,16 @@ def test_stops_before_infinite_time():
     # delta(-t) = t in the left half-plane never collapses, so only the
     # finiteness of t ends the schedule
     ts = [t for t, _ in probe_schedule(HalfPlane("left", 0.0), _ray,
-                                       math.inf)]
+                                       doubling(1.0, math.inf))]
     assert ts[-1] == 2.0 ** 1023
     assert all(math.isfinite(t) for t in ts)
+    assert list(doubling(2.0 ** 1022, math.inf)) == [2.0 ** 1022, 2.0 ** 1023]
 
 
 def test_stops_before_delta_reaches_float_spacing():
     # delta = 1 on the strip axis; 4 ulp(2^50) = 1 is not above it
-    probes = list(probe_schedule(Strip(1.0, 0.0), _ray, math.inf))
+    probes = list(probe_schedule(Strip(1.0, 0.0), _ray,
+                                 doubling(1.0, math.inf)))
     assert probes[-1] == (2.0 ** 49, 1.0)
     assert all(d > 4.0 * math.ulp(t) for t, d in probes)
     assert not 1.0 > 4.0 * math.ulp(2.0 ** 50)
@@ -42,9 +46,10 @@ def test_stops_before_delta_reaches_float_spacing():
 
 def test_collapse_point_is_yielded_last():
     track = catalog.exp_channel_track()
-    plain = list(probe_schedule(track.omega, track.w, T_MAX_PROBE))
-    full = list(probe_schedule(track.omega, track.w, T_MAX_PROBE,
-                               collapse=True))
+    plain = list(probe_schedule(track.omega, track.w,
+                                doubling(1.0, T_MAX_PROBE)))
+    full = list(probe_schedule(track.omega, track.w,
+                               doubling(1.0, T_MAX_PROBE), collapse=True))
     assert full[:-1] == plain
     assert full[-1][0] == 2.0 * plain[-1][0]
     assert full[-1][1] < BOUNDARY_CUTOFF
@@ -56,19 +61,35 @@ def test_path_errors_end_the_schedule():
             raise OverflowError("past the representable modulus")
         return complex(-t, 0.0)
 
-    ts = [t for t, _ in probe_schedule(Strip(1.0, 0.0), path, math.inf)]
+    ts = [t for t, _ in probe_schedule(Strip(1.0, 0.0), path,
+                                       doubling(1.0, math.inf))]
     assert ts == [1.0, 2.0, 4.0, 8.0]
+
+
+def test_a_time_not_above_the_last_is_skipped():
+    seen = []
+
+    def path(t):
+        seen.append(t)
+        return complex(-t, 0.0)
+
+    ts = [t for t, _ in probe_schedule(Strip(1.0, 0.0), path,
+                                       [0.0, 1.0, 2.0, 2.0, 1.5, 3.0])]
+    assert ts == seen == [1.0, 2.0, 3.0]
 
 
 # -- the rule the schedule replaced --------------------------------------
 
 
 def _reference_usable(track, t):
+    if not math.isfinite(t):
+        return False
     try:
         w = track.w(t)
-        if not track.omega.contains(w):
+        if not (cmath.isfinite(w) and track.omega.contains(w)):
             return False
-        return track.omega.boundary_distance(w) >= BOUNDARY_CUTOFF
+        delta = track.omega.boundary_distance(w)
+        return delta >= BOUNDARY_CUTOFF and delta > 4.0 * math.ulp(abs(w))
     except (OverflowError, DiskflowError):
         return False
 
@@ -85,10 +106,10 @@ def _reference_doubling(track, t_max, span=0.0):
     return ts
 
 
-def _reference_tail_grid(track):
+def _reference_tail_grid(track, t_max):
     horizon = track.horizon()
     if not horizon.finite:
-        return [0.0] + _reference_doubling(track, T_MAX_PROBE)
+        return [0.0] + _reference_doubling(track, t_max)
     ts = [0.0]
     for j in range(1, 46):
         t = horizon.value * (1.0 - 2.0 ** -j)
@@ -109,17 +130,19 @@ def _tracks():
     return out
 
 
+@pytest.mark.parametrize("t_max", [1.5, 2.0, 3.0, 100.0, T_MAX_PROBE, 1e8,
+                                   math.inf])
 @pytest.mark.parametrize("track", _tracks(), ids=lambda tr: tr.label)
-def test_default_grids_match_the_replaced_rule(track):
-    assert [t for t, _ in backward_tail_grid(track)] == \
-        _reference_tail_grid(track)
+def test_default_grids_match_the_replaced_rule(track, t_max):
+    assert [t for t, _ in backward_tail_grid(track, t_max)] == \
+        _reference_tail_grid(track, t_max)
     if track.horizon().finite:
         return
-    reg = regularity_classify(track)
+    reg = regularity_classify(track, t_max)
     assert [t for t, _ in reg.steps] == \
-        _reference_doubling(track, T_MAX_PROBE, span=1.0)
-    euc = euclidean_sufficient_test(track)
-    usable = _reference_doubling(track, T_MAX_PROBE)
+        _reference_doubling(track, t_max, span=1.0)
+    euc = euclidean_sufficient_test(track, t_max)
+    usable = _reference_doubling(track, t_max)
     assert [t for t, _ in euc.samples][:len(usable)] == usable
     assert len(euc.samples) - len(usable) in (0, 1)
 

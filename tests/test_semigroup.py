@@ -156,7 +156,6 @@ class TestBackward:
         h = track.horizon()
         assert h.value == math.inf
         assert h.method == "probe"
-        assert h.probe_horizon == 1.0e4
 
     def test_elliptic_constant_orbit_excluded(self, builtins):
         with pytest.raises(ParameterError):

@@ -3,13 +3,21 @@
 Each case looped forever before the no-progress stops in
 ``semigroup.exit_time`` and ``domains.dist_to_curve``, or before
 ``semigroup.integrate_complex`` rejected a non-finite error estimate; the
-deadline turns a regression into a failure instead of a hang."""
+deadline turns a regression into a failure instead of a hang.  The runs
+at t_max = inf go to a child process with a timeout and a memory cap, since
+a tail walk that never ends may also grow without bound."""
 
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diskflow
 from diskflow.analysis import OrbitTrack
 from diskflow.cli import main
 from diskflow.domains import (canonical_domain, dist_to_curve,
@@ -62,6 +70,50 @@ def test_example2_cli_at_tmax_1e8(tmp_path, capsys):
     rows = report["delta_along_ray"]
     assert rows[-1]["t"] > 5e7
     assert all(a["delta"] >= b["delta"] for a, b in zip(rows, rows[1:]))
+
+
+def _run_child(args, timeout=60):
+    """``python args`` on the package sources, killed after ``timeout``
+    seconds (a failure) and capped at 2 GiB of address space; one BLAS
+    thread keeps NumPy's own reservations small under the cap."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = Path(diskflow.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=timeout, preexec_fn=cap, env=env)
+
+
+@pytest.mark.parametrize("example_id", ["1", "2", "3"])
+def test_examples_cli_at_infinite_tmax(example_id, tmp_path):
+    proc = _run_child(["-m", "diskflow", "examples", "--id", example_id,
+                       "--tmax", "inf", "--out", str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+
+
+TAIL_COUNTS_AT_INF = """\
+import json, math
+from diskflow import analysis, catalog
+strip = catalog.builtin_semigroup("strip")
+tracks = [catalog.example_track(2), catalog.exp_channel_track(),
+          analysis.OrbitTrack.from_semigroup(strip, catalog.builtin_start("strip"))]
+print(json.dumps([
+    [len(analysis.backward_criterion(tr, t_max=math.inf).samples),
+     len(analysis.regularity_classify(tr, t_max=math.inf).steps),
+     len(analysis.euclidean_sufficient_test(tr, t_max=math.inf).samples)]
+    for tr in tracks]))
+"""
+
+
+def test_tail_walks_at_infinite_tmax_end_where_they_did():
+    # criterion samples, regularity steps and Euclidean samples on example
+    # 2, the exp channel and the strip: each walk ends at the first point
+    # the distance bounds cannot resolve, never at t = inf
+    proc = _run_child(["-c", TAIL_COUNTS_AT_INF])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[47, 46, 47], [6, 5, 6], [51, 50, 51]]
 
 
 @pytest.mark.parametrize("example_id,tmax", [
