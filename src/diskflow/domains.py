@@ -415,20 +415,17 @@ class HalfPlane(Domain):
         tiny = sys.float_info.min
         if tiny <= num < math.inf and tiny <= den < math.inf:
             return 0.5 * hypgeo._arccosh1p(num / den)
-        # u = 8 (|a/4 - b/4| / (sqrt(Re a) sqrt(Re b)))^2, each factor in
-        # range where the square or the product overflows or underflows
+        # u = 8 q^2 with q = |a/4 - b/4| / (sqrt(Re a) sqrt(Re b)), each
+        # factor in range where the square or the product overflows or
+        # underflows, and 0.5 arccosh(1 + 8 q^2) = asinh(2q)
         d = abs(0.25 * a - 0.25 * b)
         q = d / math.sqrt(a.real) / math.sqrt(b.real)
-        u = 8.0 * q * q
-        if u == math.inf:
-            # arccosh(1 + u) = log(2u) + O(1/u), on log q, which stays in
-            # range where q itself may not
-            return (math.log(4.0) + math.log(d)
-                    - 0.5 * (math.log(a.real) + math.log(b.real)))
-        if u < 1e-16:
-            # arccosh(1 + u) = sqrt(2u) (1 - u/12 + ...), where u underflows
-            return 2.0 * q
-        return 0.5 * hypgeo._arccosh1p(u)
+        if 2.0 * q < math.inf:
+            return math.asinh(2.0 * q)
+        # asinh(2q) = log(4q) + O(1/q^2), on log q, which stays in range
+        # where q itself may not
+        return (math.log(4.0) + math.log(d)
+                - 0.5 * (math.log(a.real) + math.log(b.real)))
 
     def criterion_kernel(self, w0: complex, w: complex) -> Optional[float]:
         # lambda(w) e^{-2k} = 2 Re zeta0 / (|zeta0 + conj(zeta)|^2 (1+r)^2);

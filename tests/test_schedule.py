@@ -4,7 +4,9 @@ It walks an increasing time stream, skips a time not above the last, and
 stops before the boundary distance falls to a few float spacings of |w|;
 ``doubling`` ends before t = inf.  On every track and t_max below it
 visits the same times as the doubling loop it replaced, written out below
-as the reference."""
+as the reference.  Up to the default t_max the grids also match the rule
+of the per-loop walks before it (delta >= 1e-13 only), so the 4-ulp clause
+changes no time there."""
 
 import cmath
 import math
@@ -81,7 +83,9 @@ def test_a_time_not_above_the_last_is_skipped():
 # -- the rule the schedule replaced --------------------------------------
 
 
-def _reference_usable(track, t):
+def _reference_usable(track, t, spacing=True):
+    """The probe rule; ``spacing=False`` drops the 4-ulp clause, leaving
+    the cutoff rule of the per-loop walks."""
     if not math.isfinite(t):
         return False
     try:
@@ -89,33 +93,34 @@ def _reference_usable(track, t):
         if not (cmath.isfinite(w) and track.omega.contains(w)):
             return False
         delta = track.omega.boundary_distance(w)
-        return delta >= BOUNDARY_CUTOFF and delta > 4.0 * math.ulp(abs(w))
+        return delta >= BOUNDARY_CUTOFF and (
+            not spacing or delta > 4.0 * math.ulp(abs(w)))
     except (OverflowError, DiskflowError):
         return False
 
 
-def _reference_doubling(track, t_max, span=0.0):
+def _reference_doubling(track, t_max, span=0.0, spacing=True):
     ts = []
     t = 1.0
     while t + span <= t_max:
-        if not (_reference_usable(track, t)
-                and _reference_usable(track, t + span)):
+        if not (_reference_usable(track, t, spacing)
+                and _reference_usable(track, t + span, spacing)):
             break
         ts.append(t)
         t *= 2.0
     return ts
 
 
-def _reference_tail_grid(track, t_max):
+def _reference_tail_grid(track, t_max, spacing=True):
     horizon = track.horizon()
     if not horizon.finite:
-        return [0.0] + _reference_doubling(track, t_max)
+        return [0.0] + _reference_doubling(track, t_max, spacing=spacing)
     ts = [0.0]
     for j in range(1, 46):
         t = horizon.value * (1.0 - 2.0 ** -j)
         if t <= ts[-1]:
             continue
-        if not _reference_usable(track, t):
+        if not _reference_usable(track, t, spacing):
             break
         ts.append(t)
     return ts
@@ -134,17 +139,22 @@ def _tracks():
                                    math.inf])
 @pytest.mark.parametrize("track", _tracks(), ids=lambda tr: tr.label)
 def test_default_grids_match_the_replaced_rule(track, t_max):
-    assert [t for t, _ in backward_tail_grid(track, t_max)] == \
-        _reference_tail_grid(track, t_max)
+    # up to the default t_max both rules must agree; past it only the
+    # full probe rule is the reference
+    rules = (True, False) if t_max <= T_MAX_PROBE else (True,)
+    grid = [t for t, _ in backward_tail_grid(track, t_max)]
+    for spacing in rules:
+        assert grid == _reference_tail_grid(track, t_max, spacing)
     if track.horizon().finite:
         return
-    reg = regularity_classify(track, t_max)
-    assert [t for t, _ in reg.steps] == \
-        _reference_doubling(track, t_max, span=1.0)
-    euc = euclidean_sufficient_test(track, t_max)
-    usable = _reference_doubling(track, t_max)
-    assert [t for t, _ in euc.samples][:len(usable)] == usable
-    assert len(euc.samples) - len(usable) in (0, 1)
+    steps = [t for t, _ in regularity_classify(track, t_max).steps]
+    samples = [t for t, _ in euclidean_sufficient_test(track, t_max).samples]
+    for spacing in rules:
+        assert steps == _reference_doubling(track, t_max, span=1.0,
+                                            spacing=spacing)
+        usable = _reference_doubling(track, t_max, spacing=spacing)
+        assert samples[:len(usable)] == usable
+        assert len(samples) - len(usable) in (0, 1)
 
 
 def test_shift_samples_match_the_replaced_rule():
