@@ -61,21 +61,15 @@ def _dist_point_segment(w: complex, a: complex, b: complex) -> float:
     return abs(w - (a + t * ab))
 
 
-# How far one distance sample |w - c| may move between NumPy's array path
-# and the scalar math/cmath path, in ulps of X = max(1, |w|, |c|).  NumPy
-# documents its SIMD float64 exp, log, sin and cos within 4 ulp and glibc
-# its own within 1 ulp, so the two values of one function differ by at most
-# 10u relative (u = 2^-53, and uX < ulp(X)).  Carried through each curve,
-# then through w - c (2u(|w| + |c|) per part that differs) and |.| (4 ulp
-# and 1 ulp of d <= 2X), in units of uX:
-#   exp channel    x +/- i e^x                      10 + 4 + 20 = 34
-#   1/log channel  x + i(1/log(-x) - drop)          14 + 4 + 20 = 38
-#   log cos        log cos y + i y                  20 + 4 + 20 = 44
-#   spiral edge    e^re (cos im + i sin im)         34 + 8 + 20 = 62
-# The spiral edge rounds re and im alike on both paths; each of its parts
-# carries 24u relative (exp, cos or sin, and up to two products).
-_SAMPLE_ULPS = 64
-_REFINE_TOL = 1e-9
+# Golden section keeps one interior point per step.  It stops when the two
+# ends and the two interior points agree to 4 ulps (2^-50 relative) of the
+# least, when no float is left between them, or after _MAX_STEPS steps: a
+# bracket spanning the whole float range needs about 3,000.  The floats left
+# inside a collapsed bracket are measured, _LEFTOVER of them at most.
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+_FLAT = 2.0 ** -50
+_MAX_STEPS = 4096
+_LEFTOVER = 16
 
 
 def dist_to_curve(w: complex, curve: Callable,
@@ -83,84 +77,78 @@ def dist_to_curve(w: complex, curve: Callable,
     """Distance from ``w`` to a smooth parametric curve on [s_lo, s_hi].
 
     ``curve`` maps a float (np.float64 included) to a complex through
-    ``math``/``cmath``, and an array to a complex array through NumPy.  For
-    one sample the two paths round apart by at most a margin of
-    ``_SAMPLE_ULPS`` ulp(max(1, |w|, |c|)).
+    ``math``/``cmath``, and an array to a complex array through NumPy.
 
-    The n0 samples take one array call, and each array distance d stands
-    for the interval d +/- 2 margin.  A sample is recomputed on the scalar
-    path when it is not finite, when its interval meets a neighbour's, or
-    when it meets the lowest interval.  Every other comparison decides alike
-    on both paths, so the best sample and the local minima are those of
-    scalar sampling, bit for bit.  Equal parameters, as a window only a few
-    floats wide gives, are recomputed once.  Each local minimum (endpoints
-    included) is refined on the scalar path by ternary search until the
-    parameter interval is below ``_REFINE_TOL`` (also in absolute distance
-    terms for unit-scale data) or stops shrinking in floating point; a
-    bracket equal to the one before it is refined once.  A scalar distance
-    that passes the float range counts as +inf, and ``EvaluationError`` is
-    raised when every one does.
+    The n0 samples take one array call.  Each local minimum (endpoints
+    included) is refined on the scalar path by golden section between its
+    neighbours; a bracket equal to the one before it is refined once.  The
+    least distance measured is returned.  A distance that is not finite
+    counts as +inf, and ``EvaluationError`` is raised when every one is.
     """
     if not s_hi > s_lo:
         return _finite(_sample_dist(w, curve, s_lo))
     ss = np.linspace(s_lo, s_hi, n0)
     # distances, not squares, which overflow once |w| passes about 1e154
     with np.errstate(all="ignore"):
-        c = curve(ss)
-        d = np.abs(w - c)
-        r = 2.0 * _SAMPLE_ULPS * np.spacing(
-            np.maximum(max(1.0, abs(w)), np.abs(c)))
-        d_lo, d_hi = d - r, d + r
-    # a sample that is not finite may hold any scalar value
-    bad = ~np.isfinite(d_hi)
-    d_lo[bad], d_hi[bad] = -math.inf, math.inf
-    redo = d_lo <= d_hi.min()
-    near = (d_lo[1:] <= d_hi[:-1]) & (d_lo[:-1] <= d_hi[1:])
-    redo[:-1] |= near
-    redo[1:] |= near
-    # the grid is sorted, so equal parameters (a window only a few floats
-    # wide) sit side by side and take one scalar value
-    s_prev = math.nan
-    for i in np.flatnonzero(redo):
-        if ss[i] != s_prev:
-            s_prev, d_prev = ss[i], _sample_dist(w, curve, ss[i])
-        d[i] = d_prev
+        d = np.abs(w - curve(ss))
+    d[~np.isfinite(d)] = math.inf
     best = float(d.min())
     # bracket local minima (including the endpoints); a bracket equal to the
     # one before refines to the same value
-    at_min = np.ones(n0, dtype=bool)
+    at_min = np.isfinite(d)
     at_min[1:] &= d[1:] <= d[:-1]
     at_min[:-1] &= d[:-1] <= d[1:]
     last = None
     for i in np.flatnonzero(at_min):
+        j, k = max(0, i - 1), min(n0 - 1, i + 1)
         # Python floats: the same IEEE steps as np.float64, done faster
-        lo = float(ss[max(0, i - 1)])
-        hi = float(ss[min(n0 - 1, i + 1)])
+        lo, hi = float(ss[j]), float(ss[k])
         if (lo, hi) == last:
             continue
         last = (lo, hi)
-        while hi - lo > _REFINE_TOL:
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if _sample_dist(w, curve, m1) <= _sample_dist(w, curve, m2):
-                if m2 == hi:
-                    break
-                hi = m2
-            elif m1 == lo:
-                break
-            else:
-                lo = m1
-        best = min(best, _sample_dist(w, curve, 0.5 * (lo + hi)))
+        best = min(best, _golden(w, curve, lo, hi, float(d[j]), float(d[k])))
     return _finite(best)
 
 
+def _golden(w: complex, curve: Callable, lo: float, hi: float,
+            d_lo: float, d_hi: float) -> float:
+    """The least distance golden section measures inside [lo, hi], whose
+    ends lie at distances d_lo and d_hi."""
+    m1, m2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    d1, d2 = _sample_dist(w, curve, m1), _sample_dist(w, curve, m2)
+    best = min(d1, d2)
+    for _ in range(_MAX_STEPS):
+        if not lo < m1 < m2 < hi:
+            s = math.nextafter(lo, hi)
+            for _ in range(_LEFTOVER):
+                if not s < hi:
+                    break
+                best = min(best, _sample_dist(w, curve, s))
+                s = math.nextafter(s, hi)
+            break
+        least = min(d_lo, d1, d2, d_hi)
+        if max(d_lo, d1, d2, d_hi) - least <= _FLAT * least:
+            break
+        if d1 <= d2:
+            hi, d_hi, m2, d2 = m2, d2, m1, d1
+            m1 = hi - _GOLDEN * (hi - lo)
+            d1 = _sample_dist(w, curve, m1)
+        else:
+            lo, d_lo, m1, d1 = m1, d1, m2, d2
+            m2 = lo + _GOLDEN * (hi - lo)
+            d2 = _sample_dist(w, curve, m2)
+        best = min(best, d1, d2)
+    return best
+
+
 def _sample_dist(w: complex, curve: Callable, s: float) -> float:
-    """|w - curve(s)| on the scalar path, or +inf where it passes the float
-    range: such a sample lies farther than any finite one."""
+    """|w - curve(s)| on the scalar path, or +inf where it is NaN or passes
+    the float range: such a sample lies farther than any finite one."""
     try:
-        return abs(w - curve(s))
+        d = abs(w - curve(s))
     except OverflowError:
         return math.inf
+    return math.inf if math.isnan(d) else d
 
 
 def _finite(d: float) -> float:
@@ -1080,16 +1068,10 @@ class SpiralSector(Domain):
         return d
 
     def _edge(self, s, th: float):
-        """exp(mu (s + i th)): cmath for a float s, NumPy for an array.  The
-        array path rounds the parts of mu (s + i th) as the scalar complex
-        product does, and exponentiates them as cmath.exp does."""
-        mu = self.mu
+        """exp(mu (s + i th)): cmath for a float s, NumPy for an array."""
         if isinstance(s, float):
-            return cmath.exp(mu * complex(s, th))
-        re = mu.real * s - mu.imag * th
-        im = mu.real * th + mu.imag * s
-        mod = np.exp(re)
-        return mod * np.cos(im) + 1j * (mod * np.sin(im))
+            return cmath.exp(self.mu * complex(s, th))
+        return np.exp(self.mu * (s + 1j * th))
 
     @property
     def exact_map(self) -> Optional[MapExpr]:

@@ -5,8 +5,9 @@ fails here instead of only under a bench run.  Each workload's operation
 list is built at seed 1 and every operation runs once.  No timing is taken
 and no deadline is set: the bench's interval timer, left with the default
 handler, would end the test process.  The boundary-distance work of one
-``mapless_criterion`` pass is counted too, so that redundant edge or sample
-work fails here and not only as a slower bench run."""
+``mapless_criterion`` and one ``mapped_orbits`` pass is counted too, so that
+redundant edge, sample or refinement work fails here and not only as a
+slower bench run."""
 
 import sys
 from pathlib import Path
@@ -41,11 +42,14 @@ def test_every_operation_passes_its_check(name):
     assert wrong == []
 
 
-def test_mapless_pass_measures_each_channel_edge_once(monkeypatch):
-    # a pass makes 177 channel boundary distances; on the parent they took
-    # 354 dist_to_curve calls (both edges everywhere) and 36,828 scalar
-    # curve evaluations
-    build, make_ops = _workloads().WORKLOADS["mapless_criterion"]
+# a mapless_criterion pass makes 177 channel boundary distances: when both
+# edges were measured everywhere they took 354 dist_to_curve calls and 36,828
+# scalar curve evaluations, and with the ternary refinement 14,688; a
+# mapped_orbits pass took 14,960 with it
+@pytest.mark.parametrize("name,calls", [("mapless_criterion", 188),
+                                        ("mapped_orbits", 186)])
+def test_a_pass_measures_each_channel_edge_once(monkeypatch, name, calls):
+    build, make_ops = _workloads().WORKLOADS[name]
     ops = make_ops(1, build())
     count = {"calls": 0, "scalar": 0}
     dist_to_curve = domains.dist_to_curve
@@ -60,5 +64,5 @@ def test_mapless_pass_measures_each_channel_edge_once(monkeypatch):
     monkeypatch.setattr(domains, "dist_to_curve", counted)
     for op in ops:
         op.run()
-    assert count["calls"] == 188
-    assert count["scalar"] <= 36828 // 2
+    assert count["calls"] == calls
+    assert count["scalar"] <= 7500

@@ -47,7 +47,7 @@ def test_exit_time_resolves_to_adjacent_floats():
 
 
 def test_channel_boundary_distance_far_left():
-    # the ternary search brackets |s| ~ 1e7, where floats are ~2e-9 apart
+    # the refinement brackets |s| ~ 1e7, where floats are ~2e-9 apart
     with deadline(10):
         d = example2_domain().boundary_distance(-1e7)
     assert 0.0 < d <= 1.0 / math.log(1e7)
