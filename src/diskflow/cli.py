@@ -28,6 +28,7 @@ from .errors import (CrossValidationError, DiskflowError, DomainError,
                      EvaluationError, HorizonError, InversionError,
                      ParameterError, ScenarioError)
 from .scenario import Scenario
+from .semigroup import T_MAX_PROBE
 
 DEFAULT_SEED = 20240817
 
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--truncation", type=int, default=40,
                    help="slit truncation for example 1 (default 40, cap 60)")
-    p.add_argument("--tmax", type=float, default=1.0e4,
+    p.add_argument("--tmax", type=float, default=T_MAX_PROBE,
                    help="probe horizon for tables")
 
     p = sub.add_parser("audit", parents=[common],

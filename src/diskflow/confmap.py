@@ -122,6 +122,14 @@ def complex_abs(re, im) -> tuple:
     return h, overflow
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), and inf where it overflows, as np.hypot gives it."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 class _ReIm:
     """Complex entries held as float64 arrays of real and imaginary parts.
 
@@ -279,21 +287,6 @@ class _ReImMath:
     asin = _entrywise(cmath.asin)
     atanh = _entrywise(cmath.atanh)
     sqrt = _entrywise(cmath.sqrt)
-
-
-def on_array(body, x: np.ndarray) -> np.ndarray:
-    """``body(v, f)`` for every entry v of the array x, in one call on its
-    re/im pairs: a complex array with the bits of each scalar call
-    ``body(v, cmath-and-math)``.  An entry the pairs fault on is recomputed
-    by the scalar call, which raises as it would alone."""
-    f = _ReImMath(x.size)
-    with np.errstate(all="ignore"):
-        v = body(f.of_array(x), f)
-    out = np.empty(x.size, complex)
-    out.real, out.imag = v.real, v.imag
-    for k in np.flatnonzero(f.faults):
-        out[k] = body(x[k].item(), _SCALAR)
-    return out
 
 
 def _branch_arg(z: complex, center: float, f=_SCALAR) -> float:
@@ -651,17 +644,14 @@ class MapExpr:
         return out
 
     def _accepts(self, z: _ReIm, w: _ReIm) -> np.ndarray:
-        """The entries whose closed form _closed_form_acceptable(z, w)
-        accepts by proof: the forward jet faults, or the residual does not
-        overflow and lies within max(tol, noise).  Every entry this marks is
-        accepted by the scalar rule with the same bits; one it leaves
-        unmarked takes the scalar invert, which applies the whole rule."""
+        """_closed_form_acceptable(z, w) on every entry, with the scalar
+        bits: the forward jet faults, or the residual does not overflow and
+        lies within max(tol, noise)."""
         zj = z.apart()  # the jet's faults, read apart from the inversion's
         hz, dz = self._jet(zj, zj.f)
         resid, resid_overflow = (hz - w).hypot()
-        # np.hypot also takes dz where every derivative is a constant (a
-        # complex); an overflowing |dz| or |z| makes the noise infinite, and
-        # the scalar rule accepts there too
+        # np.hypot is _modulus, and it also takes dz where every derivative
+        # is a constant (a complex)
         noise = np.hypot(dz.real, dz.imag) * (1.0 + z.hypot()[0]) * 1e-12
         w_abs = w.hypot()[0]
         # Python's max(a, b) is b only where b > a
@@ -670,33 +660,23 @@ class MapExpr:
                               & (resid <= np.where(noise > tol, noise, tol)))
 
     def _closed_form_acceptable(self, z: complex, w: complex) -> bool:
-        # (_accepts marks a subset of what this accepts, on arrays; a
-        # tightening here must tighten it too.)
-        # Near the source boundary a verified roundtrip would itself overflow;
-        # the closed form is trusted there.
-        if self.source is not None:
-            try:
-                if not self.source.boundary_distance(z, strict=False) > 1e-12:
-                    return True
-            except Exception:
-                pass
+        """Whether invert takes the closed form z for w; _accepts answers
+        the same on arrays.  Forward evaluation only fails in singular or
+        boundary territory, where the primitive-wise inverse is the
+        trustworthy route.  Elsewhere a residual past the float range
+        rejects, and any other must lie within max(1e-10 max(1, |w|),
+        noise): one ulp of z-space error is |h'(z)| ulp in w-space, and
+        the noise bound |h'(z)| (1 + |z|) 1e-12 does not reject an inverse
+        for what the roundtrip cannot avoid."""
         try:
             hz, dz = self._jet(z)
         except EvaluationError:
-            # forward evaluation only fails in singular/boundary territory,
-            # where the primitive-wise inverse is the trustworthy route
             return True
-        # one ulp of z-space error is |h'(z)| ulp in w-space; do not reject
-        # an inverse for noise the roundtrip cannot avoid.  Past the float
-        # range a residual rejects and a noise bound accepts.
         try:
             resid = abs(hz - w)
         except OverflowError:
             return False
-        try:
-            noise = abs(dz) * (1.0 + abs(z)) * 1e-12
-        except OverflowError:
-            return True
+        noise = _modulus(dz) * (1.0 + _modulus(z)) * 1e-12
         return resid <= max(_ROUNDTRIP_TOL * max(1.0, abs(w)), noise)
 
     def _invert_newton(self, w: complex, seed: Optional[complex]) -> complex:

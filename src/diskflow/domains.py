@@ -12,13 +12,12 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import hypgeo
-from .confmap import Affine, Exp, MapExpr, Mobius, Power, Sin, on_array
+from .confmap import Affine, Exp, MapExpr, Mobius, Power, Sin
 from .errors import (DomainError, EvaluationError, ParameterError,
                      ScenarioError, check_keys, json_complex, json_number)
 
@@ -34,16 +33,17 @@ def koenigs_flow(kind: str, mu: Optional[complex], w0: complex, t: float,
 
     An array of times gives the complex array of the scalar calls' values,
     bit for bit: NumPy adds a float array to a complex part by part, as
-    CPython does, and the elliptic product runs on confmap's re/im pairs."""
+    CPython does, and the elliptic formula runs once per time."""
     if kind == NONELLIPTIC:
         return w0 - t if backward else w0 + t
     if isinstance(t, np.ndarray):
-        return on_array(partial(_spiral_point, mu, w0, backward), t)
-    return _spiral_point(mu, w0, backward, t, cmath)
+        return np.array([_spiral_point(mu, w0, backward, s)
+                         for s in t.tolist()], dtype=complex)
+    return _spiral_point(mu, w0, backward, t)
 
 
-def _spiral_point(mu, w0, backward, t, f):
-    return w0 * f.exp(mu * t if backward else -mu * t)
+def _spiral_point(mu, w0, backward, t):
+    return w0 * cmath.exp(mu * t if backward else -mu * t)
 
 
 # ---------------------------------------------------------------------------

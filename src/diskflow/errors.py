@@ -72,8 +72,8 @@ def check_keys(data, allowed, required, ctx: str) -> None:
 
 
 def json_number(v, ctx: str):
-    """A JSON number, as given (booleans are not numbers)."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    """A JSON number, as given (booleans and NaN are not numbers)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
         raise ScenarioError(f"{ctx} must be a number, got {v!r}")
     return v
 

@@ -111,7 +111,7 @@ def integrate_complex(f: Callable[[float, complex], complex], z0: complex,
     run with the "ODE step size collapsed" CrossValidationError."""
     ts = [float(t) for t in t_grid]
     for a, b in zip(ts, ts[1:]):
-        if b <= a:
+        if not b > a:  # a NaN time fails too
             raise ParameterError("time grid must be strictly increasing")
     if len(ts) == 1:
         return [complex(z0)]
@@ -457,9 +457,9 @@ def _validated_grid(t_grid: Sequence[float], require_zero_start: bool) -> list:
     if not ts:
         raise ParameterError("empty time grid")
     for a, b in zip(ts, ts[1:]):
-        if b <= a:
+        if not b > a:  # a NaN time fails too
             raise ParameterError("time grid must be strictly increasing")
-    if ts[0] < 0:
+    if not ts[0] >= 0:
         raise ParameterError("grid times must be nonnegative")
     if require_zero_start and ts[0] != 0.0:
         raise ParameterError("forward grids must start at t = 0")

@@ -336,15 +336,15 @@ def test_array_input_must_be_one_dimensional():
 
 
 # ---------------------------------------------------------------------------
-# the array acceptance keeps one obligation: a subset of the scalar rule
+# the array acceptance is the scalar rule
 # ---------------------------------------------------------------------------
 
 
-def _filter_obligation(m, ws):
-    """Assert that every entry of ws whose closed form ``MapExpr._accepts``
-    marks, and which the scalar invert reaches with that closed form, is
-    accepted by ``_closed_form_acceptable``; count those entries, and the
-    entries whose closed form the scalar rule rejects."""
+def _filter_marks(m, ws):
+    """Assert that ``MapExpr._accepts`` marks an entry of ws exactly when
+    ``_closed_form_acceptable`` accepts its closed form, on every entry the
+    scalar invert reaches with that closed form; count the marked entries
+    and the rejected ones."""
     seen = []
     accepts = MapExpr._accepts
 
@@ -370,29 +370,27 @@ def _filter_obligation(m, ws):
         if not cmath.isfinite(closed):
             continue
         assert repr(closed) == repr(z), w
-        if accepted:
-            assert m._closed_form_acceptable(closed, w), w
-            marked += 1
-        elif not m._closed_form_acceptable(closed, w):
-            rejected += 1
+        assert accepted == m._closed_form_acceptable(closed, w), w
+        marked += accepted
+        rejected += not accepted
     return marked, rejected
 
 
 @pytest.mark.parametrize("name", sorted(SEMIGROUPS))
-def test_the_filter_accepts_only_what_the_scalar_rule_accepts(name):
+def test_the_filter_marks_what_the_scalar_rule_accepts(name):
     sg = SEMIGROUPS[name]
     rng = np.random.default_rng([21, len(name)])
     re, im = _complexes(rng, 2000)
     ws = (_edge_points(sg) + _cut_points()
           + [complex(a, b) for a, b in zip(re.tolist(), im.tolist())]
           + sg.omega.interior_samples(500, 22))
-    marked, _ = _filter_obligation(sg.koenigs, ws)
+    marked, _ = _filter_marks(sg.koenigs, ws)
     assert marked > 500
 
 
 @pytest.mark.parametrize("name", sorted(CUT_MAPS))
-def test_the_filter_accepts_only_what_the_scalar_rule_accepts_on_cuts(name):
-    marked, rejected = _filter_obligation(CUT_MAPS[name], _cut_points())
+def test_the_filter_marks_what_the_scalar_rule_accepts_on_cuts(name):
+    marked, rejected = _filter_marks(CUT_MAPS[name], _cut_points())
     assert marked > 500
     if name in ("log", "power"):
         # closed forms off the branch's image: the residual rejects them
@@ -583,8 +581,9 @@ class TestCertificates:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP 8(a): the near-boundary "
-                   "shortcut of _closed_form_acceptable trusts non-members")
+@pytest.mark.xfail(strict=True, reason="ROADMAP 8(a): no acceptance stage "
+                   "tests source membership, and the other branch of the log "
+                   "passes the roundtrip")
 @pytest.mark.parametrize("route", ["scalar", "array"])
 def test_wrong_branch_of_the_log_is_rejected(route):
     h = MapExpr((Affine(0.5, 1.5j * math.pi), Exp()), source=unit_disk())

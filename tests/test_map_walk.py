@@ -2,11 +2,11 @@
 
 A written-out copy of the previous walks (separate value and derivative
 walks, a closed form that rebuilt each inverse primitive per call, the
-acceptance check with its boundary-distance shortcut, and Newton) runs
-beside the package on seeded points of every shipped chain; both must give
-the same ``repr``, errors included.  Further tests pin the float-error
-typing at the walk (overflow in Log and Power used to escape as a raw
-``OverflowError``) and count the work one inversion does.
+roundtrip acceptance check, and Newton) runs beside the package on seeded
+points of every shipped chain; both must give the same ``repr``, errors
+included.  Further tests pin the float-error typing at the walk (overflow
+in Log and Power used to escape as a raw ``OverflowError``) and count the
+work one inversion does.
 """
 
 import math
@@ -18,7 +18,7 @@ import pytest
 from diskflow import EvaluationError, MapExpr, catalog, unit_disk
 from diskflow.confmap import (Affine, Asin, Atanh, Exp, Log, Mobius, Power,
                               Sin, Tanh, _reject_cut_crossings)
-from diskflow.domains import HalfStrip
+from diskflow.domains import Domain, HalfStrip
 from diskflow.errors import DiskflowError, InversionError
 
 from conftest import disk_points
@@ -66,30 +66,24 @@ def ref_closed_form(m, w):
     return z
 
 
-def ref_needs_verification(m, z):
-    if m.source is None:
-        return True
+def _ref_modulus(v):
     try:
-        delta = m.source.boundary_distance(z, strict=False)
-    except Exception:
-        return True
-    return delta > 1e-12
+        return abs(v)
+    except OverflowError:
+        return math.inf
 
 
 def ref_acceptable(m, z, w):
-    if not ref_needs_verification(m, z):
-        return True
     try:
-        resid = abs(ref_evaluate(m, z) - w)
+        hz, dz = ref_evaluate(m, z), ref_derivative(m, z)
     except EvaluationError:
         return True
-    tol = 1e-10 * max(1.0, abs(w))
     try:
-        cond = abs(ref_derivative(m, z)) * (1.0 + abs(z)) * 1e-12
-        tol = max(tol, cond)
-    except EvaluationError:
-        return True
-    return resid <= tol
+        resid = abs(hz - w)
+    except OverflowError:
+        return False
+    cond = _ref_modulus(dz) * (1.0 + _ref_modulus(z)) * 1e-12
+    return resid <= max(1e-10 * max(1.0, abs(w)), cond)
 
 
 def ref_newton(m, w, seed):
@@ -328,3 +322,20 @@ def test_accepted_closed_form_walks_the_forward_chain_once(monkeypatch):
     assert [calls[(i, "derivative")] for i in forward] == [1] * len(forward)
     assert [calls[(i, "evaluate")] for i in inverse] == [1] * len(inverse)
     assert sum(calls.values()) == 2 * len(forward) + len(inverse)
+
+
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_scalar_invert_measures_no_boundary_distance(name, monkeypatch):
+    h = catalog.builtin_semigroup(name).koenigs
+    ws = [h.evaluate(z) for z in _disk_inputs(13)]
+    measured = []
+    boundary_distance = Domain.boundary_distance
+
+    def counted(self, *args, **kwargs):
+        measured.append(args)
+        return boundary_distance(self, *args, **kwargs)
+
+    monkeypatch.setattr(Domain, "boundary_distance", counted)
+    for w in ws:
+        h.invert(w)
+    assert measured == []

@@ -432,12 +432,22 @@ class TestMalformedSpecs:
                         {**self.MAPPED, "koenigs": koenigs})
         assert message in err
 
-    @pytest.mark.parametrize("override", [
-        {"forward_grid": {"kind": "linear", "t0": 0, "t1": "ten", "n": 5}},
-        {"forward_grid": {"kind": "explicit", "values": [0.0, "1"]}},
-        {"heuristic": {"window": "5"}},
-    ], ids=["linear-grid", "explicit-grid", "heuristic"])
-    def test_non_numeric_grid_or_heuristic(self, tmp_path, capsys, override):
+    @pytest.mark.parametrize("builtin,override,key", [
+        ("halfplane",
+         {"forward_grid": {"kind": "linear", "t0": 0, "t1": "ten", "n": 5}},
+         "forward_grid.t1"),
+        ("halfplane",
+         {"forward_grid": {"kind": "explicit", "values": [0.0, "1"]}},
+         "forward_grid.values"),
+        ("halfplane", {"heuristic": {"window": "5"}}, "heuristic.window"),
+        # json reads NaN; it used to reach the pullback and exit 3 with
+        # "numeric failure: overflow evaluating at (nan+0j)"
+        ("strip",
+         {"forward_grid": {"kind": "explicit", "values": [0, math.nan, 2]}},
+         "forward_grid.values"),
+    ], ids=["linear-grid", "explicit-grid", "heuristic", "nan-grid-value"])
+    def test_non_numeric_grid_or_heuristic(self, tmp_path, capsys, builtin,
+                                           override, key):
         err = self._run(tmp_path, capsys, "trace",
-                        {"builtin": "halfplane", **override})
-        assert "must be a number" in err
+                        {"builtin": builtin, **override})
+        assert f"{key} must be a number" in err

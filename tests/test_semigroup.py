@@ -89,6 +89,14 @@ class TestForwardOrbit:
             sg.forward_orbit(0j, [1.0, 2.0])
         with pytest.raises(ParameterError):
             sg.forward_orbit(0j, [])
+        # b <= a is false for a NaN time
+        for grid in ([0.0, math.nan, 1.0], [0.0, 1.0, math.nan]):
+            with pytest.raises(ParameterError):
+                sg.forward_orbit(0j, grid)
+            with pytest.raises(ParameterError):
+                sg.backward_orbit(0j, grid)
+        with pytest.raises(ParameterError):
+            sg.backward_orbit(0j, [math.nan])
 
     def test_sample_fields(self, builtins):
         s = builtins["halfplane"].forward_orbit(0j, [0.0, 1.0])[1]
@@ -458,6 +466,10 @@ class TestIntegrator:
         got = integrate_complex(lambda t, z: 1j * z, 1.0 + 0j,
                                 [0.0, math.pi])
         assert got[1] == pytest.approx(-1.0, abs=1e-8)
+
+    def test_a_nan_time_is_a_parameter_error(self):
+        with pytest.raises(ParameterError):
+            integrate_complex(lambda t, z: -z, 1.0 + 0j, [0.0, math.nan, 2.0])
 
     def test_field_error_is_the_cross_checks_own_error(self):
         # a field that fails raised its own EvaluationError, which named
