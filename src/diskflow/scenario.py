@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -40,6 +41,19 @@ def _check_bounds(value, spec: dict, ctx: str):
             f"{ctx} must be > {spec['exclusiveMinimum']}, got {value!r}")
 
 
+def _grid_number(v, ctx: str):
+    """A JSON number for a time grid, which must be finite as a float (json
+    reads Infinity, and an integer may lie past the float range)."""
+    json_number(v, ctx)
+    try:
+        finite = math.isfinite(v)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ScenarioError(f"{ctx} must be a finite number, got {v!r}")
+    return v
+
+
 def _cpx_list(v, ctx: str) -> list:
     if not isinstance(v, list):
         raise ScenarioError(f"{ctx} must be a list")
@@ -62,9 +76,9 @@ class GridSpec:
         check_keys(data, keys, (), ctx)
         kind = data.get("kind")
         if kind == "linear":
-            t0 = float(json_number(data.get("t0", 0.0), f"{ctx}.t0"))
-            t1 = float(json_number(data.get("t1", 10.0), f"{ctx}.t1"))
-            n = int(json_number(data.get("n", 101), f"{ctx}.n"))
+            t0 = float(_grid_number(data.get("t0", 0.0), f"{ctx}.t0"))
+            t1 = float(_grid_number(data.get("t1", 10.0), f"{ctx}.t1"))
+            n = int(_grid_number(data.get("n", 101), f"{ctx}.n"))
             if not t1 > t0:
                 raise ScenarioError(f"{ctx}: need t1 > t0")
             _check_bounds(n, keys["n"], f"{ctx}.n")
@@ -74,7 +88,7 @@ class GridSpec:
             if not isinstance(vals, list) or not vals:
                 raise ScenarioError(f"{ctx}: explicit grids need values")
             return cls("explicit", values=tuple(
-                float(json_number(v, f"{ctx}.values")) for v in vals))
+                float(_grid_number(v, f"{ctx}.values")) for v in vals))
         raise ScenarioError(f"{ctx}: unknown grid kind {kind!r}")
 
     def times(self) -> list:

@@ -5,16 +5,17 @@ fails here instead of only under a bench run.  Each workload's operation
 list is built at seed 1 and every operation runs once.  No timing is taken
 and no deadline is set: the bench's interval timer, left with the default
 handler, would end the test process.  The boundary-distance work of one
-``mapless_criterion`` and one ``mapped_orbits`` pass is counted too, so that
-redundant edge, sample or refinement work fails here and not only as a
-slower bench run."""
+``mapless_criterion`` and one ``mapped_orbits`` pass is counted too, and the
+generator calls of the ODE cross-checks in a ``mapped_orbits`` pass, so that
+redundant edge, sample, refinement or solver work fails here and not only as
+a slower bench run."""
 
 import sys
 from pathlib import Path
 
 import pytest
 
-from diskflow import domains
+from diskflow import domains, semigroup
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -66,3 +67,30 @@ def test_a_pass_measures_each_channel_edge_once(monkeypatch, name, calls):
         op.run()
     assert count["calls"] == calls
     assert count["scalar"] <= 7500
+
+
+# the six forward traces of a mapped_orbits pass are cross-checked against
+# the ODE: SciPy's solve_ivp made 1,719 generator calls for them, and the
+# package's stepper makes 1,701, its dense output running only on steps that
+# hold a grid node inside
+def test_a_pass_integrates_within_the_solve_ivp_budget(monkeypatch):
+    build, make_ops = _workloads().WORKLOADS["mapped_orbits"]
+    ops = [op for op in make_ops(1, build()) if op.kind == "forward_trace"]
+    assert len(ops) == 6
+    count = {"integrations": 0, "generator": 0}
+    integrate_complex = semigroup.integrate_complex
+    generator = semigroup.Semigroup.generator
+
+    def counted_integration(*args):
+        count["integrations"] += 1
+        return integrate_complex(*args)
+
+    def counted_generator(self, z, check=True):
+        count["generator"] += 1
+        return generator(self, z, check)
+    monkeypatch.setattr(semigroup, "integrate_complex", counted_integration)
+    monkeypatch.setattr(semigroup.Semigroup, "generator", counted_generator)
+    for op in ops:
+        op.run()
+    assert count["integrations"] == 6
+    assert count["generator"] <= 1719

@@ -1,9 +1,10 @@
-"""SciPy is imported on first use, by the two functions that integrate.
+"""SciPy is imported on first use, by the one function that needs it.
 
-``semigroup.integrate_complex`` (the ODE cross-check) and ``analysis._quad``
-(the quadrature behind ``arc_length(g_abs=...)`` and Hayman-Wu) import
-``scipy.integrate`` inside their bodies, so ``import diskflow`` and every
-command that never integrates start without SciPy.  The pytest process has
+Only ``analysis._quad`` (the quadrature behind ``arc_length(g_abs=...)`` and
+Hayman-Wu) imports ``scipy.integrate``, inside its body, so ``import
+diskflow`` and every command that never takes a quadrature start without
+SciPy; the ODE cross-check (``semigroup.integrate_complex``) steps with the
+package's own DOP853 and imports no SciPy at all.  The pytest process has
 imported SciPy already (other test modules use it), so the checks below run
 in a fresh interpreter on the package sources."""
 
@@ -80,7 +81,7 @@ def test_scipy_loads_only_where_the_package_integrates():
                           "hayman_wu": repr(hayman_wu())}
 
 
-def test_cross_checked_orbit_loads_scipy_with_the_same_samples():
+def test_cross_checked_orbit_does_not_load_scipy_with_the_same_samples():
     res = run_child("""\
 import json, sys
 import test_cold_start as t
@@ -89,7 +90,7 @@ out = repr(t.cross_checked_orbit())
 print(json.dumps({"before": before, "after": "scipy" in sys.modules,
                   "out": out}))
 """)
-    assert (res["before"], res["after"]) == (False, True)
+    assert (res["before"], res["after"]) == (False, False)
     assert res["out"] == repr(cross_checked_orbit())
 
 
@@ -106,7 +107,7 @@ integrate = semigroup.integrate_complex
 
 def at_the_barrier(*args, **kwargs):
     # every thread's first integration starts at the same moment, so the
-    # deferred import of scipy.integrate runs under contention
+    # first steps of the six cross-checks run under contention
     if not getattr(first, "done", False):
         first.done = True
         barrier.wait()
@@ -118,18 +119,20 @@ sys.setswitchinterval(1e-5)
 with ThreadPoolExecutor(max_workers=len(names)) as pool:
     threaded = [list(r) for r in pool.map(TestConcurrentTraces.trace, names,
                                            timeout=120)]
-print(json.dumps({"before": before, "names": names, "threaded": threaded}))
+print(json.dumps({"before": before, "after": "scipy" in sys.modules,
+                  "names": names, "threaded": threaded}))
 """
 
 
 def test_threads_enter_the_first_integration_together():
     # README: orbits may be computed concurrently without locking, including
-    # the first cross-check of a process, which imports SciPy
+    # the first cross-check of a process, which imports nothing; only
+    # analysis._quad imports SciPy
     # (imported here, so pytest does not collect the class twice)
     from test_semigroup import TestConcurrentTraces
 
     res = run_child(CONCURRENT_COLD_START)
-    assert res["before"] is False
+    assert (res["before"], res["after"]) == (False, False)
     assert res["names"] == sorted(catalog.BUILTIN_NAMES)
     assert res["threaded"] == [list(TestConcurrentTraces.trace(n))
                                for n in res["names"]]
@@ -163,6 +166,16 @@ def test_no_module_imports_scipy_at_top_level():
              for path in paths
              for node in _module_level_imports(ast.parse(path.read_text()))
              if _imports_scipy(node)]
+    assert found == []
+
+
+def test_the_ode_cross_check_imports_no_scipy():
+    # the stepper is the package's own DOP853, so no solve_ivp path can come
+    # back beside it, at top level or inside a function
+    path = Path(diskflow.__file__).with_name("semigroup.py")
+    found = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and _imports_scipy(node)]
     assert found == []
 
 

@@ -192,8 +192,10 @@ class TestTraceCommand:
         assert "overflow evaluating" in capsys.readouterr().err
 
     def test_ode_field_failure_names_the_cross_check(self, tmp_path, capsys):
-        # the ODE state runs past |z| ~ 1e222 on the last step; the field's
-        # overflow used to reach the CLI without naming the ODE
+        # near t = 1e14 the ODE state rounds onto the pole z = 1 (where it
+        # fails is up to rounding: SciPy's solve_ivp overshot the pole and
+        # overflowed past |z| ~ 1e222); the field's EvaluationError used to
+        # reach the CLI without naming the ODE
         cfg = write_config(tmp_path, {
             "builtin": "halfplane",
             "forward_grid": {"kind": "explicit",
@@ -202,7 +204,7 @@ class TestTraceCommand:
         assert main(["trace", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
-        assert "numeric failure: ODE step size collapsed: overflow evaluating" \
+        assert "numeric failure: ODE step size collapsed: pole reached at" \
             in err
         assert "diagnostics: {'t': " in err
 
@@ -451,3 +453,21 @@ class TestMalformedSpecs:
         err = self._run(tmp_path, capsys, "trace",
                         {"builtin": builtin, **override})
         assert f"{key} must be a number" in err
+
+    @pytest.mark.parametrize("grid,key", [
+        # json reads Infinity: the node reached the cross-check and exited 3
+        # on a branch-cut message
+        ({"kind": "explicit", "values": [0, 1, math.inf]}, "values"),
+        # the times read [nan, inf, ...], reported as not increasing
+        ({"kind": "linear", "t0": 0, "t1": math.inf, "n": 5}, "t1"),
+        ({"kind": "linear", "t0": -math.inf, "t1": 1, "n": 5}, "t0"),
+        # int(inf) raised a bare OverflowError (exit 1)
+        ({"kind": "linear", "t0": 0, "t1": 1, "n": math.inf}, "n"),
+        # an integer past the float range cannot become a time
+        ({"kind": "linear", "t0": 0, "t1": 10 ** 400, "n": 5}, "t1"),
+    ], ids=["values", "t1", "t0", "n", "huge-int"])
+    @pytest.mark.parametrize("which", ["forward_grid", "backward_grid"])
+    def test_infinite_grid_number(self, tmp_path, capsys, which, grid, key):
+        err = self._run(tmp_path, capsys, "trace",
+                        {"builtin": "strip", which: grid})
+        assert f"{which}.{key} must be a finite number" in err

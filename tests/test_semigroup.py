@@ -7,12 +7,13 @@ import pytest
 
 from diskflow import (CrossValidationError, EvaluationError, HorizonError,
                       InversionError, MapExpr, ParameterError, Semigroup,
-                      catalog, unit_disk)
+                      catalog, semigroup, unit_disk)
 from diskflow.analysis import (OrbitTrack, backward_criterion,
                                hayman_wu_audit, shift_classify)
 from diskflow.audits import _Masked
 from diskflow.confmap import Mobius, compose
 from diskflow.domains import HalfPlane, Strip, koenigs_flow
+from diskflow.scenario import GridSpec
 from diskflow.semigroup import NONELLIPTIC, integrate_complex
 
 from conftest import deadline, disk_points
@@ -89,7 +90,7 @@ class TestForwardOrbit:
             sg.forward_orbit(0j, [1.0, 2.0])
         with pytest.raises(ParameterError):
             sg.forward_orbit(0j, [])
-        # b <= a is false for a NaN time
+        # a NaN time is not finite, and b > a is false for it
         for grid in ([0.0, math.nan, 1.0], [0.0, 1.0, math.nan]):
             with pytest.raises(ParameterError):
                 sg.forward_orbit(0j, grid)
@@ -97,6 +98,15 @@ class TestForwardOrbit:
                 sg.backward_orbit(0j, grid)
         with pytest.raises(ParameterError):
             sg.backward_orbit(0j, [math.nan])
+
+    def test_infinite_grid_times(self, builtins):
+        # an infinite time reached the pullback and the ODE cross-check
+        sg = builtins["strip"]
+        for grid in ([0.0, 1.0, math.inf], [0.0, math.inf]):
+            with deadline(10), pytest.raises(ParameterError, match="finite"):
+                sg.forward_orbit(0j, grid)
+            with deadline(10), pytest.raises(ParameterError, match="finite"):
+                sg.backward_orbit(0j, grid)
 
     def test_sample_fields(self, builtins):
         s = builtins["halfplane"].forward_orbit(0j, [0.0, 1.0])[1]
@@ -488,6 +498,72 @@ class TestIntegrator:
         assert isinstance(err.__cause__, EvaluationError)
         assert err.diagnostics["t"] > 2.0
         assert err.diagnostics["z"].real > 2.0
+
+
+class TestDop853:
+    """The package's DOP853 stepper against SciPy's (SciPy stays a declared
+    dependency, for analysis._quad)."""
+
+    @staticmethod
+    def solve_ivp_nodes(f, z0, grid):
+        # imported here: test_cold_start runs TestConcurrentTraces from this
+        # module in an interpreter that must not have loaded SciPy
+        from scipy.integrate import solve_ivp
+
+        sol = solve_ivp(lambda t, y: [f(float(t), complex(y[0]))],
+                        (grid[0], grid[-1]), [complex(z0)], method="DOP853",
+                        dense_output=True, rtol=1e-9, atol=1e-9)
+        assert sol.status == 0
+        return [complex(z) for z in sol.sol(grid)[0]]
+
+    @pytest.mark.parametrize("name", sorted(catalog.BUILTIN_NAMES))
+    @pytest.mark.parametrize("grid", ["trace", "half-steps", "backward"])
+    def test_nodes_agree_with_solve_ivp(self, name, grid):
+        # the grids of `diskflow trace` (the bench's TRACE_GRID) and of
+        # TestConcurrentTraces
+        sg = catalog.builtin_semigroup(name)
+        z0 = catalog.builtin_start(name)
+        sign = 1.0
+        if grid == "trace":
+            ts = GridSpec("linear", 0.0, 10.0, 101).times()
+        elif grid == "half-steps":
+            ts = [0.5 * i for i in range(11)]
+        else:
+            sign = -1.0
+            t_back = min(5.0, 0.5 * sg.backward_horizon(z0).value)
+            ts = [0.1 * t_back * i for i in range(11)]
+        f = lambda t, z: sign * sg.generator(z, check=False)
+        got = integrate_complex(f, z0, ts)
+        want = self.solve_ivp_nodes(f, z0, ts)
+        assert len(got) == len(ts) and got[0] == z0
+        assert max(abs(a - b) / max(1.0, abs(b))
+                   for a, b in zip(got, want)) <= 1e-8
+
+    def test_blow_up_collapses(self):
+        # z' = z^2 from 1 is 1/(1 - t), which blows up at t = 1: the step
+        # shrinks below 10 ulp(t) there
+        below = "collapsed: step .* below 10 ulp"
+        with deadline(10):
+            with pytest.raises(CrossValidationError, match=below) as info:
+                integrate_complex(lambda t, z: z * z, 1.0 + 0j, [0.0, 2.0])
+        assert 1.0 - 1e-8 < info.value.diagnostics["t"] < 1.0 + 1e-8
+
+    def test_the_step_cap_collapses(self):
+        # a rotation by 1e6 radians per unit time needs about 2e6 steps
+        with deadline(10):
+            with pytest.raises(CrossValidationError,
+                               match="collapsed: .* step attempts") as info:
+                integrate_complex(lambda t, z: 1e6j * z, 1.0 + 0j, [0.0, 1.0])
+        d = info.value.diagnostics
+        assert d["accepted"] + d["rejected"] == semigroup._ODE_MAX_STEPS
+        assert d["t"] < 1.0
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, math.inf],
+                                      [-math.inf, 0.0, 1.0]])
+    def test_an_infinite_time_is_a_parameter_error(self, grid):
+        # solve_ivp stepped towards t = inf without end
+        with deadline(10), pytest.raises(ParameterError, match="finite"):
+            integrate_complex(lambda t, z: -z, 1.0 + 0j, grid)
 
 
 class TestConcurrentTraces:
