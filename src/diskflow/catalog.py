@@ -21,7 +21,8 @@ from .domains import (Channel, HalfPlane, HalfStrip, SlitStrip, Strip,
 from .errors import ParameterError
 from .semigroup import ELLIPTIC, NONELLIPTIC, Semigroup
 
-BUILTIN_NAMES = ("halfplane", "strip", "uhp", "dilation", "spiral", "channel")
+# literal, so that importing builds no semigroup; a test keeps them equal to
+# the builtins' kinds and the convexity of their domains
 NONELLIPTIC_BUILTINS = ("halfplane", "strip", "uhp", "channel")
 CONVEX_BUILTINS = ("halfplane", "strip", "uhp", "dilation", "spiral")
 EXAMPLE_IDS = (1, 2, 3)
@@ -106,36 +107,31 @@ def slit_tip_semigroup() -> Semigroup:
     return Semigroup(NONELLIPTIC, h, omega, name="slit_tip")
 
 
+# name -> (the semigroup's factory, the default start point)
 _BUILTINS = {
-    "halfplane": halfplane_semigroup,
-    "strip": strip_semigroup,
-    "uhp": upper_halfplane_semigroup,
-    "dilation": elliptic_dilation_semigroup,
-    "spiral": elliptic_spiral_semigroup,
-    "channel": channel_semigroup,
+    "halfplane": (halfplane_semigroup, 0j),
+    "strip": (strip_semigroup, 0j),
+    "uhp": (upper_halfplane_semigroup, 0j),
+    "dilation": (elliptic_dilation_semigroup, 0.5 + 0j),
+    "spiral": (elliptic_spiral_semigroup, 0.5 + 0j),
+    "channel": (channel_semigroup, 0j),
 }
-
-_DEFAULT_STARTS = {
-    "halfplane": 0j,
-    "strip": 0j,
-    "uhp": 0j,
-    "dilation": 0.5 + 0j,
-    "spiral": 0.5 + 0j,
-    "channel": 0j,
-}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
-def builtin_semigroup(name: str) -> Semigroup:
+def _builtin(name: str) -> tuple:
     if name not in _BUILTINS:
         raise ParameterError(f"unknown builtin scenario {name!r}; "
                              f"choose from {BUILTIN_NAMES}")
-    return _BUILTINS[name]()
+    return _BUILTINS[name]
+
+
+def builtin_semigroup(name: str) -> Semigroup:
+    return _builtin(name)[0]()
 
 
 def builtin_start(name: str) -> complex:
-    if name not in _DEFAULT_STARTS:
-        raise ParameterError(f"unknown builtin scenario {name!r}")
-    return _DEFAULT_STARTS[name]
+    return _builtin(name)[1]
 
 
 # ---------------------------------------------------------------------------

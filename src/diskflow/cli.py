@@ -23,7 +23,7 @@ from .analysis import (DEFAULT_HEURISTIC, backward_criterion, doubling,
                        euclidean_sufficient_test, probe_schedule,
                        regularity_classify)
 from .audits import SUITES, run_suite
-from .domains import SlitStrip, example1_domain
+from .domains import example1_domain
 from .errors import (CrossValidationError, DiskflowError, DomainError,
                      EvaluationError, HorizonError, InversionError,
                      ParameterError, ScenarioError)
@@ -56,8 +56,7 @@ def _meta(seed: int, scenario: Scenario | None = None, **extra) -> dict:
         meta["scenario_hash"] = scenario.digest()
         meta["scenario_name"] = scenario.name
         meta["heuristic"] = scenario.heuristic.to_dict()
-        # trace and criterion have resolved this domain already
-        meta["truncation"] = scenario.resolve_domain().truncation()
+        meta["truncation"] = scenario.domain.truncation()
     meta.update(extra)
     return meta
 
@@ -82,9 +81,10 @@ def _orbit_csv(samples) -> str:
 
 
 def run_trace(scenario: Scenario, out_dir: Path, seed: int) -> int:
-    sg = scenario.resolve_semigroup()
-    if sg is None or not scenario.start_points:
+    # a scenario with start_points has a Koenigs map
+    if not scenario.start_points:
         raise ScenarioError("trace needs a Koenigs map and start_points")
+    sg = scenario.semigroup
     files = []
     for i, z in enumerate(scenario.start_points):
         fwd = sg.forward_orbit(z, scenario.forward_grid.times())
@@ -128,11 +128,10 @@ def run_criterion(scenario: Scenario, out_dir: Path, seed: int) -> int:
 
 
 def _criterion_extras(track) -> dict:
-    """The truncated Example-1 domain (and no other slit strip) gets the
+    """The truncated Example-1 domain (and no other domain) gets the
     documented geometry note and the half-strip enclosure family."""
-    omega = track.omega
-    if isinstance(omega, SlitStrip) and omega.n_truncation is not None \
-            and omega == example1_domain(omega.n_truncation):
+    n = track.omega.truncation()
+    if isinstance(n, int) and track.omega == example1_domain(n):
         return {"enclosure_factory": catalog.example1_enclosure,
                 "notes": {"discrepancy": _EXAMPLE1_NOTE}}
     return {}

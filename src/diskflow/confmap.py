@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import repeat
 from types import ModuleType
@@ -31,8 +31,8 @@ from .errors import (
     ParameterError,
     ScenarioError,
     check_keys,
-    json_complex,
-    json_number,
+    read_fields,
+    scenario_schema,
 )
 
 _CUT_TOL = 1e-13
@@ -747,20 +747,15 @@ class MapExpr:
         check_keys(data, ("chain",), ("chain",), "map")
         if not isinstance(data["chain"], list):
             raise ScenarioError("map chain must be a list")
+        schema = scenario_schema()["definitions"]["map"]["properties"]["chain"][
+            "items"]["properties"]
         prims = []
         for item in data["chain"]:
             op = item.get("op") if isinstance(item, dict) else None
-            if op not in _PRIMITIVES:
+            if not isinstance(op, str) or op not in _PRIMITIVES:
                 raise ScenarioError(f"unknown map primitive {op!r}")
             kind = _PRIMITIVES[op]
-            params = fields(kind)
-            check_keys(item, ["op", *(f.name for f in params)],
-                        [f.name for f in params if f.default is MISSING],
-                        f"{op} primitive")
-            prims.append(kind(**{
-                f.name: (json_complex if f.type == "complex" else json_number)(
-                    item[f.name], f"{op}.{f.name}")
-                for f in params if f.name in item}))
+            prims.append(kind(**read_fields(fields(kind), item, op, schema, ("op",))))
         return cls(tuple(prims), source=source, target=target)
 
     @classmethod

@@ -19,7 +19,8 @@ import numpy as np
 from . import hypgeo
 from .confmap import Affine, Exp, MapExpr, Mobius, Power, Sin
 from .errors import (DomainError, EvaluationError, ParameterError,
-                     ScenarioError, check_keys, json_complex, json_number)
+                     ScenarioError, check_keys, json_float, read_fields,
+                     scenario_schema)
 
 _E = math.e
 
@@ -767,12 +768,29 @@ def _log_cos(y):
 
 
 @dataclass(frozen=True)
+class _NoParams:
+    """The parameters of a profile that takes none."""
+
+
+@dataclass(frozen=True)
+class _InvLogParams:
+    """The parameters of the inv_log profiles."""
+
+    mouth_cap: float = 2.0
+
+    def __post_init__(self):
+        if self.mouth_cap <= 1.0:
+            raise ParameterError("mouth cap must exceed the profile value 1 at -e")
+
+
+@dataclass(frozen=True)
 class Channel(Domain):
     """Channel domain defined by a named profile.
 
     ``Channel(profile=p, ...)`` builds p's kind, the subclass that
-    ``_PROFILES`` names and that answers the hooks; ``params`` are the
-    profile parameters the kind takes.
+    ``_PROFILES`` names and that answers the hooks; ``params`` is the
+    dataclass of the profile parameters the kind takes, whose values
+    become attributes of the channel.
     """
 
     profile: str = "inv_log"
@@ -780,7 +798,7 @@ class Channel(Domain):
     exact: Optional[MapExpr] = None
 
     kind = "channel"
-    params = ()
+    params = _NoParams
 
     def __new__(cls, profile: str = "inv_log", *args, **kwargs):
         # a kind's own __new__ (copy, pickle) keeps the kind
@@ -791,8 +809,11 @@ class Channel(Domain):
     def __post_init__(self):
         if _PROFILES.get(self.profile) is not type(self):
             raise ParameterError(f"unknown channel profile {self.profile!r}")
-        check_keys(self.profile_params, self.params, (),
-                   f"{self.profile} profile parameters")
+        params = self.params(**read_fields(
+            fields(self.params), self.profile_params,
+            f"{self.profile}.profile_params"))
+        for key, v in vars(params).items():
+            object.__setattr__(self, key, v)
 
     def __repr__(self) -> str:
         # every kind prints as the call that builds it
@@ -857,15 +878,8 @@ class _InvLogChannel(Channel):
     image of the upper one.
     """
 
-    params = ("mouth_cap",)
+    params = _InvLogParams
     lower_drop = 0.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        mouth_cap = self.profile_params.get("mouth_cap", 2.0)
-        if json_number(mouth_cap, "mouth_cap") <= 1.0:
-            raise ParameterError("mouth cap must exceed the profile value 1 at -e")
-        object.__setattr__(self, "mouth_cap", float(mouth_cap))
 
     def _upper(self, x):
         """Upper edge at x; an array of x takes NumPy and must lie in
@@ -1169,28 +1183,20 @@ def domain_from_dict(data: dict) -> Domain:
     """The domain of a JSON spec {"kind": ..., <constructor fields>}; a
     malformed spec raises ScenarioError (a ParameterError)."""
     kind = data.get("kind") if isinstance(data, dict) else None
-    if kind not in _CANONICAL:
+    if not isinstance(kind, str) or kind not in _CANONICAL:
         raise ScenarioError(f"unknown domain kind {kind!r}")
     cls = _CANONICAL[kind]
-    types = {f.name: f.type for f in _spec_fields(cls)}
-    check_keys(data, ["kind", *types], (), f"{kind} domain")
-    kwargs = {}
-    for key, v in data.items():
-        if key == "kind":
-            continue
-        ctx = f"{kind}.{key}"
-        if types[key] == "complex":
-            v = json_complex(v, ctx)
-        elif key == "slits":
-            if not isinstance(v, list):
-                raise ScenarioError(f"{ctx} must be a list")
-            for s in v:
-                check_keys(s, ("x", "y"), ("x", "y"), f"{ctx} item")
-            v = tuple((json_number(s["x"], ctx), json_number(s["y"], ctx)) for s in v)
-        elif types[key] not in ("str", "dict"):
-            # names and profile parameters are checked by the constructor
-            v = json_number(v, ctx)
-        kwargs[key] = v
+    kwargs = read_fields(
+        _spec_fields(cls), data, kind,
+        scenario_schema()["definitions"]["domain"]["properties"], ("kind",))
+    if "slits" in kwargs:
+        ctx = f"{kind}.slits"
+        if not isinstance(kwargs["slits"], list):
+            raise ScenarioError(f"{ctx} must be a list")
+        for s in kwargs["slits"]:
+            check_keys(s, ("x", "y"), ("x", "y"), f"{ctx} item")
+        kwargs["slits"] = tuple((json_float(s["x"], ctx), json_float(s["y"], ctx))
+                                for s in kwargs["slits"])
     return cls(**kwargs)
 
 

@@ -1,57 +1,27 @@
 """Scenario documents: strict parsing, canonical serialization, hashing.
 
 A scenario names a semigroup (builtin shorthand or explicit Koenigs data),
-starting points, time grids, and heuristic overrides.  Allowed keys and
-numeric bounds are read from ``schemas/scenario.schema.json``; unknown keys
-are rejected everywhere.  The canonical form round-trips byte-identically,
+starting points, time grids, and heuristic overrides.  Its top-level keys
+and every numeric bound come from ``schemas/scenario.schema.json``, each
+nested spec's keys and value types from its dataclass; unknown keys are
+rejected everywhere.  The canonical form round-trips byte-identically,
 and its SHA-256 hash is embedded in every emitted report.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
-import math
-from dataclasses import dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .analysis import Heuristic, OrbitTrack
 from .catalog import BUILTIN_NAMES, builtin_semigroup, builtin_start
 from .confmap import MapExpr
 from .domains import Domain, domain_from_dict, unit_disk
-from .errors import ScenarioError, check_keys, json_complex, json_number
+from .errors import (ScenarioError, check_keys, json_complex, json_float,
+                     json_integer, json_string, read_fields, scenario_schema)
 from .semigroup import ELLIPTIC, NONELLIPTIC, Semigroup
-
-
-@functools.cache
-def _schema() -> dict:
-    path = Path(__file__).with_name("schemas") / "scenario.schema.json"
-    return json.loads(path.read_text())
-
-
-def _check_bounds(value, spec: dict, ctx: str):
-    """Enforce the schema's ``minimum`` and ``exclusiveMinimum``."""
-    if "minimum" in spec and not value >= spec["minimum"]:
-        raise ScenarioError(
-            f"{ctx} must be >= {spec['minimum']}, got {value!r}")
-    if "exclusiveMinimum" in spec and not value > spec["exclusiveMinimum"]:
-        raise ScenarioError(
-            f"{ctx} must be > {spec['exclusiveMinimum']}, got {value!r}")
-
-
-def _grid_number(v, ctx: str):
-    """A JSON number for a time grid, which must be finite as a float (json
-    reads Infinity, and an integer may lie past the float range)."""
-    json_number(v, ctx)
-    try:
-        finite = math.isfinite(v)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ScenarioError(f"{ctx} must be a finite number, got {v!r}")
-    return v
 
 
 def _cpx_list(v, ctx: str) -> list:
@@ -70,26 +40,20 @@ class GridSpec:
 
     @classmethod
     def parse(cls, data: dict, ctx: str) -> "GridSpec":
-        if not isinstance(data, dict):
-            raise ScenarioError(f"{ctx} must be an object")
-        keys = _schema()["definitions"]["grid"]["properties"]
-        check_keys(data, keys, (), ctx)
-        kind = data.get("kind")
-        if kind == "linear":
-            t0 = float(_grid_number(data.get("t0", 0.0), f"{ctx}.t0"))
-            t1 = float(_grid_number(data.get("t1", 10.0), f"{ctx}.t1"))
-            n = int(_grid_number(data.get("n", 101), f"{ctx}.n"))
-            if not t1 > t0:
+        spec = read_fields(fields(cls), data, ctx,
+                           scenario_schema()["definitions"]["grid"]["properties"])
+        if spec["kind"] == "linear":
+            grid = cls(**{**spec, "values": ()})
+            if not grid.t1 > grid.t0:
                 raise ScenarioError(f"{ctx}: need t1 > t0")
-            _check_bounds(n, keys["n"], f"{ctx}.n")
-            return cls("linear", t0, t1, n)
-        if kind == "explicit":
-            vals = data.get("values")
+            return grid
+        if spec["kind"] == "explicit":
+            vals = spec.get("values")
             if not isinstance(vals, list) or not vals:
                 raise ScenarioError(f"{ctx}: explicit grids need values")
             return cls("explicit", values=tuple(
-                float(_grid_number(v, f"{ctx}.values")) for v in vals))
-        raise ScenarioError(f"{ctx}: unknown grid kind {kind!r}")
+                json_float(v, f"{ctx}.values") for v in vals))
+        raise ScenarioError(f"{ctx}: unknown grid kind {spec['kind']!r}")
 
     def times(self) -> list:
         if self.kind == "explicit":
@@ -103,6 +67,42 @@ class GridSpec:
         if self.kind == "explicit":
             return {"kind": "explicit", "values": list(self.values)}
         return {"kind": "linear", "t0": self.t0, "t1": self.t1, "n": self.n}
+
+
+def _koenigs_data(data: dict, name: str) -> tuple:
+    """(kind, mu, semigroup or None, domain) of a scenario document."""
+    builtin = data.get("builtin")
+    if builtin is not None:
+        if builtin not in BUILTIN_NAMES:
+            raise ScenarioError(f"unknown builtin {builtin!r}; "
+                                f"choose from {list(BUILTIN_NAMES)}")
+        for key in ("type", "mu", "koenigs", "domain"):
+            if key in data:
+                raise ScenarioError(
+                    f"builtin scenarios must not override {key!r}")
+        sg = builtin_semigroup(builtin)
+        return sg.kind, sg.mu, sg, sg.omega
+    kind = data.get("type")
+    if kind not in (ELLIPTIC, NONELLIPTIC):
+        raise ScenarioError("scenario type must be 'elliptic' or "
+                            "'nonelliptic'")
+    if data.get("domain") is None:
+        raise ScenarioError("non-builtin scenarios need a domain")
+    mu = None
+    if kind == ELLIPTIC:
+        if "mu" not in data:
+            raise ScenarioError("elliptic scenarios need mu")
+        mu = json_complex(data["mu"], "mu")
+        if mu.real <= 0:
+            raise ScenarioError("mu must have positive real part")
+    elif "mu" in data:
+        raise ScenarioError("non-elliptic scenarios carry no mu")
+    omega = domain_from_dict(data["domain"])
+    if data.get("koenigs") is None:
+        return kind, mu, None, omega
+    koenigs = MapExpr.from_dict(data["koenigs"], source=unit_disk(),
+                                target=omega)
+    return kind, mu, Semigroup(kind, koenigs, omega, mu=mu, name=name), omega
 
 
 @dataclass(frozen=True)
@@ -119,88 +119,46 @@ class Scenario:
     backward_grid: Optional[GridSpec]
     heuristic: Heuristic
     seed: int
+    # built once from the fields above, which the canonical form holds
+    semigroup: Optional[Semigroup] = field(compare=False)
+    domain: Domain = field(compare=False)
 
     # -- parsing ---------------------------------------------------------
 
     @classmethod
     def parse(cls, data: dict) -> "Scenario":
-        if not isinstance(data, dict):
-            raise ScenarioError("scenario must be a JSON object")
-        check_keys(data, _schema()["properties"], (), "scenario")
-
+        schema = scenario_schema()["properties"]
+        check_keys(data, schema, (), "scenario")
         builtin = data.get("builtin")
-        if builtin is not None and builtin not in BUILTIN_NAMES:
-            raise ScenarioError(f"unknown builtin {builtin!r}; "
-                                f"choose from {list(BUILTIN_NAMES)}")
+        name = json_string(data.get("name", builtin or "scenario"), "name")
+        kind, mu, sg, omega = _koenigs_data(data, name)
 
-        kind = data.get("type")
-        mu = None
-        koenigs_spec = data.get("koenigs")
-        domain_spec = data.get("domain")
-        if builtin is None:
-            if kind not in (ELLIPTIC, NONELLIPTIC):
-                raise ScenarioError("scenario type must be 'elliptic' or "
-                                    "'nonelliptic'")
-            if domain_spec is None:
-                raise ScenarioError("non-builtin scenarios need a domain")
-            if kind == ELLIPTIC:
-                if "mu" not in data:
-                    raise ScenarioError("elliptic scenarios need mu")
-                mu = json_complex(data["mu"], "mu")
-                if mu.real <= 0:
-                    raise ScenarioError("mu must have positive real part")
-            elif "mu" in data:
-                raise ScenarioError("non-elliptic scenarios carry no mu")
-            if koenigs_spec is not None and not isinstance(koenigs_spec, dict):
-                raise ScenarioError("koenigs must be an object or null")
-        else:
-            for key in ("type", "mu", "koenigs", "domain"):
-                if key in data:
-                    raise ScenarioError(
-                        f"builtin scenarios must not override {key!r}")
-            sg = builtin_semigroup(builtin)
-            kind = sg.kind
-            mu = sg.mu
-
-        start_points = tuple(_cpx_list(data["start_points"], "start_points")) \
-            if "start_points" in data else ()
-        start_w = tuple(_cpx_list(data["start_w"], "start_w")) \
-            if "start_w" in data else ()
+        start_points = tuple(_cpx_list(data.get("start_points", []),
+                                       "start_points"))
+        start_w = tuple(_cpx_list(data.get("start_w", []), "start_w"))
         if builtin is not None and not start_points:
             start_points = (builtin_start(builtin),)
         if not start_points and not start_w:
             raise ScenarioError("scenario needs start_points or start_w")
+        if start_points and sg is None:
+            raise ScenarioError("start_points need a Koenigs map; use "
+                                "start_w for map-free scenarios")
 
-        fwd = GridSpec.parse(data["forward_grid"], "forward_grid") \
-            if "forward_grid" in data else GridSpec("linear", 0.0, 10.0, 101)
+        fwd = GridSpec.parse(data.get("forward_grid", {"kind": "linear"}),
+                             "forward_grid")
         bwd = GridSpec.parse(data["backward_grid"], "backward_grid") \
             if "backward_grid" in data else None
+        heur = Heuristic(**read_fields(
+            fields(Heuristic), data.get("heuristic", {}), "heuristic",
+            schema["heuristic"]["properties"]))
 
-        heur = Heuristic()
-        if "heuristic" in data:
-            hd = data["heuristic"]
-            if not isinstance(hd, dict):
-                raise ScenarioError("heuristic must be an object")
-            keys = _schema()["properties"]["heuristic"]["properties"]
-            check_keys(hd, keys, (), "heuristic")
-            for key, value in hd.items():
-                json_number(value, f"heuristic.{key}")
-            # each value is cast to the type of its field's default
-            heur = Heuristic(**{f.name: type(f.default)(hd.get(f.name, f.default))
-                                for f in fields(Heuristic)})
-            for key, value in heur.to_dict().items():
-                _check_bounds(value, keys[key], f"heuristic.{key}")
-
-        seed = data.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ScenarioError("seed must be an integer")
-
-        return cls(name=str(data.get("name", builtin or "scenario")),
-                   builtin=builtin, kind=kind, mu=mu,
-                   koenigs_spec=koenigs_spec, domain_spec=domain_spec,
+        return cls(name=name, builtin=builtin, kind=kind, mu=mu,
+                   koenigs_spec=data.get("koenigs"),
+                   domain_spec=data.get("domain"),
                    start_points=start_points, start_w=start_w,
-                   forward_grid=fwd, backward_grid=bwd,
-                   heuristic=heur, seed=seed)
+                   forward_grid=fwd, backward_grid=bwd, heuristic=heur,
+                   seed=json_integer(data.get("seed", 0), "seed"),
+                   semigroup=sg, domain=omega)
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
@@ -240,38 +198,11 @@ class Scenario:
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
-    # -- resolution --------------------------------------------------------
-
-    def resolve_semigroup(self) -> Optional[Semigroup]:
-        """The scenario's semigroup, or None for Koenigs-plane-only data."""
-        if self.builtin is not None:
-            return builtin_semigroup(self.builtin)
-        if self.koenigs_spec is None:
-            return None
-        omega = domain_from_dict(self.domain_spec)
-        koenigs = MapExpr.from_dict(self.koenigs_spec, source=unit_disk(),
-                                    target=omega)
-        return Semigroup(self.kind, koenigs, omega,
-                         mu=self.mu, name=self.name)
-
-    def resolve_domain(self) -> Domain:
-        if self.builtin is not None:
-            return builtin_semigroup(self.builtin).omega
-        return domain_from_dict(self.domain_spec)
+    # -- tracks ------------------------------------------------------------
 
     def tracks(self) -> list:
         """One backward track per starting point (disk- or Koenigs-plane)."""
-        out = []
-        sg = self.resolve_semigroup()
-        for z in self.start_points:
-            if sg is None:
-                raise ScenarioError(
-                    "start_points need a Koenigs map; use start_w for "
-                    "map-free scenarios")
-            out.append(OrbitTrack.from_semigroup(sg, z, label=self.name))
-        if self.start_w:
-            omega = sg.omega if sg is not None else self.resolve_domain()
-            for w in self.start_w:
-                out.append(OrbitTrack.from_omega(omega, w, self.kind,
-                                                 mu=self.mu, label=self.name))
-        return out
+        return [OrbitTrack.from_semigroup(self.semigroup, z, label=self.name)
+                for z in self.start_points] + \
+            [OrbitTrack.from_omega(self.domain, w, self.kind, mu=self.mu,
+                                   label=self.name) for w in self.start_w]

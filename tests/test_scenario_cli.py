@@ -29,7 +29,7 @@ class TestScenarioParsing:
         sc = Scenario.parse({"builtin": "halfplane"})
         assert sc.kind == "nonelliptic"
         assert sc.start_points == (0j,)
-        sg = sc.resolve_semigroup()
+        sg = sc.semigroup
         assert sg.name == "halfplane"
 
     def test_canonical_roundtrip(self):
@@ -89,7 +89,7 @@ class TestScenarioParsing:
 
     def test_resolved_semigroup_matches_builtin(self):
         sc = Scenario.parse(HALFPLANE_EXPLICIT)
-        sg = sc.resolve_semigroup()
+        sg = sc.semigroup
         assert sg.phi(1.0, 0j) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_explicit_elliptic_scenario(self):
@@ -100,7 +100,7 @@ class TestScenarioParsing:
             "domain": {"kind": "disk", "center": [0, 0], "radius": 1.0},
             "start_points": [[0.5, 0]],
         })
-        sg = sc.resolve_semigroup()
+        sg = sc.semigroup
         assert sg.mu == 1 + 1j
         import cmath
         assert sg.phi(1.0, 0.5 + 0j) == pytest.approx(
@@ -471,3 +471,110 @@ class TestMalformedSpecs:
         err = self._run(tmp_path, capsys, "trace",
                         {"builtin": "strip", which: grid})
         assert f"{which}.{key} must be a finite number" in err
+
+
+def _slit_strip(n_truncation):
+    return {"type": "nonelliptic", "koenigs": None,
+            "domain": {"kind": "slitstrip", "half_width": 1.0,
+                       "slits": [{"x": -1.0, "y": 0.5}],
+                       "n_truncation": n_truncation},
+            "start_w": [[0, 0]]}
+
+
+_CAYLEY = {"op": "mobius", "a": [1, 0], "b": [1, 0], "c": [-1, 0],
+           "d": [1, 0]}
+
+
+class TestEveryValueRead:
+    """Each scenario value is read as the schema types it, or the command
+    exits 2 on a message naming its key and writes nothing; each case once
+    ran with a value other than the one written, or failed later."""
+
+    CASES = {
+        # a bare OverflowError traceback (exit 1)
+        "window-inf": ({"builtin": "strip", "heuristic": {"window": math.inf}},
+                       "heuristic.window"),
+        # traced as 2 nodes
+        "n-fraction": ({"builtin": "strip", "forward_grid": {
+            "kind": "linear", "t0": 0, "t1": 1, "n": 2.5}}, "forward_grid.n"),
+        # parsed to a 301-digit node count
+        "n-1e300": ({"builtin": "strip", "forward_grid": {
+            "kind": "linear", "t0": 0, "t1": 1, "n": 1e300}},
+            "forward_grid.n"),
+        # ran, and recorded, with window 2
+        "window-fraction": ({"builtin": "strip", "heuristic": {"window": 2.7}},
+                            "heuristic.window"),
+        # the canonical form held "seed": true
+        "seed-bool": ({"builtin": "strip", "seed": True}, "seed"),
+        # a TypeError traceback (exit 1)
+        "n_truncation-fraction": (_slit_strip(2.5), "slitstrip.n_truncation"),
+        # exit 2, but on Example 1's messages
+        "n_truncation-61": (_slit_strip(61), "slitstrip.n_truncation"),
+        "n_truncation-0": (_slit_strip(0), "slitstrip.n_truncation"),
+        # Certified, exit 0
+        "mouth_cap-inf": ({
+            "type": "nonelliptic", "koenigs": None,
+            "domain": {"kind": "channel", "profile": "inv_log",
+                       "profile_params": {"mouth_cap": math.inf}},
+            "start_w": [[0, 0]]}, "inv_log.profile_params.mouth_cap"),
+        # exit 3, "branch point 0 reached"
+        "power-inf": ({
+            "type": "nonelliptic",
+            "koenigs": {"chain": [_CAYLEY, {"op": "power", "p": math.inf}]},
+            "domain": {"kind": "halfplane"}, "start_points": [[0, 0]]},
+            "power.p"),
+        # exit 2 on NaN messages that named no key
+        "start_w-inf": ({
+            "type": "nonelliptic", "koenigs": None,
+            "domain": {"kind": "channel", "profile": "inv_log"},
+            "start_w": [[-math.inf, 0]]}, "start_w"),
+        "mu-inf": ({
+            "type": "elliptic", "mu": [math.inf, 0],
+            "koenigs": {"chain": [{"op": "affine", "a": [1, 0],
+                                   "b": [0, 0]}]},
+            "domain": {"kind": "disk", "center": [0, 0], "radius": 1.0},
+            "start_points": [[0.5, 0]]}, "mu"),
+        "half_width-inf": ({
+            "type": "nonelliptic", "koenigs": None,
+            "domain": {"kind": "strip", "half_width": math.inf},
+            "start_w": [[0, 0]]}, "strip.half_width"),
+        # an unhashable name reached a table lookup: a TypeError traceback
+        "profile-list": ({
+            "type": "nonelliptic", "koenigs": None,
+            "domain": {"kind": "channel", "profile": ["exp"]},
+            "start_w": [[0, 0]]}, "channel.profile"),
+        "kind-list": ({
+            "type": "nonelliptic", "koenigs": None,
+            "domain": {"kind": ["strip"]}, "start_w": [[0, 0]]},
+            "domain kind"),
+        "op-list": ({
+            "type": "nonelliptic", "koenigs": {"chain": [{"op": ["exp"]}]},
+            "domain": {"kind": "halfplane"}, "start_points": [[0, 0]]},
+            "map primitive"),
+    }
+
+    @pytest.mark.parametrize("payload,key", CASES.values(), ids=CASES)
+    def test_criterion_and_trace_exit_2(self, tmp_path, capsys, payload, key):
+        mapped = payload.get("builtin") or payload.get("koenigs")
+        cfg = write_config(tmp_path, payload)
+        for command in ("criterion", "trace") if mapped else ("criterion",):
+            rc = main([command, "--config", cfg,
+                       "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert rc == 2, err
+            assert key in err, err
+            assert "Traceback" not in err
+            assert not (tmp_path / "out").exists()
+
+    def test_start_points_without_a_map_exit_at_parse(self):
+        with pytest.raises(ScenarioError, match="need a Koenigs map"):
+            Scenario.parse({"type": "nonelliptic", "koenigs": None,
+                            "domain": {"kind": "halfplane"},
+                            "start_points": [[0, 0]]})
+
+    def test_scenario_keeps_its_semigroup_and_domain(self):
+        sc = Scenario.parse(HALFPLANE_EXPLICIT)
+        assert sc.domain is sc.semigroup.omega
+        assert all(t.semigroup is sc.semigroup for t in sc.tracks())
+        # built once; equality and the canonical form read the spec
+        assert Scenario.parse(HALFPLANE_EXPLICIT) == sc
