@@ -404,7 +404,7 @@ def forward_certificate(sg: Semigroup, z: complex) -> Certificate:
         constant = abs(sg.mu * w0) / gap
     # every sample time in one array pullback (NaN where the step raises
     # EvaluationError, which the quotient skips)
-    measured = lipschitz_quotient(lambda ts: sg.phi_from_image(ts, w0, z),
+    measured = lipschitz_quotient(lambda ts: sg.phi_from_image(ts, w0),
                                   0.0, 100.0).value
     return Certificate(constant, measured, measured <= constant * (1.0 + 5e-2))
 
@@ -564,7 +564,8 @@ def backward_criterion(track: OrbitTrack,
     absolute threshold, and non-increasing within tolerance (the recorded
     bound is their sup).  RefutedTrend: the lower endpoints grow
     monotonically by at least the heuristic factor per decade and exceed the
-    threshold.  Anything else is Inconclusive.
+    threshold.  Anything else is Inconclusive, and so is a tail with fewer
+    samples than the window, which ``notes["tail"]`` records.
     """
     horizon = track.horizon()
     grid = backward_tail_grid(track, t_max=t_max)
@@ -591,22 +592,30 @@ def backward_criterion(track: OrbitTrack,
                 sandwich_ok = False
         samples.append(CriterionSample(t, ratio, g))
 
-    verdict, bound = _classify_tail(samples, horizon, heuristic)
+    verdict, bound, why = _classify_tail(samples, horizon, heuristic)
+    notes = dict(notes or {})
+    if why is not None:
+        notes["tail"] = why
     return CriterionReport(
         samples=tuple(samples), verdict=verdict, bound=bound,
         heuristic=heuristic, truncation=track.omega.truncation(),
         kind=track.kind, mu=track.mu, w0=track.w0,
         z_modulus=zmod, horizon=horizon.value,
         sandwich_checked=checked, sandwich_ok=sandwich_ok,
-        sandwich_worst=worst_slack, label=track.label,
-        notes=dict(notes or {}))
+        sandwich_worst=worst_slack, label=track.label, notes=notes)
 
 
 def _classify_tail(samples: Sequence[CriterionSample], horizon: Horizon,
                    heuristic: Heuristic):
+    """(verdict, bound, why): ``why`` says why a tail shorter than the
+    window is Inconclusive, and is None otherwise."""
     tail = [s for s in samples if s.t > 0.0][-heuristic.window:]
+    if len(tail) < heuristic.window:
+        return INCONCLUSIVE, None, (
+            f"{len(tail)} tail samples, fewer than the window of "
+            f"{heuristic.window}")
     if len(tail) < 2:
-        return INCONCLUSIVE, None
+        return INCONCLUSIVE, None, None
     his = [s.ratio.hi for s in tail]
     los = [s.ratio.lo for s in tail]
     ts = [s.t for s in tail]
@@ -615,7 +624,7 @@ def _classify_tail(samples: Sequence[CriterionSample], horizon: Horizon,
         sup_hi = max(his)
         if sup_hi <= heuristic.abs_threshold and \
                 _trend(his, heuristic.monotone_rel_tol) in ("decreasing", "flat"):
-            return CERTIFIED, sup_hi
+            return CERTIFIED, sup_hi, None
 
     if all(lo > 0 for lo in los) and _trend(los, 0.0) == "increasing":
         decades = _tail_decades(ts, horizon)
@@ -623,8 +632,8 @@ def _classify_tail(samples: Sequence[CriterionSample], horizon: Horizon,
             per_decade = (los[-1] / los[0]) ** (1.0 / decades)
             if per_decade >= heuristic.growth_factor and \
                     los[-1] > heuristic.abs_threshold:
-                return REFUTED_TREND, None
-    return INCONCLUSIVE, None
+                return REFUTED_TREND, None, None
+    return INCONCLUSIVE, None, None
 
 
 def _tail_decades(ts: Sequence[float], horizon: Horizon) -> float:
@@ -765,7 +774,7 @@ def shift_classify(sg: Semigroup, z: complex) -> ShiftResult:
         return np.array([complex(math.nan, math.nan)
                          if cmath.isnan(zt) or zt == tau
                          else (tau + zt) / (tau - zt)
-                         for zt in sg.phi_from_image(ts, w0, z).tolist()],
+                         for zt in sg.phi_from_image(ts, w0).tolist()],
                         dtype=complex)
 
     probes = [t for t, _ in probe_schedule(sg.omega, lambda t: sg.ray_w(w0, t),

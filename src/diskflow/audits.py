@@ -398,14 +398,14 @@ def suite_backward(seed: int = 0) -> list:
         a = min(0.9 * T, 10.0)
         w0 = sg.koenigs_image(z)
 
-        def full(ts, sg=sg, z=z, w0=w0):
+        def full(ts, sg=sg, w0=w0):
             # forward by the pullback step for t >= 0, backward along the
             # Koenigs ray for t < 0, each side in one array call
             out = np.empty(ts.size, complex)
             fwd = ts >= 0
-            out[fwd] = sg.phi_from_image(ts[fwd], w0, z)
+            out[fwd] = sg.phi_from_image(ts[fwd], w0)
             out[~fwd] = sg.koenigs.invert(
-                sg.ray_w(w0, -ts[~fwd], backward=True), seed=z)
+                sg.ray_w(w0, -ts[~fwd], backward=True))
             return out
 
         qf = lipschitz_quotient(full, 0.0, 10.0).value

@@ -2,9 +2,10 @@
 
 A map is an ordered chain of invertible primitives (Moebius, affine, exp,
 log, power, sin, tanh).  Chains evaluate, differentiate (chain rule), and
-invert either primitive-by-primitive in closed form or by seeded Newton
-iteration.  Branch-carrying primitives (log, power) store an explicit
-branch-center angle; evaluation within 1e-13 of the cut is an error.
+invert primitive-by-primitive in closed form, which the roundtrip
+h(h^{-1}(w)) = w gates.  Branch-carrying primitives (log, power) store an
+explicit branch-center angle; evaluation within 1e-13 of the cut is an
+error.
 
 ``MapExpr.invert`` also takes a complex array.  Each primitive's expression
 then runs once on re/im pairs of float64 arrays whose arithmetic replays
@@ -19,7 +20,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import repeat
 from types import ModuleType
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -583,48 +584,47 @@ class MapExpr:
 
     # -- inversion ---------------------------------------------------------
 
-    def invert(self, w: complex, seed: Optional[complex] = None,
-               check: bool = True) -> complex:
-        """h^{-1}(w): the closed form where the roundtrip accepts it, else
-        Newton from ``seed`` (or from the closed form).
+    def invert(self, w: complex, check: bool = True) -> complex:
+        """h^{-1}(w) in closed form: the value walk of the inverse chain,
+        returned where the roundtrip accepts it.  A closed form that
+        overflows or is not finite raises EvaluationError(overflow=True);
+        any other fault of it, and a closed form the roundtrip rejects,
+        raise InversionError.
 
         ``w`` may be a 1-d complex array, which gives a complex array with
         each scalar call's bits: NaN where the scalar call raises
         EvaluationError, and any other error raised as the first entry
         (in array order) raises it."""
         if isinstance(w, np.ndarray):
-            return self._invert_array(w, seed, check)
+            return self._invert_array(w, check)
         w = complex(w)
         if check and self.target is not None and not self.target.contains(w):
             raise DomainError(f"{w!r} is not in the map target")
         try:
             abs(w)  # the roundtrip tolerances scale with |w|
-            z, overflow = self.inverted()._evaluate_unchecked(w), None
+            z = self.inverted()._evaluate_unchecked(w)
         except OverflowError as exc:
             raise _typed(exc, w) from exc
         except EvaluationError as exc:
-            z, overflow = None, (exc if exc.overflow else None)
-        if z is not None and not cmath.isfinite(z):
-            # complex arithmetic overflows to inf or nan without raising
-            z, overflow = None, _typed(OverflowError(), w)
-        if z is not None and self._closed_form_acceptable(z, w):
-            return z
-        try:
-            return self._invert_newton(w, seed if seed is not None else z)
-        except InversionError:
-            # the forward map passes through the same overflowing
-            # intermediate at the true preimage, so Newton cannot reach it:
-            # w lies past the representable horizon
-            if overflow is None:
+            if exc.overflow:
                 raise
-            raise overflow from None
+            raise InversionError(
+                f"closed-form inversion failed at {w!r}: {exc}") from exc
+        if not cmath.isfinite(z):
+            # complex arithmetic overflows to inf or nan without raising
+            raise _typed(OverflowError(), w)
+        if not self._closed_form_acceptable(z, w):
+            resid = _modulus(self._evaluate_unchecked(z) - w)
+            raise InversionError(
+                f"closed form {z!r} at {w!r} fails the roundtrip: "
+                f"residual {resid:.3e}")
+        return z
 
-    def _invert_array(self, w: np.ndarray, seed: Optional[complex],
-                      check: bool) -> np.ndarray:
+    def _invert_array(self, w: np.ndarray, check: bool) -> np.ndarray:
         """invert over an array: the target check, the closed form and its
         acceptance run once on the re/im pairs of w.  An entry that any of
-        them faults on or rejects takes the scalar invert (Newton, typed
-        errors), so every entry has the scalar call's outcome."""
+        them faults on or rejects takes the scalar invert, which types its
+        error, so every entry has the scalar call's outcome."""
         w = np.asarray(w, dtype=complex)
         n = w.size
         with np.errstate(all="ignore"):
@@ -638,7 +638,7 @@ class MapExpr:
         out.real, out.imag = z.real, z.imag
         for k in np.flatnonzero(~done):
             try:
-                out[k] = self.invert(w[k].item(), seed, check)
+                out[k] = self.invert(w[k].item(), check)
             except EvaluationError:
                 out[k] = complex(math.nan, math.nan)
         return out
@@ -660,10 +660,10 @@ class MapExpr:
                               & (resid <= np.where(noise > tol, noise, tol)))
 
     def _closed_form_acceptable(self, z: complex, w: complex) -> bool:
-        """Whether invert takes the closed form z for w; _accepts answers
-        the same on arrays.  Forward evaluation only fails in singular or
-        boundary territory, where the primitive-wise inverse is the
-        trustworthy route.  Elsewhere a residual past the float range
+        """Whether invert returns the closed form z for w (it raises
+        InversionError otherwise); _accepts answers the same on arrays.
+        Forward evaluation only fails in singular or boundary territory,
+        where the primitive-wise inverse is the trustworthy route.  Elsewhere a residual past the float range
         rejects, and any other must lie within max(1e-10 max(1, |w|),
         noise): one ulp of z-space error is |h'(z)| ulp in w-space, and
         the noise bound |h'(z)| (1 + |z|) 1e-12 does not reject an inverse
@@ -678,47 +678,6 @@ class MapExpr:
             return False
         noise = _modulus(dz) * (1.0 + _modulus(z)) * 1e-12
         return resid <= max(_ROUNDTRIP_TOL * max(1.0, abs(w)), noise)
-
-    def _invert_newton(self, w: complex, seed: Optional[complex]) -> complex:
-        if seed is None:
-            raise InversionError(
-                f"closed-form inversion failed at {w!r} and no Newton seed given")
-        x = complex(seed)
-        best_x, best_r = x, math.inf
-        tol = _ROUNDTRIP_TOL * max(1.0, abs(w))
-        for _ in range(100):
-            try:
-                fx, dfx = self._jet(x)
-                r = abs(fx - w)
-            except (EvaluationError, OverflowError):
-                break
-            if r < best_r:
-                best_x, best_r = x, r
-            if r <= tol:
-                return x
-            if dfx == 0:
-                break
-            step = (fx - w) / dfx
-            # step halving on non-improvement
-            accepted = False
-            for _ in range(20):
-                cand = x - step
-                try:
-                    rc = abs(self._evaluate_unchecked(cand) - w)
-                except (EvaluationError, OverflowError):
-                    rc = math.inf
-                if rc < r:
-                    x = cand
-                    accepted = True
-                    break
-                step /= 2.0
-            if not accepted:
-                break
-        if best_r <= tol:
-            return best_x
-        raise InversionError(
-            f"Newton inversion failed at {w!r}",
-            best_residual=best_r, best_point=best_x)
 
     # -- structure ---------------------------------------------------------
 

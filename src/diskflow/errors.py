@@ -30,12 +30,7 @@ class EvaluationError(DiskflowError):
 
 
 class InversionError(DiskflowError):
-    """Newton inversion failed to converge; carries the best residual."""
-
-    def __init__(self, message, *, best_residual=None, best_point=None):
-        super().__init__(message)
-        self.best_residual = best_residual
-        self.best_point = best_point
+    """A map's closed-form inverse failed, or the roundtrip rejected it."""
 
 
 class CompositionError(DiskflowError):

@@ -20,7 +20,7 @@ from .catalog import BUILTIN_NAMES, builtin_semigroup, builtin_start
 from .confmap import MapExpr
 from .domains import Domain, domain_from_dict, unit_disk
 from .errors import (ScenarioError, check_keys, json_complex, json_float,
-                     json_integer, json_string, read_fields, scenario_schema)
+                     json_string, read_fields, scenario_schema)
 from .semigroup import ELLIPTIC, NONELLIPTIC, Semigroup
 
 
@@ -118,7 +118,6 @@ class Scenario:
     forward_grid: GridSpec
     backward_grid: Optional[GridSpec]
     heuristic: Heuristic
-    seed: int
     # built once from the fields above, which the canonical form holds
     semigroup: Optional[Semigroup] = field(compare=False)
     domain: Domain = field(compare=False)
@@ -157,7 +156,6 @@ class Scenario:
                    domain_spec=data.get("domain"),
                    start_points=start_points, start_w=start_w,
                    forward_grid=fwd, backward_grid=bwd, heuristic=heur,
-                   seed=json_integer(data.get("seed", 0), "seed"),
                    semigroup=sg, domain=omega)
 
     @classmethod
@@ -188,7 +186,6 @@ class Scenario:
         if self.backward_grid is not None:
             out["backward_grid"] = self.backward_grid.to_dict()
         out["heuristic"] = self.heuristic.to_dict()
-        out["seed"] = self.seed
         return out
 
     def canonical_json(self) -> str:

@@ -26,7 +26,7 @@ from .domains import (ELLIPTIC, NONELLIPTIC, Domain,
                       is_convex_positive_direction, is_spirallike,
                       koenigs_flow, unit_disk)
 from .errors import (CrossValidationError, EvaluationError, HorizonError,
-                     InversionError, ParameterError)
+                     ParameterError)
 
 T_MAX_PROBE = 1.0e4
 _EXIT_BISECT_TOL = 1e-10
@@ -434,25 +434,21 @@ class Semigroup:
     def ray_w(self, w0: complex, t: float, backward: bool = False) -> complex:
         return koenigs_flow(self.kind, self.mu, w0, t, backward)
 
-    def phi(self, t: float, z: complex, seed: Optional[complex] = None) -> complex:
+    def phi(self, t: float, z: complex) -> complex:
         """phi_t(z) by Koenigs pullback (t >= 0)."""
-        if t < 0:
-            raise ParameterError("phi is defined for t >= 0")
-        return self.phi_from_image(t, self.koenigs_image(z),
-                                   seed if seed is not None else z)
+        _check_times(t)
+        return self.phi_from_image(t, self.koenigs_image(z))
 
-    def phi_from_image(self, t: float, w0: complex, seed: complex) -> complex:
-        """phi_t(z) from the known Koenigs image w0 = h(z), Newton seeded at
-        ``seed`` (z itself in ``phi``): the pullback step ``phi`` shares with
-        the orbit samplers, which evaluate h(z) once per orbit (t >= 0).
+    def phi_from_image(self, t: float, w0: complex) -> complex:
+        """phi_t(z) from the known Koenigs image w0 = h(z): the pullback
+        step ``phi`` shares with the orbit samplers, which evaluate h(z)
+        once per orbit (t >= 0 and finite).
 
         An array of times gives a complex array with each scalar step's
         bits from one array pullback (``MapExpr.invert``): NaN where the
         step raises EvaluationError."""
-        if (t < 0).any() if isinstance(t, np.ndarray) else t < 0:
-            raise ParameterError("phi is defined for t >= 0")
-        return self.koenigs.invert(koenigs_flow(self.kind, self.mu, w0, t),
-                                   seed=seed)
+        _check_times(t)
+        return self.koenigs.invert(koenigs_flow(self.kind, self.mu, w0, t))
 
     def generator(self, z: complex, check: bool = True) -> complex:
         """G(z) = 1/h'(z), or -mu h(z)/h'(z) for elliptic semigroups, through
@@ -498,33 +494,11 @@ class Semigroup:
                         backward: bool) -> list:
         w0 = self.koenigs_image(z)
         samples = []
-        seed = complex(z)
-        t_seed = 0.0
         for t in t_grid:
             w = self.ray_w(w0, t, backward)
-            if t == 0.0:
-                zt = complex(z)
-            else:
-                zt = self._continue_invert(w0, t_seed, seed, t, backward)
-            seed, t_seed = zt, t
+            zt = complex(z) if t == 0.0 else self.koenigs.invert(w)
             samples.append(self._sample(t, zt, w))
         return samples
-
-    def _continue_invert(self, w0: complex, t_from: float, z_from: complex,
-                         t_to: float, backward: bool, depth: int = 0) -> complex:
-        """Invert at time t_to seeded by the point at t_from, halving the
-        time step when Newton continuation loses the root."""
-        w = self.ray_w(w0, t_to, backward)
-        try:
-            return self.koenigs.invert(w, seed=z_from)
-        except InversionError:
-            if depth >= 20:
-                raise
-            t_mid = 0.5 * (t_from + t_to)
-            z_mid = self._continue_invert(w0, t_from, z_from, t_mid,
-                                          backward, depth + 1)
-            return self._continue_invert(w0, t_mid, z_mid, t_to,
-                                         backward, depth + 1)
 
     def _cross_check(self, samples: Sequence[OrbitSample], backward: bool):
         sign = -1.0 if backward else 1.0
@@ -609,7 +583,7 @@ class Semigroup:
         while True:
             t_cur = 2.0 * t_prev
             try:
-                p_cur = self.phi(t_cur, z, seed=p_prev)
+                p_cur = self.phi(t_cur, z)
             except EvaluationError:
                 # chain overflow past the representable horizon
                 return DenjoyWolff(p_prev / max(abs(p_prev), 1e-300),
@@ -678,6 +652,19 @@ def _increasing_times(t_grid: Sequence[float]) -> list:
         if not b > a:
             raise ParameterError("time grid must be strictly increasing")
     return ts
+
+
+def _check_times(t) -> None:
+    """Reject a pullback time, or an entry of an array of them, that is
+    not finite or is negative."""
+    if isinstance(t, np.ndarray):
+        finite, negative = np.isfinite(t).all(), (t < 0).any()
+    else:
+        finite, negative = math.isfinite(t), t < 0
+    if not finite:
+        raise ParameterError("phi times must be finite")
+    if negative:
+        raise ParameterError("phi is defined for t >= 0")
 
 
 def _validated_grid(t_grid: Sequence[float], require_zero_start: bool) -> list:

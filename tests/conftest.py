@@ -44,7 +44,7 @@ def scalar_orbit(sg, z):
 
     def step(t):
         try:
-            return sg.phi_from_image(t, w0, z)
+            return sg.phi_from_image(t, w0)
         except EvaluationError:
             return None
     return step

@@ -269,7 +269,7 @@ def test_14_conjugation(builtins, rng):
     for z in disk_points(rng, 20, 0.7):
         zeta = quad.evaluate(z)
         w0 = conj.koenigs_image(zeta)
-        q = lipschitz_quotient(lambda ts: conj.phi_from_image(ts, w0, zeta),
+        q = lipschitz_quotient(lambda ts: conj.phi_from_image(ts, w0),
                                0.0, 50.0).value
         bound = 4.0 * 1.5 / sg.omega.boundary_distance(sg.koenigs_image(z))
         bounded_ok = bounded_ok and q <= bound * 1.05
@@ -277,7 +277,7 @@ def test_14_conjugation(builtins, rng):
     mob = MapExpr((Mobius(1, 0, -1, 1),), source=unit_disk())
     conj2 = builtins["strip"].conjugate(mob)
     w0 = conj2.koenigs_image(0j)
-    qs = [lipschitz_quotient(lambda ts: conj2.phi_from_image(ts, w0, 0j),
+    qs = [lipschitz_quotient(lambda ts: conj2.phi_from_image(ts, w0),
                              0.0, T).value
           for T in (10.0, 100.0, 1000.0)]
     growing = qs[0] < qs[1] < qs[2] and all(math.isfinite(q) for q in qs)

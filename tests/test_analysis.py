@@ -274,7 +274,7 @@ class TestBackwardCriterion:
         T = track.horizon().value
         for t in (0.25 * min(T, 4.0), 0.6 * min(T, 4.0)):
             w = track.w(t)
-            zt = sg.koenigs.invert(w, seed=z)
+            zt = sg.koenigs.invert(w)
             g = abs(sg.generator_at_w(w))
             if sg.kind == "elliptic":
                 g /= abs(sg.mu * w)
@@ -551,7 +551,7 @@ class TestConjugationTrends:
             zeta = f.evaluate(z)
             w0 = conj.koenigs_image(zeta)
             q = lipschitz_quotient(
-                lambda ts: conj.phi_from_image(ts, w0, zeta), 0.0, 50.0)
+                lambda ts: conj.phi_from_image(ts, w0), 0.0, 50.0)
             w0 = sg.koenigs_image(z)
             bound = 4.0 * 1.5 / sg.omega.boundary_distance(w0)
             assert q.value <= bound * 1.05
@@ -564,7 +564,7 @@ class TestConjugationTrends:
         f = MapExpr((Mobius(1, 0, -1, 1),), source=unit_disk())
         conj = builtins["strip"].conjugate(f)
         w0 = conj.koenigs_image(0j)
-        qs = [lipschitz_quotient(lambda ts: conj.phi_from_image(ts, w0, 0j),
+        qs = [lipschitz_quotient(lambda ts: conj.phi_from_image(ts, w0),
                                  0.0, T).value
               for T in (10.0, 100.0, 1000.0)]
         assert qs[0] < qs[1] < qs[2]

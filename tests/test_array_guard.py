@@ -120,5 +120,5 @@ def test_pairs_hold_real_float_arrays(monkeypatch):
         z = catalog.builtin_start(sg.name) if sg.name in catalog.BUILTIN_NAMES \
             else 0.3 + 0.1j
         w0 = sg.koenigs_image(z)
-        sg.phi_from_image(np.linspace(0.0, 50.0, 64), w0, z)
+        sg.phi_from_image(np.linspace(0.0, 50.0, 64), w0)
     assert dtypes == {np.dtype(np.float64)}

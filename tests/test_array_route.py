@@ -182,38 +182,38 @@ class TestEntrywiseFunctions:
 # ---------------------------------------------------------------------------
 
 
-def _invert_outcome(m, w, seed, check):
+def _invert_outcome(m, w, check):
     try:
-        return repr(m.invert(w, seed, check))
+        return repr(m.invert(w, check))
     except Exception as exc:
         return type(exc)
 
 
-def _array_outcomes(m, ws, seed, check):
-    got = m.invert(np.array(ws, dtype=complex), seed, check)
+def _array_outcomes(m, ws, check):
+    got = m.invert(np.array(ws, dtype=complex), check)
     return [EvaluationError if cmath.isnan(v) else repr(v) for v in got.tolist()]
 
 
-def _assert_invert_matches(m, ws, seed, check):
+def _assert_invert_matches(m, ws, check):
     """One array call over ws gives each scalar call's outcome: NaN where it
     raises EvaluationError, and the first other error (in array order) is
     raised by the whole call."""
-    expected = [_invert_outcome(m, w, seed, check) for w in ws]
+    expected = [_invert_outcome(m, w, check) for w in ws]
     raising = [e for e in expected if isinstance(e, type)
                and e is not EvaluationError]
     if raising:
         with pytest.raises(raising[0]):
-            m.invert(np.array(ws, dtype=complex), seed, check)
+            m.invert(np.array(ws, dtype=complex), check)
     else:
-        assert _array_outcomes(m, ws, seed, check) == expected
+        assert _array_outcomes(m, ws, check) == expected
     return expected
 
 
-def _assert_each_entry_matches(m, ws, seed, check):
+def _assert_each_entry_matches(m, ws, check):
     for w in ws:
-        expected = _invert_outcome(m, w, seed, check)
+        expected = _invert_outcome(m, w, check)
         try:
-            got = m.invert(np.array([w], dtype=complex), seed, check)[0].item()
+            got = m.invert(np.array([w], dtype=complex), check)[0].item()
         except Exception as exc:
             assert type(exc) is expected, (w, exc)
             continue
@@ -261,17 +261,15 @@ def test_orbit_pullbacks_keep_the_bits(name):
                            0.5 if name == "strip_conjugated" else 1.0)
     everything = [w for _, ws in orbits for w in ws]
     assert len(everything) == N_POINTS
-    _assert_invert_matches(sg.koenigs, everything, None, True)
-    for z, ws in orbits[:20]:
-        _assert_invert_matches(sg.koenigs, ws, z, True)
+    _assert_invert_matches(sg.koenigs, everything, True)
 
 
 @pytest.mark.parametrize("name", sorted(SEMIGROUPS))
 def test_domain_points_keep_the_bits(name):
     sg = SEMIGROUPS[name]
     ws = sg.omega.interior_samples(N_POINTS, 13)
-    _assert_invert_matches(sg.koenigs, ws, None, True)
-    _assert_invert_matches(sg.koenigs, ws, 0.1 + 0.1j, False)
+    _assert_invert_matches(sg.koenigs, ws, True)
+    _assert_invert_matches(sg.koenigs, ws, False)
 
 
 def _edge_points(sg):
@@ -297,9 +295,8 @@ def test_edge_entries_each_keep_the_outcome(name):
     sg = SEMIGROUPS[name]
     ws = _edge_points(sg)
     for check in (True, False):
-        for seed in (None, 0.1 + 0.1j):
-            _assert_each_entry_matches(sg.koenigs, ws, seed, check)
-            _assert_invert_matches(sg.koenigs, ws, seed, False)
+        _assert_each_entry_matches(sg.koenigs, ws, check)
+        _assert_invert_matches(sg.koenigs, ws, check)
 
 
 CUT_MAPS = {
@@ -323,9 +320,8 @@ def _cut_points():
 @pytest.mark.parametrize("m", CUT_MAPS.values(), ids=CUT_MAPS.keys())
 def test_cuts_poles_and_branch_points(m):
     ws = _cut_points()
-    _assert_each_entry_matches(m, ws[-20:], None, False)
-    _assert_invert_matches(m, ws, None, False)
-    _assert_invert_matches(m, ws, 0.5 + 0.5j, False)
+    _assert_each_entry_matches(m, ws[-20:], False)
+    _assert_invert_matches(m, ws, False)
 
 
 def test_array_input_must_be_one_dimensional():
@@ -356,7 +352,7 @@ def _filter_marks(m, ws):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(MapExpr, "_accepts", recorded)
         try:
-            m.invert(np.array(ws, dtype=complex), None, False)
+            m.invert(np.array(ws, dtype=complex), False)
         except InversionError:
             pass  # an entry the filter left failed on the scalar route
     [(zs, mask)] = seen
@@ -505,17 +501,17 @@ class TestFlowAndStep:
                   0.9 if sg.kind == NONELLIPTIC else 0.45)
         for z in disk_points(rng, 4, radius):
             w0 = sg.koenigs_image(z)
-            got = sg.phi_from_image(plan.times, w0, z)
+            got = sg.phi_from_image(plan.times, w0)
             for t, g in zip(plan.times.tolist(), got.tolist()):
                 try:
-                    assert repr(g) == repr(sg.phi_from_image(t, w0, z))
+                    assert repr(g) == repr(sg.phi_from_image(t, w0))
                 except EvaluationError:
                     assert cmath.isnan(g)
 
     def test_negative_times_are_parameter_errors(self):
         sg = SEMIGROUPS["halfplane"]
         with pytest.raises(ParameterError):
-            sg.phi_from_image(np.array([0.0, -1.0]), 1.0 + 0j, 0j)
+            sg.phi_from_image(np.array([0.0, -1.0]), 1.0 + 0j)
 
     def test_starts_outside_the_source_are_domain_errors(self):
         # z lies outside f(D) = {Re > -1/2}: its image under h . f^{-1} is
@@ -524,9 +520,9 @@ class TestFlowAndStep:
         z = -0.8 + 0.3j
         w0 = sg.koenigs_image(z)
         with pytest.raises(DomainError):
-            sg.phi_from_image(1.0, w0, z)
+            sg.phi_from_image(1.0, w0)
         with pytest.raises(DomainError):
-            sg.phi_from_image(np.array([0.0, 1.0]), w0, z)
+            sg.phi_from_image(np.array([0.0, 1.0]), w0)
 
 
 class TestCertificates:
@@ -590,7 +586,7 @@ def test_wrong_branch_of_the_log_is_rejected(route):
     z = 0.1 + 0.2j
     w = h.evaluate(z)
     if route == "scalar":
-        got = h.invert(w, seed=z)
+        got = h.invert(w)
     else:
-        got = h.invert(np.array([w]), seed=z)[0]
+        got = h.invert(np.array([w]))[0]
     assert abs(got - z) < 1e-12, got

@@ -138,7 +138,7 @@ class TestInvert:
                 # the rounded image no longer encodes z to 1e-10; the
                 # roundtrip contract is meaningful away from the circle
                 continue
-            back = m.invert(w, seed=z, check=False)
+            back = m.invert(w, check=False)
             assert abs(back - z) < 1e-10 * max(1.0, abs(z))
             checked += 1
         assert checked > 200
@@ -150,44 +150,40 @@ class TestInvert:
             assert w == pytest.approx(z - z * z / 2.0, abs=1e-14)
             assert f.invert(w) == pytest.approx(z, abs=1e-10)
 
-    def test_newton_path(self):
-        f = quadratic_map()
-        z = f._invert_newton(f.evaluate(0.3 + 0.1j), seed=0.0)
-        assert z == pytest.approx(0.3 + 0.1j, abs=1e-9)
-
-    def test_newton_failure_carries_residual(self):
-        f = quadratic_map()
-        # 5.0 is far outside f(D); Newton from a poor seed cannot reach it
-        with pytest.raises(InversionError) as exc:
-            f._invert_newton(5.0, seed=0.0)
-        assert exc.value.best_residual is not None
-        assert exc.value.best_residual > 0
-
     def test_overflow_past_the_horizon_stays_an_overflow(self):
         # the strip map's closed form overflows in exp at w = 500, and the
         # forward map overflows on the way to the true preimage as well
         h = catalog.strip_semigroup().koenigs
         with pytest.raises(EvaluationError) as exc:
-            h.invert(500.0, seed=0j)
+            h.invert(500.0)
         assert exc.value.overflow
 
-    @pytest.mark.parametrize("seed", [None, 0.5])
-    @pytest.mark.parametrize("w", [1.5e308 + 1.5e308j, 9e307 + 9e307j])
-    def test_non_finite_closed_form_is_an_overflow(self, w, seed):
-        # the inverse Moebius divides inf by inf; once it returned nan+0j
+    @pytest.mark.parametrize("w", [1.5e308 + 1.5e308j, 9e307 + 9e307j,
+                                   complex("inf")])
+    def test_non_finite_closed_form_is_an_overflow(self, w):
+        # the inverse Moebius divides inf by inf; once it returned nan+0j.
+        # At w = inf a seeded Newton returned its seed (its tolerance
+        # 1e-10 max(1, |w|) is infinite there)
         h = catalog.builtin_semigroup("halfplane").koenigs
         with pytest.raises(EvaluationError) as exc:
-            h.invert(w, seed=seed)
+            h.invert(w)
         assert exc.value.overflow
 
-    @pytest.mark.parametrize("seed", [None, 0.5])
-    def test_modulus_past_the_float_range_is_an_overflow(self, seed):
+    def test_modulus_past_the_float_range_is_an_overflow(self):
         # |w| > DBL_MAX: the roundtrip tolerance raised a raw OverflowError
         # from abs(w)
         with pytest.raises(EvaluationError) as exc:
-            MapExpr((Affine(1e308, 0.0),)).invert(1.5e308 + 1.5e308j,
-                                                  seed=seed)
+            MapExpr((Affine(1e308, 0.0),)).invert(1.5e308 + 1.5e308j)
         assert exc.value.overflow
+
+    def test_closed_form_faults_and_rejections_are_inversion_errors(self):
+        # the closed form of the quadratic chain at 5.0 meets the cut
+        with pytest.raises(InversionError, match="branch cut"):
+            quadratic_map().invert(5.0, check=False)
+        # 5j lies off the image of the branch (1 - pi, 1 + pi]: its closed
+        # form is exp(5j), which Log(1.0) maps to 5j - 2 pi i
+        with pytest.raises(InversionError, match=r"residual 6\.283e\+00"):
+            MapExpr((Log(1.0),)).invert(5j)
 
     def test_preimage_modulus_past_the_float_range(self):
         # |z| > DBL_MAX with finite parts: the acceptance tolerance raised

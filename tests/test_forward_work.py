@@ -83,7 +83,7 @@ def _recorded(sampler):
 def _orbit(sg, z):
     """The array sampler of a certificate's orbit: one array pullback."""
     w0 = sg.koenigs_image(z)
-    return lambda ts: sg.phi_from_image(ts, w0, z)
+    return lambda ts: sg.phi_from_image(ts, w0)
 
 
 def _conjugated(builtins):
@@ -172,7 +172,7 @@ class TestSamplerMatchesPhi:
         with pytest.raises(ParameterError):
             sample(np.array([0.0, -1.0]))
         with pytest.raises(ParameterError):
-            builtins["halfplane"].phi_from_image(-1.0, 1.0 + 0j, 0j)
+            builtins["halfplane"].phi_from_image(-1.0, 1.0 + 0j)
 
     def test_overflowing_image_is_a_typed_error(self, monkeypatch, builtins):
         sg = builtins["strip"]

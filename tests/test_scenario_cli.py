@@ -172,9 +172,8 @@ class TestTraceCommand:
         # accepted and the ODE cross-check failed on it instead
         ({"op": "affine", "a": [1e308, 0], "b": [0, 0]}, "right",
          [0.5, 0.85], 1.2e308),
-        # the inverse Moebius gives nan at a finite w(t), and Newton's
-        # residuals overflow on the way: once a nan row was written with
-        # exit 0
+        # the inverse Moebius gives nan at a finite w(t): once a nan row
+        # was written with exit 0
         ({"op": "mobius", "a": [0, 2e307], "b": [0, 2e307], "c": [-1, 0],
           "d": [1, 0]}, "upper", [0.5, 0.0], 1.6e308),
     ])
@@ -222,6 +221,22 @@ class TestCriterionCommand:
         assert rep["heuristic"]["window"] == 5
         csv = (tmp_path / "out" / "criterion_p000_samples.csv").read_text()
         assert csv.splitlines()[0] == "t,ratio_lo,ratio_hi,g_abs"
+
+    def test_tail_shorter_than_the_window_is_inconclusive(self, tmp_path):
+        # the probes give far fewer tail samples than a window of 10^6;
+        # the criterion read Certified with bound 0.163268 on them
+        cfg = write_config(tmp_path, {"builtin": "strip",
+                                      "heuristic": {"window": 1000000}})
+        assert main(["criterion", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        rep = json.loads(
+            (tmp_path / "out" / "criterion_p000.json").read_text())
+        n_tail = sum(s["t"] > 0 for s in rep["samples"])
+        assert 2 <= n_tail < 1000000
+        assert rep["verdict"] == "Inconclusive"
+        assert rep["bound"] is None
+        assert rep["notes"] == {
+            "tail": f"{n_tail} tail samples, fewer than the window of 1000000"}
 
     def test_example2_fixture(self, tmp_path):
         payload = {
@@ -504,8 +519,11 @@ class TestEveryValueRead:
         # ran, and recorded, with window 2
         "window-fraction": ({"builtin": "strip", "heuristic": {"window": 2.7}},
                             "heuristic.window"),
-        # the canonical form held "seed": true
+        # the canonical form held "seed": true; the key is gone, since
+        # nothing read it (the --seed option drives all sampling)
         "seed-bool": ({"builtin": "strip", "seed": True}, "seed"),
+        # validated and hashed, but read by nothing
+        "seed-unread": ({"builtin": "strip", "seed": 0}, "seed"),
         # a TypeError traceback (exit 1)
         "n_truncation-fraction": (_slit_strip(2.5), "slitstrip.n_truncation"),
         # exit 2, but on Example 1's messages

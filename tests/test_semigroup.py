@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from diskflow import (CrossValidationError, EvaluationError, HorizonError,
-                      InversionError, MapExpr, ParameterError, Semigroup,
-                      catalog, semigroup, unit_disk)
+                      MapExpr, ParameterError, Semigroup, catalog, semigroup,
+                      unit_disk)
 from diskflow.analysis import (OrbitTrack, backward_criterion,
                                hayman_wu_audit, shift_classify)
 from diskflow.audits import _Masked
@@ -107,6 +107,20 @@ class TestForwardOrbit:
                 sg.forward_orbit(0j, grid)
             with deadline(10), pytest.raises(ParameterError, match="finite"):
                 sg.backward_orbit(0j, grid)
+
+    @pytest.mark.parametrize("name", ["channel", "halfplane", "strip", "uhp"])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phi_times(self, builtins, name, t):
+        # phi(inf, 0.5) returned the start point 0.5 on halfplane, strip
+        # and channel: seeded Newton's tolerance is infinite at w = inf
+        sg = builtins[name]
+        w0 = sg.koenigs_image(0.5)
+        with pytest.raises(ParameterError, match="finite"):
+            sg.phi(t, 0.5)
+        with pytest.raises(ParameterError, match="finite"):
+            sg.phi_from_image(t, w0)
+        with pytest.raises(ParameterError, match="finite"):
+            sg.phi_from_image(np.array([0.0, 1.0, t]), w0)
 
     def test_sample_fields(self, builtins):
         s = builtins["halfplane"].forward_orbit(0j, [0.0, 1.0])[1]
@@ -300,7 +314,7 @@ class TestConjugation:
         f = MapExpr((Mobius(1, 0, -1, 1),), source=unit_disk())
         conj = builtins["strip"].conjugate(f)
         z1, z1000 = conj.phi_from_image(np.array([1.0, 1000.0]),
-                                        conj.koenigs_image(0j), 0j).tolist()
+                                        conj.koenigs_image(0j)).tolist()
         assert math.isfinite(z1.real) and math.isfinite(z1.imag)
         assert math.isnan(z1000.real)  # past the representable horizon
 
@@ -366,8 +380,7 @@ def _unchecked_phi(sg, f, t, zeta):
     nor the target checked."""
     h = compose(sg.koenigs, f.inverted())
     w0 = h.evaluate(zeta, check=False)
-    return h.invert(koenigs_flow(sg.kind, sg.mu, w0, t), seed=zeta,
-                    check=False)
+    return h.invert(koenigs_flow(sg.kind, sg.mu, w0, t), check=False)
 
 
 class TestConjugationAgainstReferences:
@@ -409,61 +422,6 @@ class TestOrbitSampleInvariants:
             if s.delta_disk > 1e-8:
                 assert abs(sg.koenigs_image(s.z) - s.w) < 1e-9
             assert abs(s.g - sg.generator_at_w(s.w)) < 1e-8
-
-
-def newton_only(sg):
-    """sg with closed-form inversion (the value walk of the inverse chain)
-    disabled, so every pullback step runs seeded Newton; also returns the
-    refused closed-form inputs and the depth of every _continue_invert
-    call."""
-    h = sg.koenigs
-    refused, depths = [], []
-
-    class NoClosedForm(type(h)):
-        def _evaluate_unchecked(self, z):
-            from diskflow.errors import EvaluationError
-            refused.append(z)
-            raise EvaluationError("closed form disabled")
-
-    class NewtonOnly(type(h)):
-        def inverted(self):
-            inv = super().inverted()
-            return NoClosedForm(inv.chain, source=inv.source,
-                                target=inv.target)
-
-    class Recording(Semigroup):
-        def _continue_invert(self, w0, t_from, z_from, t_to, backward,
-                             depth=0):
-            depths.append(depth)
-            return super()._continue_invert(w0, t_from, z_from, t_to,
-                                            backward, depth)
-
-    stubborn = NewtonOnly(h.chain, source=h.source, target=h.target)
-    return Recording(NONELLIPTIC, stubborn, sg.omega), refused, depths
-
-
-class TestContinuationHalving:
-    def test_newton_only_chain_traced_with_halving(self, builtins):
-        # seeded Newton takes these coarse steps without halving
-        sg2, refused, _ = newton_only(builtins["halfplane"])
-        samples = sg2.forward_orbit(0j, [0.0, 5.0, 50.0], cross_check=False)
-        assert samples[1].z == pytest.approx(5.0 / 7.0, abs=1e-9)
-        assert samples[2].z == pytest.approx(50.0 / 52.0, abs=1e-9)
-        assert refused
-
-    def test_newton_only_long_step_halves(self, builtins):
-        # one step from t = 0 to 1e4 loses the root; halving recovers it
-        sg2, refused, depths = newton_only(builtins["uhp"])
-        samples = sg2.forward_orbit(0j, [0.0, 1e4], cross_check=False)
-        assert refused and max(depths) >= 1
-        assert samples[1].z == pytest.approx(1e4 / (1e4 + 2j), abs=1e-9)
-
-    def test_newton_only_halving_gives_up_at_depth_20(self, builtins):
-        sg2, _, depths = newton_only(builtins["strip"])
-        with deadline(10):
-            with pytest.raises(InversionError):
-                sg2.forward_orbit(0j, [0.0, 50.0], cross_check=False)
-        assert max(depths) == 20
 
 
 class TestIntegrator:
