@@ -36,7 +36,6 @@ from .domains import (
     SlitStrip,
     SpiralSector,
     Strip,
-    canonical_domain,
     example1_domain,
     example2_domain,
     example3_domain,

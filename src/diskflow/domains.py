@@ -168,8 +168,9 @@ def _finite(d: float) -> float:
 class Domain:
     """A planar simply connected region.
 
-    Subclasses implement ``contains`` and ``_distance``; ``exact_map`` (onto
-    the unit disk) and the closed-form hyperbolic hooks are optional.
+    Subclasses implement ``contains``, ``_distance`` and ``imag_bounded``;
+    ``exact_map`` (onto the unit disk) and the closed-form hyperbolic hooks
+    are optional.
     """
 
     convex: bool = field(default=False, init=False)
@@ -300,16 +301,8 @@ class Domain:
         return None
 
     def imag_bounded(self) -> tuple:
-        """(Im w bounded below, Im w bounded above) over the domain.
-
-        Default: sampled -- a member far below (above) the real axis rules
-        out a lower (upper) bound."""
-        above = below = False
-        for x in (-7.0, 0.0, 7.0):
-            for b in (1e6, 1e9):
-                above = above or self.contains(complex(x, b))
-                below = below or self.contains(complex(x, -b))
-        return (not below, not above)
+        """(Im w bounded below, Im w bounded above) over the domain."""
+        raise NotImplementedError
 
     # -- sampling & serialization ---------------------------------------
 
@@ -691,7 +684,8 @@ class SlitStrip(Domain):
     half_width: float = 2.0
     slits: tuple = ()
     n_truncation: Optional[int] = None
-    exact: Optional[MapExpr] = None
+    # a map of the region, not part of it; its source is the domain itself
+    exact: Optional[MapExpr] = field(default=None, compare=False)
 
     kind = "slitstrip"
 
@@ -789,13 +783,13 @@ class Channel(Domain):
 
     ``Channel(profile=p, ...)`` builds p's kind, the subclass that
     ``_PROFILES`` names and that answers the hooks; ``params`` is the
-    dataclass of the profile parameters the kind takes, whose values
-    become attributes of the channel.
+    dataclass of the kind's profile parameters, whose values, defaults
+    included, are ``profile_params`` and attributes of the channel.
     """
 
     profile: str = "inv_log"
     profile_params: dict = field(default_factory=dict)
-    exact: Optional[MapExpr] = None
+    exact: Optional[MapExpr] = field(default=None, compare=False)
 
     kind = "channel"
     params = _NoParams
@@ -809,10 +803,11 @@ class Channel(Domain):
     def __post_init__(self):
         if _PROFILES.get(self.profile) is not type(self):
             raise ParameterError(f"unknown channel profile {self.profile!r}")
-        params = self.params(**read_fields(
+        params = vars(self.params(**read_fields(
             fields(self.params), self.profile_params,
-            f"{self.profile}.profile_params"))
-        for key, v in vars(params).items():
+            f"{self.profile}.profile_params")))
+        object.__setattr__(self, "profile_params", dict(params))
+        for key, v in params.items():
             object.__setattr__(self, key, v)
 
     def __repr__(self) -> str:
@@ -1168,15 +1163,9 @@ _CANONICAL = {
 }
 
 
-def canonical_domain(kind: str, **params) -> Domain:
-    if kind not in _CANONICAL:
-        raise ParameterError(f"unknown domain kind {kind!r}")
-    return _CANONICAL[kind](**params)
-
-
 def _spec_fields(cls) -> list:
-    """The constructor fields a domain's JSON spec carries, in order."""
-    return [f for f in fields(cls) if f.init and f.name != "exact"]
+    """The fields a domain's JSON spec carries, in order: those == reads."""
+    return [f for f in fields(cls) if f.init and f.compare]
 
 
 def domain_from_dict(data: dict) -> Domain:

@@ -1,18 +1,19 @@
 """Scenario documents: strict parsing, canonical serialization, hashing.
 
 A scenario names a semigroup (builtin shorthand or explicit Koenigs data),
-starting points, time grids, and heuristic overrides.  Its top-level keys
-and every numeric bound come from ``schemas/scenario.schema.json``, each
-nested spec's keys and value types from its dataclass; unknown keys are
-rejected everywhere.  The canonical form round-trips byte-identically,
-and its SHA-256 hash is embedded in every emitted report.
+starting points, time grids, and heuristic overrides.  Its top-level keys,
+every numeric bound and each grid kind's keys come from
+``schemas/scenario.schema.json``, each nested spec's keys and value types
+from its dataclass; unknown keys are rejected everywhere.  The canonical
+form, written from the parsed map and domain, parses back to the same
+scenario, and its SHA-256 hash is embedded in every emitted report.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .analysis import Heuristic, OrbitTrack
@@ -40,20 +41,27 @@ class GridSpec:
 
     @classmethod
     def parse(cls, data: dict, ctx: str) -> "GridSpec":
-        spec = read_fields(fields(cls), data, ctx,
-                           scenario_schema()["definitions"]["grid"]["properties"])
-        if spec["kind"] == "linear":
-            grid = cls(**{**spec, "values": ()})
+        schema = scenario_schema()["definitions"]["grid"]
+        spec = read_fields(fields(cls), data, ctx, schema["properties"])
+        # the keys each kind reads: the schema's branch for that kind
+        reads = {branch["properties"]["kind"]["const"]:
+                 branch["propertyNames"]["enum"] for branch in schema["oneOf"]}
+        kind = spec["kind"]
+        if kind not in reads:
+            raise ScenarioError(f"{ctx}: unknown grid kind {kind!r}")
+        foreign = [key for key in spec if key not in reads[kind]]
+        if foreign:
+            raise ScenarioError(f"{ctx}: {kind} grids do not read {foreign}")
+        if kind == "linear":
+            grid = cls(**spec)
             if not grid.t1 > grid.t0:
                 raise ScenarioError(f"{ctx}: need t1 > t0")
             return grid
-        if spec["kind"] == "explicit":
-            vals = spec.get("values")
-            if not isinstance(vals, list) or not vals:
-                raise ScenarioError(f"{ctx}: explicit grids need values")
-            return cls("explicit", values=tuple(
-                json_float(v, f"{ctx}.values") for v in vals))
-        raise ScenarioError(f"{ctx}: unknown grid kind {spec['kind']!r}")
+        vals = spec.get("values")
+        if not isinstance(vals, list) or not vals:
+            raise ScenarioError(f"{ctx}: explicit grids need values")
+        return cls("explicit", values=tuple(
+            json_float(v, f"{ctx}.values") for v in vals))
 
     def times(self) -> list:
         if self.kind == "explicit":
@@ -111,16 +119,13 @@ class Scenario:
     builtin: Optional[str]
     kind: str
     mu: Optional[complex]
-    koenigs_spec: Optional[dict]
-    domain_spec: Optional[dict]
     start_points: tuple
     start_w: tuple
     forward_grid: GridSpec
     backward_grid: Optional[GridSpec]
     heuristic: Heuristic
-    # built once from the fields above, which the canonical form holds
-    semigroup: Optional[Semigroup] = field(compare=False)
-    domain: Domain = field(compare=False)
+    semigroup: Optional[Semigroup]
+    domain: Domain
 
     # -- parsing ---------------------------------------------------------
 
@@ -152,8 +157,6 @@ class Scenario:
             schema["heuristic"]["properties"]))
 
         return cls(name=name, builtin=builtin, kind=kind, mu=mu,
-                   koenigs_spec=data.get("koenigs"),
-                   domain_spec=data.get("domain"),
                    start_points=start_points, start_w=start_w,
                    forward_grid=fwd, backward_grid=bwd, heuristic=heur,
                    semigroup=sg, domain=omega)
@@ -176,8 +179,9 @@ class Scenario:
             out["type"] = self.kind
             if self.mu is not None:
                 out["mu"] = [self.mu.real, self.mu.imag]
-            out["koenigs"] = self.koenigs_spec
-            out["domain"] = self.domain_spec
+            out["koenigs"] = None if self.semigroup is None \
+                else self.semigroup.koenigs.to_dict()
+            out["domain"] = self.domain.to_dict()
         if self.start_points:
             out["start_points"] = [[z.real, z.imag] for z in self.start_points]
         if self.start_w:

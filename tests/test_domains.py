@@ -7,8 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diskflow import (DomainError, ParameterError, canonical_domain,
-                      example1_domain, example2_domain, example3_domain,
+from diskflow import (DomainError, ParameterError, example1_domain, example2_domain, example3_domain,
                       exp_channel_domain, is_convex_positive_direction,
                       is_spirallike, unit_disk)
 from diskflow.domains import (Channel, Disk, HalfPlane, HalfStrip,
@@ -134,8 +133,7 @@ class TestExampleChannels:
 
 class TestCanonical:
     def test_sigma8_halfstrip_distance(self):
-        sigma8 = canonical_domain("halfstrip", left=-256.0,
-                                  half_width=1.0 / 8.0)
+        sigma8 = HalfStrip(left=-256.0, half_width=1.0 / 8.0)
         got = sigma8.hyperbolic_distance(0.0, -8.0)
         a = math.pi * 8 * 256 / 2.0
         b = math.pi * 8 * 248 / 2.0
@@ -147,7 +145,7 @@ class TestCanonical:
         # the mapped points
         from diskflow.hypgeo import disk_distance
 
-        dom = canonical_domain("halfstrip", left=-2.0, half_width=1.0)
+        dom = HalfStrip(left=-2.0, half_width=1.0)
         f = dom.exact_map
         z, w = complex(-1.0, 0.3), complex(0.5, -0.2)
         assert dom.hyperbolic_distance(z, w) == pytest.approx(
@@ -168,16 +166,16 @@ class TestCanonical:
             small.hyperbolic_density(z * s) * s, rel=1e-12)
 
     def test_strip_density_quarter_pi(self):
-        assert canonical_domain("strip", half_width=1.0).hyperbolic_density(
+        assert Strip(half_width=1.0).hyperbolic_density(
             0.0) == pytest.approx(math.pi / 4.0, abs=1e-15)
 
     def test_disk_identity_map(self):
-        d = canonical_domain("disk", center=0j, radius=1.0)
+        d = Disk(center=0j, radius=1.0)
         assert d.exact_map.evaluate(0.3 + 0.1j) == 0.3 + 0.1j
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
-            canonical_domain("annulus")
+            domain_from_dict({"kind": "annulus"})
 
 
 class TestClassification:

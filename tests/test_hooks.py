@@ -37,26 +37,18 @@ def test_imag_bounded_exact_on_builtin_kinds(dom, expected):
 
 
 def test_real_sector_is_unbounded_both_ways():
-    # the sampled default misses the sector {|arg w| < 0.7}: its probe
-    # points sit at |arg| near pi/2
+    # probes near |arg w| = pi/2 miss the sector {|arg w| < 0.7}, so the
+    # kind answers in closed form
     sector = SpiralSector(1.0, 0.7)
-    assert Domain.imag_bounded(sector) == (True, True)
     assert sector.imag_bounded() == (False, False)
     assert sector.contains(complex(1e7, 1e6))
     assert sector.contains(complex(1e7, -1e6))
 
 
-class _UpperBand(Domain):
-    """{Im w > 0} with no closed-form hooks."""
-
-    kind = "upper_band"
-
-    def contains(self, w):
-        return complex(w).imag > 0.0
-
-
-def test_imag_bounded_default_probe():
-    assert _UpperBand().imag_bounded() == (True, False)
+def test_the_base_has_no_extent_default():
+    # a sampled default answered (True, True) on the sector above
+    with pytest.raises(NotImplementedError):
+        Domain.imag_bounded(SpiralSector(1.0, 0.7))
 
 
 def test_channel_proposals_follow_the_profile():

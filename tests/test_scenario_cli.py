@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
 import pytest
 
-from diskflow import Scenario, ScenarioError
+from diskflow import Scenario, ScenarioError, example1_domain, example2_domain
 from diskflow.cli import main
+from diskflow.domains import Channel
 
 
 def write_config(tmp_path, payload, name="scenario.json"):
@@ -23,6 +25,131 @@ HALFPLANE_EXPLICIT = {
     "forward_grid": {"kind": "explicit", "values": [0.0, 1.0, 2.0]},
 }
 
+EXAMPLE2 = {
+    "name": "example2",
+    "type": "nonelliptic",
+    "koenigs": None,
+    "domain": {"kind": "channel", "profile": "inv_log"},
+    "start_w": [[0, 0]],
+}
+
+EXAMPLE1 = {
+    "name": "example1",
+    "type": "nonelliptic",
+    "koenigs": None,
+    "domain": json.loads(json.dumps(example1_domain(12).to_dict())),
+    "start_w": [[0, 0]],
+}
+
+# slits L[-1, +-0.05]: Sigma_4 = {Re > -16, |Im| < 1/4} crosses them
+NARROW_SLITS = {
+    "name": "narrow-slits",
+    "type": "nonelliptic",
+    "koenigs": None,
+    "domain": {"kind": "slitstrip", "half_width": 2.0,
+               "slits": [{"x": -1.0, "y": 0.05},
+                         {"x": -1.0, "y": -0.05}],
+               "n_truncation": 3},
+    "start_w": [[0, 0]],
+}
+
+ELLIPTIC_DISK = {
+    "type": "elliptic",
+    "mu": [1, 1],
+    "koenigs": {"chain": [{"op": "affine", "a": [1, 0], "b": [0, 0]}]},
+    "domain": {"kind": "disk", "center": [0, 0], "radius": 1.0},
+    "start_points": [[0.5, 0]],
+}
+
+
+def _overflowing(koenigs, orientation, start, t_end):
+    return {
+        "type": "nonelliptic", "koenigs": {"chain": [koenigs]},
+        "domain": {"kind": "halfplane", "orientation": orientation,
+                   "offset": 0.0},
+        "start_points": [start],
+        "forward_grid": {"kind": "explicit", "values": [0.0, t_end]},
+    }
+
+
+OVERFLOWING = [
+    # |w(t)| passes DBL_MAX: once a closed form outside the disk was
+    # accepted and the ODE cross-check failed on it instead
+    ({"op": "affine", "a": [1e308, 0], "b": [0, 0]}, "right",
+     [0.5, 0.85], 1.2e308),
+    # the inverse Moebius gives nan at a finite w(t): once a nan row
+    # was written with exit 0
+    ({"op": "mobius", "a": [0, 2e307], "b": [0, 2e307], "c": [-1, 0],
+      "d": [1, 0]}, "upper", [0.5, 0.0], 1.6e308),
+]
+
+_CAYLEY = {"op": "mobius", "a": [1, 0], "b": [1, 0], "c": [-1, 0],
+           "d": [1, 0]}
+
+# one scenario spelled two ways: integers for floats, defaults left out or
+# a chain the parser fuses, against the spelling of its canonical form
+SPELLINGS = {
+    "mapless-strip": (
+        {"type": "nonelliptic", "koenigs": None,
+         "domain": {"kind": "strip", "half_width": 1}, "start_w": [[0, 0]]},
+        {"type": "nonelliptic", "koenigs": None,
+         "domain": {"kind": "strip", "half_width": 1.0, "center": 0.0},
+         "start_w": [[0, 0]]}),
+    "readme-halfplane": (
+        {"type": "nonelliptic", "koenigs": {"chain": [_CAYLEY]},
+         "domain": {"kind": "halfplane"}, "start_points": [[0, 0]],
+         "forward_grid": {"kind": "linear", "t0": 0, "t1": 10, "n": 101}},
+        {"type": "nonelliptic",
+         "koenigs": {"chain": [{"op": "mobius", "a": [1.0, 0.0],
+                                "b": [1.0, 0.0], "c": [-1.0, 0.0],
+                                "d": [1.0, 0.0]}]},
+         "domain": {"kind": "halfplane", "orientation": "right",
+                    "offset": 0.0},
+         "start_points": [[0.0, 0.0]],
+         "forward_grid": {"kind": "linear", "t0": 0.0, "t1": 10.0,
+                          "n": 101}}),
+    "mapless-inv_log": (
+        {"type": "nonelliptic", "koenigs": None,
+         "domain": {"kind": "channel", "profile": "inv_log"},
+         "start_w": [[0, 0]]},
+        {"type": "nonelliptic", "koenigs": None,
+         "domain": {"kind": "channel", "profile": "inv_log",
+                    "profile_params": {"mouth_cap": 2.0}},
+         "start_w": [[0, 0]]}),
+    "unfused-chain": (
+        {**HALFPLANE_EXPLICIT, "koenigs": {"chain": [
+            _CAYLEY, {"op": "affine", "a": [1, 0], "b": [0, 0]}]}},
+        HALFPLANE_EXPLICIT),
+    # z -> 2z as a Moebius map with c = 0 and an affine one: the fused
+    # pair is demoted to one affine map
+    "demoted-mobius": (
+        {**ELLIPTIC_DISK, "domain": {"kind": "disk", "center": [0, 0],
+                                     "radius": 2.0},
+         "koenigs": {"chain": [
+             {"op": "mobius", "a": [4, 0], "b": [0, 0], "c": [0, 0],
+              "d": [1, 0]},
+             {"op": "affine", "a": [0.5, 0], "b": [0, 0]}]}},
+        {**ELLIPTIC_DISK, "domain": {"kind": "disk", "center": [0, 0],
+                                     "radius": 2.0},
+         "koenigs": {"chain": [{"op": "affine", "a": [2, 0],
+                                "b": [0, 0]}]}}),
+}
+
+# every scenario in this file that parses
+EXPLICIT = {
+    "halfplane-explicit": HALFPLANE_EXPLICIT,
+    "halfplane-backward": {**HALFPLANE_EXPLICIT, "backward_grid": {
+        "kind": "explicit", "values": [0.0, 0.5]}},
+    "example1": EXAMPLE1,
+    "example2": EXAMPLE2,
+    "narrow-slits": NARROW_SLITS,
+    "elliptic-disk": ELLIPTIC_DISK,
+    **{f"overflowing-{i}": _overflowing(*case)
+       for i, case in enumerate(OVERFLOWING)},
+    **{f"{name}-{i}": pair[i] for name, pair in SPELLINGS.items()
+       for i in (0, 1)},
+}
+
 
 class TestScenarioParsing:
     def test_builtin_shorthand(self):
@@ -32,9 +159,13 @@ class TestScenarioParsing:
         sg = sc.semigroup
         assert sg.name == "halfplane"
 
-    def test_canonical_roundtrip(self):
-        sc = Scenario.parse(HALFPLANE_EXPLICIT)
-        again = Scenario.parse(sc.to_dict())
+    @pytest.mark.parametrize("payload", EXPLICIT.values(), ids=EXPLICIT)
+    def test_canonical_roundtrip(self, payload):
+        # parse after to_dict is a fixed point, a fused chain and a demoted
+        # Moebius map included
+        sc = Scenario.parse(payload)
+        again = Scenario.parse(json.loads(sc.canonical_json()))
+        assert again == sc
         assert again.canonical_json() == sc.canonical_json()
         assert again.digest() == sc.digest()
 
@@ -76,13 +207,7 @@ class TestScenarioParsing:
             Scenario.parse(bad)
 
     def test_start_w_track(self):
-        sc = Scenario.parse({
-            "name": "example2",
-            "type": "nonelliptic",
-            "koenigs": None,
-            "domain": {"kind": "channel", "profile": "inv_log"},
-            "start_w": [[0, 0]],
-        })
+        sc = Scenario.parse(EXAMPLE2)
         tracks = sc.tracks()
         assert len(tracks) == 1
         assert tracks[0].semigroup is None
@@ -93,13 +218,7 @@ class TestScenarioParsing:
         assert sg.phi(1.0, 0j) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_explicit_elliptic_scenario(self):
-        sc = Scenario.parse({
-            "type": "elliptic",
-            "mu": [1, 1],
-            "koenigs": {"chain": [{"op": "affine", "a": [1, 0], "b": [0, 0]}]},
-            "domain": {"kind": "disk", "center": [0, 0], "radius": 1.0},
-            "start_points": [[0.5, 0]],
-        })
+        sc = Scenario.parse(ELLIPTIC_DISK)
         sg = sc.semigroup
         assert sg.mu == 1 + 1j
         import cmath
@@ -157,35 +276,16 @@ class TestTraceCommand:
                      "--out", str(tmp_path)]) == 2
 
     def test_mapless_scenario_cannot_trace(self, tmp_path):
-        payload = {
-            "type": "nonelliptic", "koenigs": None,
-            "domain": {"kind": "channel", "profile": "inv_log"},
-            "start_w": [[0, 0]],
-        }
-        cfg = write_config(tmp_path, payload)
+        cfg = write_config(tmp_path, EXAMPLE2)
         assert main(["trace", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
 
 
-    @pytest.mark.parametrize("koenigs,domain,start,t_end", [
-        # |w(t)| passes DBL_MAX: once a closed form outside the disk was
-        # accepted and the ODE cross-check failed on it instead
-        ({"op": "affine", "a": [1e308, 0], "b": [0, 0]}, "right",
-         [0.5, 0.85], 1.2e308),
-        # the inverse Moebius gives nan at a finite w(t): once a nan row
-        # was written with exit 0
-        ({"op": "mobius", "a": [0, 2e307], "b": [0, 2e307], "c": [-1, 0],
-          "d": [1, 0]}, "upper", [0.5, 0.0], 1.6e308),
-    ])
+    @pytest.mark.parametrize("koenigs,domain,start,t_end", OVERFLOWING)
     def test_pullback_overflow_exits_3(self, koenigs, domain, start, t_end,
                                        tmp_path, capsys):
-        cfg = write_config(tmp_path, {
-            "type": "nonelliptic", "koenigs": {"chain": [koenigs]},
-            "domain": {"kind": "halfplane", "orientation": domain,
-                       "offset": 0.0},
-            "start_points": [start],
-            "forward_grid": {"kind": "explicit", "values": [0.0, t_end]},
-        })
+        cfg = write_config(tmp_path, _overflowing(koenigs, domain, start,
+                                                  t_end))
         assert main(["trace", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 3
         assert "overflow evaluating" in capsys.readouterr().err
@@ -239,14 +339,7 @@ class TestCriterionCommand:
             "tail": f"{n_tail} tail samples, fewer than the window of 1000000"}
 
     def test_example2_fixture(self, tmp_path):
-        payload = {
-            "name": "example2",
-            "type": "nonelliptic",
-            "koenigs": None,
-            "domain": {"kind": "channel", "profile": "inv_log"},
-            "start_w": [[0, 0]],
-        }
-        cfg = write_config(tmp_path, payload)
+        cfg = write_config(tmp_path, EXAMPLE2)
         assert main(["criterion", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 0
         rep = json.loads(
@@ -254,16 +347,7 @@ class TestCriterionCommand:
         assert rep["verdict"] == "Certified"
 
     def test_example1_fixture_carries_note(self, tmp_path):
-        dom = json.loads(json.dumps(
-            __import__("diskflow").example1_domain(12).to_dict()))
-        payload = {
-            "name": "example1",
-            "type": "nonelliptic",
-            "koenigs": None,
-            "domain": dom,
-            "start_w": [[0, 0]],
-        }
-        cfg = write_config(tmp_path, payload)
+        cfg = write_config(tmp_path, EXAMPLE1)
         assert main(["criterion", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 0
         rep = json.loads(
@@ -274,21 +358,11 @@ class TestCriterionCommand:
 
     def test_other_truncated_slit_strip_gets_no_example1_enclosure(
             self, tmp_path):
-        # slits L[-1, +-0.05]: Sigma_4 = {Re > -16, |Im| < 1/4} crosses
-        # them, so it is no enclosure.  Every path from 0 to -4 runs 3 units
-        # through the channel between the slits, where lambda >= 1/(4 delta)
-        # >= 5, so k(0, -4) >= 15 and ratio(4) <= lambda(-4) e^-30.
-        payload = {
-            "name": "narrow-slits",
-            "type": "nonelliptic",
-            "koenigs": None,
-            "domain": {"kind": "slitstrip", "half_width": 2.0,
-                       "slits": [{"x": -1.0, "y": 0.05},
-                                 {"x": -1.0, "y": -0.05}],
-                       "n_truncation": 3},
-            "start_w": [[0, 0]],
-        }
-        cfg = write_config(tmp_path, payload)
+        # Sigma_4 crosses the slits, so it is no enclosure.  Every path
+        # from 0 to -4 runs 3 units through the channel between the slits,
+        # where lambda >= 1/(4 delta) >= 5, so k(0, -4) >= 15 and
+        # ratio(4) <= lambda(-4) e^-30.
+        cfg = write_config(tmp_path, NARROW_SLITS)
         assert main(["criterion", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 0
         rep = json.loads(
@@ -496,10 +570,6 @@ def _slit_strip(n_truncation):
             "start_w": [[0, 0]]}
 
 
-_CAYLEY = {"op": "mobius", "a": [1, 0], "b": [1, 0], "c": [-1, 0],
-           "d": [1, 0]}
-
-
 class TestEveryValueRead:
     """Each scenario value is read as the schema types it, or the command
     exits 2 on a message naming its key and writes nothing; each case once
@@ -594,5 +664,57 @@ class TestEveryValueRead:
         sc = Scenario.parse(HALFPLANE_EXPLICIT)
         assert sc.domain is sc.semigroup.omega
         assert all(t.semigroup is sc.semigroup for t in sc.tracks())
-        # built once; equality and the canonical form read the spec
+        # built once; equality and the canonical form read what was built
         assert Scenario.parse(HALFPLANE_EXPLICIT) == sc
+
+
+class TestCanonicalForm:
+    """The canonical form and the hash are written from the parsed map and
+    domain: each spelling pair once hashed differently."""
+
+    @pytest.mark.parametrize("short,spelled", SPELLINGS.values(),
+                             ids=SPELLINGS)
+    def test_spellings_of_one_scenario_hash_equal(self, short, spelled):
+        a, b = Scenario.parse(short), Scenario.parse(spelled)
+        assert a == b
+        assert a.canonical_json() == b.canonical_json()
+        assert a.digest() == b.digest()
+
+    def test_channel_keeps_its_parsed_parameters(self):
+        dom = Channel(profile="inv_log")
+        assert dom.profile_params == {"mouth_cap": 2.0}
+        assert dom == example2_domain()
+        assert Channel(profile="exp").profile_params == {}
+
+    def test_builtins_compare_equal(self):
+        # the channel's exact map has the domain as its source; equality
+        # reads the region, so it does not recurse through the map
+        for name in ("channel", "halfplane"):
+            assert Scenario.parse({"builtin": name}) == \
+                Scenario.parse({"builtin": name})
+
+
+class TestGridKeys:
+    """A grid key that the grid's kind does not read exits 2 and names the
+    key; each was once dropped without a word."""
+
+    CASES = {
+        # traced the default 101-point grid on [0, 10]
+        "linear-values": ({"kind": "linear", "values": [0, 1, 2]},
+                          "linear grids do not read ['values']"),
+        "explicit-n-t1": ({"kind": "explicit", "values": [0, 1, 2], "n": 5,
+                           "t1": 99}, "explicit grids do not read ['t1', 'n']"),
+    }
+
+    @pytest.mark.parametrize("grid,message", CASES.values(), ids=CASES)
+    @pytest.mark.parametrize("which", ["forward_grid", "backward_grid"])
+    def test_foreign_grid_key_exits_2(self, tmp_path, capsys, which, grid,
+                                      message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            Scenario.parse({"builtin": "strip", which: grid})
+        cfg = write_config(tmp_path, {"builtin": "strip", which: grid})
+        rc = main(["trace", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert f"{which}: {message}" in err
+        assert not (tmp_path / "out").exists()

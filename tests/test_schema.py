@@ -106,6 +106,17 @@ class TestSchemaMatchesCode:
         assert list(heur) == [f.name for f in dataclasses.fields(Heuristic)]
         assert list(grid) == [f.name for f in dataclasses.fields(GridSpec)]
 
+    def test_grid_kinds_split_the_grid_keys(self):
+        # one branch per grid kind, naming the keys that kind reads
+        grid = _schema()["definitions"]["grid"]
+        reads = {b["properties"]["kind"]["const"]: b["propertyNames"]["enum"]
+                 for b in grid["oneOf"]}
+        assert list(reads) == _enum(grid["properties"]["kind"])
+        assert all(keys[0] == "kind" for keys in reads.values())
+        assert sorted(k for keys in reads.values() for k in keys[1:]) == \
+            sorted(f.name for f in dataclasses.fields(GridSpec)
+                   if f.name != "kind")
+
     def test_value_types_equal_field_annotations(self):
         untyped = {}
         for table, specs in _specs():

@@ -20,7 +20,7 @@ import pytest
 import diskflow
 from diskflow.analysis import OrbitTrack
 from diskflow.cli import main
-from diskflow.domains import (canonical_domain, dist_to_curve,
+from diskflow.domains import (dist_to_curve, domain_from_dict,
                               example2_domain, exp_channel_domain)
 from diskflow.errors import CrossValidationError
 from diskflow.semigroup import exit_time, integrate_complex
@@ -173,7 +173,7 @@ def test_starts_at_the_edge_of_the_float_range(domain, start_w, tmp_path):
     (sample,) = report["samples"]
     # the ratio at t = 0 is the density at the start
     w = complex(*start_w)
-    expected = canonical_domain(**domain).hyperbolic_density(w)
+    expected = domain_from_dict(domain).hyperbolic_density(w)
     assert 0.0 < sample["ratio_lo"] <= sample["ratio_hi"]
     assert sample["ratio_hi"] == pytest.approx(expected, rel=1e-9)
 
