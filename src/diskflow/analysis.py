@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import hypgeo
+from . import hypgeo, quadpack
 from .confmap import complex_abs
 from .domains import Domain
 from .errors import DiskflowError, DomainError, EvaluationError, ParameterError
@@ -202,40 +202,38 @@ class ArcLength:
 _ARC_RTOL = 1e-6  # relative error of a converged arc length
 
 
-def _quad(f, a, b):
-    # imported on first use: SciPy takes most of a cold start, and only the
-    # g_abs quadrature (Hayman-Wu) needs it
-    from scipy.integrate import quad
-
-    # full_output silences the roundoff warning for violently decaying tails
-    res = quad(f, a, b, limit=400, full_output=1)
-    return res[0], res[1]
-
-
 def arc_length(samples: Optional[Sequence[OrbitSample]] = None,
                g_abs: Optional[Callable[[float], float]] = None,
                t0: float = 0.0, t1: Optional[float] = None) -> ArcLength:
     """Length of an orbit piece as the integral of |G(gamma(t))| dt.
 
-    With a ``g_abs`` evaluator the integral is adaptive quadrature (infinite
-    upper limits allowed); otherwise it is a Richardson-checked composite
-    rule over the supplied samples.  The convergence flag additionally
-    requires the contribution of the last time decade to be below 1e-4.
+    With a ``g_abs`` evaluator the integral is ``quadpack.quad``, the
+    package's port of QUADPACK's adaptive Gauss-Kronrod routines at absolute
+    and relative tolerance 1.49e-8 and at most 400 subintervals: QAGS
+    (``dqagse``, bisecting with the 10/21-point pair ``dqk21``) on a finite
+    span, QAGI (``dqagie``, the 7/15-point pair ``dqk15i`` after the map
+    t = t0 + (1 - u)/u) on [t0, inf).  Both keep the error list ordered as
+    ``dqpsrt`` does and extrapolate the sums over the smallest subintervals
+    with the epsilon algorithm of ``dqelg``, which keeps a length finite and
+    accurate when |G| blows up at an end, as on a backward orbit that is not
+    Lipschitz.  Otherwise it is a Richardson-checked composite rule over the
+    supplied samples.  The convergence flag additionally requires the
+    contribution of the last time decade to be below 1e-4.
     """
     if g_abs is not None:
         if t1 is None:
             raise ParameterError("g_abs quadrature needs an upper time limit")
-        value, abserr = _quad(g_abs, t0, t1)
+        value, abserr = quadpack.quad(g_abs, t0, t1)
         if math.isinf(t1):
             # walk decades until one contributes below the 1e-4 tail budget
             tail = math.inf
             for k in range(2, 16):
-                tail, _ = _quad(g_abs, 10.0 ** k, 10.0 ** (k + 1))
+                tail, _ = quadpack.quad(g_abs, 10.0 ** k, 10.0 ** (k + 1))
                 tail = abs(tail)
                 if tail < 1e-4:
                     break
         else:
-            tail, _ = _quad(g_abs, max(t0, t1 / 10.0), t1)
+            tail, _ = quadpack.quad(g_abs, max(t0, t1 / 10.0), t1)
             tail = min(abs(tail), abserr)  # finite spans converge via abserr
         converged = abserr <= _ARC_RTOL * max(1.0, abs(value)) and tail < 1e-4
         return ArcLength(value, converged, tail)

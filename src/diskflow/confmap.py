@@ -493,11 +493,13 @@ def _params(prim) -> dict:
 
 
 def _fuse_chain(chain: Sequence) -> tuple:
-    """Fuse adjacent Moebius/affine primitives and drop exact identities.
+    """Fuse adjacent Moebius/affine primitives, demote every Moebius map
+    with c = 0 to an affine one, and drop exact identities.
 
     Fusing matters numerically: a composed chain like f^{-1} followed by a
     Moebius Koenigs map can saturate near the disk boundary if evaluated in
-    two steps, while the fused single Moebius stays well-conditioned.  A
+    two steps, while the fused single Moebius stays well-conditioned.
+    Demoting a lone Moebius map too gives each map one canonical form.  A
     lone identity is kept as given, so a fused chain's primitive-wise
     inverse is fused as it stands and inverts with the same bits (the
     inverse of Affine(1, 0) is Affine(1, -0.0)).
@@ -512,7 +514,7 @@ def _fuse_chain(chain: Sequence) -> tuple:
                      c2 * a1 + d2 * c1, c2 * b1 + d2 * d1)
             out[-1] = _demote(Mobius(*fused))
         else:
-            out.append(prim)
+            out.append(_demote(prim) if isinstance(prim, Mobius) else prim)
     cleaned = [p for p in out if not (isinstance(p, Affine) and p.a == 1 and p.b == 0)]
     return tuple(cleaned or out or [Affine(1.0, 0.0)])
 

@@ -1,12 +1,12 @@
-"""SciPy is imported on first use, by the one function that needs it.
+"""The package never imports SciPy.
 
-Only ``analysis._quad`` (the quadrature behind ``arc_length(g_abs=...)`` and
-Hayman-Wu) imports ``scipy.integrate``, inside its body, so ``import
-diskflow`` and every command that never takes a quadrature start without
-SciPy; the ODE cross-check (``semigroup.integrate_complex``) steps with the
-package's own DOP853 and imports no SciPy at all.  The pytest process has
-imported SciPy already (other test modules use it), so the checks below run
-in a fresh interpreter on the package sources."""
+The quadrature behind ``arc_length(g_abs=...)`` and Hayman-Wu is the
+package's QUADPACK port (``quadpack.quad``), and the ODE cross-check
+(``semigroup.integrate_complex``) steps with its own DOP853, so no module
+imports SciPy, at top level or inside a function, and no step of a run
+loads it.  SciPy is a test-only reference.  The pytest process has imported
+SciPy already (other test modules use it), so the checks below run in a
+fresh interpreter on the package sources."""
 
 import ast
 import json
@@ -72,10 +72,10 @@ print(json.dumps({"seen": seen, "out": out}))
 """
 
 
-def test_scipy_loads_only_where_the_package_integrates():
+def test_no_step_loads_scipy():
     res = run_child(COLD_START)
     assert res["seen"] == {"import": False, "criterion": False,
-                           "ahlfors": False, "hayman_wu": True}
+                           "ahlfors": False, "hayman_wu": False}
     assert res["out"] == {"criterion": repr(mapless_criterion()),
                           "ahlfors": repr(ahlfors()),
                           "hayman_wu": repr(hayman_wu())}
@@ -126,8 +126,7 @@ print(json.dumps({"before": before, "after": "scipy" in sys.modules,
 
 def test_threads_enter_the_first_integration_together():
     # README: orbits may be computed concurrently without locking, including
-    # the first cross-check of a process, which imports nothing; only
-    # analysis._quad imports SciPy
+    # the first cross-check of a process, which imports nothing
     # (imported here, so pytest does not collect the class twice)
     from test_semigroup import TestConcurrentTraces
 
@@ -138,19 +137,6 @@ def test_threads_enter_the_first_integration_together():
                                for n in res["names"]]
 
 
-def _module_level_imports(tree):
-    """Import nodes that run when the module is imported: everything outside
-    function bodies (class bodies and top-level if/try blocks included)."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _imports_scipy(node) -> bool:
     if isinstance(node, ast.ImportFrom):
         names = [node.module or ""]
@@ -159,23 +145,23 @@ def _imports_scipy(node) -> bool:
     return any(n == "scipy" or n.startswith("scipy.") for n in names)
 
 
-def test_no_module_imports_scipy_at_top_level():
-    paths = sorted(Path(diskflow.__file__).parent.glob("*.py"))
-    assert {"analysis.py", "semigroup.py"} <= {p.name for p in paths}
-    found = [f"{path.name}:{node.lineno}"
-             for path in paths
-             for node in _module_level_imports(ast.parse(path.read_text()))
-             if _imports_scipy(node)]
-    assert found == []
+def _scipy_imports(tree) -> list:
+    """Line numbers of every SciPy import in the tree, at top level or
+    nested in a block, class or function."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and _imports_scipy(node))
 
 
-def test_the_ode_cross_check_imports_no_scipy():
-    # the stepper is the package's own DOP853, so no solve_ivp path can come
-    # back beside it, at top level or inside a function
-    path = Path(diskflow.__file__).with_name("semigroup.py")
-    found = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, (ast.Import, ast.ImportFrom))
-             and _imports_scipy(node)]
+def test_no_module_imports_scipy():
+    # the quadrature and the ODE stepper are the package's own, so no SciPy
+    # path can come back beside them, at top level or inside a function
+    root = Path(diskflow.__file__).parent
+    paths = sorted(root.rglob("*.py"))
+    assert {"analysis.py", "quadpack.py", "semigroup.py"} <= {
+        p.name for p in paths}
+    found = [f"{path.relative_to(root)}:{line}" for path in paths
+             for line in _scipy_imports(ast.parse(path.read_text()))]
     assert found == []
 
 
@@ -184,5 +170,4 @@ def test_the_guard_sees_top_level_and_nested_imports():
                      "if True:\n    import scipy\n"
                      "class A:\n    from scipy import special\n"
                      "def f():\n    from scipy.integrate import solve_ivp\n")
-    assert sorted(n.lineno for n in _module_level_imports(tree)
-                  if _imports_scipy(n)) == [2, 4, 6]
+    assert _scipy_imports(tree) == [2, 4, 6, 8]

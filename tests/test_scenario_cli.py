@@ -133,6 +133,18 @@ SPELLINGS = {
                                      "radius": 2.0},
          "koenigs": {"chain": [{"op": "affine", "a": [2, 0],
                                 "b": [0, 0]}]}}),
+    # the same map as a lone Moebius map with c = 0, which has no neighbour
+    # to fuse with and is demoted all the same
+    "lone-mobius": (
+        {**ELLIPTIC_DISK, "domain": {"kind": "disk", "center": [0, 0],
+                                     "radius": 2.0},
+         "koenigs": {"chain": [
+             {"op": "mobius", "a": [2, 0], "b": [0, 0], "c": [0, 0],
+              "d": [1, 0]}]}},
+        {**ELLIPTIC_DISK, "domain": {"kind": "disk", "center": [0, 0],
+                                     "radius": 2.0},
+         "koenigs": {"chain": [{"op": "affine", "a": [2, 0],
+                                "b": [0, 0]}]}}),
 }
 
 # every scenario in this file that parses

@@ -459,8 +459,8 @@ class TestIntegrator:
 
 
 class TestDop853:
-    """The package's DOP853 stepper against SciPy's (SciPy stays a declared
-    dependency, for analysis._quad)."""
+    """The package's DOP853 stepper against SciPy's (SciPy is a test-only
+    reference, from the ``test`` extra)."""
 
     @staticmethod
     def solve_ivp_nodes(f, z0, grid):
