@@ -202,57 +202,36 @@ class ArcLength:
 _ARC_RTOL = 1e-6  # relative error of a converged arc length
 
 
-def arc_length(samples: Optional[Sequence[OrbitSample]] = None,
-               g_abs: Optional[Callable[[float], float]] = None,
-               t0: float = 0.0, t1: Optional[float] = None) -> ArcLength:
+def arc_length(g_abs: Callable[[float], float], t0: float,
+               t1: float) -> ArcLength:
     """Length of an orbit piece as the integral of |G(gamma(t))| dt.
 
-    With a ``g_abs`` evaluator the integral is ``quadpack.quad``, the
-    package's port of QUADPACK's adaptive Gauss-Kronrod routines at absolute
-    and relative tolerance 1.49e-8 and at most 400 subintervals: QAGS
-    (``dqagse``, bisecting with the 10/21-point pair ``dqk21``) on a finite
-    span, QAGI (``dqagie``, the 7/15-point pair ``dqk15i`` after the map
-    t = t0 + (1 - u)/u) on [t0, inf).  Both keep the error list ordered as
-    ``dqpsrt`` does and extrapolate the sums over the smallest subintervals
-    with the epsilon algorithm of ``dqelg``, which keeps a length finite and
-    accurate when |G| blows up at an end, as on a backward orbit that is not
-    Lipschitz.  Otherwise it is a Richardson-checked composite rule over the
-    supplied samples.  The convergence flag additionally requires the
-    contribution of the last time decade to be below 1e-4.
+    The integral is ``quadpack.quad``, the package's port of QUADPACK's
+    adaptive Gauss-Kronrod routines at absolute and relative tolerance
+    1.49e-8 and at most 400 subintervals: QAGS (``dqagse``, bisecting with
+    the 10/21-point pair ``dqk21``) on a finite span, QAGI (``dqagie``, the
+    7/15-point pair ``dqk15i`` after the map t = t0 + (1 - u)/u) on
+    [t0, inf).  Both keep the error list ordered as ``dqpsrt`` does and
+    extrapolate the sums over the smallest subintervals with the epsilon
+    algorithm of ``dqelg``, which keeps a length finite and accurate when
+    |G| blows up at an end, as on a backward orbit that is not Lipschitz.
+    The convergence flag additionally requires the contribution of the last
+    time decade to be below 1e-4.
     """
-    if g_abs is not None:
-        if t1 is None:
-            raise ParameterError("g_abs quadrature needs an upper time limit")
-        value, abserr = quadpack.quad(g_abs, t0, t1)
-        if math.isinf(t1):
-            # walk decades until one contributes below the 1e-4 tail budget
-            tail = math.inf
-            for k in range(2, 16):
-                tail, _ = quadpack.quad(g_abs, 10.0 ** k, 10.0 ** (k + 1))
-                tail = abs(tail)
-                if tail < 1e-4:
-                    break
-        else:
-            tail, _ = quadpack.quad(g_abs, max(t0, t1 / 10.0), t1)
-            tail = min(abs(tail), abserr)  # finite spans converge via abserr
-        converged = abserr <= _ARC_RTOL * max(1.0, abs(value)) and tail < 1e-4
-        return ArcLength(value, converged, tail)
-
-    if samples is None or len(samples) < 2:
-        raise ParameterError("need at least two samples with generator values")
-    ts = [s.t for s in samples]
-    for a, b in zip(ts, ts[1:]):
-        if b <= a:
-            raise ParameterError("non-monotone sample grid")
-    gs = [s.g_abs for s in samples]
-    full = np.trapezoid(gs, ts)
-    half = np.trapezoid(gs[::2], ts[::2])
-    converged = abs(full - half) <= _ARC_RTOL * max(1.0, abs(full))
-    span = ts[-1] - ts[0]
-    cut = ts[-1] - span / 10.0
-    tail = np.trapezoid([g for t, g in zip(ts, gs) if t >= cut],
-                        [t for t in ts if t >= cut])
-    return ArcLength(float(full), bool(converged and tail < 1e-4), float(tail))
+    value, abserr = quadpack.quad(g_abs, t0, t1)
+    if math.isinf(t1):
+        # walk decades until one contributes below the 1e-4 tail budget
+        tail = math.inf
+        for k in range(2, 16):
+            tail, _ = quadpack.quad(g_abs, 10.0 ** k, 10.0 ** (k + 1))
+            tail = abs(tail)
+            if tail < 1e-4:
+                break
+    else:
+        tail, _ = quadpack.quad(g_abs, max(t0, t1 / 10.0), t1)
+        tail = min(abs(tail), abserr)  # finite spans converge via abserr
+    converged = abserr <= _ARC_RTOL * max(1.0, abs(value)) and tail < 1e-4
+    return ArcLength(value, converged, tail)
 
 
 HAYMAN_WU_BOUND = 4.0 * math.pi

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import catalog, hypgeo
+from . import catalog
 from .analysis import (CERTIFIED, FINITE_HORIZON, NON_REGULAR, REGULAR,
                        REFUTED_TREND, SHIFT_FINITE, SHIFT_NOT_APPLICABLE,
                        OrbitTrack, SpiralSpec, ahlfors_audit,
@@ -155,24 +155,6 @@ def suite_metrics(seed: int = 0) -> list:
         cut_ok = True
     out.append(_check("near_boundary_cutoff_rejects", cut_ok, 1))
 
-    # interval arithmetic enclosure on monotone ops
-    ivs = [hypgeo.Interval(rng.uniform(0.1, 1.0), rng.uniform(1.0, 3.0))
-           for _ in range(200)]
-    bad = 0
-    for iv in ivs:
-        x = rng.uniform(iv.lo, iv.hi)
-        if not iv.exp().contains(math.exp(x)):
-            bad += 1
-        if not iv.log().contains(math.log(x)):
-            bad += 1
-        if not iv.reciprocal().contains(1.0 / x):
-            bad += 1
-        if not (iv + 2.0).contains(x + 2.0):
-            bad += 1
-        if not iv.scale(3.0).contains(3.0 * x):
-            bad += 1
-    out.append(_check("interval_monotone_ops_preserve_enclosure",
-                      bad == 0, 200, f"{bad} violations"))
     return out
 
 

@@ -3,10 +3,12 @@
 Six map-backed scenarios: half-plane and strip translation flows, the
 upper-half-plane domain flow, two elliptic flows on the disk (dilation and
 spiral), and a channel flow whose Koenigs domain {Re w > log cos(Im w)} is
-the exact image of a Moebius/log chain.  The three example domains (slit
-strip and the two logarithmic channels) have no exact Riemann map inside
-the chain algebra, so their audits run in Koenigs coordinates through
-interval bounds.
+the exact image of a Moebius/log chain.  Each semigroup's domain reads its
+hyperbolic quantities through the inverse Koenigs map, which ``Semigroup``
+installs where the domain has no Riemann map of its own.  The three example
+domains (slit strip and the two logarithmic channels) have no exact Riemann
+map inside the chain algebra, so their audits run in Koenigs coordinates
+through interval bounds.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ def channel_semigroup() -> Semigroup:
     )
     omega = Channel(profile="log_cos")
     h = MapExpr(chain, source=unit_disk(), target=omega)
-    object.__setattr__(omega, "exact", h.inverted())
     return Semigroup(NONELLIPTIC, h, omega, name="channel")
 
 
@@ -91,6 +92,7 @@ def slit_tip_semigroup() -> Semigroup:
     h^{-1}(1) lands on the slit tip at T_z = 2, where the generator blows up
     and the criterion ratio diverges (the refutation fixture)."""
     a = math.exp(-0.5 * math.pi)
+    omega = SlitStrip(half_width=1.0, slits=((-1.0, 0.0),))
     omega_to_disk = MapExpr((
         Affine(0.5 * math.pi, 0.0),     # strip -> {|Im| < pi/2} minus slit
         Exp(),                          # -> RHP minus (0, a]
@@ -98,11 +100,7 @@ def slit_tip_semigroup() -> Semigroup:
         Affine(1.0, -a * a),            # -> C minus (-inf, 0]
         Power(0.5, 0.0),                # -> RHP
         Mobius(1, -1, 1, 1),            # -> D
-    ))
-    omega = SlitStrip(half_width=1.0, slits=((-1.0, 0.0),),
-                      exact=omega_to_disk)
-    object.__setattr__(omega_to_disk, "source", omega)
-    object.__setattr__(omega_to_disk, "target", unit_disk())
+    ), source=omega, target=unit_disk())
     h = omega_to_disk.inverted()
     return Semigroup(NONELLIPTIC, h, omega, name="slit_tip")
 

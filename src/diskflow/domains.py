@@ -2,13 +2,17 @@
 
 Canonical kinds (half-plane, strip, half-strip, disk, spiral sector) carry
 exact Riemann maps and closed-form hyperbolic quantities; the slit-strip and
-channel kinds answer membership and Euclidean boundary distance geometrically
-and leave hyperbolic quantities to interval bounds.
+channel kinds answer membership and Euclidean boundary distance geometrically.
+A domain without a Riemann map of its own reads hyperbolic quantities through
+the inverse Koenigs map that a semigroup on the unit disk installs where the
+map passes a sampled check (``with_riemann_map``), and otherwise leaves them
+to interval bounds.
 """
 
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -18,9 +22,9 @@ import numpy as np
 
 from . import hypgeo
 from .confmap import Affine, Exp, MapExpr, Mobius, Power, Sin
-from .errors import (DomainError, EvaluationError, ParameterError,
-                     ScenarioError, check_keys, json_float, read_fields,
-                     scenario_schema)
+from .errors import (DomainError, EvaluationError, InversionError,
+                     ParameterError, ScenarioError, check_keys, json_float,
+                     read_fields, scenario_schema)
 
 _E = math.e
 
@@ -170,10 +174,14 @@ class Domain:
 
     Subclasses implement ``contains``, ``_distance`` and ``imag_bounded``;
     ``exact_map`` (onto the unit disk) and the closed-form hyperbolic hooks
-    are optional.
+    are optional.  ``exact`` is a Riemann map of the region, not part of it:
+    no constructor takes it, only ``with_riemann_map`` sets it, and
+    equality, hashing and ``to_dict`` ignore it.
     """
 
     convex: bool = field(default=False, init=False)
+    exact: Optional[MapExpr] = field(default=None, init=False, compare=False,
+                                     repr=False)
     kind = "abstract"
 
     # -- core queries --------------------------------------------------
@@ -212,7 +220,7 @@ class Domain:
 
     @property
     def exact_map(self) -> Optional[MapExpr]:
-        return None
+        return self.exact
 
     def hyperbolic_density(self, w: complex) -> Optional[float]:
         """lambda(w).  Default: lambda_D(h(w)) |h'(w)| through the exact map."""
@@ -342,6 +350,48 @@ class Domain:
     def truncation(self):
         """Truncation metadata recorded in downstream reports."""
         return None
+
+
+def with_riemann_map(dom: Domain, koenigs: MapExpr) -> Domain:
+    """dom, or, where dom has no Riemann map of its own and koenigs passes
+    ``_is_riemann_map``, its copy whose ``exact_map`` is koenigs^{-1}."""
+    if dom.exact_map is not None or not _is_riemann_map(dom, koenigs):
+        return dom
+    out = copy.copy(dom)
+    object.__setattr__(out, "exact", koenigs.inverted())
+    return out
+
+
+def _is_riemann_map(dom: Domain, koenigs: MapExpr) -> bool:
+    """Whether koenigs maps the unit disk onto dom, as far as
+    _RIEMANN_SAMPLES seeded points of each tell.  At a point w of dom,
+    koenigs^{-1}(w) must lie in the disk and pass ``invert``'s roundtrip,
+    and the density it pulls back, 1/((1 - |z|^2) |koenigs'(z)|), must lie
+    in Koebe's [1/(4 delta), 1/delta] that every Riemann map obeys; at a
+    point z of the disk, koenigs(z) must lie in dom.  The Koebe test is
+    what rejects a map onto a larger region (a strip's chain under a slit
+    strip): near the slit its density stays below 1/(4 delta)."""
+    try:
+        for w in dom.interior_samples(_RIEMANN_SAMPLES, _RIEMANN_SEED):
+            z = koenigs.invert(w, check=False)
+            if not abs(z) < 1.0:
+                return False
+            dz = koenigs.derivative(z, check=False)
+            koebe = dom.boundary_distance(w) / ((1.0 - abs(z) ** 2) * abs(dz))
+            if not 0.25 * (1.0 - _KOEBE_SLACK) <= koebe <= 1.0 + _KOEBE_SLACK:
+                return False
+        return all(dom.contains(koenigs.evaluate(z, check=False))
+                   for z in unit_disk().interior_samples(_RIEMANN_SAMPLES,
+                                                         _RIEMANN_SEED))
+    except (EvaluationError, InversionError, ZeroDivisionError):
+        return False
+
+
+# _is_riemann_map's sample count and seed, and the relative slack of its
+# Koebe test (rounding in the density and the boundary distance)
+_RIEMANN_SAMPLES = 64
+_RIEMANN_SEED = 0
+_KOEBE_SLACK = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +734,6 @@ class SlitStrip(Domain):
     half_width: float = 2.0
     slits: tuple = ()
     n_truncation: Optional[int] = None
-    # a map of the region, not part of it; its source is the domain itself
-    exact: Optional[MapExpr] = field(default=None, compare=False)
 
     kind = "slitstrip"
 
@@ -694,10 +742,6 @@ class SlitStrip(Domain):
             raise ParameterError("strip half-width must be positive")
         object.__setattr__(self, "slits", tuple((float(x), float(y))
                                                 for x, y in self.slits))
-
-    @property
-    def exact_map(self) -> Optional[MapExpr]:
-        return self.exact
 
     def contains(self, w: complex) -> bool:
         w = complex(w)
@@ -789,7 +833,6 @@ class Channel(Domain):
 
     profile: str = "inv_log"
     profile_params: dict = field(default_factory=dict)
-    exact: Optional[MapExpr] = field(default=None, compare=False)
 
     kind = "channel"
     params = _NoParams
@@ -815,10 +858,6 @@ class Channel(Domain):
         args = ", ".join(f"{f.name}={getattr(self, f.name)!r}"
                          for f in fields(self) if f.repr)
         return f"Channel({args})"
-
-    @property
-    def exact_map(self) -> Optional[MapExpr]:
-        return self.exact
 
     def is_convex_positive_exact(self) -> bool:
         # all shipped profiles have half-widths non-decreasing rightward
@@ -979,7 +1018,7 @@ class _ExpChannel(Channel):
 class _LogCosChannel(Channel):
     """{|Im w| < pi/2, Re w > log cos(Im w)}: the strip minus a leftward
     tongue pinching at the origin.  Exact image of the unit disk under a
-    Moebius/log chain, so it supports an exact map (set by the caller)."""
+    Moebius/log chain (the ``channel`` builtin's Koenigs map)."""
 
     def contains(self, w: complex) -> bool:
         w = complex(w)
@@ -1085,10 +1124,10 @@ class SpiralSector(Domain):
     @property
     def exact_map(self) -> Optional[MapExpr]:
         if self.mu.imag != 0:
-            return None  # the sector winds; no single-branch chain exists
+            return self.exact  # the sector winds; no single-branch chain
         alpha = self.mu.real * self.half_angle
         if alpha > math.pi:
-            return None
+            return self.exact
         return MapExpr((Power(0.5 * math.pi / alpha, 0.0), Mobius(1, -1, 1, 1)),
                        source=self, target=unit_disk())
 

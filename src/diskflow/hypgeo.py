@@ -88,40 +88,6 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
-    # monotone arithmetic (enclosure-preserving)
-
-    def __add__(self, other):
-        if isinstance(other, Interval):
-            return Interval(self.lo + other.lo, self.hi + other.hi)
-        return Interval(self.lo + other, self.hi + other)
-
-    def scale(self, c: float) -> "Interval":
-        if c <= 0:
-            raise ParameterError("scale factor must be positive")
-        return Interval(self.lo * c, self.hi * c)
-
-    def mul(self, other: "Interval") -> "Interval":
-        """Product of two nonnegative intervals."""
-        if self.lo < 0 or other.lo < 0:
-            raise ParameterError("mul is defined for nonnegative intervals")
-        return Interval(self.lo * other.lo, self.hi * other.hi)
-
-    def exp(self) -> "Interval":
-        hi = math.inf if not math.isfinite(self.hi) else math.exp(self.hi)
-        return Interval(math.exp(self.lo), hi)
-
-    def log(self) -> "Interval":
-        if self.lo <= 0:
-            raise ParameterError("log requires a positive interval")
-        hi = math.inf if not math.isfinite(self.hi) else math.log(self.hi)
-        return Interval(math.log(self.lo), hi)
-
-    def reciprocal(self) -> "Interval":
-        if self.lo <= 0:
-            raise ParameterError("reciprocal requires a positive interval")
-        lo = 0.0 if not math.isfinite(self.hi) else 1.0 / self.hi
-        return Interval(lo, 1.0 / self.lo)
-
 
 # ---------------------------------------------------------------------------
 # Unit disk

@@ -110,7 +110,9 @@ def _koenigs_data(data: dict, name: str) -> tuple:
         return kind, mu, None, omega
     koenigs = MapExpr.from_dict(data["koenigs"], source=unit_disk(),
                                 target=omega)
-    return kind, mu, Semigroup(kind, koenigs, omega, mu=mu, name=name), omega
+    # the semigroup's domain: it carries the inverse Koenigs map
+    sg = Semigroup(kind, koenigs, omega, mu=mu, name=name)
+    return kind, mu, sg, sg.omega
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 from .confmap import MapExpr, _modulus, compose
 from .domains import (ELLIPTIC, NONELLIPTIC, Domain,
                       is_convex_positive_direction, is_spirallike,
-                      koenigs_flow, unit_disk)
+                      koenigs_flow, unit_disk, with_riemann_map)
 from .errors import (CrossValidationError, EvaluationError, HorizonError,
                      ParameterError)
 
@@ -394,7 +394,10 @@ class Semigroup:
     (``disk_source``): the criterion's generator sandwich, the Denjoy-Wolff
     estimate of a non-elliptic semigroup, the Hayman-Wu audit,
     ``OrbitSample.delta_disk`` (1 - |z|^2) and ``validate``'s sample
-    points."""
+    points.  On the unit disk h^{-1} is a Riemann map of omega, and a
+    domain without one of its own is replaced by its copy that carries it,
+    where h passes a sampled check that it maps the disk onto omega
+    (``domains.with_riemann_map``); a conjugate keeps omega as it is."""
 
     kind: str
     koenigs: MapExpr
@@ -411,6 +414,9 @@ class Semigroup:
             object.__setattr__(self, "mu", complex(self.mu))
         elif self.mu is not None:
             raise ParameterError("non-elliptic semigroups carry no spectral value")
+        if self.disk_source:
+            object.__setattr__(self, "omega",
+                               with_riemann_map(self.omega, self.koenigs))
 
     # -- basic maps -----------------------------------------------------
 
@@ -537,10 +543,13 @@ class Semigroup:
             raise HorizonError(
                 f"grid reaches t={t_grid[-1]} beyond the backward horizon "
                 f"T_z={horizon.value}", horizon=horizon.value)
-        samples = self._pullback_trace(z, t_grid, backward=True)
-        if cross_check and len(samples) >= 2 and t_grid[0] == 0.0:
+        # the ODE starts from z at t = 0, so a grid that starts later is
+        # checked with a leading sample at 0 that is not returned
+        lead = [0.0] if cross_check and t_grid[0] != 0.0 else []
+        samples = self._pullback_trace(z, lead + t_grid, backward=True)
+        if cross_check and len(samples) >= 2:
             self._cross_check(samples, backward=True)
-        return samples
+        return samples[len(lead):]
 
     def full_orbit(self, z: complex, t_grid: Sequence[float],
                    cross_check: bool = True) -> list:

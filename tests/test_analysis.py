@@ -51,20 +51,6 @@ class TestArcLength:
         assert res.value == pytest.approx(oracle, abs=1e-8)
         assert res.value == pytest.approx(math.sqrt(2) * 0.5, abs=1e-8)
 
-    def test_sample_based(self, builtins):
-        sg = builtins["halfplane"]
-        grid = [10.0 * i / 2000 for i in range(2001)]
-        samples = sg.forward_orbit(0j, grid, cross_check=False)
-        res = arc_length(samples)
-        assert res.value == pytest.approx(10.0 / 12.0, abs=1e-5)
-
-    def test_non_monotone_grid_rejected(self, builtins):
-        sg = builtins["halfplane"]
-        samples = sg.forward_orbit(0j, [0.0, 1.0, 2.0], cross_check=False)
-        bad = [samples[0], samples[2], samples[1]]
-        with pytest.raises(ParameterError):
-            arc_length(bad)
-
 
 class TestHaymanWu:
     def test_halfplane_diameter(self, builtins):

@@ -1,8 +1,8 @@
 """Seeded command outputs keep their bytes.
 
 ``tests/golden/outputs.json`` holds the SHA-256 of every file that each
-command in it writes, and the Python, NumPy and SciPy versions of the host
-that recorded them.  The commands are the seeded audits, the three
+command in it writes, and the Python and NumPy versions of the host that
+recorded them.  The commands are the seeded audits, the three
 example audits, ``trace`` and ``criterion`` on each built-in scenario
 (``{"builtin": name}``) and on README's explicit half-plane scenario, and
 ``criterion`` on a mapless channel scenario; each scenario is written to
@@ -23,7 +23,6 @@ import io
 import json
 import platform
 import tempfile
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -64,8 +63,7 @@ COMMANDS = (
 
 
 def stamp() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": metadata.version("scipy")}
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def write_scenarios(root: Path) -> Path:

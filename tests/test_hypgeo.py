@@ -268,19 +268,6 @@ class TestInterval:
             Interval(2.0, 1.0)
         assert Interval(1.0, math.inf).hi == math.inf
 
-    def test_monotone_ops_preserve_enclosure(self, rng):
-        for _ in range(300):
-            lo = rng.uniform(0.1, 1.0)
-            hi = lo + rng.uniform(0.0, 2.0)
-            iv = Interval(lo, hi)
-            x = rng.uniform(lo, hi)
-            assert iv.exp().contains(math.exp(x))
-            assert iv.log().contains(math.log(x))
-            assert iv.reciprocal().contains(1.0 / x)
-            assert (iv + 1.5).contains(x + 1.5)
-            assert iv.scale(2.5).contains(2.5 * x)
-            assert iv.mul(Interval(2.0, 3.0)).contains(x * 2.5)
-
     def test_widen(self):
         iv = Interval(1.0, 2.0).widen()
         assert iv.lo < 1.0 < 2.0 < iv.hi

@@ -4,7 +4,9 @@ import re
 
 import pytest
 
-from diskflow import Scenario, ScenarioError, example1_domain, example2_domain
+from diskflow import (Scenario, ScenarioError, catalog, example1_domain,
+                      example2_domain)
+from diskflow.analysis import backward_criterion
 from diskflow.cli import main
 from diskflow.domains import Channel
 
@@ -704,6 +706,62 @@ class TestCanonicalForm:
         for name in ("channel", "halfplane"):
             assert Scenario.parse({"builtin": name}) == \
                 Scenario.parse({"builtin": name})
+
+
+def _spelled_out(sg, **starts):
+    """The scenario document that spells out a semigroup's Koenigs data."""
+    return {"name": f"spelled-{sg.name}", "type": sg.kind,
+            "koenigs": sg.koenigs.to_dict(), "domain": sg.omega.to_dict(),
+            **starts}
+
+
+class TestSpelledOutBuiltins:
+    """A scenario that spells out a map-backed builtin's Koenigs data reads
+    lambda and k through h^{-1}, as the builtin does; it used to fall back
+    to interval bounds and read Inconclusive."""
+
+    def test_channel_criterion_matches_the_builtin(self, tmp_path):
+        reports = {}
+        for name, payload in (
+                ("builtin", {"builtin": "channel"}),
+                ("spelled", _spelled_out(catalog.channel_semigroup(),
+                                         start_points=[[0, 0]]))):
+            out = tmp_path / name
+            assert main(["criterion", "--config",
+                         write_config(tmp_path, payload, f"{name}.json"),
+                         "--out", str(out)]) == 0
+            rep = json.loads((out / "criterion_p000.json").read_text())
+            assert rep.pop("label") == payload.get("name", "channel")
+            for key in ("scenario_name", "scenario_hash"):
+                rep["meta"].pop(key)
+            csv = (out / "criterion_p000_samples.csv").read_bytes()
+            reports[name] = (rep, csv)
+        assert reports["spelled"] == reports["builtin"]
+        rep = reports["spelled"][0]
+        assert (rep["verdict"], rep["bound"], len(rep["samples"])) == \
+            ("Certified", 0.7853981633973243, 43)
+
+    def test_slit_tip_start_w_track_matches_the_fixture(self):
+        sc = Scenario.parse(_spelled_out(catalog.slit_tip_semigroup(),
+                                         start_w=[[1, 0]]))
+        got = backward_criterion(sc.tracks()[0])
+        want = backward_criterion(catalog.slit_tip_track())
+        assert got.verdict == want.verdict == "RefutedTrend"
+        assert len(got.samples) == len(want.samples) == 45
+        assert [(s.t, s.ratio) for s in got.samples] == \
+            [(s.t, s.ratio) for s in want.samples]
+
+    def test_a_chain_onto_another_region_keeps_the_bounds(self):
+        # the strip's chain maps onto the whole strip, slit included: the
+        # domain takes no map from it and reads interval bounds, as every
+        # slit strip did before semigroups installed their maps
+        doc = _spelled_out(catalog.slit_tip_semigroup(), start_w=[[1, 0]])
+        doc["koenigs"] = catalog.strip_semigroup().koenigs.to_dict()
+        sc = Scenario.parse(doc)
+        assert sc.domain.exact_map is None
+        rep = backward_criterion(sc.tracks()[0])
+        assert rep.verdict == "Inconclusive"
+        assert all(s.ratio.lo < s.ratio.hi for s in rep.samples[1:])
 
 
 class TestGridKeys:

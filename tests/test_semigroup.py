@@ -11,10 +11,11 @@ from diskflow import (CrossValidationError, EvaluationError, HorizonError,
 from diskflow.analysis import (OrbitTrack, backward_criterion,
                                hayman_wu_audit, shift_classify)
 from diskflow.audits import _Masked
-from diskflow.confmap import Mobius, compose
-from diskflow.domains import HalfPlane, Strip, koenigs_flow
+from diskflow.confmap import Affine, Exp, Log, Mobius, compose
+from diskflow.domains import (Channel, HalfPlane, SlitStrip, SpiralSector,
+                              Strip, koenigs_flow)
 from diskflow.scenario import GridSpec
-from diskflow.semigroup import NONELLIPTIC, integrate_complex
+from diskflow.semigroup import ELLIPTIC, NONELLIPTIC, integrate_complex
 
 from conftest import deadline, disk_points
 from test_confmap import quadratic_map
@@ -204,6 +205,24 @@ class TestBackward:
         s = sg.backward_orbit(0.5 + 0j, [0.0, 0.5])[1]
         assert s.z == pytest.approx(0.5 * math.exp(0.5), abs=1e-6)
 
+    def test_cross_check_runs_on_a_grid_that_starts_late(self, builtins,
+                                                         monkeypatch):
+        # the ODE runs from z at t = 0 through the grid's nodes; the samples
+        # are the unchecked route's, with no sample at t = 0
+        calls = []
+
+        def counted(f, z0, grid):
+            calls.append((z0, list(grid)))
+            return integrate_complex(f, z0, grid)
+
+        monkeypatch.setattr(semigroup, "integrate_complex", counted)
+        sg = builtins["halfplane"]
+        grid = [0.25, 0.5, 0.75]
+        checked = sg.backward_orbit(0j, grid, cross_check=True)
+        assert calls == [(0j, [0.0, 0.25, 0.5, 0.75])]
+        assert checked == sg.backward_orbit(0j, grid, cross_check=False)
+        assert [s.t for s in checked] == grid
+
     def test_grid_beyond_horizon(self, builtins):
         with pytest.raises(HorizonError) as exc:
             builtins["halfplane"].backward_orbit(0j, [0.0, 0.5, 1.5])
@@ -289,6 +308,73 @@ class TestFullOrbitHorizon:
     def test_grid_past_backward_horizon_rejected(self, builtins):
         with pytest.raises(HorizonError):
             builtins["halfplane"].full_orbit(0j, [-1.5, 0.0, 1.0])
+
+
+class TestRiemannMap:
+    """A semigroup on the unit disk installs h^{-1} as the Riemann map of a
+    domain that has none of its own."""
+
+    def test_disk_semigroup_installs_its_inverse(self, builtins):
+        omega = Channel(profile="log_cos")
+        h = MapExpr(builtins["channel"].koenigs.chain, source=unit_disk(),
+                    target=omega)
+        sg = Semigroup(NONELLIPTIC, h, omega)
+        assert omega.exact is None  # a copy carries it
+        assert sg.omega == omega
+        assert sg.omega.exact_map is h.inverted()
+        assert builtins["channel"].omega.exact_map is \
+            builtins["channel"].koenigs.inverted()
+
+    def test_a_domain_with_its_own_map_is_kept(self, builtins):
+        omega = HalfPlane("right", 0.0)
+        sg = Semigroup(NONELLIPTIC, builtins["halfplane"].koenigs, omega)
+        assert sg.omega is omega and omega.exact is None
+
+    def test_conjugate_keeps_the_disk_source_map(self, builtins):
+        # h . f^{-1} has f(D) as source: it installs nothing, and omega
+        # keeps the map that h^{-1} gave it
+        sg = builtins["channel"]
+        conj = sg.conjugate(quadratic_map())
+        assert not conj.disk_source
+        assert conj.omega is sg.omega
+        assert conj.omega.exact_map is sg.koenigs.inverted()
+        bare = Semigroup(NONELLIPTIC, conj.koenigs, Channel(profile="log_cos"))
+        assert bare.omega.exact_map is None
+
+    def test_a_winding_spiral_sector_reads_through_the_installed_map(self):
+        # exp(mu u) on the strip |Im u| < 0.3: a sector that winds, so the
+        # kind has no chain of its own
+        mu = 1.0 + 1.0j
+        omega = SpiralSector(mu=mu, half_angle=0.3)
+        h = MapExpr((Mobius(1, 1, -1, 1), Log(0.0),
+                     Affine(0.6 / math.pi * mu, 0.0), Exp()),
+                    source=unit_disk(), target=omega)
+        assert omega.hyperbolic_density(1.0 + 0j) is None
+        sg = Semigroup(ELLIPTIC, h, omega, mu=mu)
+        assert sg.omega.exact_map is h.inverted()
+        # h(0) = 1, and h'(0) = -2 * 0.6 mu / pi
+        assert sg.omega.hyperbolic_density(1.0 + 0j) == pytest.approx(
+            math.pi / (1.2 * abs(mu)), rel=1e-12)
+
+    @pytest.mark.parametrize("omega, chain_of", [
+        (SlitStrip(half_width=1.0, slits=((-1.0, 0.0),)), "strip"),
+        (Channel(profile="inv_log"), "channel"),
+        (Channel(profile="exp"), "channel"),
+        (SlitStrip(half_width=1.0, slits=((0.0, 0.5),)), "strip"),
+    ])
+    def test_a_chain_onto_another_region_installs_nothing(
+            self, builtins, omega, chain_of):
+        # the strip's chain maps onto the whole strip, which holds the slit;
+        # the log_cos chain misses part of each other channel
+        h = MapExpr(builtins[chain_of].koenigs.chain, source=unit_disk(),
+                    target=omega)
+        sg = Semigroup(NONELLIPTIC, h, omega)
+        assert sg.omega is omega and sg.omega.exact is None
+
+    @pytest.mark.parametrize("kind", [HalfPlane, Channel, SlitStrip])
+    def test_no_constructor_takes_a_map(self, builtins, kind):
+        with pytest.raises(TypeError):
+            kind(exact=builtins["channel"].koenigs.inverted())
 
 
 class TestConjugation:
