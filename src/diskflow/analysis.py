@@ -279,7 +279,9 @@ def lipschitz_quotient(sample: Callable[[np.ndarray], np.ndarray],
     ``sample`` maps the distinct times of the pairs (one float64 array, in
     the order the pairs first use them) to gamma at those times (a complex
     array) in one call.  Samples that are NaN or otherwise not finite (e.g.
-    past an overflow horizon) are skipped and counted.
+    past an overflow horizon) are skipped and counted.  An interval with an
+    end that is not finite, or too short to hold one pair of times
+    0.5e-7 max(1, |t|) apart, raises ParameterError.
     """
     plan = _pair_plan(t0, t1)
     return plan.quotient(sample(plan.times))
@@ -319,6 +321,8 @@ _PLAN_CACHE = 32
 
 @functools.lru_cache(maxsize=_PLAN_CACHE)
 def _pair_plan(t0: float, t1: float) -> _PairPlan:
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ParameterError("the Lipschitz interval needs finite ends")
     if not t1 > t0:
         raise ParameterError("need a nondegenerate interval")
     span = t1 - t0
@@ -342,6 +346,10 @@ def _pair_plan(t0: float, t1: float) -> _PairPlan:
         a, b = (t, t + h) if t + h <= t1 else (t - h, t)
         if a >= t0:
             steps.append((a, b, h))
+    if not steps:
+        raise ParameterError(
+            f"[{t0!r}, {t1!r}] holds no pair of times "
+            f"{0.5 * fine_step:g} max(1, |t|) apart")
     index = {}
     for a, b, _ in steps:
         index.setdefault(a, len(index))

@@ -326,9 +326,10 @@ class Mobius:
     def evaluate(self, z: complex, f=_SCALAR) -> complex:
         return (self.a * z + self.b) / (self.c * z + self.d)
 
-    def derivative(self, z: complex, f=_SCALAR) -> complex:
-        det = self.a * self.d - self.b * self.c
-        return det / (self.c * z + self.d) ** 2
+    def jet(self, z: complex, f=_SCALAR) -> tuple:
+        q = self.c * z + self.d
+        deriv = (self.a * self.d - self.b * self.c) / q ** 2
+        return (self.a * z + self.b) / q, deriv
 
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)
@@ -351,8 +352,8 @@ class Affine:
     def evaluate(self, z: complex, f=_SCALAR) -> complex:
         return self.a * z + self.b
 
-    def derivative(self, z: complex, f=_SCALAR) -> complex:
-        return self.a
+    def jet(self, z: complex, f=_SCALAR) -> tuple:
+        return self.a * z + self.b, self.a
 
     def inverse(self) -> "Affine":
         return Affine(1.0 / self.a, -self.b / self.a)
@@ -368,8 +369,9 @@ class Exp:
     def evaluate(self, z: complex, f=_SCALAR) -> complex:
         return f.exp(z)
 
-    def derivative(self, z: complex, f=_SCALAR) -> complex:
-        return f.exp(z)
+    def jet(self, z: complex, f=_SCALAR) -> tuple:
+        v = f.exp(z)
+        return v, v
 
     def inverse(self) -> "Log":
         return Log()
@@ -385,9 +387,10 @@ class Log:
         arg = _branch_arg(z, self.center, f)
         return f.complex(f.log(abs(z)), arg)
 
-    def derivative(self, z: complex, f=_SCALAR) -> complex:
-        _branch_arg(z, self.center, f)
-        return 1.0 / z
+    def jet(self, z: complex, f=_SCALAR) -> tuple:
+        arg = _branch_arg(z, self.center, f)
+        deriv = 1.0 / z
+        return f.complex(f.log(abs(z)), arg), deriv
 
     def inverse(self) -> Exp:
         return Exp()
@@ -408,9 +411,11 @@ class Power:
         arg = _branch_arg(z, self.center, f)
         return f.exp(self.p * f.complex(f.log(abs(z)), arg))
 
-    def derivative(self, z: complex, f=_SCALAR) -> complex:
+    def jet(self, z: complex, f=_SCALAR) -> tuple:
         arg = _branch_arg(z, self.center, f)
-        return self.p * f.exp((self.p - 1.0) * f.complex(f.log(abs(z)), arg))
+        log_z = f.complex(f.log(abs(z)), arg)
+        deriv = self.p * f.exp((self.p - 1.0) * log_z)
+        return f.exp(self.p * log_z), deriv
 
     def inverse(self) -> "Power":
         return Power(1.0 / self.p, self.center * self.p)
@@ -423,8 +428,9 @@ class Sin:
     def evaluate(self, z: complex, f=_SCALAR) -> complex:
         return f.sin(z)
 
-    def derivative(self, z: complex, f=_SCALAR) -> complex:
-        return f.cos(z)
+    def jet(self, z: complex, f=_SCALAR) -> tuple:
+        deriv = f.cos(z)
+        return f.sin(z), deriv
 
     def inverse(self) -> "Asin":
         return Asin()
@@ -437,9 +443,10 @@ class Tanh:
     def evaluate(self, z: complex, f=_SCALAR) -> complex:
         return f.tanh(z)
 
-    def derivative(self, z: complex, f=_SCALAR) -> complex:
+    def jet(self, z: complex, f=_SCALAR) -> tuple:
         c = f.cosh(z)
-        return 1.0 / (c * c)
+        deriv = 1.0 / (c * c)
+        return f.tanh(z), deriv
 
     def inverse(self) -> "Atanh":
         return Atanh()
@@ -454,8 +461,9 @@ class Asin:
     def evaluate(self, z: complex, f=_SCALAR) -> complex:
         return f.asin(z)
 
-    def derivative(self, z: complex, f=_SCALAR) -> complex:
-        return 1.0 / f.sqrt(1.0 - z * z)
+    def jet(self, z: complex, f=_SCALAR) -> tuple:
+        deriv = 1.0 / f.sqrt(1.0 - z * z)
+        return f.asin(z), deriv
 
     def inverse(self) -> Sin:
         return Sin()
@@ -470,8 +478,9 @@ class Atanh:
     def evaluate(self, z: complex, f=_SCALAR) -> complex:
         return f.atanh(z)
 
-    def derivative(self, z: complex, f=_SCALAR) -> complex:
-        return 1.0 / (1.0 - z * z)
+    def jet(self, z: complex, f=_SCALAR) -> tuple:
+        deriv = 1.0 / (1.0 - z * z)
+        return f.atanh(z), deriv
 
     def inverse(self) -> Tanh:
         return Tanh()
@@ -575,8 +584,8 @@ class MapExpr:
         w, deriv = z, 1.0 + 0.0j
         try:
             for prim in self.chain:
-                deriv *= prim.derivative(w, f)
-                w = prim.evaluate(w, f)
+                w, d = prim.jet(w, f)
+                deriv *= d
         except _FLOAT_ERRORS as exc:
             raise _typed(exc, w) from exc
         return w, deriv
@@ -633,9 +642,9 @@ class MapExpr:
             wp = _ReImMath(n).of_array(w)
             if check and self.target is not None:
                 wp.f.fails(~self.target.contains_many(wp))
-            abs(wp)
+            w_abs = abs(wp)
             z = self.inverted()._evaluate_unchecked(wp, wp.f)
-            done = ~wp.f.faults & z.finite() & self._accepts(z, wp)
+            done = self._accepts(z, wp, w_abs, ~wp.f.faults & z.finite())
         out = np.empty(n, complex)
         out.real, out.imag = z.real, z.imag
         for k in np.flatnonzero(~done):
@@ -645,41 +654,62 @@ class MapExpr:
                 out[k] = complex(math.nan, math.nan)
         return out
 
-    def _accepts(self, z: _ReIm, w: _ReIm) -> np.ndarray:
-        """_closed_form_acceptable(z, w) on every entry, with the scalar
-        bits: the forward jet faults, or the residual does not overflow and
-        lies within max(tol, noise)."""
-        zj = z.apart()  # the jet's faults, read apart from the inversion's
-        hz, dz = self._jet(zj, zj.f)
-        resid, resid_overflow = (hz - w).hypot()
-        # np.hypot is _modulus, and it also takes dz where every derivative
-        # is a constant (a complex)
-        noise = np.hypot(dz.real, dz.imag) * (1.0 + z.hypot()[0]) * 1e-12
-        w_abs = w.hypot()[0]
+    def _accepts(self, z: _ReIm, w: _ReIm, w_abs: np.ndarray,
+                 todo: np.ndarray) -> np.ndarray:
+        """The entries of ``todo`` where _closed_form_acceptable(z, w)
+        accepts (|w| = w_abs), with the scalar bits and in its stage order.
+        The value walk runs on the pairs; the few entries it leaves take
+        the scalar jet, as the pairs' fixed cost per primitive would
+        outweigh them."""
+        zv = z.apart()  # the walk's faults, read apart from the inversion's
+        resid, overflow = (self._evaluate_unchecked(zv, zv.f) - w).hypot()
         # Python's max(a, b) is b only where b > a
         tol = _ROUNDTRIP_TOL * np.where(w_abs > 1.0, w_abs, 1.0)
-        return zj.f.faults | (~resid_overflow
-                              & (resid <= np.where(noise > tol, noise, tol)))
+        ok = todo & (zv.f.faults | (~overflow & (resid <= tol)))
+        for k in np.flatnonzero(todo & ~ok):
+            ok[k] = self._jet_accepts(complex(z.real[k], z.imag[k]),
+                                      None if overflow[k] else resid[k].item(),
+                                      tol[k].item())
+        return ok
 
     def _closed_form_acceptable(self, z: complex, w: complex) -> bool:
         """Whether invert returns the closed form z for w (it raises
         InversionError otherwise); _accepts answers the same on arrays.
         Forward evaluation only fails in singular or boundary territory,
-        where the primitive-wise inverse is the trustworthy route.  Elsewhere a residual past the float range
-        rejects, and any other must lie within max(1e-10 max(1, |w|),
-        noise): one ulp of z-space error is |h'(z)| ulp in w-space, and
-        the noise bound |h'(z)| (1 + |z|) 1e-12 does not reject an inverse
-        for what the roundtrip cannot avoid."""
+        where the primitive-wise inverse is the trustworthy route.
+        Elsewhere a residual past the float range rejects, and any other
+        must lie within max(1e-10 max(1, |w|), noise): one ulp of z-space
+        error is |h'(z)| ulp in w-space, and the noise bound
+        |h'(z)| (1 + |z|) 1e-12 does not reject an inverse for what the
+        roundtrip cannot avoid.
+
+        The stages run in that order: the value walk first, and the jet,
+        whose derivative feeds only the noise, where a fault of the value
+        walk or a residual within 1e-10 max(1, |w|) has not already
+        accepted."""
         try:
-            hz, dz = self._jet(z)
+            hz = self._evaluate_unchecked(z)
         except EvaluationError:
             return True
+        tol = _ROUNDTRIP_TOL * max(1.0, abs(w))
         try:
             resid = abs(hz - w)
         except OverflowError:
-            return False
-        noise = _modulus(dz) * (1.0 + _modulus(z)) * 1e-12
-        return resid <= max(_ROUNDTRIP_TOL * max(1.0, abs(w)), noise)
+            resid = None
+        if resid is not None and resid <= tol:
+            return True
+        return self._jet_accepts(z, resid, tol)
+
+    def _jet_accepts(self, z: complex, resid, tol: float) -> bool:
+        """The jet stage of _closed_form_acceptable: the jet faults, or a
+        residual that did not overflow (``resid`` is None where it did)
+        lies within max(tol, noise)."""
+        try:
+            dz = self._jet(z)[1]
+        except EvaluationError:
+            return True
+        return resid is not None and resid <= max(
+            tol, _modulus(dz) * (1.0 + _modulus(z)) * 1e-12)
 
     # -- structure ---------------------------------------------------------
 

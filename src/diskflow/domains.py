@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import copy
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -41,14 +42,11 @@ def koenigs_flow(kind: str, mu: Optional[complex], w0: complex, t: float,
     CPython does, and the elliptic formula runs once per time."""
     if kind == NONELLIPTIC:
         return w0 - t if backward else w0 + t
+    rate = mu if backward else -mu
     if isinstance(t, np.ndarray):
-        return np.array([_spiral_point(mu, w0, backward, s)
-                         for s in t.tolist()], dtype=complex)
-    return _spiral_point(mu, w0, backward, t)
-
-
-def _spiral_point(mu, w0, backward, t):
-    return w0 * cmath.exp(mu * t if backward else -mu * t)
+        return np.array([w0 * cmath.exp(rate * s) for s in t.tolist()],
+                        dtype=complex)
+    return w0 * cmath.exp(rate * t)
 
 
 # ---------------------------------------------------------------------------
@@ -78,24 +76,32 @@ _LEFTOVER = 16
 
 
 def dist_to_curve(w: complex, curve: Callable,
-                  s_lo: float, s_hi: float, n0: int = 600) -> float:
+                  s_lo: float, s_hi: float, n0: int = 600,
+                  samples: Optional[tuple] = None) -> float:
     """Distance from ``w`` to a smooth parametric curve on [s_lo, s_hi].
 
     ``curve`` maps a float (np.float64 included) to a complex through
     ``math``/``cmath``, and an array to a complex array through NumPy.
 
-    The n0 samples take one array call.  Each local minimum (endpoints
-    included) is refined on the scalar path by golden section between its
-    neighbours; a bracket equal to the one before it is refined once.  The
-    least distance measured is returned.  A distance that is not finite
-    counts as +inf, and ``EvaluationError`` is raised when every one is.
+    The n0 samples take one array call, or are ``samples``: the pair
+    (ss, curve(ss)) for ss = np.linspace(s_lo, s_hi, n0), which a caller
+    measuring a fixed curve from many points keeps (``_log_cos_samples``).
+    Each local minimum
+    (endpoints included) is refined on the scalar path by golden section
+    between its neighbours; a bracket equal to the one before it is refined
+    once.  The least distance measured is returned.  A distance that is not
+    finite counts as +inf, and ``EvaluationError`` is raised when every one
+    is.
     """
     if not s_hi > s_lo:
         return _finite(_sample_dist(w, curve, s_lo))
-    ss = np.linspace(s_lo, s_hi, n0)
+    if samples is None:
+        ss = np.linspace(s_lo, s_hi, n0)
+        samples = ss, curve(ss)
+    ss, cs = samples
     # distances, not squares, which overflow once |w| passes about 1e154
     with np.errstate(all="ignore"):
-        d = np.abs(w - curve(ss))
+        d = np.abs(w - cs)
     d[~np.isfinite(d)] = math.inf
     best = float(d.min())
     # bracket local minima (including the endpoints); a bracket equal to the
@@ -1015,6 +1021,25 @@ class _ExpChannel(Channel):
         return complex(x, rng.uniform(-1, 1) * math.exp(x) * 0.999)
 
 
+def _log_cos_edge(y):
+    return _graph(_log_cos(y), y)
+
+
+# the log-cos edge is measured on |y| <= _LOG_COS_Y from _LOG_COS_N samples
+_LOG_COS_Y = 0.5 * math.pi * (1.0 - 1e-12)
+_LOG_COS_N = 1200
+
+
+@functools.cache
+def _log_cos_samples() -> tuple:
+    """dist_to_curve's samples of the log-cos edge, (ss, edge(ss)), taken
+    on the first call and kept read-only."""
+    ss = np.linspace(-_LOG_COS_Y, _LOG_COS_Y, _LOG_COS_N)
+    cs = _log_cos_edge(ss)
+    ss.flags.writeable = cs.flags.writeable = False
+    return ss, cs
+
+
 class _LogCosChannel(Channel):
     """{|Im w| < pi/2, Re w > log cos(Im w)}: the strip minus a leftward
     tongue pinching at the origin.  Exact image of the unit disk under a
@@ -1038,9 +1063,8 @@ class _LogCosChannel(Channel):
 
     def _distance(self, w: complex) -> float:
         d0 = 0.5 * math.pi - abs(w.imag)
-        y_max = 0.5 * math.pi * (1.0 - 1e-12)
-        d = dist_to_curve(w, lambda y: _graph(_log_cos(y), y),
-                          -y_max, y_max, n0=1200)
+        d = dist_to_curve(w, _log_cos_edge, -_LOG_COS_Y, _LOG_COS_Y,
+                          _LOG_COS_N, samples=_log_cos_samples())
         return min(d0, d)
 
     def backward_ray_horizon(self, w: complex):

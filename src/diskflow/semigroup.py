@@ -25,8 +25,8 @@ from .confmap import MapExpr, _modulus, compose
 from .domains import (ELLIPTIC, NONELLIPTIC, Domain,
                       is_convex_positive_direction, is_spirallike,
                       koenigs_flow, unit_disk, with_riemann_map)
-from .errors import (CrossValidationError, EvaluationError, HorizonError,
-                     ParameterError)
+from .errors import (CrossValidationError, DiskflowError, EvaluationError,
+                     HorizonError, ParameterError)
 
 T_MAX_PROBE = 1.0e4
 _EXIT_BISECT_TOL = 1e-10
@@ -498,13 +498,26 @@ class Semigroup:
 
     def _pullback_trace(self, z: complex, t_grid: Sequence[float],
                         backward: bool) -> list:
+        """The samples at the grid times, pulled back by one array invert.
+        Where any time fails there, the scalar loop runs instead, so the
+        first failing time raises its own error."""
         w0 = self.koenigs_image(z)
-        samples = []
-        for t in t_grid:
-            w = self.ray_w(w0, t, backward)
-            zt = complex(z) if t == 0.0 else self.koenigs.invert(w)
-            samples.append(self._sample(t, zt, w))
-        return samples
+        ts = np.array(t_grid, dtype=float)
+        try:
+            ws = self.ray_w(w0, ts, backward)
+            zs = self.koenigs.invert(ws)
+        except (DiskflowError, OverflowError):
+            zs = None
+        if zs is None or np.isnan(zs).any():
+            samples = []
+            for t in t_grid:
+                w = self.ray_w(w0, t, backward)
+                zt = complex(z) if t == 0.0 else self.koenigs.invert(w)
+                samples.append(self._sample(t, zt, w))
+            return samples
+        zs[ts == 0.0] = complex(z)
+        return [self._sample(t, zt, w) for t, zt, w in
+                zip(t_grid, zs.tolist(), ws.tolist())]
 
     def _cross_check(self, samples: Sequence[OrbitSample], backward: bool):
         sign = -1.0 if backward else 1.0

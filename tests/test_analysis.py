@@ -125,6 +125,24 @@ class TestLipschitzQuotient:
         assert calls[0] is analysis._pair_plan(0.0, 10.0).times
         assert q.value == pytest.approx(1.0) and q.skipped == 0
 
+    @pytest.mark.parametrize("t1", [1e-8, 4e-8])
+    def test_an_interval_without_a_pair_is_a_parameter_error(self, t1):
+        # the near-duplicate filter, 0.5e-7 max(1, |t|), merged every time
+        # into one, which read Quotient(0.0, 0, 0) for a curve of speed 1
+        with pytest.raises(ParameterError, match="no pair"):
+            lipschitz_quotient(lambda ts: ts + 0j, 0.0, t1)
+        # the shortest span with a pair
+        q = lipschitz_quotient(lambda ts: ts + 0j, 0.0, 5e-8)
+        assert (q.value, q.pairs) == (1.0, 1)
+
+    @pytest.mark.parametrize("t0,t1", [(0.0, math.inf), (-math.inf, 0.0),
+                                       (0.0, math.nan)])
+    def test_an_end_that_is_not_finite_is_a_parameter_error(self, t0, t1):
+        # t1 = inf sampled NaN times and read 1.0 from one pair, with 119
+        # samples skipped
+        with pytest.raises(ParameterError):
+            lipschitz_quotient(lambda ts: ts + 0j, t0, t1)
+
 
 class TestForwardCertificate:
     def test_halfplane_anchor(self, builtins):

@@ -36,9 +36,8 @@ PINNED = {
 # the array route: the whole of confmap, and these functions and classes
 ROUTE = {
     "confmap.py": None,
-    "domains.py": {"koenigs_flow", "_spiral_point", "contains",
-                   "contains_many"},
-    "semigroup.py": {"phi_from_image"},
+    "domains.py": {"koenigs_flow", "contains", "contains_many"},
+    "semigroup.py": {"phi_from_image", "_pullback_trace"},
     "analysis.py": {"lipschitz_quotient", "_PairPlan", "_pair_plan",
                     "forward_certificate", "shift_classify"},
     "audits.py": {"suite_backward"},

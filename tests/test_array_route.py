@@ -12,6 +12,7 @@ here compares the array route against scalar calls, entry by entry, by
 import cmath
 import math
 import operator
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from diskflow.confmap import (Affine, Exp, Log, MapExpr, Mobius, Power,
                               _ReImMath, complex_abs)
 from diskflow.domains import (ELLIPTIC, NONELLIPTIC, Disk, HalfPlane, Strip,
                               koenigs_flow, unit_disk)
-from diskflow.errors import (DomainError, EvaluationError, InversionError,
-                             ParameterError)
+from diskflow.errors import (DiskflowError, DomainError, EvaluationError,
+                             InversionError, ParameterError)
+from diskflow.scenario import GridSpec
+from diskflow.semigroup import Semigroup
 
 from conftest import disk_points, each_time, scalar_orbit
 
@@ -336,16 +339,43 @@ def test_array_input_must_be_one_dimensional():
 # ---------------------------------------------------------------------------
 
 
-def _filter_marks(m, ws):
+def _branch(m, z, w):
+    """The stage of the scalar roundtrip rule that decides on the closed
+    form z of w, in the order ``_closed_form_acceptable`` runs them."""
+    try:
+        hz = m._evaluate_unchecked(z)
+    except EvaluationError:
+        return "value fault"
+    try:
+        resid = abs(hz - w)
+    except OverflowError:
+        resid = None
+    if resid is not None and resid <= 1e-10 * max(1.0, abs(w)):
+        return "within tolerance"
+    try:
+        m._jet(z)
+    except EvaluationError:
+        return "jet fault"
+    if resid is None:
+        return "residual overflow"
+    return ("within noise only" if m._closed_form_acceptable(z, w)
+            else "beyond noise")
+
+
+ACCEPTING = ("value fault", "within tolerance", "jet fault",
+             "within noise only")
+
+
+def _filter_marks(m, ws) -> Counter:
     """Assert that ``MapExpr._accepts`` marks an entry of ws exactly when
     ``_closed_form_acceptable`` accepts its closed form, on every entry the
-    scalar invert reaches with that closed form; count the marked entries
-    and the rejected ones."""
+    scalar invert reaches with that closed form; count those entries by
+    the stage that decides on them."""
     seen = []
     accepts = MapExpr._accepts
 
-    def recorded(self, z, w):
-        mask = accepts(self, z, w)
+    def recorded(self, z, w, w_abs, todo):
+        mask = accepts(self, z, w, w_abs, todo)
         seen.append((z.tolist(), mask.tolist()))
         return mask
 
@@ -356,7 +386,7 @@ def _filter_marks(m, ws):
         except InversionError:
             pass  # an entry the filter left failed on the scalar route
     [(zs, mask)] = seen
-    marked = rejected = 0
+    branches = Counter()
     for w, z, accepted in zip(ws, zs, mask):
         try:
             abs(w)  # the scalar invert's first step, as in invert
@@ -367,9 +397,14 @@ def _filter_marks(m, ws):
             continue
         assert repr(closed) == repr(z), w
         assert accepted == m._closed_form_acceptable(closed, w), w
-        marked += accepted
-        rejected += not accepted
-    return marked, rejected
+        branch = _branch(m, closed, w)
+        assert accepted == (branch in ACCEPTING), (w, branch)
+        branches[branch] += 1
+    return branches
+
+
+def _marked(branches: Counter) -> int:
+    return sum(branches[b] for b in ACCEPTING)
 
 
 @pytest.mark.parametrize("name", sorted(SEMIGROUPS))
@@ -380,17 +415,39 @@ def test_the_filter_marks_what_the_scalar_rule_accepts(name):
     ws = (_edge_points(sg) + _cut_points()
           + [complex(a, b) for a, b in zip(re.tolist(), im.tolist())]
           + sg.omega.interior_samples(500, 22))
-    marked, _ = _filter_marks(sg.koenigs, ws)
-    assert marked > 500
+    assert _marked(_filter_marks(sg.koenigs, ws)) > 500
+
+
+# the half-plane's Cayley map, and a square root scaled by |a| = 1e300:
+# the closed form of 8.5e307 (1 + i) lies off the root's half-plane, so the
+# forward walk gives -w and the residual's parts, 1.7e308 each, pass the
+# float range in hypot
+_CAYLEY = SEMIGROUPS["halfplane"].koenigs
+_SCALED_ROOT = MapExpr((Power(0.5), Affine(
+    -1.4331037181038496e+299 - 9.896777947047055e+299j, 0.0)))
+BRANCHES = {
+    "value fault": (_CAYLEY, 1e17 + 0j),           # closed form 1, the pole
+    "within tolerance": (_CAYLEY, 0.5 + 0.5j),
+    # closed form 1 + 5.6e-228j: (1 - z)^2 underflows to 0 in h'
+    "jet fault": (_CAYLEY, 2.062274877865497e+48 - 1.2915731779650978e-170j),
+    "residual overflow": (_SCALED_ROOT, 8.5e307 + 8.5e307j),
+    "within noise only": (_CAYLEY, 3e9 + 0j),      # closed form 1 - 6.7e-10
+}
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_the_filter_marks_what_the_scalar_rule_accepts_on_each_branch(branch):
+    m, w = BRANCHES[branch]
+    assert _filter_marks(m, [w]) == Counter({branch: 1})
 
 
 @pytest.mark.parametrize("name", sorted(CUT_MAPS))
 def test_the_filter_marks_what_the_scalar_rule_accepts_on_cuts(name):
-    marked, rejected = _filter_marks(CUT_MAPS[name], _cut_points())
-    assert marked > 500
+    branches = _filter_marks(CUT_MAPS[name], _cut_points())
+    assert _marked(branches) > 500
     if name in ("log", "power"):
         # closed forms off the branch's image: the residual rejects them
-        assert rejected > 100
+        assert branches["beyond noise"] > 100
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +580,76 @@ class TestFlowAndStep:
             sg.phi_from_image(1.0, w0)
         with pytest.raises(DomainError):
             sg.phi_from_image(np.array([0.0, 1.0]), w0)
+
+
+def _scalar_trace(sg, z, t_grid, backward):
+    """The trace loop before the array pullback: one scalar invert per
+    time."""
+    w0 = sg.koenigs_image(z)
+    samples = []
+    for t in t_grid:
+        w = sg.ray_w(w0, t, backward)
+        zt = complex(z) if t == 0.0 else sg.koenigs.invert(w)
+        samples.append(sg._sample(t, zt, w))
+    return samples
+
+
+def _trace_outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except DiskflowError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestTraces:
+    @pytest.mark.parametrize("name", sorted(SEMIGROUPS))
+    def test_traces_keep_the_bits_of_the_scalar_loop(self, name,
+                                                     monkeypatch):
+        sg = SEMIGROUPS[name]
+        rng = np.random.default_rng([23, len(name)])
+        grid = GridSpec("linear", 0.0, 10.0, 101).times()
+        # the conjugated source f(D) is {Re > -1/2}
+        starts = disk_points(rng, 3, 0.5 if name == "strip_conjugated"
+                             else 0.8)
+        cases = []
+        for z in starts:
+            span = min(10.0, 0.5 * sg.backward_horizon(z).value)
+            back = [span * k / 100 for k in range(101)]
+            cases += [(z, grid, False), (z, back, True)]
+        wants = [_trace_outcome(_scalar_trace, sg, *case) for case in cases]
+        calls = []
+        invert = MapExpr.invert
+
+        def counted(self, w, *args, **kwargs):
+            calls.append(isinstance(w, np.ndarray))
+            return invert(self, w, *args, **kwargs)
+
+        monkeypatch.setattr(MapExpr, "invert", counted)
+        for (z, ts, backward), want in zip(cases, wants):
+            trace = sg.backward_orbit if backward else sg.forward_orbit
+            assert _trace_outcome(trace, z, ts, False) == want
+        # each trace takes one array invert, and scalar ones only where a
+        # time fails and the scalar loop raises its error
+        assert calls.count(True) == len(cases)
+        assert (False in calls) == any("Error" in w for w in wants)
+
+
+    def test_the_first_failing_time_raises_its_own_error(self):
+        # the strip's inverse chain overflows in exp from t = 452 on, and a
+        # target disk of radius 1000 ends at t = 1000: the array invert
+        # raises the DomainError of t = 2000, the scalar loop the
+        # EvaluationError of t = 500
+        strip = SEMIGROUPS["strip"]
+        h = MapExpr(strip.koenigs.chain, source=unit_disk(),
+                    target=Disk(0j, 1000.0))
+        sg = Semigroup(NONELLIPTIC, h, strip.omega)
+        grid = [0.0, 1.0, 500.0, 2000.0]
+        with pytest.raises(DomainError):
+            h.invert(np.array([sg.orbit_w(0j, t) for t in grid]))
+        with pytest.raises(EvaluationError) as info:
+            sg.forward_orbit(0j, grid, cross_check=False)
+        assert str(info.value) == \
+            "overflow evaluating at (785.3981633974482+0j)"
 
 
 class TestCertificates:

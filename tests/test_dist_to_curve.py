@@ -27,7 +27,7 @@ from diskflow import catalog, domains
 from diskflow.analysis import OrbitTrack, backward_criterion
 from diskflow.cli import main
 from diskflow.domains import (_E, _EXP_X_MAX, Channel, SpiralSector,
-                              _dist_point_segment, _exp, _graph,
+                              _dist_point_segment, _exp, _graph, _log_cos,
                               dist_to_curve, example2_domain, example3_domain,
                               exp_channel_domain)
 from diskflow.errors import EvaluationError
@@ -109,16 +109,23 @@ def _logged(curve, args):
     return logged
 
 
-def _checked(w, curve, s_lo, s_hi, n0=600):
+def _checked(w, curve, s_lo, s_hi, n0=600, samples=None):
     """``dist_to_curve`` run beside the reference.  The first call must be
-    the one array call and every later one a float; the result may read
-    below the reference, whose 1e-9 stop leaves it high, but above it only
-    by the rounding of w - c, 8 ulps of max(1, |w|)."""
+    the one array call, unless the caller passes the samples it keeps, and
+    every later one a float; the result may read below the reference, whose
+    1e-9 stop leaves it high, but above it only by the rounding of w - c,
+    8 ulps of max(1, |w|)."""
     args = []
-    got = dist_to_curve(w, _logged(curve, args), s_lo, s_hi, n0)
+    got = dist_to_curve(w, _logged(curve, args), s_lo, s_hi, n0,
+                        samples=samples)
     want = _reference_dist(w, curve, s_lo, s_hi, n0)
     assert got <= want + 8.0 * np.spacing(max(1.0, abs(w))), w
-    if s_hi > s_lo:
+    if samples is not None:
+        ss = np.linspace(s_lo, s_hi, n0)
+        assert samples[0].tobytes() == ss.tobytes()
+        assert samples[1].tobytes() == curve(ss).tobytes()
+        scalars = args
+    elif s_hi > s_lo:
         grid, scalars = args[0], args[1:]
         assert isinstance(grid, np.ndarray) and grid.shape == (n0,)
     else:
@@ -133,6 +140,29 @@ def test_one_array_call_and_no_higher_than_the_reference(monkeypatch, name):
     for n, w in POINTS:
         if n == name:
             assert 0.0 < DOMAINS[name].boundary_distance(w) < math.inf
+
+
+def test_log_cos_kept_samples_measure_as_a_fresh_sampling():
+    # the log-cos edge is sampled once per process; the distance before
+    # that, which sampled it on each call, is written out here
+    y_max = 0.5 * math.pi * (1.0 - 1e-12)
+    dom = DOMAINS["log_cos"]
+    points = [w for n, w in POINTS if n == "log_cos"]
+    assert len(points) == 55
+    for w in points:
+        fresh = dist_to_curve(w, lambda y: _graph(_log_cos(y), y),
+                              -y_max, y_max, n0=1200)
+        want = min(0.5 * math.pi - abs(w.imag), fresh)
+        assert repr(dom.boundary_distance(w)) == repr(want), w
+
+
+def test_the_kept_log_cos_samples_are_read_only():
+    assert domains._log_cos_samples() is domains._log_cos_samples()
+    ss, cs = domains._log_cos_samples()
+    with pytest.raises(ValueError):
+        ss[0] = 0.0
+    with pytest.raises(ValueError):
+        cs[0] = 0j
 
 
 @pytest.mark.parametrize("spoilt", [math.inf, 1e308])

@@ -1,15 +1,19 @@
 """The chain walks of ``MapExpr``: value, jet and closed-form inversion.
 
 A written-out copy of the previous walks (separate value and derivative
-walks, a closed form that rebuilt each inverse primitive per call, and the
-roundtrip acceptance check) runs beside the package on seeded points of
-every shipped chain; both must give the same ``repr``, errors included.
+walks with each primitive's own derivative formula, a closed form that
+rebuilt each inverse primitive per call, and the roundtrip acceptance
+check that ran the whole jet first) runs beside the package on seeded
+points of every shipped chain; both must give the same ``repr``, errors
+included.
 Further tests pin the float-error typing at the walk (overflow in Log and
 Power used to escape as a raw ``OverflowError``) and count the work one
 inversion does.
 """
 
+import ast
 import cmath
+import inspect
 import math
 from collections import Counter
 
@@ -17,8 +21,9 @@ import numpy as np
 import pytest
 
 from diskflow import EvaluationError, MapExpr, catalog, unit_disk
+from diskflow import confmap
 from diskflow.confmap import (Affine, Asin, Atanh, Exp, Log, Mobius, Power,
-                              Sin, Tanh, _reject_cut_crossings)
+                              Sin, Tanh, _branch_arg, _reject_cut_crossings)
 from diskflow.domains import Domain, HalfStrip
 from diskflow.errors import DiskflowError, InversionError
 
@@ -51,11 +56,45 @@ def ref_evaluate(m, z):
     return w
 
 
+def _mobius_derivative(p, z):
+    det = p.a * p.d - p.b * p.c
+    return det / (p.c * z + p.d) ** 2
+
+
+def _log_derivative(p, z):
+    _branch_arg(z, p.center)
+    return 1.0 / z
+
+
+def _power_derivative(p, z):
+    arg = _branch_arg(z, p.center)
+    return p.p * cmath.exp((p.p - 1.0) * complex(math.log(abs(z)), arg))
+
+
+def _tanh_derivative(p, z):
+    c = cmath.cosh(z)
+    return 1.0 / (c * c)
+
+
+# the derivative formula each primitive had before its jet
+REF_DERIVATIVES = {
+    Mobius: _mobius_derivative,
+    Affine: lambda p, z: p.a,
+    Exp: lambda p, z: cmath.exp(z),
+    Log: _log_derivative,
+    Power: _power_derivative,
+    Sin: lambda p, z: cmath.cos(z),
+    Tanh: _tanh_derivative,
+    Asin: lambda p, z: 1.0 / cmath.sqrt(1.0 - z * z),
+    Atanh: lambda p, z: 1.0 / (1.0 - z * z),
+}
+
+
 def ref_derivative(m, z):
     w = complex(z)
     deriv = 1.0 + 0.0j
     for prim in m.chain:
-        deriv *= _ref_safe(prim.derivative, w)
+        deriv *= _ref_safe(lambda u: REF_DERIVATIVES[type(prim)](prim, u), w)
         w = _ref_safe(prim.evaluate, w)
     return deriv
 
@@ -238,9 +277,13 @@ def test_overflow_on_a_composition_path_is_skipped():
 def test_pole_and_invalid_value_messages():
     with pytest.raises(EvaluationError, match=r"pole reached at \(-1\+0j\)"):
         MapExpr((Mobius(1, 0, 1, 1),)).evaluate(-1.0)
-    with pytest.raises(EvaluationError,
-                       match=r"log/power branch point 0 reached"):
-        MapExpr((Log(),)).derivative(0.0)
+    for prim in (Log(), Power(0.5)):
+        # the branch argument is taken before log |z|, which would raise a
+        # math domain error at 0
+        for method in ("evaluate", "derivative", "jet"):
+            with pytest.raises(EvaluationError,
+                               match=r"log/power branch point 0 reached"):
+                getattr(MapExpr((prim,)), method)(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,27 +314,50 @@ def test_invert_constructs_no_primitive_after_the_first_call(monkeypatch):
     assert built == []
 
 
-def test_accepted_closed_form_walks_the_forward_chain_once(monkeypatch):
-    h = _fresh_channel_map()
-    z = 0.3 + 0.2j
-    w = h.evaluate(z)
-    h.invert(w)
+def _count_primitive_calls(monkeypatch) -> Counter:
     calls = Counter()
     for cls in PRIMITIVES:
-        for name in ("evaluate", "derivative"):
+        for name in ("evaluate", "jet"):
             fn = getattr(cls, name)
             monkeypatch.setattr(
                 cls, name,
                 lambda self, u, f, _fn=fn, _name=name: (
                     calls.update([(id(self), _name)]), _fn(self, u, f))[1])
+    return calls
+
+
+@pytest.mark.parametrize("t,jets", [(0.0, 0), (20.0, 1)],
+                         ids=["within-tolerance", "within-noise"])
+def test_accepted_closed_form_walks_the_forward_chain_once(monkeypatch, t,
+                                                           jets):
+    # at t = 20 the residual, 2.6e-8, passes 1e-10 max(1, |w|) = 2.0e-9,
+    # so only the jet's noise bound accepts the closed form
+    h = _fresh_channel_map()
+    z = 0.3 + 0.2j
+    w = h.evaluate(z) + t
+    h.invert(w)
+    calls = _count_primitive_calls(monkeypatch)
     got = h.invert(w)
-    assert abs(got - z) < 1e-12
+    if t == 0.0:
+        assert abs(got - z) < 1e-12
     forward = [id(p) for p in h.chain]
     inverse = [id(p) for p in h.inverted().chain]
     assert [calls[(i, "evaluate")] for i in forward] == [1] * len(forward)
-    assert [calls[(i, "derivative")] for i in forward] == [1] * len(forward)
+    assert [calls[(i, "jet")] for i in forward] == [jets] * len(forward)
     assert [calls[(i, "evaluate")] for i in inverse] == [1] * len(inverse)
-    assert sum(calls.values()) == 2 * len(forward) + len(inverse)
+    assert sum(calls.values()) == (1 + jets) * len(forward) + len(inverse)
+
+
+def test_no_primitive_keeps_a_derivative_method():
+    # each primitive's value and derivative come from one jet; only
+    # MapExpr.derivative, the chain's, is left
+    tree = ast.parse(inspect.getsource(confmap))
+    defines = {node.name: {f.name for f in node.body
+                           if isinstance(f, ast.FunctionDef)}
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert [c for c, names in defines.items()
+            if "derivative" in names] == ["MapExpr"]
+    assert all("jet" in defines[cls.__name__] for cls in PRIMITIVES)
 
 
 @pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
