@@ -541,8 +541,7 @@ def criterion_ratio(track: OrbitTrack, t: float, enclosure=None,
 def backward_criterion(track: OrbitTrack,
                        heuristic: Heuristic = DEFAULT_HEURISTIC,
                        enclosure_factory: Optional[Callable[[float], object]] = None,
-                       t_max: float = T_MAX_PROBE,
-                       notes: Optional[dict] = None) -> CriterionReport:
+                       t_max: float = T_MAX_PROBE) -> CriterionReport:
     """Evaluate the backward-orbit criterion and classify the tail.
 
     Certified: the tail window's upper endpoints are finite, below the
@@ -578,16 +577,14 @@ def backward_criterion(track: OrbitTrack,
         samples.append(CriterionSample(t, ratio, g))
 
     verdict, bound, why = _classify_tail(samples, horizon, heuristic)
-    notes = dict(notes or {})
-    if why is not None:
-        notes["tail"] = why
     return CriterionReport(
         samples=tuple(samples), verdict=verdict, bound=bound,
         heuristic=heuristic, truncation=track.omega.truncation(),
         kind=track.kind, mu=track.mu, w0=track.w0,
         z_modulus=zmod, horizon=horizon.value,
         sandwich_checked=checked, sandwich_ok=sandwich_ok,
-        sandwich_worst=worst_slack, label=track.label, notes=notes)
+        sandwich_worst=worst_slack, label=track.label,
+        notes={} if why is None else {"tail": why})
 
 
 def _classify_tail(samples: Sequence[CriterionSample], horizon: Horizon,

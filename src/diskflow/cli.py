@@ -23,7 +23,6 @@ from .analysis import (DEFAULT_HEURISTIC, backward_criterion, doubling,
                        euclidean_sufficient_test, probe_schedule,
                        regularity_classify)
 from .audits import SUITES, run_suite
-from .domains import example1_domain
 from .errors import (CrossValidationError, DiskflowError, DomainError,
                      EvaluationError, HorizonError, InversionError,
                      ParameterError, ScenarioError)
@@ -108,10 +107,8 @@ def run_trace(scenario: Scenario, out_dir: Path, seed: int) -> int:
 
 
 def run_criterion(scenario: Scenario, out_dir: Path, seed: int) -> int:
-    tracks = scenario.tracks()
-    for i, track in enumerate(tracks):
-        report = backward_criterion(track, heuristic=scenario.heuristic,
-                                    **_criterion_extras(track))
+    for i, track in enumerate(scenario.tracks()):
+        report = backward_criterion(track, heuristic=scenario.heuristic)
         payload = {"meta": _meta(seed, scenario), **report.to_dict()}
         _write_json(out_dir / f"criterion_p{i:03d}.json", payload)
         lines = ["t,ratio_lo,ratio_hi,g_abs"]
@@ -127,123 +124,67 @@ def run_criterion(scenario: Scenario, out_dir: Path, seed: int) -> int:
     return 0
 
 
-def _criterion_extras(track) -> dict:
-    """The truncated Example-1 domain (and no other domain) gets the
-    documented geometry note and the half-strip enclosure family."""
-    n = track.omega.truncation()
-    if isinstance(n, int) and track.omega == example1_domain(n):
-        return {"enclosure_factory": catalog.example1_enclosure,
-                "notes": {"discrepancy": _EXAMPLE1_NOTE}}
-    return {}
-
-
-_EXAMPLE1_NOTE = (
-    "The displayed shortcut bounds for this domain conflict with the exact "
-    "geometry: delta(-t) <= 1/floor(t) fails because with slits starting at "
-    "Re = -2^n the distance at -t is governed by slits with 2^n <= t, "
-    "i.e. ~ 1/floor(log2 t); and the shortcut half-strip distance "
-    "0.5 log(2^n/(2^n - t)) conflicts with the exact value "
-    "0.5 (log sinh(pi n 2^n / 2) - log sinh(pi n (2^n - t)/2)) ~ pi n t / 4. "
-    "All evaluations are reported side by side; no divergence verdict is "
-    "asserted as ground truth.")
-
-
 # ---------------------------------------------------------------------------
 # examples
 # ---------------------------------------------------------------------------
 
 
-def _example1_report(truncation: int, tmax: float, seed: int) -> dict:
-    track = catalog.example_track(1, truncation)
-    dom = track.omega
-    rng = np.random.default_rng(seed)
+def _containment(dom, rng, xs: tuple, ys: tuple, n: int) -> dict:
+    """How many of n uniform points in the box xs x ys lie outside dom."""
+    x = rng.uniform(*xs, size=n)
+    y = rng.uniform(*ys, size=n)
+    return {"samples": n, "violations": sum(
+        not dom.contains(complex(a, b)) for a, b in zip(x, y))}
 
+
+def _example1_rows(track, tmax: float, rng) -> dict:
+    """The half-strips Sigma_t against the slit strip, and delta along the
+    ray against the displayed bound 1/floor(t)."""
+    dom = track.omega
     containment = []
     for t in (4.0, 8.0, 16.0):
-        if t > tmax:
-            continue
-        n = math.floor(t)
-        sigma = catalog.example1_enclosure(t)
-        viol = 0
-        n_pts = 10_000
-        xs = rng.uniform(sigma.left, float(2 ** n), size=n_pts)
-        ys = rng.uniform(-sigma.half_width, sigma.half_width, size=n_pts)
-        for x, y in zip(xs, ys):
-            if not dom.contains(complex(x, y)):
-                viol += 1
-        containment.append({"t": t, "samples": n_pts, "violations": viol})
-
-    sigma_rows = []
-    for t in (4.0, 8.0):
-        if t > tmax:
-            continue
-        n = math.floor(t)
-        sigma = catalog.example1_enclosure(t)
-        exact = sigma.hyperbolic_distance(0j, complex(-t, 0.0))
-        asym = math.pi * n * t / 4.0
-        sigma_rows.append({"t": t, "exact": exact, "asymptotic": asym,
-                           "displayed_expression": catalog.example1_displayed_expression(t)})
-
+        if t <= tmax:
+            sigma = catalog.example1_enclosure(t)
+            half = sigma.half_width
+            containment.append({"t": t, **_containment(
+                dom, rng, (sigma.left, 2.0 ** math.floor(t)), (-half, half),
+                10_000)})
+    sigma_rows = [{"t": t,
+                   "exact": catalog.example1_enclosure(t).hyperbolic_distance(
+                       0j, complex(-t, 0.0)),
+                   "asymptotic": math.pi * math.floor(t) * t / 4.0,
+                   "displayed_expression":
+                       catalog.example1_displayed_expression(t)}
+                  for t in (4.0, 8.0) if t <= tmax]
     delta_rows = [{"t": t, "delta": d, "claimed_bound": 1.0 / math.floor(t)}
                   for t, d in probe_schedule(dom, track.w,
                                              doubling(2.0, min(tmax, 1024.0)))]
-
-    report = backward_criterion(track, t_max=tmax, **_criterion_extras(track))
-    reg = regularity_classify(track, t_max=tmax)
     return {
-        "truncation": truncation,
+        "truncation": dom.truncation(),
         "delta_at_origin": dom.boundary_distance(0j),
         "sigma_containment": containment,
         "sigma_distances": sigma_rows,
         "delta_along_ray": delta_rows,
-        "criterion": report.to_dict(),
-        "regularity": reg.classification,
-        "discrepancy_note": report.notes["discrepancy"],
+        "discrepancy_note": catalog.EXAMPLE1_NOTE,
     }
 
 
-def _example_channel_report(example_id: int, tmax: float, seed: int) -> dict:
-    track = catalog.example_track(example_id)
-    dom = track.omega
+def _channel_rows(track, tmax: float) -> dict:
+    """delta along the ray against 1/log t, and the Euclidean test."""
     delta_rows = [{"t": t, "delta": d, "inv_log_t": 1.0 / math.log(t),
                    "t_times_delta": t * d}
-                  for t, d in probe_schedule(dom, track.w,
+                  for t, d in probe_schedule(track.omega, track.w,
                                              doubling(4.0, tmax))]
-    report = backward_criterion(track, t_max=tmax)
-    reg = regularity_classify(track, t_max=tmax)
     euc = euclidean_sufficient_test(track, t_max=tmax)
-    out = {
-        "delta_along_ray": delta_rows,
-        "criterion": report.to_dict(),
-        "regularity": reg.classification,
-        "euclidean_test": {"pass": euc.passed,
-                           "liminf_estimate": euc.liminf_estimate},
-    }
-    if example_id == 3:
-        rng = np.random.default_rng(seed)
-        xs = rng.uniform(-50.0, 3.0, size=2000)
-        ys = rng.uniform(-1.0, 0.0, size=2000)
-        miss = sum(0 if dom.contains(complex(x, y)) else 1
-                   for x, y in zip(xs, ys))
-        out["contains_strip_S"] = {"samples": 2000, "violations": miss}
-    return out
+    return {"delta_along_ray": delta_rows,
+            "euclidean_test": {"pass": euc.passed,
+                               "liminf_estimate": euc.liminf_estimate}}
 
 
-def run_examples(example_id: int, truncation: int, tmax: float,
-                 out_dir: Path, seed: int) -> int:
-    if example_id == 1:
-        body = _example1_report(truncation, tmax, seed)
-    elif example_id in (2, 3):
-        body = _example_channel_report(example_id, tmax, seed)
-    else:
-        raise ScenarioError("example id must be 1, 2 or 3")
-    payload = {"meta": _meta(seed, truncation=truncation if example_id == 1
-                             else None, tmax=tmax), **body}
-    _write_json(out_dir / f"example{example_id}_report.json", payload)
-
+def _example_summary(example_id: int, body: dict) -> str:
     lines = [f"Example {example_id} audit (tool {__version__})"]
     if example_id == 1:
-        lines.append(f"  slit truncation N = {truncation}")
+        lines.append(f"  slit truncation N = {body['truncation']}")
         lines.append(f"  delta_Omega(0) = {body['delta_at_origin']!r}")
         for row in body["sigma_containment"]:
             lines.append(f"  Sigma_{int(row['t'])} containment: "
@@ -252,19 +193,40 @@ def run_examples(example_id: int, truncation: int, tmax: float,
             lines.append(f"  k_Sigma(0,-{row['t']:g}): exact {row['exact']:.9f}"
                          f" ~ {row['asymptotic']:.9f}; displayed expression "
                          f"{row['displayed_expression']!r}")
-        lines.append(f"  criterion verdict: {body['criterion']['verdict']}")
-        lines.append(f"  regularity: {body['regularity']}")
+    lines.append(f"  criterion verdict: {body['criterion']['verdict']}")
+    lines.append(f"  regularity: {body['regularity']}")
+    if example_id == 1:
         lines.append("  note: " + body["discrepancy_note"])
     else:
-        lines.append(f"  criterion verdict: {body['criterion']['verdict']}")
-        lines.append(f"  regularity: {body['regularity']}")
         lines.append(f"  euclidean sufficient test pass: "
                      f"{body['euclidean_test']['pass']} "
                      f"(liminf ~ {body['euclidean_test']['liminf_estimate']:.4g})")
-        if "contains_strip_S" in body:
-            lines.append(f"  strip S containment violations: "
-                         f"{body['contains_strip_S']['violations']}")
-    text = "\n".join(lines) + "\n"
+    if example_id == 3:
+        lines.append(f"  strip S containment violations: "
+                     f"{body['contains_strip_S']['violations']}")
+    return "\n".join(lines) + "\n"
+
+
+def run_examples(example_id: int, truncation: int, tmax: float,
+                 out_dir: Path, seed: int) -> int:
+    """The criterion block that ``criterion`` writes on the builtin
+    ``example<id>``, the track's regularity, and the example's own rows."""
+    track = catalog.example_track(example_id, truncation)
+    rng = np.random.default_rng(seed)
+    body = {
+        "criterion": backward_criterion(track, t_max=tmax).to_dict(),
+        "regularity": regularity_classify(track, t_max=tmax).classification,
+        **(_example1_rows(track, tmax, rng) if example_id == 1
+           else _channel_rows(track, tmax)),
+    }
+    if example_id == 3:
+        # the channel contains the strip S = {-1 < Im < 0}
+        body["contains_strip_S"] = _containment(
+            track.omega, rng, (-50.0, 3.0), (-1.0, 0.0), 2000)
+    payload = {"meta": _meta(seed, truncation=body.get("truncation"),
+                             tmax=tmax), **body}
+    _write_json(out_dir / f"example{example_id}_report.json", payload)
+    text = _example_summary(example_id, body)
     _write_atomic(out_dir / f"example{example_id}_summary.txt", text)
     print(text, end="")
     return 0

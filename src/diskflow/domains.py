@@ -746,6 +746,9 @@ class SlitStrip(Domain):
     def __post_init__(self):
         if self.half_width <= 0:
             raise ParameterError("strip half-width must be positive")
+        if self.n_truncation is not None and not self.slits:
+            raise ParameterError("slitstrip.n_truncation labels the slits' "
+                                 "truncation; a strip without slits has none")
         object.__setattr__(self, "slits", tuple((float(x), float(y))
                                                 for x, y in self.slits))
 
@@ -1186,7 +1189,7 @@ class SpiralSector(Domain):
 # ---------------------------------------------------------------------------
 
 
-def example1_domain(n: int) -> SlitStrip:
+def example1_domain(n: int = 40) -> SlitStrip:
     """Strip {|Im| < 2} minus the slits L[-2^k, 1/k] and L[-2^k, -1/k], k<=n."""
     if n < 1:
         raise ParameterError("need at least one slit pair")

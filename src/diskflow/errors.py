@@ -81,13 +81,15 @@ def check_keys(data, allowed, required, ctx: str) -> None:
 
 
 def json_number(v, ctx: str):
-    """A finite JSON number, as given.  Booleans and NaN are not numbers;
-    json reads Infinity, and an integer may lie past the float range."""
+    """A finite JSON number, as given, but -0.0 reads 0.0: no parsed value
+    picks a side of a branch cut with its sign, so equal scenarios hash
+    equal.  Booleans and NaN are not numbers; json reads Infinity, and an
+    integer may lie past the float range."""
     if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
         raise ScenarioError(f"{ctx} must be a number, got {v!r}")
     if not -sys.float_info.max <= v <= sys.float_info.max:
         raise ScenarioError(f"{ctx} must be a finite number, got {v!r}")
-    return v
+    return v + 0  # -0.0 + 0 is 0.0; any other number is unchanged
 
 
 def json_float(v, ctx: str) -> float:

@@ -1,8 +1,8 @@
 """Scenario documents: strict parsing, canonical serialization, hashing.
 
-A scenario names a semigroup (builtin shorthand or explicit Koenigs data),
-starting points, time grids, and heuristic overrides.  Its top-level keys,
-every numeric bound and each grid kind's keys come from
+A scenario names a semigroup or a mapless domain (builtin shorthand or
+explicit data), starting points, time grids, and heuristic overrides.  Its
+top-level keys, every numeric bound and each grid kind's keys come from
 ``schemas/scenario.schema.json``, each nested spec's keys and value types
 from its dataclass; unknown keys are rejected everywhere.  The canonical
 form, written from the parsed map and domain, parses back to the same
@@ -17,7 +17,8 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from .analysis import Heuristic, OrbitTrack
-from .catalog import BUILTIN_NAMES, builtin_semigroup, builtin_start
+from .catalog import (BUILTIN_NAMES, MAPLESS_NAMES, builtin_semigroup,
+                      builtin_start, mapless_builtin)
 from .confmap import MapExpr
 from .domains import Domain, domain_from_dict, unit_disk
 from .errors import (ScenarioError, check_keys, json_complex, json_float,
@@ -78,18 +79,21 @@ class GridSpec:
 
 
 def _koenigs_data(data: dict, name: str) -> tuple:
-    """(kind, mu, semigroup or None, domain) of a scenario document."""
+    """(kind, mu, semigroup or None, domain, default start_w) of a document."""
     builtin = data.get("builtin")
     if builtin is not None:
-        if builtin not in BUILTIN_NAMES:
-            raise ScenarioError(f"unknown builtin {builtin!r}; "
-                                f"choose from {list(BUILTIN_NAMES)}")
+        if builtin not in BUILTIN_NAMES + MAPLESS_NAMES:
+            raise ScenarioError(f"unknown builtin {builtin!r}; choose from "
+                                f"{[*BUILTIN_NAMES, *MAPLESS_NAMES]}")
         for key in ("type", "mu", "koenigs", "domain"):
             if key in data:
                 raise ScenarioError(
                     f"builtin scenarios must not override {key!r}")
+        if builtin in MAPLESS_NAMES:
+            omega, w0 = mapless_builtin(builtin)
+            return NONELLIPTIC, None, None, omega, (w0,)
         sg = builtin_semigroup(builtin)
-        return sg.kind, sg.mu, sg, sg.omega
+        return sg.kind, sg.mu, sg, sg.omega, ()
     kind = data.get("type")
     if kind not in (ELLIPTIC, NONELLIPTIC):
         raise ScenarioError("scenario type must be 'elliptic' or "
@@ -107,12 +111,12 @@ def _koenigs_data(data: dict, name: str) -> tuple:
         raise ScenarioError("non-elliptic scenarios carry no mu")
     omega = domain_from_dict(data["domain"])
     if data.get("koenigs") is None:
-        return kind, mu, None, omega
+        return kind, mu, None, omega, ()
     koenigs = MapExpr.from_dict(data["koenigs"], source=unit_disk(),
                                 target=omega)
     # the semigroup's domain: it carries the inverse Koenigs map
     sg = Semigroup(kind, koenigs, omega, mu=mu, name=name)
-    return kind, mu, sg, sg.omega
+    return kind, mu, sg, sg.omega, ()
 
 
 @dataclass(frozen=True)
@@ -137,12 +141,13 @@ class Scenario:
         check_keys(data, schema, (), "scenario")
         builtin = data.get("builtin")
         name = json_string(data.get("name", builtin or "scenario"), "name")
-        kind, mu, sg, omega = _koenigs_data(data, name)
+        kind, mu, sg, omega, default_w = _koenigs_data(data, name)
 
         start_points = tuple(_cpx_list(data.get("start_points", []),
                                        "start_points"))
-        start_w = tuple(_cpx_list(data.get("start_w", []), "start_w"))
-        if builtin is not None and not start_points:
+        start_w = tuple(_cpx_list(data.get("start_w", []), "start_w")) \
+            or default_w
+        if builtin in BUILTIN_NAMES and not start_points:
             start_points = (builtin_start(builtin),)
         if not start_points and not start_w:
             raise ScenarioError("scenario needs start_points or start_w")

@@ -3,9 +3,10 @@
 ``tests/golden/outputs.json`` holds the SHA-256 of every file that each
 command in it writes, and the Python and NumPy versions of the host that
 recorded them.  The commands are the seeded audits, the three
-example audits, ``trace`` and ``criterion`` on each built-in scenario
-(``{"builtin": name}``) and on README's explicit half-plane scenario, and
-``criterion`` on a mapless channel scenario; each scenario is written to
+example audits, ``trace`` and ``criterion`` on each map-backed built-in
+scenario (``{"builtin": name}``) and on README's explicit half-plane
+scenario, and ``criterion`` on each mapless builtin and on a mapless
+channel scenario; each scenario is written to
 ``{scenarios}/<name>.json``.  The test runs each command again into a
 temporary directory and compares the digests.  libm and NumPy may round
 differently elsewhere, so on a host with another stamp the test skips and
@@ -32,7 +33,8 @@ from diskflow import catalog, cli
 
 GOLDEN = Path(__file__).parent / "golden" / "outputs.json"
 SCENARIOS = {
-    **{name: {"builtin": name} for name in catalog.BUILTIN_NAMES},
+    **{name: {"builtin": name}
+       for name in (*catalog.BUILTIN_NAMES, *catalog.MAPLESS_NAMES)},
     # README's explicit Koenigs data
     "readme_halfplane": {
         "type": "nonelliptic",
@@ -58,7 +60,8 @@ COMMANDS = (
     *(f"{command} --config {{scenarios}}/{name}.json"
       for name in (*catalog.BUILTIN_NAMES, "readme_halfplane")
       for command in ("trace", "criterion")),
-    "criterion --config {scenarios}/mapless_channel.json",
+    *(f"criterion --config {{scenarios}}/{name}.json"
+      for name in (*catalog.MAPLESS_NAMES, "mapless_channel")),
 )
 
 

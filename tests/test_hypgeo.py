@@ -4,13 +4,13 @@ import pytest
 from scipy.integrate import quad
 
 from diskflow import (CrossValidationError, DomainError, HalfPlane, Interval,
-                      ParameterError, Strip, catalog, disk_density,
+                      ParameterError, Strip, disk_density,
                       disk_distance, domain_density, domain_distance,
                       example1_domain)
 from diskflow.audits import _Masked
 from diskflow.cli import main
 from diskflow.confmap import Mobius
-from diskflow.domains import Disk, HalfStrip
+from diskflow.domains import Disk, HalfStrip, SlitStrip
 from diskflow.hypgeo import (RECONCILE_ULPS, logsinh, sin_logpoint,
                              uhp_distance_log, UhpLogPoint)
 
@@ -245,18 +245,19 @@ class TestBoundsThatCross:
                             enclosure=_FixedEnclosure(hi - math.ulp(lo)))
 
     def test_the_cli_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the criterion's own half-strip enclosure collapses
         class Collapsed(HalfStrip):
             def hyperbolic_distance(self, z, w):
                 return 0.0
 
-        original = catalog.example1_enclosure
+        original = SlitStrip.rightward_half_strip
 
-        def enclosure(t):
-            sigma = original(t)
+        def enclosure(dom, z, w, r0):
+            sigma = original(dom, z, w, r0)
             return None if sigma is None else Collapsed(
                 sigma.left, sigma.half_width, sigma.center)
 
-        monkeypatch.setattr(catalog, "example1_enclosure", enclosure)
+        monkeypatch.setattr(SlitStrip, "rightward_half_strip", enclosure)
         assert main(["examples", "--id", "1", "--tmax", "8",
                      "--out", str(tmp_path)]) == 3
         assert "lies below its lower bound" in capsys.readouterr().err

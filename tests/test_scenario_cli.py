@@ -110,6 +110,17 @@ SPELLINGS = {
          "start_points": [[0.0, 0.0]],
          "forward_grid": {"kind": "linear", "t0": 0.0, "t1": 10.0,
                           "n": 101}}),
+    # -0.0 once hashed apart from 0.0 (e1f81d09... against bf35ed7c...)
+    "signed-zero-center": (
+        {"type": "nonelliptic", "koenigs": None,
+         "domain": {"kind": "strip", "half_width": 1.0, "center": -0.0},
+         "start_w": [[0, 0]]},
+        {"type": "nonelliptic", "koenigs": None,
+         "domain": {"kind": "strip", "half_width": 1.0, "center": 0.0},
+         "start_w": [[0, 0]]}),
+    "signed-zero-start": (
+        {**HALFPLANE_EXPLICIT, "start_points": [[-0.0, 0]]},
+        HALFPLANE_EXPLICIT),
     "mapless-inv_log": (
         {"type": "nonelliptic", "koenigs": None,
          "domain": {"kind": "channel", "profile": "inv_log"},
@@ -360,18 +371,24 @@ class TestCriterionCommand:
             (tmp_path / "out" / "criterion_p000.json").read_text())
         assert rep["verdict"] == "Certified"
 
-    def test_example1_fixture_carries_note(self, tmp_path):
+    def test_example1_note_is_the_examples_report_only(self, tmp_path):
+        # the criterion report carries no per-domain note; the examples
+        # report keeps its top-level discrepancy note
         cfg = write_config(tmp_path, EXAMPLE1)
         assert main(["criterion", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 0
         rep = json.loads(
             (tmp_path / "out" / "criterion_p000.json").read_text())
         assert rep["verdict"] in ("Certified", "Inconclusive")
-        assert rep["notes"]["discrepancy"]
+        assert rep["notes"] == {}
         assert rep["truncation"] == 12
+        assert main(["examples", "--id", "1", "--truncation", "12",
+                     "--out", str(tmp_path / "ex")]) == 0
+        ex = json.loads((tmp_path / "ex" / "example1_report.json").read_text())
+        assert ex["discrepancy_note"] == catalog.EXAMPLE1_NOTE
+        assert ex["criterion"]["notes"] == {}
 
-    def test_other_truncated_slit_strip_gets_no_example1_enclosure(
-            self, tmp_path):
+    def test_narrow_slit_strip_ratio_lo_bound(self, tmp_path):
         # Sigma_4 crosses the slits, so it is no enclosure.  Every path
         # from 0 to -4 runs 3 units through the channel between the slits,
         # where lambda >= 1/(4 delta) >= 5, so k(0, -4) >= 15 and
@@ -400,7 +417,7 @@ class TestExamplesCommand:
         assert row8["exact"] == pytest.approx(16.0 * math.pi, abs=1e-6)
         assert all(c["violations"] == 0 for c in rep["sigma_containment"])
         assert rep["discrepancy_note"]
-        assert rep["criterion"]["notes"]["discrepancy"]
+        assert "discrepancy" not in rep["criterion"]["notes"]
         summary = (tmp_path / "out" / "example1_summary.txt").read_text()
         assert "delta_Omega(0) = 2.0" in summary
 
@@ -426,6 +443,66 @@ class TestExamplesCommand:
         with pytest.raises(SystemExit) as exc:
             main(["examples", "--id", "7", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+
+def _criterion_block(tmp_path, payload, tag):
+    """criterion_p000.json of ``payload`` without its meta."""
+    out = tmp_path / tag
+    assert main(["criterion", "--config",
+                 write_config(tmp_path, payload, f"{tag}.json"),
+                 "--out", str(out)]) == 0
+    rep = json.loads((out / "criterion_p000.json").read_text())
+    del rep["meta"]
+    return rep
+
+
+def _examples_block(tmp_path, example_id, *argv):
+    out = tmp_path / f"examples{example_id}"
+    assert main(["examples", "--id", str(example_id), *argv,
+                 "--out", str(out)]) == 0
+    rep = json.loads((out / f"example{example_id}_report.json").read_text())
+    return rep["criterion"]
+
+
+def _spelled_example(domain) -> dict:
+    return {"type": "nonelliptic", "koenigs": None,
+            "domain": json.loads(json.dumps(domain.to_dict())),
+            "start_w": [[0, 0]]}
+
+
+class TestOneCriterionPath:
+    """``examples --id k`` writes the criterion block that ``criterion``
+    writes on the builtin ``example<k>`` and on the spelled-out scenario of
+    the same name: one path, with no note or enclosure of its own."""
+
+    @pytest.mark.parametrize("example_id", catalog.EXAMPLE_IDS)
+    def test_examples_criterion_is_the_builtins(self, tmp_path, example_id):
+        name = f"example{example_id}"
+        want = _examples_block(tmp_path, example_id)
+        omega, w0 = catalog.mapless_builtin(name)
+        assert w0 == 0j
+        assert _criterion_block(tmp_path, {"builtin": name}, "builtin") == want
+        spelled = {**_spelled_example(omega), "name": name}
+        assert _criterion_block(tmp_path, spelled, "spelled") == want
+
+    def test_example1_truncation_is_the_spelled_out_domain(self, tmp_path):
+        want = _examples_block(tmp_path, 1, "--truncation", "12")
+        spelled = {**_spelled_example(example1_domain(12)), "name": "example1"}
+        assert _criterion_block(tmp_path, spelled, "spelled") == want
+        assert want["truncation"] == 12
+
+    def test_mapless_builtins_parse_without_a_map(self):
+        for name in catalog.MAPLESS_NAMES:
+            sc = Scenario.parse({"builtin": name})
+            omega, w0 = catalog.mapless_builtin(name)
+            assert (sc.semigroup, sc.start_points, sc.start_w) == \
+                (None, (), (w0,))
+            assert sc.domain == omega
+            assert Scenario.parse(json.loads(sc.canonical_json())) == sc
+            moved = Scenario.parse({"builtin": name, "start_w": [[0.5, 0]]})
+            assert moved.start_w == (0.5 + 0j,)
+            with pytest.raises(ScenarioError, match="need a Koenigs map"):
+                Scenario.parse({"builtin": name, "start_points": [[0, 0]]})
 
 
 class TestAuditCommand:
@@ -613,6 +690,11 @@ class TestEveryValueRead:
         # exit 2, but on Example 1's messages
         "n_truncation-61": (_slit_strip(61), "slitstrip.n_truncation"),
         "n_truncation-0": (_slit_strip(0), "slitstrip.n_truncation"),
+        # parsed and reported truncation 40 on a slit-free strip
+        "n_truncation-no-slits": ({
+            "type": "nonelliptic", "koenigs": None,
+            "domain": {"kind": "slitstrip", "n_truncation": 40},
+            "start_w": [[0, 0]]}, "slitstrip.n_truncation"),
         # Certified, exit 0
         "mouth_cap-inf": ({
             "type": "nonelliptic", "koenigs": None,

@@ -93,7 +93,8 @@ class TestSchemaMatchesCode:
         defs = schema["definitions"]
         dom = defs["domain"]["properties"]
         op = defs["map"]["properties"]["chain"]["items"]["properties"]["op"]
-        assert _enum(props["builtin"]) == list(catalog.BUILTIN_NAMES)
+        assert _enum(props["builtin"]) == [*catalog.BUILTIN_NAMES,
+                                           *catalog.MAPLESS_NAMES]
         assert _enum(op) == list(confmap._PRIMITIVES)
         assert _enum(dom["kind"]) == list(domains._CANONICAL)
         assert _enum(dom["profile"]) == list(domains._PROFILES)
