@@ -75,29 +75,30 @@ _MAX_STEPS = 4096
 _LEFTOVER = 16
 
 
-def dist_to_curve(w: complex, curve: Callable,
+def dist_to_curve(w: complex, point: Callable, points: Callable,
                   s_lo: float, s_hi: float, n0: int = 600,
                   samples: Optional[tuple] = None) -> float:
     """Distance from ``w`` to a smooth parametric curve on [s_lo, s_hi].
 
-    ``curve`` maps a float (np.float64 included) to a complex through
-    ``math``/``cmath``, and an array to a complex array through NumPy.
+    The curve is given twice: ``point`` maps a Python float to a complex
+    through ``math``/``cmath``, and ``points`` maps a float64 array to a
+    complex array through NumPy.
 
-    The n0 samples take one array call, or are ``samples``: the pair
-    (ss, curve(ss)) for ss = np.linspace(s_lo, s_hi, n0), which a caller
+    The n0 samples take one ``points`` call, or are ``samples``: the pair
+    (ss, points(ss)) for ss = np.linspace(s_lo, s_hi, n0), which a caller
     measuring a fixed curve from many points keeps (``_log_cos_samples``).
     Each local minimum
-    (endpoints included) is refined on the scalar path by golden section
+    (endpoints included) is refined through ``point`` by golden section
     between its neighbours; a bracket equal to the one before it is refined
     once.  The least distance measured is returned.  A distance that is not
     finite counts as +inf, and ``EvaluationError`` is raised when every one
     is.
     """
     if not s_hi > s_lo:
-        return _finite(_sample_dist(w, curve, s_lo))
+        return _finite(_sample_dist(w, point, s_lo))
     if samples is None:
         ss = np.linspace(s_lo, s_hi, n0)
-        samples = ss, curve(ss)
+        samples = ss, points(ss)
     ss, cs = samples
     # distances, not squares, which overflow once |w| passes about 1e154
     with np.errstate(all="ignore"):
@@ -117,46 +118,76 @@ def dist_to_curve(w: complex, curve: Callable,
         if (lo, hi) == last:
             continue
         last = (lo, hi)
-        best = min(best, _golden(w, curve, lo, hi, float(d[j]), float(d[k])))
+        best = min(best, _golden(w, point, lo, hi, float(d[j]), float(d[k])))
     return _finite(best)
 
 
-def _golden(w: complex, curve: Callable, lo: float, hi: float,
+def _golden(w: complex, point: Callable, lo: float, hi: float,
             d_lo: float, d_hi: float) -> float:
     """The least distance golden section measures inside [lo, hi], whose
     ends lie at distances d_lo and d_hi."""
     m1, m2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    d1, d2 = _sample_dist(w, curve, m1), _sample_dist(w, curve, m2)
+    d1, d2 = _sample_dist(w, point, m1), _sample_dist(w, point, m2)
     best = min(d1, d2)
     for _ in range(_MAX_STEPS):
         if not lo < m1 < m2 < hi:
-            s = math.nextafter(lo, hi)
-            for _ in range(_LEFTOVER):
-                if not s < hi:
-                    break
-                best = min(best, _sample_dist(w, curve, s))
-                s = math.nextafter(s, hi)
+            return min(best, _leftover_dist(w, point, lo, hi))
+        # the least and most of the four distances, in comparisons: a call
+        # of min or max costs more than a sample
+        least = d_lo if d_lo < d1 else d1
+        if d2 < least:
+            least = d2
+        if d_hi < least:
+            least = d_hi
+        most = d_lo if d_lo > d1 else d1
+        if d2 > most:
+            most = d2
+        if d_hi > most:
+            most = d_hi
+        if most - least <= _FLAT * least:
             break
-        least = min(d_lo, d1, d2, d_hi)
-        if max(d_lo, d1, d2, d_hi) - least <= _FLAT * least:
-            break
-        if d1 <= d2:
+        left = d1 <= d2
+        if left:
             hi, d_hi, m2, d2 = m2, d2, m1, d1
-            m1 = hi - _GOLDEN * (hi - lo)
-            d1 = _sample_dist(w, curve, m1)
+            s = m1 = hi - _GOLDEN * (hi - lo)
         else:
             lo, d_lo, m1, d1 = m1, d1, m2, d2
-            m2 = lo + _GOLDEN * (hi - lo)
-            d2 = _sample_dist(w, curve, m2)
-        best = min(best, d1, d2)
+            s = m2 = lo + _GOLDEN * (hi - lo)
+        # _sample_dist written out: a sample costs the one call of point
+        try:
+            d = abs(w - point(s))
+        except OverflowError:
+            d = math.inf
+        if d != d:
+            d = math.inf
+        if left:
+            d1 = d
+        else:
+            d2 = d
+        if d < best:
+            best = d
     return best
 
 
-def _sample_dist(w: complex, curve: Callable, s: float) -> float:
-    """|w - curve(s)| on the scalar path, or +inf where it is NaN or passes
-    the float range: such a sample lies farther than any finite one."""
+def _leftover_dist(w: complex, point: Callable, lo: float,
+                   hi: float) -> float:
+    """The least distance at the floats inside (lo, hi), _LEFTOVER of them
+    at most, or +inf where there are none."""
+    best = math.inf
+    s = math.nextafter(lo, hi)
+    for _ in range(_LEFTOVER):
+        if not s < hi:
+            break
+        best = min(best, _sample_dist(w, point, s))
+        s = math.nextafter(s, hi)
+    return best
+
+
+def _sample_dist(w: complex, point: Callable, s: float) -> float:
+    """|w - point(s)|, or +inf where it is NaN or passes the float range:
+    such a sample lies farther than any finite one."""
     try:
-        d = abs(w - curve(s))
+        d = abs(w - point(s))
     except OverflowError:
         return math.inf
     return math.inf if math.isnan(d) else d
@@ -365,6 +396,19 @@ def with_riemann_map(dom: Domain, koenigs: MapExpr) -> Domain:
         return dom
     out = copy.copy(dom)
     object.__setattr__(out, "exact", koenigs.inverted())
+    return out
+
+
+def require_riemann_map(dom: Domain, koenigs: MapExpr) -> Domain:
+    """with_riemann_map(dom, koenigs) for a scenario, whose Koenigs map must
+    map the unit disk onto its domain: ScenarioError where koenigs fails
+    ``_is_riemann_map``.  The check runs once, in with_riemann_map where dom
+    has no Riemann map of its own and here where it has one."""
+    out = with_riemann_map(dom, koenigs)
+    if out is dom and (dom.exact_map is None
+                       or not _is_riemann_map(dom, koenigs)):
+        raise ScenarioError(f"koenigs does not map the unit disk onto the "
+                            f"{dom.kind} domain")
     return out
 
 
@@ -799,21 +843,6 @@ class SlitStrip(Domain):
 _EXP_X_MAX = math.log(sys.float_info.max)
 
 
-def _graph(x, y):
-    """x + i y: a Python complex for a float x, a NumPy array for an array."""
-    return complex(x, y) if isinstance(x, float) else x + 1j * y
-
-
-def _exp(x):
-    return math.exp(x) if isinstance(x, float) else np.exp(x)
-
-
-def _log_cos(y):
-    if isinstance(y, float):
-        return math.log(math.cos(y))
-    return np.log(np.cos(y))
-
-
 @dataclass(frozen=True)
 class _NoParams:
     """The parameters of a profile that takes none."""
@@ -880,7 +909,10 @@ class Channel(Domain):
                         x_hi: float) -> float:
         """min(d, the distances from w to the upper edge x + i upper(x) and
         the lower edge x - i (upper(x) + lower_drop), x_lo <= x <= x_hi), for
-        the two-edge kinds, whose ``_upper`` is >= 0 on the window.
+        the two-edge kinds, whose upper(x) is >= 0 on the window.  Each
+        edge is the pair of functions ``dist_to_curve`` takes: the kind's
+        ``_upper_point`` and ``_upper_points``, and where it has a drop,
+        ``_lower_point`` and ``_lower_points``.
 
         The upper edge lies in Im >= 0 and the lower one in Im <= -drop, so
         the vertical gaps max(0, -Im w) and max(0, Im w + drop) bound the
@@ -891,24 +923,22 @@ class Channel(Domain):
         |conj w - c| round alike.  On the axis that is w itself, so one
         measurement serves both edges.
         """
-        def upper(x):
-            return _graph(x, self._upper(x))
-
+        upper = self._upper_point, self._upper_points
         drop = self.lower_drop
         edges = [(max(0.0, -w.imag), w, upper)]
         if drop != 0.0:
             edges.append((max(0.0, w.imag + drop), w,
-                          lambda x: _graph(x, self._lower(x))))
+                          (self._lower_point, self._lower_points)))
         elif w.imag != 0.0:
             edges.append((max(0.0, w.imag), w.conjugate(), upper))
         edges.sort(key=lambda e: e[0])
-        for gap, v, curve in edges:
+        for gap, v, (point, points) in edges:
             # Rounding keeps |Im(v - c)| at or above the float gap, and
             # hypot, within 1 ulp, keeps |v - c| there too; the factor
             # leaves 4 ulps more before an edge counts as farther than d.
             if gap * (1.0 - 2.0 ** -50) > d:
                 break
-            d = min(d, dist_to_curve(v, curve, x_lo, x_hi))
+            d = min(d, dist_to_curve(v, point, points, x_lo, x_hi))
         return d
 
 
@@ -924,19 +954,33 @@ class _InvLogChannel(Channel):
     params = _InvLogParams
     lower_drop = 0.0
 
-    def _upper(self, x):
-        """Upper edge at x; an array of x takes NumPy and must lie in
-        x <= -e, the only part ``_distance`` samples."""
-        if not isinstance(x, float):
-            return 1.0 / np.log(-x)
+    def _upper(self, x: float) -> float:
+        """Upper edge at x."""
         if x <= -_E:
             return 1.0 / math.log(-x)
         # linear blend from 1 at -e to mouth_cap at -1
         s = (x + _E) / (_E - 1.0)
         return 1.0 + s * (self.mouth_cap - 1.0)
 
-    def _lower(self, x):
+    def _lower(self, x: float) -> float:
         return -self._upper(x) - self.lower_drop
+
+    # the edges on x <= -e, the only part _distance samples, for a float
+    # and for an array of x
+
+    @staticmethod
+    def _upper_point(x: float) -> complex:
+        return complex(x, 1.0 / math.log(-x))
+
+    @staticmethod
+    def _upper_points(x: np.ndarray) -> np.ndarray:
+        return x + 1j * (1.0 / np.log(-x))
+
+    def _lower_point(self, x: float) -> complex:
+        return complex(x, -(1.0 / math.log(-x)) - self.lower_drop)
+
+    def _lower_points(self, x: np.ndarray) -> np.ndarray:
+        return x + 1j * (-(1.0 / np.log(-x)) - self.lower_drop)
 
     def contains(self, w: complex) -> bool:
         w = complex(w)
@@ -993,8 +1037,15 @@ class _InvLogBelowChannel(_InvLogChannel):
 class _ExpChannel(Channel):
     """Two-sided exponential channel {|Im w| < exp(Re w)} (whole line)."""
 
-    _upper = staticmethod(_exp)
     lower_drop = 0.0
+
+    @staticmethod
+    def _upper_point(x: float) -> complex:
+        return complex(x, math.exp(x))
+
+    @staticmethod
+    def _upper_points(x: np.ndarray) -> np.ndarray:
+        return x + 1j * np.exp(x)
 
     def contains(self, w: complex) -> bool:
         w = complex(w)
@@ -1024,8 +1075,14 @@ class _ExpChannel(Channel):
         return complex(x, rng.uniform(-1, 1) * math.exp(x) * 0.999)
 
 
-def _log_cos_edge(y):
-    return _graph(_log_cos(y), y)
+# the log-cos edge log cos(y) + i y, for a float and for an array of y
+
+def _log_cos_point(y: float) -> complex:
+    return complex(math.log(math.cos(y)), y)
+
+
+def _log_cos_points(y: np.ndarray) -> np.ndarray:
+    return np.log(np.cos(y)) + 1j * y
 
 
 # the log-cos edge is measured on |y| <= _LOG_COS_Y from _LOG_COS_N samples
@@ -1035,10 +1092,11 @@ _LOG_COS_N = 1200
 
 @functools.cache
 def _log_cos_samples() -> tuple:
-    """dist_to_curve's samples of the log-cos edge, (ss, edge(ss)), taken
-    on the first call and kept read-only."""
+    """dist_to_curve's samples of the log-cos edge,
+    (ss, _log_cos_points(ss)), taken on the first call and kept
+    read-only."""
     ss = np.linspace(-_LOG_COS_Y, _LOG_COS_Y, _LOG_COS_N)
-    cs = _log_cos_edge(ss)
+    cs = _log_cos_points(ss)
     ss.flags.writeable = cs.flags.writeable = False
     return ss, cs
 
@@ -1066,8 +1124,8 @@ class _LogCosChannel(Channel):
 
     def _distance(self, w: complex) -> float:
         d0 = 0.5 * math.pi - abs(w.imag)
-        d = dist_to_curve(w, _log_cos_edge, -_LOG_COS_Y, _LOG_COS_Y,
-                          _LOG_COS_N, samples=_log_cos_samples())
+        d = dist_to_curve(w, _log_cos_point, _log_cos_points, -_LOG_COS_Y,
+                          _LOG_COS_Y, _LOG_COS_N, samples=_log_cos_samples())
         return min(d0, d)
 
     def backward_ray_horizon(self, w: complex):
@@ -1131,22 +1189,43 @@ class SpiralSector(Domain):
         return False
 
     def _distance(self, w: complex) -> float:
+        """min(|w|, the distances to the two edges exp(mu (s +/- i th))).
+
+        The origin is a boundary point.  Edge th meets |zeta| = |w| at
+        s = (log|w| + Im mu th)/Re mu, which depends on |w| alone, so w
+        and its image across the cut of cmath.phase measure the same
+        window, whose ends lie a factor exp(4 + 2 pi), about 28,500, in
+        modulus either side of it.  Above the window the edge lies 2|w| or
+        more from the origin, so no nearer to w than the origin.  The part
+        below it, of modulus m or less, lies at least |w| - m from w; the
+        window steps down until that bound reaches the running distance."""
         w = complex(w)
         mu = self.mu
-        s_c = (math.log(abs(w)) * mu.real
-               + (cmath.phase(w)) * mu.imag) / abs(mu) ** 2
+        r = abs(w)
         span = (4.0 + 2.0 * math.pi) / mu.real
-        d = math.inf
+        d = r
         for th in (self.half_angle, -self.half_angle):
-            d = min(d, dist_to_curve(w, lambda s: self._edge(s, th),
-                                     s_c - span, s_c + span, n0=1500))
+            edge = self._edge(th)
+            s_c = (math.log(r) + mu.imag * th) / mu.real
+            s_lo, s_hi = s_c - span, s_c + span
+            while True:
+                d = min(d, dist_to_curve(w, *edge, s_lo, s_hi, n0=1500))
+                # r less the modulus of the edge at s_lo
+                if r - math.exp(mu.real * s_lo - mu.imag * th) >= d:
+                    break
+                s_lo, s_hi = s_lo - 2.0 * span, s_lo
         return d
 
-    def _edge(self, s, th: float):
-        """exp(mu (s + i th)): cmath for a float s, NumPy for an array."""
-        if isinstance(s, float):
-            return cmath.exp(self.mu * complex(s, th))
-        return np.exp(self.mu * (s + 1j * th))
+    def _edge(self, th: float) -> tuple:
+        """The edge exp(mu (s + i th)) as dist_to_curve's point and points."""
+        mu = self.mu
+
+        def point(s: float) -> complex:
+            return cmath.exp(mu * complex(s, th))
+
+        def points(s: np.ndarray) -> np.ndarray:
+            return np.exp(mu * (s + 1j * th))
+        return point, points
 
     @property
     def exact_map(self) -> Optional[MapExpr]:

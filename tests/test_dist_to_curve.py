@@ -11,13 +11,25 @@ parameter width of 1e-9.  That stop left δ up to 549 times too high next
 to the boundary; the kernel reads no higher than the reference by more
 than the rounding of w - c.
 
+Each edge is handed to the kernel as two functions: ``point`` for a Python
+float and ``points`` for an array.  Before, one dual-type curve tested the
+type of its argument on every sample, and golden section reached it
+through ``_sample_dist``.  That kernel and those curves are kept verbatim
+below (``_parent_dist_to_curve`` and the dual-type edges), and every kind
+reads the same bits from the split ones, the spiral sectors on the window
+that kernel used.
+
 The two-edge channel kinds skip an edge that cannot hold the minimum and
 measure a mirrored lower edge from conj(w).  The ``_distance`` methods
 they replaced, which measured both edges everywhere, are kept verbatim as
-``_both_edges_inv_log_distance`` and ``_both_edges_exp_distance``."""
+``_both_edges_inv_log_distance`` and ``_both_edges_exp_distance``, on the
+dual-type edges and the kernel before the split."""
 
+import ast
+import cmath
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +39,8 @@ from diskflow import catalog, domains
 from diskflow.analysis import OrbitTrack, backward_criterion
 from diskflow.cli import main
 from diskflow.domains import (_E, _EXP_X_MAX, Channel, SpiralSector,
-                              _dist_point_segment, _exp, _graph, _log_cos,
-                              dist_to_curve, example2_domain, example3_domain,
+                              _dist_point_segment, dist_to_curve,
+                              example2_domain, example3_domain,
                               exp_channel_domain)
 from diskflow.errors import EvaluationError
 from diskflow.hypgeo import BOUNDARY_CUTOFF
@@ -60,6 +72,148 @@ def _reference_dist(w, curve, s_lo, s_hi, n0=600, tol=1e-9):
                 lo = m1
         best = min(best, abs(w - curve(0.5 * (lo + hi))))
     return best
+
+
+# -- the kernel and the edges before the split, verbatim but for names ------
+
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+_FLAT = 2.0 ** -50
+_MAX_STEPS = 4096
+_LEFTOVER = 16
+
+
+def _parent_dist_to_curve(w, curve, s_lo, s_hi, n0=600, samples=None):
+    if not s_hi > s_lo:
+        return _finite(_parent_sample_dist(w, curve, s_lo))
+    if samples is None:
+        ss = np.linspace(s_lo, s_hi, n0)
+        samples = ss, curve(ss)
+    ss, cs = samples
+    with np.errstate(all="ignore"):
+        d = np.abs(w - cs)
+    d[~np.isfinite(d)] = math.inf
+    best = float(d.min())
+    at_min = np.isfinite(d)
+    at_min[1:] &= d[1:] <= d[:-1]
+    at_min[:-1] &= d[:-1] <= d[1:]
+    last = None
+    for i in np.flatnonzero(at_min):
+        j, k = max(0, i - 1), min(n0 - 1, i + 1)
+        lo, hi = float(ss[j]), float(ss[k])
+        if (lo, hi) == last:
+            continue
+        last = (lo, hi)
+        best = min(best, _parent_golden(w, curve, lo, hi, float(d[j]),
+                                        float(d[k])))
+    return _finite(best)
+
+
+def _parent_golden(w, curve, lo, hi, d_lo, d_hi):
+    m1, m2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    d1, d2 = _parent_sample_dist(w, curve, m1), _parent_sample_dist(w, curve, m2)
+    best = min(d1, d2)
+    for _ in range(_MAX_STEPS):
+        if not lo < m1 < m2 < hi:
+            s = math.nextafter(lo, hi)
+            for _ in range(_LEFTOVER):
+                if not s < hi:
+                    break
+                best = min(best, _parent_sample_dist(w, curve, s))
+                s = math.nextafter(s, hi)
+            break
+        least = min(d_lo, d1, d2, d_hi)
+        if max(d_lo, d1, d2, d_hi) - least <= _FLAT * least:
+            break
+        if d1 <= d2:
+            hi, d_hi, m2, d2 = m2, d2, m1, d1
+            m1 = hi - _GOLDEN * (hi - lo)
+            d1 = _parent_sample_dist(w, curve, m1)
+        else:
+            lo, d_lo, m1, d1 = m1, d1, m2, d2
+            m2 = lo + _GOLDEN * (hi - lo)
+            d2 = _parent_sample_dist(w, curve, m2)
+        best = min(best, d1, d2)
+    return best
+
+
+def _parent_sample_dist(w, curve, s):
+    try:
+        d = abs(w - curve(s))
+    except OverflowError:
+        return math.inf
+    return math.inf if math.isnan(d) else d
+
+
+def _finite(d):
+    if d == math.inf:
+        raise EvaluationError("every distance to the curve leaves the float "
+                              "range", overflow=True)
+    return d
+
+
+def _graph(x, y):
+    return complex(x, y) if isinstance(x, float) else x + 1j * y
+
+
+def _exp(x):
+    return math.exp(x) if isinstance(x, float) else np.exp(x)
+
+
+def _log_cos(y):
+    if isinstance(y, float):
+        return math.log(math.cos(y))
+    return np.log(np.cos(y))
+
+
+def _inv_log_upper(self, x):
+    if not isinstance(x, float):
+        return 1.0 / np.log(-x)
+    if x <= -_E:
+        return 1.0 / math.log(-x)
+    s = (x + _E) / (_E - 1.0)
+    return 1.0 + s * (self.mouth_cap - 1.0)
+
+
+def _inv_log_lower(self, x):
+    return -_inv_log_upper(self, x) - self.lower_drop
+
+
+def _sector_edge(self, s, th):
+    if isinstance(s, float):
+        return cmath.exp(self.mu * complex(s, th))
+    return np.exp(self.mu * (s + 1j * th))
+
+
+def _sector_window(self, w):
+    """The window each edge of a spiral sector was measured on."""
+    mu = self.mu
+    s_c = (math.log(abs(w)) * mu.real
+           + (cmath.phase(w)) * mu.imag) / abs(mu) ** 2
+    span = (4.0 + 2.0 * math.pi) / mu.real
+    return s_c - span, s_c + span
+
+
+def _parent_sector_distance(self, w):
+    d = math.inf
+    for th in (self.half_angle, -self.half_angle):
+        d = min(d, _parent_dist_to_curve(w, lambda s: _sector_edge(self, s, th),
+                                         *_sector_window(self, w), n0=1500))
+    return d
+
+
+def _sector_on_the_parent_window(self, w):
+    d = math.inf
+    for th in (self.half_angle, -self.half_angle):
+        d = min(d, dist_to_curve(w, *self._edge(th), *_sector_window(self, w),
+                                 n0=1500))
+    return d
+
+
+def _parent_log_cos_distance(w):
+    y_max = 0.5 * math.pi * (1.0 - 1e-12)
+    d = _parent_dist_to_curve(w, lambda y: _graph(_log_cos(y), y),
+                              -y_max, y_max, n0=1200)
+    return min(0.5 * math.pi - abs(w.imag), d)
 
 
 DOMAINS = {
@@ -102,35 +256,44 @@ POINTS = ([p for name in DOMAINS for p in _seeded_points(name)] + NEAR_TIES
           + DEGENERATE + OFF_AXIS)
 
 
-def _logged(curve, args):
+def _logged(fn, args):
     def logged(s):
         args.append(s)
-        return curve(s)
+        return fn(s)
     return logged
 
 
-def _checked(w, curve, s_lo, s_hi, n0=600, samples=None):
-    """``dist_to_curve`` run beside the reference.  The first call must be
-    the one array call, unless the caller passes the samples it keeps, and
-    every later one a float; the result may read below the reference, whose
-    1e-9 stop leaves it high, but above it only by the rounding of w - c,
-    8 ulps of max(1, |w|)."""
-    args = []
-    got = dist_to_curve(w, _logged(curve, args), s_lo, s_hi, n0,
-                        samples=samples)
+def _dual(point, points):
+    """The one curve of both number types that the kernel took before."""
+    return lambda s: point(s) if isinstance(s, float) else points(s)
+
+
+def _checked(w, point, points, s_lo, s_hi, n0=600, samples=None):
+    """``dist_to_curve`` run beside the reference and the kernel before the
+    split.  ``points`` must take the one array call, unless the caller
+    passes the samples it keeps, and ``point`` every Python float; the
+    result has the bits of the kernel before the split, and may read below
+    the reference, whose 1e-9 stop leaves it high, but above it only by
+    the rounding of w - c, 8 ulps of max(1, |w|)."""
+    scalars, arrays = [], []
+    got = dist_to_curve(w, _logged(point, scalars), _logged(points, arrays),
+                        s_lo, s_hi, n0, samples=samples)
+    curve = _dual(point, points)
+    assert repr(got) == repr(_parent_dist_to_curve(w, curve, s_lo, s_hi, n0,
+                                                   samples)), w
     want = _reference_dist(w, curve, s_lo, s_hi, n0)
     assert got <= want + 8.0 * np.spacing(max(1.0, abs(w))), w
     if samples is not None:
         ss = np.linspace(s_lo, s_hi, n0)
         assert samples[0].tobytes() == ss.tobytes()
-        assert samples[1].tobytes() == curve(ss).tobytes()
-        scalars = args
+        assert samples[1].tobytes() == points(ss).tobytes()
+        assert arrays == []
     elif s_hi > s_lo:
-        grid, scalars = args[0], args[1:]
-        assert isinstance(grid, np.ndarray) and grid.shape == (n0,)
+        assert len(arrays) == 1
+        assert isinstance(arrays[0], np.ndarray) and arrays[0].shape == (n0,)
     else:
-        scalars = args
-    assert all(isinstance(s, float) for s in scalars)
+        assert arrays == []
+    assert all(type(s) is float for s in scalars)
     return got
 
 
@@ -144,16 +307,25 @@ def test_one_array_call_and_no_higher_than_the_reference(monkeypatch, name):
 
 def test_log_cos_kept_samples_measure_as_a_fresh_sampling():
     # the log-cos edge is sampled once per process; the distance before
-    # that, which sampled it on each call, is written out here
-    y_max = 0.5 * math.pi * (1.0 - 1e-12)
+    # that, which sampled it on each call, is written out above
     dom = DOMAINS["log_cos"]
     points = [w for n, w in POINTS if n == "log_cos"]
     assert len(points) == 55
     for w in points:
-        fresh = dist_to_curve(w, lambda y: _graph(_log_cos(y), y),
-                              -y_max, y_max, n0=1200)
-        want = min(0.5 * math.pi - abs(w.imag), fresh)
-        assert repr(dom.boundary_distance(w)) == repr(want), w
+        assert repr(dom.boundary_distance(w)) == \
+            repr(_parent_log_cos_distance(w)), w
+
+
+@pytest.mark.parametrize("name", ["sector", "spiral_sector"])
+def test_a_sector_keeps_the_bits_of_the_dual_type_edges(name):
+    # on the window the dual-type edges were measured on, which the
+    # sectors have since moved
+    dom = DOMAINS[name]
+    points = [w for n, w in POINTS if n == name]
+    assert len(points) == 30
+    for w in points:
+        assert repr(_sector_on_the_parent_window(dom, w)) == \
+            repr(_parent_sector_distance(dom, w)), w
 
 
 def test_the_kept_log_cos_samples_are_read_only():
@@ -176,12 +348,13 @@ def test_non_finite_array_samples_do_not_hide_the_minimum(spoilt):
     xs = [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0]
     ds = [3e307, 2e307, 2e307, 1e307, 1.5e307, 2.5e307, 3e307]
 
-    def curve(s):
-        if isinstance(s, float):
-            return complex(-1e308, float(np.interp(s, xs, ds)))
+    def point(s):
+        return complex(-1e308, float(np.interp(s, xs, ds)))
+
+    def points(s):
         return np.where(s == 0.0, spoilt, -1e308) + 1j * np.interp(s, xs, ds)
-    assert _checked(w, curve, -2.0, 3.0, n0=6) == pytest.approx(1e307,
-                                                                rel=1e-12)
+    assert _checked(w, point, points, -2.0, 3.0, n0=6) == \
+        pytest.approx(1e307, rel=1e-12)
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-11, 1e-13])
@@ -234,24 +407,29 @@ def test_a_window_of_overflowing_samples_raises():
     # array call is the only call
     def curve(s):
         return 1.5e308 + 0.0 * s + 1j * (1.5e308 + 0.0 * s)
-    args = []
+    scalars, arrays = [], []
     with pytest.raises(EvaluationError, match="float range"):
-        dist_to_curve(0j, _logged(curve, args), 0.0, 1.0)
-    assert len(args) == 1
+        dist_to_curve(0j, _logged(curve, scalars), _logged(curve, arrays),
+                      0.0, 1.0)
+    assert (len(scalars), len(arrays)) == (0, 1)
     with pytest.raises(EvaluationError, match="float range"):
-        dist_to_curve(0j, curve, 1.0, 1.0)
+        dist_to_curve(0j, _logged(curve, scalars), _logged(curve, arrays),
+                      1.0, 1.0)
+    assert (scalars, len(arrays)) == ([1.0], 1)
 
 
 def test_a_nan_sample_lies_farther_than_finite_ones():
     # the curve is NaN below s = 0.4 on both paths, and |w - c| is least at
     # s = 0.7; the first interior point of the bracket [0, 1] is NaN, and
     # refinement still steers toward the minimum
-    def curve(s):
-        if isinstance(s, float):
-            return complex(math.nan, math.nan) if s < 0.4 else \
-                complex(s - 0.7, 1.0)
+    def point(s):
+        return complex(math.nan, math.nan) if s < 0.4 else \
+            complex(s - 0.7, 1.0)
+
+    def points(s):
         return np.where(s < 0.4, math.nan, s - 0.7) + 1j
-    assert dist_to_curve(0j, curve, 0.0, 1.0, n0=3) == pytest.approx(1.0)
+    assert dist_to_curve(0j, point, points, 0.0, 1.0, n0=3) == \
+        pytest.approx(1.0)
 
 
 def _both_edges_inv_log_distance(self, w: complex) -> float:
@@ -272,8 +450,9 @@ def _both_edges_inv_log_distance(self, w: complex) -> float:
     # profile curves for x <= -e, on the window that can still matter
     x_hi = -_E
     x_lo = min(w.real - d0, x_hi - 1.0)
-    for edge in (self._upper, self._lower):
-        d0 = min(d0, dist_to_curve(w, lambda x: _graph(x, edge(x)), x_lo, x_hi))
+    for edge in (_inv_log_upper, _inv_log_lower):
+        d0 = min(d0, _parent_dist_to_curve(
+            w, lambda x: _graph(x, edge(self, x)), x_lo, x_hi))
     return d0
 
 
@@ -285,18 +464,22 @@ def _both_edges_exp_distance(self, w: complex) -> float:
     d0 = math.exp(x) - y if x <= 700.0 else \
         math.hypot(x - 700.0, math.exp(700.0) - y)
     x_lo, x_hi = x - d0, min(x + d0, _EXP_X_MAX)
-    d = dist_to_curve(w, lambda x: _graph(x, _exp(x)), x_lo, x_hi)
-    return min(d, dist_to_curve(w, lambda x: _graph(x, -_exp(x)), x_lo, x_hi))
+    d = _parent_dist_to_curve(w, lambda x: _graph(x, _exp(x)), x_lo, x_hi)
+    return min(d, _parent_dist_to_curve(w, lambda x: _graph(x, -_exp(x)),
+                                        x_lo, x_hi))
 
 
 BOTH_EDGES = {"inv_log": _both_edges_inv_log_distance,
               "inv_log_below": _both_edges_inv_log_distance,
               "exp": _both_edges_exp_distance}
 
-# seeded interior points, axis points, and points of example 3's strip
-# {-1 < Im < 0}, where both gaps are below 1
+# seeded interior points (POINTS' first among them), axis points, and
+# points of example 3's strip {-1 < Im < 0}, where both gaps are below 1;
+# with the near ties and degenerate windows, every entry of POINTS of the
+# two-edge kinds
 TWO_EDGE_POINTS = (
     [p for name in BOTH_EDGES for p in _seeded_points(name, 60)]
+    + [p for p in NEAR_TIES + DEGENERATE if p[0] in BOTH_EDGES]
     + [(name, complex(x, 0.0)) for name in ("inv_log", "exp")
        for x in (-1e6, -400.0, -31.2, -16.2, -8.0, -3.0, -1.5, 0.0, 2.5, 9.0)]
     + [("inv_log_below", complex(x, y))
@@ -352,3 +535,129 @@ def test_exp_channel_criterion_cli(tmp_path, capsys):
         code = main(["criterion", "--config", str(config),
                      "--out", str(tmp_path / "out")])
     assert code == 0
+
+
+# -- spiral sectors ------------------------------------------------------------
+
+# the sector whose window once missed the part of an edge near the origin:
+# at this w it read 4.0328180917203404, above |w| = 4.032817068146546,
+# while the edges come within 4.032809241410091 at modulus 2.7e-5
+WOUND = SpiralSector(1.0 + 0.3j, 3.0)
+NEAR_ORIGIN = 0.6081363519034186 - 3.986700851910976j
+
+SECTORS = [WOUND, DOMAINS["spiral_sector"], SpiralSector(1.0 + 1.0j, 0.3),
+           SpiralSector(2.0 - 1.0j, 0.7)]
+
+
+@pytest.mark.parametrize("dom", SECTORS, ids=repr)
+def test_a_sector_reads_both_sides_of_the_negative_axis_alike(dom):
+    # the window was centred at cmath.phase(w), which jumps by 2 pi across
+    # the negative axis: delta(-0.5 + 0i) and delta(-0.5 - 0i) on WOUND
+    # read 0.038476663381848346 and 0.038476663381848394
+    measured = 0
+    for r in np.geomspace(1e-3, 1e3, 61):
+        above, below = complex(-r, 0.0), complex(-r, -0.0)
+        if not dom.contains(above):
+            continue
+        assert dom.contains(below)
+        assert repr(dom.boundary_distance(above)) == \
+            repr(dom.boundary_distance(below)), r
+        measured += 1
+    assert measured >= 5
+
+
+def _brute_sector_distance(dom, w, n=100_001):
+    """min(|w|, the edges' distances): dense samples over moduli |w| e^-40
+    to |w| e^12, each local minimum within 1e-6 of the least sample refined
+    by ternary search until no float is left in its bracket.  A run of
+    equal samples counts as one minimum, at its left end."""
+    mu, r = dom.mu, abs(w)
+    edges = []
+    for th in (dom.half_angle, -dom.half_angle):
+        s0 = (math.log(r) + mu.imag * th) / mu.real
+        ss = np.linspace(s0 - 40.0 / mu.real, s0 + 12.0 / mu.real, n)
+        edges.append((th, ss, np.abs(w - np.exp(mu * (ss + 1j * th)))))
+    best = min(r, *(float(d.min()) for _, _, d in edges))
+    near = best * (1.0 + 1e-6)
+    for th, ss, d in edges:
+        def dist(s):
+            return abs(w - cmath.exp(mu * complex(s, th)))
+        at_min = np.flatnonzero((d[1:-1] < d[:-2]) & (d[1:-1] <= d[2:])) + 1
+        for i in at_min[d[at_min] <= near]:
+            lo, hi = float(ss[i - 1]), float(ss[i + 1])
+            while True:
+                m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+                if not lo < m1 < m2 < hi:
+                    break
+                if dist(m1) <= dist(m2):
+                    hi = m2
+                else:
+                    lo = m1
+            best = min(best, dist(lo), dist(hi))
+    return best
+
+
+@pytest.mark.parametrize("dom", [DOMAINS["sector"], DOMAINS["spiral_sector"],
+                                 WOUND], ids=repr)
+def test_a_sector_reads_the_dense_minimum(dom):
+    points = [w for name, w in POINTS
+              if name in DOMAINS and DOMAINS[name] == dom]
+    points += dom.interior_samples(20, seed=20261020)
+    if dom == WOUND:
+        points.append(NEAR_ORIGIN)
+    for w in points:
+        # within the rounding of w - c, 8 ulps of |w|
+        got, want = dom.boundary_distance(w), _brute_sector_distance(dom, w)
+        assert abs(got - want) <= 8.0 * np.spacing(abs(w)), w
+        assert got <= abs(w)
+
+
+def test_the_window_reaches_the_part_near_the_origin():
+    d = WOUND.boundary_distance(NEAR_ORIGIN)
+    assert d < abs(NEAR_ORIGIN)
+    assert d == pytest.approx(4.032809241410091, rel=4e-16)
+
+
+# -- what the kernel runs per sample -------------------------------------------
+
+def _domains_tree():
+    return ast.parse(Path(domains.__file__).read_text())
+
+
+def test_no_function_in_domains_tests_for_a_float():
+    # each curve is handed over as its scalar and its array function, so
+    # nothing in the module dispatches on the number type
+    tests = []
+    for node in ast.walk(_domains_tree()):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == \
+                "isinstance":
+            kinds = node.args[1]
+            names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(ast.unparse(k) == "float" for k in names):
+                tests.append(node.lineno)
+        if isinstance(node, ast.Compare) and \
+                any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))
+                    for op in node.ops):
+            sides = [ast.unparse(x) for x in (node.left, *node.comparators)]
+            if "float" in sides and any(x.startswith("type(")
+                                        for x in sides):
+                tests.append(node.lineno)
+    assert tests == []
+
+
+def test_golden_section_samples_through_point_and_abs_alone():
+    # a step of the loop takes one sample, abs(w - point(s)), and calls
+    # nothing else; the collapsed bracket's floats are measured once, in
+    # the return that leaves the loop
+    golden = next(f for f in _domains_tree().body
+                  if isinstance(f, ast.FunctionDef) and f.name == "_golden")
+    loop = next(n for n in golden.body if isinstance(n, ast.For))
+    body = [n for stmt in loop.body for n in ast.walk(stmt)]
+    leaving = {id(n) for r in body if isinstance(r, ast.Return)
+               for n in ast.walk(r)}
+    calls = [ast.unparse(n.func) for n in body
+             if isinstance(n, ast.Call) and id(n) not in leaving]
+    assert sorted(calls) == ["abs", "point"]
+    samples = [ast.unparse(n) for n in body
+               if isinstance(n, ast.Call) and ast.unparse(n.func) == "abs"]
+    assert samples == ["abs(w - point(s))"]

@@ -6,9 +6,13 @@ import pytest
 
 from diskflow import (Scenario, ScenarioError, catalog, example1_domain,
                       example2_domain)
-from diskflow.analysis import backward_criterion
+from diskflow.analysis import OrbitTrack, backward_criterion
 from diskflow.cli import main
-from diskflow.domains import Channel
+from diskflow.confmap import MapExpr
+from diskflow.domains import (Channel, HalfPlane, domain_from_dict,
+                              unit_disk)
+from diskflow.errors import EvaluationError
+from diskflow.semigroup import Semigroup
 
 
 def write_config(tmp_path, payload, name="scenario.json"):
@@ -74,6 +78,10 @@ def _overflowing(koenigs, orientation, start, t_end):
     }
 
 
+# Neither chain passes the check that it maps the disk onto the half-plane:
+# the first maps it onto a disk of radius 1e308, and the second, which maps
+# it onto the upper half-plane, rounds every sampled preimage onto the unit
+# circle.  Their scenarios exit 2 at parse, and the semigroups run in code.
 OVERFLOWING = [
     # |w(t)| passes DBL_MAX: once a closed form outside the disk was
     # accepted and the ODE cross-check failed on it instead
@@ -169,8 +177,6 @@ EXPLICIT = {
     "example2": EXAMPLE2,
     "narrow-slits": NARROW_SLITS,
     "elliptic-disk": ELLIPTIC_DISK,
-    **{f"overflowing-{i}": _overflowing(*case)
-       for i, case in enumerate(OVERFLOWING)},
     **{f"{name}-{i}": pair[i] for name, pair in SPELLINGS.items()
        for i in (0, 1)},
 }
@@ -307,13 +313,19 @@ class TestTraceCommand:
 
 
     @pytest.mark.parametrize("koenigs,domain,start,t_end", OVERFLOWING)
-    def test_pullback_overflow_exits_3(self, koenigs, domain, start, t_end,
-                                       tmp_path, capsys):
+    def test_pullback_overflow_raises(self, koenigs, domain, start, t_end,
+                                      tmp_path, capsys):
         cfg = write_config(tmp_path, _overflowing(koenigs, domain, start,
                                                   t_end))
         assert main(["trace", "--config", cfg,
-                     "--out", str(tmp_path / "out")]) == 3
-        assert "overflow evaluating" in capsys.readouterr().err
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "koenigs does not map the unit disk onto the halfplane " \
+            "domain" in capsys.readouterr().err
+        omega = HalfPlane(domain)
+        sg = Semigroup("nonelliptic", MapExpr.from_dict(
+            {"chain": [koenigs]}, source=unit_disk(), target=omega), omega)
+        with pytest.raises(EvaluationError, match="overflow evaluating"):
+            sg.forward_orbit(complex(*start), [0.0, t_end])
 
     def test_ode_field_failure_names_the_cross_check(self, tmp_path, capsys):
         # near t = 1e14 the ODE state rounds onto the pole z = 1 (where it
@@ -735,6 +747,12 @@ class TestEveryValueRead:
             "type": "nonelliptic", "koenigs": {"chain": [{"op": ["exp"]}]},
             "domain": {"kind": "halfplane"}, "start_points": [[0, 0]]},
             "map primitive"),
+        # sin maps the disk onto a bounded part of the strip: Certified
+        # (bound 8.99263e-176), exit 0
+        "sin-onto-strip": ({
+            "type": "nonelliptic", "koenigs": {"chain": [{"op": "sin"}]},
+            "domain": {"kind": "strip", "half_width": 2.0},
+            "start_points": [[0.5, 0]]}, "koenigs"),
     }
 
     @pytest.mark.parametrize("payload,key", CASES.values(), ids=CASES)
@@ -833,15 +851,31 @@ class TestSpelledOutBuiltins:
         assert [(s.t, s.ratio) for s in got.samples] == \
             [(s.t, s.ratio) for s in want.samples]
 
+    @pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+    def test_every_builtin_chain_maps_onto_its_domain(self, name):
+        # the parse check that a chain maps the disk onto its domain
+        # accepts every map-backed builtin spelled out
+        sg = catalog.builtin_semigroup(name)
+        doc = _spelled_out(sg, start_points=[[0, 0]])
+        if sg.mu is not None:
+            doc["mu"] = [sg.mu.real, sg.mu.imag]
+        assert Scenario.parse(doc).semigroup.koenigs.to_dict() == \
+            sg.koenigs.to_dict()
+
     def test_a_chain_onto_another_region_keeps_the_bounds(self):
-        # the strip's chain maps onto the whole strip, slit included: the
-        # domain takes no map from it and reads interval bounds, as every
-        # slit strip did before semigroups installed their maps
+        # the strip's chain maps onto the whole strip, slit included: a
+        # scenario that pairs them exits at parse, and a semigroup built in
+        # code leaves the domain without a map, to read interval bounds as
+        # every slit strip did before semigroups installed their maps
         doc = _spelled_out(catalog.slit_tip_semigroup(), start_w=[[1, 0]])
         doc["koenigs"] = catalog.strip_semigroup().koenigs.to_dict()
-        sc = Scenario.parse(doc)
-        assert sc.domain.exact_map is None
-        rep = backward_criterion(sc.tracks()[0])
+        with pytest.raises(ScenarioError, match="koenigs does not map"):
+            Scenario.parse(doc)
+        sg = Semigroup("nonelliptic", catalog.strip_semigroup().koenigs,
+                       domain_from_dict(doc["domain"]))
+        assert sg.omega.exact_map is None
+        rep = backward_criterion(OrbitTrack.from_omega(sg.omega, 1 + 0j,
+                                                       "nonelliptic"))
         assert rep.verdict == "Inconclusive"
         assert all(s.ratio.lo < s.ratio.hi for s in rep.samples[1:])
 
