@@ -391,57 +391,91 @@ class Domain:
 
 def with_riemann_map(dom: Domain, koenigs: MapExpr) -> Domain:
     """dom, or, where dom has no Riemann map of its own and koenigs passes
-    ``_is_riemann_map``, its copy whose ``exact_map`` is koenigs^{-1}."""
-    if dom.exact_map is not None or not _is_riemann_map(dom, koenigs):
+    ``_riemann_verdict`` at every sample, its copy whose ``exact_map`` is
+    koenigs^{-1}."""
+    if dom.exact_map is not None or _riemann_verdict(dom, koenigs) is not True:
         return dom
+    return _carrying(dom, koenigs)
+
+
+def require_riemann_map(dom: Domain, koenigs: MapExpr) -> Domain:
+    """with_riemann_map(dom, koenigs) for a scenario, whose Koenigs map must
+    map the unit disk onto its domain: ScenarioError where a sample of
+    ``_riemann_verdict`` shows that koenigs does not.  A map whose failing
+    samples are all inconclusive leaves dom to interval bounds, as
+    with_riemann_map does; a Semigroup on that dom runs the check again."""
+    verdict = _riemann_verdict(dom, koenigs)
+    if verdict is False:
+        raise ScenarioError(f"koenigs does not map the unit disk onto the "
+                            f"{dom.kind} domain")
+    if dom.exact_map is not None or verdict is None:
+        return dom
+    return _carrying(dom, koenigs)
+
+
+def _carrying(dom: Domain, koenigs: MapExpr) -> Domain:
+    """dom's copy whose ``exact_map`` is koenigs^{-1}."""
     out = copy.copy(dom)
     object.__setattr__(out, "exact", koenigs.inverted())
     return out
 
 
-def require_riemann_map(dom: Domain, koenigs: MapExpr) -> Domain:
-    """with_riemann_map(dom, koenigs) for a scenario, whose Koenigs map must
-    map the unit disk onto its domain: ScenarioError where koenigs fails
-    ``_is_riemann_map``.  The check runs once, in with_riemann_map where dom
-    has no Riemann map of its own and here where it has one."""
-    out = with_riemann_map(dom, koenigs)
-    if out is dom and (dom.exact_map is None
-                       or not _is_riemann_map(dom, koenigs)):
-        raise ScenarioError(f"koenigs does not map the unit disk onto the "
-                            f"{dom.kind} domain")
-    return out
-
-
-def _is_riemann_map(dom: Domain, koenigs: MapExpr) -> bool:
+def _riemann_verdict(dom: Domain, koenigs: MapExpr):
     """Whether koenigs maps the unit disk onto dom, as far as
-    _RIEMANN_SAMPLES seeded points of each tell.  At a point w of dom,
-    koenigs^{-1}(w) must lie in the disk and pass ``invert``'s roundtrip,
-    and the density it pulls back, 1/((1 - |z|^2) |koenigs'(z)|), must lie
-    in Koebe's [1/(4 delta), 1/delta] that every Riemann map obeys; at a
-    point z of the disk, koenigs(z) must lie in dom.  The Koebe test is
-    what rejects a map onto a larger region (a strip's chain under a slit
-    strip): near the slit its density stays below 1/(4 delta)."""
-    try:
-        for w in dom.interior_samples(_RIEMANN_SAMPLES, _RIEMANN_SEED):
+    _RIEMANN_SAMPLES seeded points of each tell: True where every sample
+    passes, False where one shows that it does not, else None.
+
+    At a point w of dom, koenigs^{-1}(w) must lie in the disk and pass
+    ``invert``'s roundtrip, and the density it pulls back,
+    1/((1 - |z|^2) |koenigs'(z)|), must lie in Koebe's [1/(4 delta),
+    1/delta] that every Riemann map obeys; at a point z of the disk,
+    koenigs(z) must lie in dom.  The Koebe test is what rejects a map onto
+    a larger region (a strip's chain under a slit strip): near the slit its
+    density stays below 1/(4 delta).
+
+    A failed sample shows nothing where rounding may have made it fail: a
+    map that overflows or whose closed form the roundtrip rejects, and a
+    preimage with |1 - |z|^2| < _RIEMANN_GAP, which a scaled map gives
+    (k i(1 + z)/(1 - z) for k >= 1e16 rounds the preimages of the sampled
+    half-plane onto the unit circle)."""
+    inconclusive = False
+    for w in dom.interior_samples(_RIEMANN_SAMPLES, _RIEMANN_SEED):
+        try:
             z = koenigs.invert(w, check=False)
-            if not abs(z) < 1.0:
+            gap = 1.0 - abs(z) ** 2
+            if gap <= 0.0:
+                passed = False
+            else:
+                koebe = dom.boundary_distance(w) / (
+                    gap * abs(koenigs.derivative(z, check=False)))
+                passed = (0.25 * (1.0 - _KOEBE_SLACK) <= koebe
+                          <= 1.0 + _KOEBE_SLACK)
+        except (EvaluationError, InversionError, ZeroDivisionError):
+            inconclusive = True
+            continue
+        if not passed:
+            if abs(gap) >= _RIEMANN_GAP:
                 return False
-            dz = koenigs.derivative(z, check=False)
-            koebe = dom.boundary_distance(w) / ((1.0 - abs(z) ** 2) * abs(dz))
-            if not 0.25 * (1.0 - _KOEBE_SLACK) <= koebe <= 1.0 + _KOEBE_SLACK:
-                return False
-        return all(dom.contains(koenigs.evaluate(z, check=False))
-                   for z in unit_disk().interior_samples(_RIEMANN_SAMPLES,
-                                                         _RIEMANN_SEED))
-    except (EvaluationError, InversionError, ZeroDivisionError):
-        return False
+            inconclusive = True
+    for z in unit_disk().interior_samples(_RIEMANN_SAMPLES, _RIEMANN_SEED):
+        try:
+            w = koenigs.evaluate(z, check=False)
+        except EvaluationError:
+            inconclusive = True
+            continue
+        if not dom.contains(w):
+            return False
+    return None if inconclusive else True
 
 
-# _is_riemann_map's sample count and seed, and the relative slack of its
-# Koebe test (rounding in the density and the boundary distance)
+# _riemann_verdict's sample count and seed, the relative slack of its Koebe
+# test (rounding in the density and the boundary distance), and the least
+# |1 - |z|^2| at which a failed sample counts: 1 - |z|^2 carries a few ulps
+# of 1 from rounding, and above 1e-6 that stays below the slack
 _RIEMANN_SAMPLES = 64
 _RIEMANN_SEED = 0
 _KOEBE_SLACK = 1e-9
+_RIEMANN_GAP = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -1197,23 +1231,27 @@ class SpiralSector(Domain):
         window, whose ends lie a factor exp(4 + 2 pi), about 28,500, in
         modulus either side of it.  Above the window the edge lies 2|w| or
         more from the origin, so no nearer to w than the origin.  The part
-        below it, of modulus m or less, lies at least |w| - m from w; the
-        window steps down until that bound reaches the running distance."""
+        below it, of modulus m or less, lies at least |w| - m from w; once
+        both windows are measured, each steps down until that bound reaches
+        the running distance (the edge that turns away from w reads about
+        |w| alone, all of it from the part near the origin)."""
         w = complex(w)
         mu = self.mu
         r = abs(w)
         span = (4.0 + 2.0 * math.pi) / mu.real
         d = r
+        windows = []
         for th in (self.half_angle, -self.half_angle):
             edge = self._edge(th)
             s_c = (math.log(r) + mu.imag * th) / mu.real
-            s_lo, s_hi = s_c - span, s_c + span
-            while True:
-                d = min(d, dist_to_curve(w, *edge, s_lo, s_hi, n0=1500))
-                # r less the modulus of the edge at s_lo
-                if r - math.exp(mu.real * s_lo - mu.imag * th) >= d:
-                    break
+            d = min(d, dist_to_curve(w, *edge, s_c - span, s_c + span,
+                                     n0=1500))
+            windows.append((th, edge, s_c - span))
+        for th, edge, s_lo in windows:
+            # r less the modulus of the edge at s_lo
+            while r - math.exp(mu.real * s_lo - mu.imag * th) < d:
                 s_lo, s_hi = s_lo - 2.0 * span, s_lo
+                d = min(d, dist_to_curve(w, *edge, s_lo, s_hi, n0=1500))
         return d
 
     def _edge(self, th: float) -> tuple:

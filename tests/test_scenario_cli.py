@@ -9,8 +9,8 @@ from diskflow import (Scenario, ScenarioError, catalog, example1_domain,
 from diskflow.analysis import OrbitTrack, backward_criterion
 from diskflow.cli import main
 from diskflow.confmap import MapExpr
-from diskflow.domains import (Channel, HalfPlane, domain_from_dict,
-                              unit_disk)
+from diskflow.domains import (Channel, HalfPlane, _riemann_verdict,
+                              domain_from_dict, unit_disk)
 from diskflow.errors import EvaluationError
 from diskflow.semigroup import Semigroup
 
@@ -78,20 +78,21 @@ def _overflowing(koenigs, orientation, start, t_end):
     }
 
 
-# Neither chain passes the check that it maps the disk onto the half-plane:
-# the first maps it onto a disk of radius 1e308, and the second, which maps
-# it onto the upper half-plane, rounds every sampled preimage onto the unit
-# circle.  Their scenarios exit 2 at parse, and the semigroups run in code.
 OVERFLOWING = [
-    # |w(t)| passes DBL_MAX: once a closed form outside the disk was
-    # accepted and the ODE cross-check failed on it instead
-    ({"op": "affine", "a": [1e308, 0], "b": [0, 0]}, "right",
-     [0.5, 0.85], 1.2e308),
     # the inverse Moebius gives nan at a finite w(t): once a nan row
-    # was written with exit 0
+    # was written with exit 0.  Every sampled preimage of the half-plane
+    # rounds onto the unit circle, which shows nothing: the scenario parses
+    # and its domain keeps interval bounds
     ({"op": "mobius", "a": [0, 2e307], "b": [0, 2e307], "c": [-1, 0],
       "d": [1, 0]}, "upper", [0.5, 0.0], 1.6e308),
 ]
+
+# |w(t)| passes DBL_MAX: once a closed form outside the disk was accepted
+# and the ODE cross-check failed on it instead.  The map takes the disk onto
+# a disk of radius 1e308, not onto the half-plane, so its scenario exits 2
+# at parse, and the semigroup runs in code
+ONTO_A_DISK = ({"op": "affine", "a": [1e308, 0], "b": [0, 0]}, "right",
+               [0.5, 0.85], 1.2e308)
 
 _CAYLEY = {"op": "mobius", "a": [1, 0], "b": [1, 0], "c": [-1, 0],
            "d": [1, 0]}
@@ -177,6 +178,7 @@ EXPLICIT = {
     "example2": EXAMPLE2,
     "narrow-slits": NARROW_SLITS,
     "elliptic-disk": ELLIPTIC_DISK,
+    "overflowing-mobius": _overflowing(*OVERFLOWING[0]),
     **{f"{name}-{i}": pair[i] for name, pair in SPELLINGS.items()
        for i in (0, 1)},
 }
@@ -313,14 +315,24 @@ class TestTraceCommand:
 
 
     @pytest.mark.parametrize("koenigs,domain,start,t_end", OVERFLOWING)
-    def test_pullback_overflow_raises(self, koenigs, domain, start, t_end,
-                                      tmp_path, capsys):
+    def test_pullback_overflow_exits_3(self, koenigs, domain, start, t_end,
+                                       tmp_path, capsys):
+        cfg = write_config(tmp_path, _overflowing(koenigs, domain, start,
+                                                  t_end))
+        out = tmp_path / "out"
+        assert main(["trace", "--config", cfg, "--out", str(out)]) == 3
+        assert "overflow evaluating" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_map_onto_a_disk_exits_2(self, tmp_path, capsys):
+        koenigs, domain, start, t_end = ONTO_A_DISK
         cfg = write_config(tmp_path, _overflowing(koenigs, domain, start,
                                                   t_end))
         assert main(["trace", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
         assert "koenigs does not map the unit disk onto the halfplane " \
             "domain" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
         omega = HalfPlane(domain)
         sg = Semigroup("nonelliptic", MapExpr.from_dict(
             {"chain": [koenigs]}, source=unit_disk(), target=omega), omega)
@@ -861,6 +873,21 @@ class TestSpelledOutBuiltins:
             doc["mu"] = [sg.mu.real, sg.mu.imag]
         assert Scenario.parse(doc).semigroup.koenigs.to_dict() == \
             sg.koenigs.to_dict()
+
+    @pytest.mark.parametrize("k", [1.0, 1e16, 1e100, 2e307])
+    def test_a_scaled_riemann_map_parses(self, k):
+        # k i(1 + z)/(1 - z) maps the disk onto the upper half-plane for
+        # every k > 0.  From k ~ 1e15 on, the sampled preimages of the
+        # half-plane round onto the unit circle, where a failed sample shows
+        # nothing: the check reads inconclusive and the scenario parses
+        chain = [{"op": "mobius", "a": [0, k], "b": [0, k], "c": [-1, 0],
+                  "d": [1, 0]}]
+        sc = Scenario.parse({
+            "type": "nonelliptic", "koenigs": {"chain": chain},
+            "domain": {"kind": "halfplane", "orientation": "upper"},
+            "start_points": [[0.5, 0]]})
+        assert _riemann_verdict(sc.domain, sc.semigroup.koenigs) is \
+            (True if k == 1.0 else None)
 
     def test_a_chain_onto_another_region_keeps_the_bounds(self):
         # the strip's chain maps onto the whole strip, slit included: a
