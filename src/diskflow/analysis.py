@@ -182,7 +182,8 @@ def _probe(omega: Domain, path: Callable[[float], complex],
         usable = (delta >= hypgeo.BOUNDARY_CUTOFF
                   and delta > 4.0 * math.ulp(abs(w)))
     except (OverflowError, DiskflowError):
-        # e.g. spiral traces past the representable modulus
+        # a flow past the float range (EvaluationError), or finite parts
+        # whose modulus is not: abs(w) raises OverflowError
         return None
     return delta, usable
 
@@ -429,16 +430,17 @@ class GeneratorTail:
 
 def generator_tail(report: CriterionReport) -> GeneratorTail:
     """|G| along the backward orbit, read from the samples of a
-    map-backed criterion report; a mapless report has no |G| to read."""
+    map-backed criterion report, whose heuristic sets the tail window and
+    thresholds; a mapless report has no |G| to read."""
     samples = tuple((s.t, s.g_abs) for s in report.samples)
     if any(g is None for _, g in samples):
         raise ParameterError("the generator tail needs a map-backed "
                              "criterion report")
-    k = min(DEFAULT_HEURISTIC.window, len(samples))
-    tail = [g for _, g in samples[-k:]]
-    trend = _trend(tail, DEFAULT_HEURISTIC.monotone_rel_tol)
+    heuristic = report.heuristic
+    tail = [g for _, g in samples[-heuristic.window:]]
+    trend = _trend(tail, heuristic.monotone_rel_tol)
     sup_tail = max(tail)
-    diverging = trend == "increasing" and sup_tail > DEFAULT_HEURISTIC.abs_threshold
+    diverging = trend == "increasing" and sup_tail > heuristic.abs_threshold
     return GeneratorTail(sup_tail, trend, diverging, samples)
 
 

@@ -210,7 +210,11 @@ def _example_summary(example_id: int, body: dict) -> str:
 def run_examples(example_id: int, truncation: int, tmax: float,
                  out_dir: Path, seed: int) -> int:
     """The criterion block that ``criterion`` writes on the builtin
-    ``example<id>``, the track's regularity, and the example's own rows."""
+    ``example<id>``, the track's regularity, and the example's own rows.
+    ``tmax`` must be positive: inf probes to the float range, and NaN or a
+    time <= 0 would probe nothing."""
+    if not tmax > 0.0:
+        raise ParameterError(f"--tmax must be positive, got {tmax}")
     track = catalog.example_track(example_id, truncation)
     rng = np.random.default_rng(seed)
     body = {

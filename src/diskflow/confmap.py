@@ -135,10 +135,11 @@ class _ReIm:
     """Complex entries held as float64 arrays of real and imaginary parts.
 
     Arithmetic replays CPython 3.11's complex formulas on the parts, so each
-    entry has the bits of the scalar expression: + and - part by part, *
-    as _Py_c_prod, / as _Py_c_quot, ``** 2`` as c_powu's 1 * (z * z), and
-    abs as hypot.  Where the scalar expression raises (division by 0, an
-    overflowing abs or power), the entry is marked in ``f.faults``."""
+    entry has the bits of the scalar expression: z + w and z - w part by
+    part, a * z as _Py_c_prod, z / w as _Py_c_quot, and abs as hypot: the
+    operations the primitives' ``evaluate`` makes.  Where the scalar
+    expression raises (division by 0, an overflowing abs), the entry is
+    marked in ``f.faults``."""
 
     __slots__ = ("real", "imag", "f")
     __array_ufunc__ = None  # a NumPy scalar operand defers to the methods
@@ -151,40 +152,16 @@ class _ReIm:
         br, bi = _operand(other)
         return _ReIm(self.real + br, self.imag + bi, self.f)
 
-    __radd__ = __add__  # IEEE addition commutes bit for bit
-
     def __sub__(self, other):
         br, bi = _operand(other)
         return _ReIm(self.real - br, self.imag - bi, self.f)
-
-    def __rsub__(self, other):
-        ar, ai = _operand(other)
-        return _ReIm(ar - self.real, ai - self.imag, self.f)
-
-    def __mul__(self, other):
-        return _ReIm(*_prod(self.real, self.imag, *_operand(other)), self.f)
 
     def __rmul__(self, other):
         return _ReIm(*_prod(*_operand(other), self.real, self.imag), self.f)
 
     def __truediv__(self, other):
-        return self._quotient(self.real, self.imag, *_operand(other))
-
-    def __rtruediv__(self, other):
-        return self._quotient(*_operand(other), self.real, self.imag)
-
-    def _quotient(self, ar, ai, br, bi):
-        re, im, zero = _quot(ar, ai, br, bi)
+        re, im, zero = _quot(self.real, self.imag, *_operand(other))
         self.f.faults |= zero
-        return _ReIm(re, im, self.f)
-
-    def __pow__(self, n):
-        if n != 2:
-            raise TypeError("the pair route squares only")
-        # c_powu(z, 2) is 1 * (z * z); an infinite part is an OverflowError
-        re, im = _prod(1.0, 0.0, *_prod(self.real, self.imag,
-                                         self.real, self.imag))
-        self.f.faults |= np.isinf(re) | np.isinf(im)
         return _ReIm(re, im, self.f)
 
     def hypot(self) -> tuple:
@@ -282,12 +259,9 @@ class _ReImMath:
 
     exp = _entrywise(cmath.exp)
     sin = _entrywise(cmath.sin)
-    cos = _entrywise(cmath.cos)
     tanh = _entrywise(cmath.tanh)
-    cosh = _entrywise(cmath.cosh)
     asin = _entrywise(cmath.asin)
     atanh = _entrywise(cmath.atanh)
-    sqrt = _entrywise(cmath.sqrt)
 
 
 def _branch_arg(z: complex, center: float, f=_SCALAR) -> float:

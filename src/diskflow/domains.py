@@ -3,10 +3,12 @@
 Canonical kinds (half-plane, strip, half-strip, disk, spiral sector) carry
 exact Riemann maps and closed-form hyperbolic quantities; the slit-strip and
 channel kinds answer membership and Euclidean boundary distance geometrically.
-A domain without a Riemann map of its own reads hyperbolic quantities through
-the inverse Koenigs map that a semigroup on the unit disk installs where the
-map passes a sampled check (``with_riemann_map``), and otherwise leaves them
-to interval bounds.
+A semigroup on the unit disk checks by sampling that its Koenigs map maps
+the disk onto its domain (``with_riemann_map``), and raises where a sample
+shows that it does not.  A domain without a Riemann map of its own reads
+hyperbolic quantities through the inverse Koenigs map that the semigroup
+installs where every sample passes, and otherwise leaves them to interval
+bounds.
 """
 
 from __future__ import annotations
@@ -39,14 +41,19 @@ def koenigs_flow(kind: str, mu: Optional[complex], w0: complex, t: float,
 
     An array of times gives the complex array of the scalar calls' values,
     bit for bit: NumPy adds a float array to a complex part by part, as
-    CPython does, and the elliptic formula runs once per time."""
+    CPython does, and the elliptic formula runs once per time.  Where
+    exp(-/+ mu t) leaves the float range, EvaluationError(overflow=True)."""
     if kind == NONELLIPTIC:
         return w0 - t if backward else w0 + t
     rate = mu if backward else -mu
-    if isinstance(t, np.ndarray):
-        return np.array([w0 * cmath.exp(rate * s) for s in t.tolist()],
-                        dtype=complex)
-    return w0 * cmath.exp(rate * t)
+    try:
+        if isinstance(t, np.ndarray):
+            return np.array([w0 * cmath.exp(rate * s) for s in t.tolist()],
+                            dtype=complex)
+        return w0 * cmath.exp(rate * t)
+    except (OverflowError, ValueError) as exc:
+        raise EvaluationError(f"overflow evaluating the Koenigs flow of "
+                              f"{w0!r} at t={t!r}", overflow=True) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -390,31 +397,17 @@ class Domain:
 
 
 def with_riemann_map(dom: Domain, koenigs: MapExpr) -> Domain:
-    """dom, or, where dom has no Riemann map of its own and koenigs passes
-    ``_riemann_verdict`` at every sample, its copy whose ``exact_map`` is
-    koenigs^{-1}."""
-    if dom.exact_map is not None or _riemann_verdict(dom, koenigs) is not True:
-        return dom
-    return _carrying(dom, koenigs)
-
-
-def require_riemann_map(dom: Domain, koenigs: MapExpr) -> Domain:
-    """with_riemann_map(dom, koenigs) for a scenario, whose Koenigs map must
-    map the unit disk onto its domain: ScenarioError where a sample of
-    ``_riemann_verdict`` shows that koenigs does not.  A map whose failing
-    samples are all inconclusive leaves dom to interval bounds, as
-    with_riemann_map does; a Semigroup on that dom runs the check again."""
+    """dom as the domain of a semigroup whose Koenigs map koenigs has the
+    unit disk as source, after one ``_riemann_verdict``: ScenarioError where
+    a sample shows that koenigs does not map the disk onto dom; where every
+    sample passes and dom has no Riemann map of its own, dom's copy whose
+    ``exact_map`` is koenigs^{-1}; else dom as it is."""
     verdict = _riemann_verdict(dom, koenigs)
     if verdict is False:
         raise ScenarioError(f"koenigs does not map the unit disk onto the "
                             f"{dom.kind} domain")
-    if dom.exact_map is not None or verdict is None:
+    if verdict is None or dom.exact_map is not None:
         return dom
-    return _carrying(dom, koenigs)
-
-
-def _carrying(dom: Domain, koenigs: MapExpr) -> Domain:
-    """dom's copy whose ``exact_map`` is koenigs^{-1}."""
     out = copy.copy(dom)
     object.__setattr__(out, "exact", koenigs.inverted())
     return out

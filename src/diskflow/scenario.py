@@ -20,8 +20,7 @@ from .analysis import Heuristic, OrbitTrack
 from .catalog import (BUILTIN_NAMES, MAPLESS_NAMES, builtin_semigroup,
                       builtin_start, mapless_builtin)
 from .confmap import MapExpr
-from .domains import (Domain, domain_from_dict, require_riemann_map,
-                      unit_disk)
+from .domains import Domain, domain_from_dict, unit_disk
 from .errors import (ScenarioError, check_keys, json_complex, json_float,
                      json_string, read_fields, scenario_schema)
 from .semigroup import ELLIPTIC, NONELLIPTIC, Semigroup
@@ -115,9 +114,7 @@ def _koenigs_data(data: dict, name: str) -> tuple:
         return kind, mu, None, omega, ()
     koenigs = MapExpr.from_dict(data["koenigs"], source=unit_disk(),
                                 target=omega)
-    # the semigroup's domain: it carries the inverse Koenigs map
-    sg = Semigroup(kind, koenigs, require_riemann_map(omega, koenigs),
-                   mu=mu, name=name)
+    sg = Semigroup(kind, koenigs, omega, mu=mu, name=name)
     return kind, mu, sg, sg.omega, ()
 
 

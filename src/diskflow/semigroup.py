@@ -394,10 +394,11 @@ class Semigroup:
     (``disk_source``): the criterion's generator sandwich, the Denjoy-Wolff
     estimate of a non-elliptic semigroup, the Hayman-Wu audit,
     ``OrbitSample.delta_disk`` (1 - |z|^2) and ``validate``'s sample
-    points.  On the unit disk h^{-1} is a Riemann map of omega, and a
-    domain without one of its own is replaced by its copy that carries it,
-    where h passes a sampled check that it maps the disk onto omega
-    (``domains.with_riemann_map``); a conjugate keeps omega as it is."""
+    points.  On the unit disk h must map the disk onto omega: a sampled
+    check that shows otherwise raises ScenarioError, and where every sample
+    passes, a domain without a Riemann map of its own is replaced by its
+    copy that carries h^{-1} (``domains.with_riemann_map``).  A conjugate
+    runs no check and keeps omega as it is."""
 
     kind: str
     koenigs: MapExpr
@@ -506,7 +507,7 @@ class Semigroup:
         try:
             ws = self.ray_w(w0, ts, backward)
             zs = self.koenigs.invert(ws)
-        except (DiskflowError, OverflowError):
+        except DiskflowError:
             zs = None
         if zs is None or np.isnan(zs).any():
             samples = []

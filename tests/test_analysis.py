@@ -192,6 +192,17 @@ class TestGeneratorTail:
         tail = generator_tail(backward_criterion(catalog.slit_tip_track()))
         assert tail.diverging
 
+    def test_the_report_heuristic_sets_the_tail(self, builtins):
+        # the tail once read the default window and thresholds, whatever
+        # heuristic the report was made with
+        track = OrbitTrack.from_semigroup(builtins["uhp"], 0j)
+        rep = backward_criterion(track, heuristic=Heuristic(window=3))
+        g = [s.g_abs for s in rep.samples]
+        assert generator_tail(rep).sup_tail == max(g[-3:]) < max(g[-5:])
+        tip = backward_criterion(catalog.slit_tip_track(),
+                                 heuristic=Heuristic(abs_threshold=1e300))
+        assert not generator_tail(tip).diverging
+
     def test_a_mapless_report_has_no_tail(self):
         with pytest.raises(ParameterError, match="map-backed"):
             generator_tail(backward_criterion(catalog.example_track(2),

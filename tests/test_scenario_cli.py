@@ -85,12 +85,17 @@ OVERFLOWING = [
     # and its domain keeps interval bounds
     ({"op": "mobius", "a": [0, 2e307], "b": [0, 2e307], "c": [-1, 0],
       "d": [1, 0]}, "upper", [0.5, 0.0], 1.6e308),
+    # |w(t)| passes DBL_MAX though both parts are finite: once a closed form
+    # outside the disk was accepted and the ODE cross-check failed on it
+    # instead.  h(z) = 2e307 (1 + z)/(1 - z) maps the disk onto the right
+    # half-plane, and h(25/29 + 10i/29) = 2e307 + 1e308 i
+    ({"op": "mobius", "a": [2e307, 0], "b": [2e307, 0], "c": [-1, 0],
+      "d": [1, 0]}, "right", [25 / 29, 10 / 29], 1.5e308),
 ]
 
-# |w(t)| passes DBL_MAX: once a closed form outside the disk was accepted
-# and the ODE cross-check failed on it instead.  The map takes the disk onto
-# a disk of radius 1e308, not onto the half-plane, so its scenario exits 2
-# at parse, and the semigroup runs in code
+# the same regression on a map that takes the disk onto a disk of radius
+# 1e308, not onto the half-plane: its scenario exits 2 at parse, a
+# semigroup built in code raises, and the overflow shows in the map alone
 ONTO_A_DISK = ({"op": "affine", "a": [1e308, 0], "b": [0, 0]}, "right",
                [0.5, 0.85], 1.2e308)
 
@@ -334,10 +339,30 @@ class TestTraceCommand:
             "domain" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         omega = HalfPlane(domain)
-        sg = Semigroup("nonelliptic", MapExpr.from_dict(
-            {"chain": [koenigs]}, source=unit_disk(), target=omega), omega)
+        h = MapExpr.from_dict({"chain": [koenigs]}, source=unit_disk(),
+                              target=omega)
+        with pytest.raises(ScenarioError, match="koenigs does not map"):
+            Semigroup("nonelliptic", h, omega)
         with pytest.raises(EvaluationError, match="overflow evaluating"):
-            sg.forward_orbit(complex(*start), [0.0, t_end])
+            h.invert(h.evaluate(complex(*start)) + t_end)
+
+    def test_flow_overflow_exits_3(self, tmp_path, capsys):
+        # exp(t) leaves the float range at t = 800: the flow's OverflowError
+        # once escaped the pullback trace's scalar loop as a traceback
+        # (exit 1, which the CLI keeps for audit failures)
+        cfg = write_config(tmp_path, {
+            "type": "elliptic", "mu": [1, 0],
+            "domain": {"kind": "spiralsector", "mu": [1, 0],
+                       "half_angle": 1.0},
+            "koenigs": {"chain": [_CAYLEY, {"op": "power",
+                                            "p": 2.0 / math.pi}]},
+            "start_points": [[0.3, 0.1]],
+            "backward_grid": {"kind": "explicit",
+                              "values": [0, 1, 10, 100, 800]}})
+        assert main(["trace", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "numeric failure: overflow evaluating the Koenigs flow" in \
+            capsys.readouterr().err
 
     def test_ode_field_failure_names_the_cross_check(self, tmp_path, capsys):
         # near t = 1e14 the ODE state rounds onto the pole z = 1 (where it
@@ -386,6 +411,18 @@ class TestCriterionCommand:
         assert rep["bound"] is None
         assert rep["notes"] == {
             "tail": f"{n_tail} tail samples, fewer than the window of 1000000"}
+
+    def test_flow_overflow_exits_3(self, tmp_path, capsys):
+        # the horizon's exit-time bracket doubles t until exp(t) leaves the
+        # float range: once an OverflowError traceback (exit 1)
+        cfg = write_config(tmp_path, {
+            "type": "elliptic", "mu": [1, 0], "domain": {"kind": "halfplane"},
+            "koenigs": None, "start_w": [[1, 0]]})
+        out = tmp_path / "out"
+        assert main(["criterion", "--config", cfg, "--out", str(out)]) == 3
+        assert "numeric failure: overflow evaluating the Koenigs flow" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_example2_fixture(self, tmp_path):
         cfg = write_config(tmp_path, EXAMPLE2)
@@ -467,6 +504,17 @@ class TestExamplesCommand:
         with pytest.raises(SystemExit) as exc:
             main(["examples", "--id", "7", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("tmax", ["nan", "-5", "0"])
+    def test_a_tmax_that_is_not_positive_exits_2(self, tmax, tmp_path,
+                                                 capsys):
+        # nan once exited 0 with "tmax": NaN in the report, which is not
+        # JSON, and both nan and -5 read NonRegular from zero probes
+        out = tmp_path / "out"
+        assert main(["examples", "--id", "2", "--tmax", tmax,
+                     "--out", str(out)]) == 2
+        assert "--tmax must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _criterion_block(tmp_path, payload, tag):
@@ -892,16 +940,17 @@ class TestSpelledOutBuiltins:
     def test_a_chain_onto_another_region_keeps_the_bounds(self):
         # the strip's chain maps onto the whole strip, slit included: a
         # scenario that pairs them exits at parse, and a semigroup built in
-        # code leaves the domain without a map, to read interval bounds as
-        # every slit strip did before semigroups installed their maps
+        # code raises.  The slit strip without a map reads interval bounds,
+        # as every slit strip did before semigroups installed their maps
         doc = _spelled_out(catalog.slit_tip_semigroup(), start_w=[[1, 0]])
         doc["koenigs"] = catalog.strip_semigroup().koenigs.to_dict()
         with pytest.raises(ScenarioError, match="koenigs does not map"):
             Scenario.parse(doc)
-        sg = Semigroup("nonelliptic", catalog.strip_semigroup().koenigs,
-                       domain_from_dict(doc["domain"]))
-        assert sg.omega.exact_map is None
-        rep = backward_criterion(OrbitTrack.from_omega(sg.omega, 1 + 0j,
+        omega = domain_from_dict(doc["domain"])
+        with pytest.raises(ScenarioError, match="koenigs does not map"):
+            Semigroup("nonelliptic", catalog.strip_semigroup().koenigs, omega)
+        assert omega.exact_map is None
+        rep = backward_criterion(OrbitTrack.from_omega(omega, 1 + 0j,
                                                        "nonelliptic"))
         assert rep.verdict == "Inconclusive"
         assert all(s.ratio.lo < s.ratio.hi for s in rep.samples[1:])

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from diskflow import (CrossValidationError, EvaluationError, HorizonError,
-                      MapExpr, ParameterError, Semigroup, catalog, semigroup,
-                      unit_disk)
+                      MapExpr, ParameterError, Scenario, ScenarioError,
+                      Semigroup, catalog, domains, semigroup, unit_disk)
 from diskflow.analysis import (OrbitTrack, backward_criterion,
                                hayman_wu_audit, shift_classify)
 from diskflow.audits import _Masked
-from diskflow.confmap import Affine, Exp, Log, Mobius, compose
+from diskflow.confmap import Affine, Exp, Log, Mobius, Sin, compose
 from diskflow.domains import (Channel, HalfPlane, SlitStrip, SpiralSector,
                               Strip, koenigs_flow)
 from diskflow.scenario import GridSpec
@@ -311,8 +311,9 @@ class TestFullOrbitHorizon:
 
 
 class TestRiemannMap:
-    """A semigroup on the unit disk installs h^{-1} as the Riemann map of a
-    domain that has none of its own."""
+    """A semigroup on the unit disk checks that h maps the disk onto its
+    domain, and installs h^{-1} as the Riemann map of a domain that has
+    none of its own."""
 
     def test_disk_semigroup_installs_its_inverse(self, builtins):
         omega = Channel(profile="log_cos")
@@ -362,14 +363,63 @@ class TestRiemannMap:
         (Channel(profile="exp"), "channel"),
         (SlitStrip(half_width=1.0, slits=((0.0, 0.5),)), "strip"),
     ])
-    def test_a_chain_onto_another_region_installs_nothing(
-            self, builtins, omega, chain_of):
+    def test_a_chain_onto_another_region_raises(self, builtins, omega,
+                                                chain_of):
         # the strip's chain maps onto the whole strip, which holds the slit;
-        # the log_cos chain misses part of each other channel
+        # the log_cos chain misses part of each other channel.  Built in
+        # code, each once left the domain to interval bounds
         h = MapExpr(builtins[chain_of].koenigs.chain, source=unit_disk(),
                     target=omega)
-        sg = Semigroup(NONELLIPTIC, h, omega)
-        assert sg.omega is omega and sg.omega.exact is None
+        with pytest.raises(ScenarioError, match=f"koenigs does not map the "
+                           f"unit disk onto the {omega.kind} domain"):
+            Semigroup(NONELLIPTIC, h, omega)
+
+    def test_a_map_onto_a_bounded_part_raises(self):
+        # sin(D) is a bounded part of the strip: the semigroup once read
+        # Certified (bound 8.99e-176) with an infinite backward horizon
+        with pytest.raises(ScenarioError, match="onto the strip domain"):
+            Semigroup(NONELLIPTIC, MapExpr((Sin(),), source=unit_disk()),
+                      Strip(2.0))
+
+    @pytest.fixture
+    def verdicts(self, monkeypatch):
+        """The outcomes of every _riemann_verdict call, in order."""
+        calls = []
+        verdict = domains._riemann_verdict
+
+        def counted(dom, koenigs):
+            calls.append(verdict(dom, koenigs))
+            return calls[-1]
+        monkeypatch.setattr(domains, "_riemann_verdict", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+    def test_a_builtin_is_checked_once(self, name, verdicts):
+        catalog.builtin_semigroup(name)
+        assert verdicts == [True]
+
+    def test_an_inconclusive_scenario_is_checked_once(self, builtins,
+                                                      verdicts):
+        # the channel's chain behind a disk automorphism that moves 0 to
+        # within 1e-12 of the unit circle: a Riemann map of the channel
+        # whose sampled preimages round onto the circle.  A scenario once
+        # ran the check at parse and again in Semigroup
+        a = 1.0 - 1e-12
+        chain = (Mobius(1, -a, -a, 1), *builtins["channel"].koenigs.chain)
+        doc = {"type": "nonelliptic",
+               "koenigs": MapExpr(chain, source=unit_disk()).to_dict(),
+               "domain": {"kind": "channel", "profile": "log_cos"},
+               "start_points": [[0, 0]]}
+        verdicts.clear()
+        sc = Scenario.parse(doc)
+        assert verdicts == [None]
+        assert sc.domain.exact_map is None
+
+    def test_a_conjugate_is_not_checked(self, builtins, verdicts):
+        sg = builtins["channel"]
+        verdicts.clear()
+        sg.conjugate(quadratic_map())
+        assert verdicts == []
 
     @pytest.mark.parametrize("kind", [HalfPlane, Channel, SlitStrip])
     def test_no_constructor_takes_a_map(self, builtins, kind):
