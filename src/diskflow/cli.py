@@ -84,17 +84,18 @@ def run_trace(scenario: Scenario, out_dir: Path, seed: int) -> int:
     if not scenario.start_points:
         raise ScenarioError("trace needs a Koenigs map and start_points")
     sg = scenario.semigroup
-    files = []
+    # every orbit is traced before the first write, so a numeric failure
+    # (exit 3) writes nothing
+    orbits = []
     for i, z in enumerate(scenario.start_points):
-        fwd = sg.forward_orbit(z, scenario.forward_grid.times())
-        name = f"trace_p{i:03d}_forward.csv"
-        _write_atomic(out_dir / name, _orbit_csv(fwd))
-        files.append(name)
+        orbits.append((f"trace_p{i:03d}_forward.csv",
+                       sg.forward_orbit(z, scenario.forward_grid.times())))
         if scenario.backward_grid is not None:
-            bwd = sg.backward_orbit(z, scenario.backward_grid.times())
-            name = f"trace_p{i:03d}_backward.csv"
-            _write_atomic(out_dir / name, _orbit_csv(bwd))
-            files.append(name)
+            orbits.append((f"trace_p{i:03d}_backward.csv", sg.backward_orbit(
+                z, scenario.backward_grid.times())))
+    for name, samples in orbits:
+        _write_atomic(out_dir / name, _orbit_csv(samples))
+    files = [name for name, _ in orbits]
     _write_json(out_dir / "trace_manifest.json",
                 {"meta": _meta(seed, scenario), "files": files})
     print(f"wrote {len(files)} orbit file(s) to {out_dir}")
@@ -107,8 +108,10 @@ def run_trace(scenario: Scenario, out_dir: Path, seed: int) -> int:
 
 
 def run_criterion(scenario: Scenario, out_dir: Path, seed: int) -> int:
-    for i, track in enumerate(scenario.tracks()):
-        report = backward_criterion(track, heuristic=scenario.heuristic)
+    # every report is made before the first write, as in run_trace
+    reports = [backward_criterion(track, heuristic=scenario.heuristic)
+               for track in scenario.tracks()]
+    for i, report in enumerate(reports):
         payload = {"meta": _meta(seed, scenario), **report.to_dict()}
         _write_json(out_dir / f"criterion_p{i:03d}.json", payload)
         lines = ["t,ratio_lo,ratio_hi,g_abs"]

@@ -60,23 +60,24 @@ def _typed(exc: Exception, z: complex) -> EvaluationError:
 # The two number types of a primitive's expression
 # ---------------------------------------------------------------------------
 #
-# A primitive's expression runs on a Python complex or on a _ReIm, which
-# holds float64 arrays of real and imaginary parts.  The functions it calls
-# come from a namespace ``f``: _SCALAR (math and cmath themselves) for a
-# complex, and a _ReImMath for a _ReIm, which makes the same math/cmath call
-# on each entry's Python value.  NumPy's own complex arithmetic, arctan2,
-# log and remainder round differently from CPython's in the last bits, so
-# they are not used.  Where the scalar expression would raise, the _ReIm
-# marks the entry in its namespace's ``faults`` and goes on.
+# A primitive's value expression runs on a Python complex or on a _ReIm,
+# which holds float64 arrays of real and imaginary parts.  The functions it
+# calls come from a namespace ``f``: _SCALAR (math and cmath themselves)
+# for a complex, and a _ReImMath for a _ReIm, which makes the same
+# math/cmath call on each entry's Python value.  A jet runs on a Python
+# complex alone and calls math and cmath directly.  NumPy's own complex
+# arithmetic, arctan2, log and remainder round differently from CPython's
+# in the last bits, so they are not used.  Where the scalar expression
+# would raise, the _ReIm marks the entry in its namespace's ``faults`` and
+# goes on.
 
 # _SCALAR is a module object because CPython specializes attribute loads
 # from modules: the scalar route then runs at the speed of direct calls.
 _SCALAR = ModuleType("diskflow.confmap.scalar")
 vars(_SCALAR).update(
-    exp=cmath.exp, sin=cmath.sin, cos=cmath.cos, tanh=cmath.tanh,
-    cosh=cmath.cosh, asin=cmath.asin, atanh=cmath.atanh, sqrt=cmath.sqrt,
-    phase=cmath.phase, log=math.log, remainder=math.remainder,
-    complex=complex, fails=bool)
+    exp=cmath.exp, sin=cmath.sin, tanh=cmath.tanh, asin=cmath.asin,
+    atanh=cmath.atanh, phase=cmath.phase, log=math.log,
+    remainder=math.remainder, complex=complex, fails=bool)
 
 
 def _operand(x) -> tuple:
@@ -300,7 +301,7 @@ class Mobius:
     def evaluate(self, z: complex, f=_SCALAR) -> complex:
         return (self.a * z + self.b) / (self.c * z + self.d)
 
-    def jet(self, z: complex, f=_SCALAR) -> tuple:
+    def jet(self, z: complex) -> tuple:
         q = self.c * z + self.d
         deriv = (self.a * self.d - self.b * self.c) / q ** 2
         return (self.a * z + self.b) / q, deriv
@@ -326,7 +327,7 @@ class Affine:
     def evaluate(self, z: complex, f=_SCALAR) -> complex:
         return self.a * z + self.b
 
-    def jet(self, z: complex, f=_SCALAR) -> tuple:
+    def jet(self, z: complex) -> tuple:
         return self.a * z + self.b, self.a
 
     def inverse(self) -> "Affine":
@@ -343,8 +344,8 @@ class Exp:
     def evaluate(self, z: complex, f=_SCALAR) -> complex:
         return f.exp(z)
 
-    def jet(self, z: complex, f=_SCALAR) -> tuple:
-        v = f.exp(z)
+    def jet(self, z: complex) -> tuple:
+        v = cmath.exp(z)
         return v, v
 
     def inverse(self) -> "Log":
@@ -361,10 +362,10 @@ class Log:
         arg = _branch_arg(z, self.center, f)
         return f.complex(f.log(abs(z)), arg)
 
-    def jet(self, z: complex, f=_SCALAR) -> tuple:
-        arg = _branch_arg(z, self.center, f)
+    def jet(self, z: complex) -> tuple:
+        arg = _branch_arg(z, self.center)
         deriv = 1.0 / z
-        return f.complex(f.log(abs(z)), arg), deriv
+        return complex(math.log(abs(z)), arg), deriv
 
     def inverse(self) -> Exp:
         return Exp()
@@ -385,11 +386,11 @@ class Power:
         arg = _branch_arg(z, self.center, f)
         return f.exp(self.p * f.complex(f.log(abs(z)), arg))
 
-    def jet(self, z: complex, f=_SCALAR) -> tuple:
-        arg = _branch_arg(z, self.center, f)
-        log_z = f.complex(f.log(abs(z)), arg)
-        deriv = self.p * f.exp((self.p - 1.0) * log_z)
-        return f.exp(self.p * log_z), deriv
+    def jet(self, z: complex) -> tuple:
+        arg = _branch_arg(z, self.center)
+        log_z = complex(math.log(abs(z)), arg)
+        deriv = self.p * cmath.exp((self.p - 1.0) * log_z)
+        return cmath.exp(self.p * log_z), deriv
 
     def inverse(self) -> "Power":
         return Power(1.0 / self.p, self.center * self.p)
@@ -402,9 +403,9 @@ class Sin:
     def evaluate(self, z: complex, f=_SCALAR) -> complex:
         return f.sin(z)
 
-    def jet(self, z: complex, f=_SCALAR) -> tuple:
-        deriv = f.cos(z)
-        return f.sin(z), deriv
+    def jet(self, z: complex) -> tuple:
+        deriv = cmath.cos(z)
+        return cmath.sin(z), deriv
 
     def inverse(self) -> "Asin":
         return Asin()
@@ -417,10 +418,10 @@ class Tanh:
     def evaluate(self, z: complex, f=_SCALAR) -> complex:
         return f.tanh(z)
 
-    def jet(self, z: complex, f=_SCALAR) -> tuple:
-        c = f.cosh(z)
+    def jet(self, z: complex) -> tuple:
+        c = cmath.cosh(z)
         deriv = 1.0 / (c * c)
-        return f.tanh(z), deriv
+        return cmath.tanh(z), deriv
 
     def inverse(self) -> "Atanh":
         return Atanh()
@@ -435,9 +436,9 @@ class Asin:
     def evaluate(self, z: complex, f=_SCALAR) -> complex:
         return f.asin(z)
 
-    def jet(self, z: complex, f=_SCALAR) -> tuple:
-        deriv = 1.0 / f.sqrt(1.0 - z * z)
-        return f.asin(z), deriv
+    def jet(self, z: complex) -> tuple:
+        deriv = 1.0 / cmath.sqrt(1.0 - z * z)
+        return cmath.asin(z), deriv
 
     def inverse(self) -> Sin:
         return Sin()
@@ -452,9 +453,9 @@ class Atanh:
     def evaluate(self, z: complex, f=_SCALAR) -> complex:
         return f.atanh(z)
 
-    def jet(self, z: complex, f=_SCALAR) -> tuple:
+    def jet(self, z: complex) -> tuple:
         deriv = 1.0 / (1.0 - z * z)
-        return f.atanh(z), deriv
+        return cmath.atanh(z), deriv
 
     def inverse(self) -> Tanh:
         return Tanh()
@@ -554,11 +555,11 @@ class MapExpr:
             raise DomainError(f"{z!r} is not in the map source")
         return self._jet(z)
 
-    def _jet(self, z: complex, f=_SCALAR) -> tuple:
+    def _jet(self, z: complex) -> tuple:
         w, deriv = z, 1.0 + 0.0j
         try:
             for prim in self.chain:
-                w, d = prim.jet(w, f)
+                w, d = prim.jet(w)
                 deriv *= d
         except _FLOAT_ERRORS as exc:
             raise _typed(exc, w) from exc

@@ -92,19 +92,18 @@ def dist_to_curve(w: complex, point: Callable, points: Callable,
     complex array through NumPy.
 
     The n0 samples take one ``points`` call, or are ``samples``: the pair
-    (ss, points(ss)) for ss = np.linspace(s_lo, s_hi, n0), which a caller
+    (ss, points(ss)) for ss = _linspace(s_lo, s_hi, n0), which a caller
     measuring a fixed curve from many points keeps (``_log_cos_samples``).
-    Each local minimum
-    (endpoints included) is refined through ``point`` by golden section
-    between its neighbours; a bracket equal to the one before it is refined
-    once.  The least distance measured is returned.  A distance that is not
-    finite counts as +inf, and ``EvaluationError`` is raised when every one
-    is.
+    Each local minimum (endpoints included) is refined through ``point``
+    by golden section between its neighbours; a bracket equal to the one
+    before it is refined once.  The least distance measured is returned.
+    A distance that is not finite counts as +inf, and ``EvaluationError``
+    is raised when every one is.
     """
     if not s_hi > s_lo:
         return _finite(_sample_dist(w, point, s_lo))
     if samples is None:
-        ss = np.linspace(s_lo, s_hi, n0)
+        ss = _linspace(s_lo, s_hi, n0)
         samples = ss, points(ss)
     ss, cs = samples
     # distances, not squares, which overflow once |w| passes about 1e154
@@ -112,21 +111,64 @@ def dist_to_curve(w: complex, point: Callable, points: Callable,
         d = np.abs(w - cs)
     d[~np.isfinite(d)] = math.inf
     best = float(d.min())
-    # bracket local minima (including the endpoints); a bracket equal to the
-    # one before refines to the same value
+    # bracket local minima (including the endpoints)
     at_min = np.isfinite(d)
     at_min[1:] &= d[1:] <= d[:-1]
     at_min[:-1] &= d[:-1] <= d[1:]
-    last = None
-    for i in np.flatnonzero(at_min):
-        j, k = max(0, i - 1), min(n0 - 1, i + 1)
-        # Python floats: the same IEEE steps as np.float64, done faster
-        lo, hi = float(ss[j]), float(ss[k])
-        if (lo, hi) == last:
-            continue
-        last = (lo, hi)
-        best = min(best, _golden(w, point, lo, hi, float(d[j]), float(d[k])))
+    for lo, hi, d_lo, d_hi in _brackets(ss, d, np.flatnonzero(at_min)):
+        best = min(best, _golden(w, point, lo, hi, d_lo, d_hi))
     return _finite(best)
+
+
+def _brackets(ss: np.ndarray, d: np.ndarray, marked: np.ndarray) -> list:
+    """(lo, hi, d_lo, d_hi) as Python floats for each marked sample: the
+    samples either side of it, the end sample standing in at an end, and
+    their distances.  A bracket equal to the one before it refines to the
+    same value and is left out.
+
+    A window narrower than n0 ulps repeats sample floats, and a run of
+    equal distances marks each of its samples; there the brackets are
+    formed as arrays in one pass, and the one or two minima of any other
+    window are read one by one, which costs less."""
+    last = len(ss) - 1
+    if len(marked) > 2:
+        j = np.maximum(marked - 1, 0)
+        k = np.minimum(marked + 1, last)
+        lo, hi = ss[j], ss[k]
+        new = np.ones(len(marked), bool)
+        new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        j, k = j[new], k[new]
+        return list(zip(ss[j].tolist(), ss[k].tolist(), d[j].tolist(),
+                        d[k].tolist()))
+    out = []
+    for i in marked.tolist():
+        j, k = max(0, i - 1), min(last, i + 1)
+        bracket = ss.item(j), ss.item(k), d.item(j), d.item(k)
+        if not out or bracket[:2] != out[-1][:2]:
+            out.append(bracket)
+    return out
+
+
+@functools.cache
+def _sample_index(n: int) -> np.ndarray:
+    """np.arange(n) as float64, taken once per n and kept read-only."""
+    index = np.arange(n, dtype=float)
+    index.flags.writeable = False
+    return index
+
+
+def _linspace(s_lo: float, s_hi: float, n: int) -> np.ndarray:
+    """np.linspace(s_lo, s_hi, n), bit for bit, scaled from the kept
+    index with NumPy's own steps: index * step, plus s_lo, and s_hi at the
+    end.  Where the step underflows to 0 or leaves the float range NumPy
+    takes other steps, and np.linspace runs."""
+    step = (s_hi - s_lo) / (n - 1) if n > 1 else 0.0
+    if step == 0.0 or not math.isfinite(step):
+        return np.linspace(s_lo, s_hi, n)
+    ss = _sample_index(n) * step
+    ss += s_lo
+    ss[-1] = s_hi
+    return ss
 
 
 def _golden(w: complex, point: Callable, lo: float, hi: float,
@@ -235,11 +277,12 @@ class Domain:
 
     def boundary_distance(self, w: complex, strict: bool = True) -> float:
         w = complex(w)
-        if not self.contains(w):
-            if strict:
-                raise DomainError(f"{w!r} is not in {self!r}")
-            return 0.0
+        # membership too: a modulus past the float range overflows there
         try:
+            if not self.contains(w):
+                if strict:
+                    raise DomainError(f"{w!r} is not in {self!r}")
+                return 0.0
             return self._distance(w)
         except OverflowError as exc:
             raise EvaluationError(f"the boundary distance of {w!r} leaves "
@@ -1122,7 +1165,7 @@ def _log_cos_samples() -> tuple:
     """dist_to_curve's samples of the log-cos edge,
     (ss, _log_cos_points(ss)), taken on the first call and kept
     read-only."""
-    ss = np.linspace(-_LOG_COS_Y, _LOG_COS_Y, _LOG_COS_N)
+    ss = _linspace(-_LOG_COS_Y, _LOG_COS_Y, _LOG_COS_N)
     cs = _log_cos_points(ss)
     ss.flags.writeable = cs.flags.writeable = False
     return ss, cs

@@ -38,10 +38,10 @@ from scipy.optimize import brentq
 from diskflow import catalog, domains
 from diskflow.analysis import OrbitTrack, backward_criterion
 from diskflow.cli import main
-from diskflow.domains import (_E, _EXP_X_MAX, Channel, SpiralSector,
-                              _dist_point_segment, dist_to_curve,
-                              example2_domain, example3_domain,
-                              exp_channel_domain)
+from diskflow.domains import (_E, _EXP_X_MAX, _LOG_COS_Y, Channel,
+                              SpiralSector, _dist_point_segment,
+                              dist_to_curve, example2_domain,
+                              example3_domain, exp_channel_domain)
 from diskflow.errors import EvaluationError
 from diskflow.hypgeo import BOUNDARY_CUTOFF
 
@@ -236,8 +236,12 @@ NEAR_TIES = (
 )
 
 # exp channel axis points whose window holds about 5e7 floats, 17 floats
-# and one float, and points beside one edge, where the other is skipped
-DEGENERATE = [("exp", complex(x, 0.0)) for x in (-16.2, -31.2, -48.0)]
+# (at -31.2 and at a start of the bench's), 7 floats and one float, and
+# points beside one edge, where the other is skipped.  A window of fewer
+# floats than samples repeats sample floats, and each sample of a run of
+# equal distances is marked a minimum.
+DEGENERATE = [("exp", complex(x, 0.0))
+              for x in (-16.2, -31.2, -31.21932720987162, -32.0, -48.0)]
 OFF_AXIS = (
     [("exp", w) for w in (-5 + 0.003j, -2 + 0.1j, 1 + 2j, 3 - 10j, 0.5 - 1.2j)]
     + [("inv_log", w) for w in (-20 + 0.3j, -1e4 + 0.1j, -50 - 0.2j,
@@ -328,6 +332,29 @@ def test_a_sector_keeps_the_bits_of_the_dual_type_edges(name):
             repr(_parent_sector_distance(dom, w)), w
 
 
+# each channel edge as dist_to_curve's point and points, and a parameter
+# on the part of it that _distance samples
+CHANNEL_EDGES = {
+    "inv_log": (DOMAINS["inv_log"]._upper_point,
+                DOMAINS["inv_log"]._upper_points, -40.0),
+    "inv_log_below": (DOMAINS["inv_log_below"]._lower_point,
+                      DOMAINS["inv_log_below"]._lower_points, -40.0),
+    "exp": (DOMAINS["exp"]._upper_point, DOMAINS["exp"]._upper_points, -5.0),
+    "log_cos": (domains._log_cos_point, domains._log_cos_points, 0.3),
+}
+
+
+@pytest.mark.parametrize("ulps", [1, 7, 100, 599])
+@pytest.mark.parametrize("edge", sorted(CHANNEL_EDGES))
+def test_a_window_of_fewer_floats_than_samples_keeps_the_bits(edge, ulps):
+    # the 600 samples of a window ulps floats wide repeat sample floats
+    point, points, s = CHANNEL_EDGES[edge]
+    s_hi = s + ulps * math.ulp(s)
+    assert len(np.unique(np.linspace(s, s_hi, 600))) == ulps + 1
+    for offset in (1e-3j, -0.5 + 0.25j, 2.0 - 1.0j, 0j):
+        _checked(point(s) + offset, point, points, s, s_hi)
+
+
 def test_the_kept_log_cos_samples_are_read_only():
     assert domains._log_cos_samples() is domains._log_cos_samples()
     ss, cs = domains._log_cos_samples()
@@ -335,6 +362,69 @@ def test_the_kept_log_cos_samples_are_read_only():
         ss[0] = 0.0
     with pytest.raises(ValueError):
         cs[0] = 0j
+
+
+def test_the_kept_index_is_read_only():
+    assert domains._sample_index(600) is domains._sample_index(600)
+    index = domains._sample_index(600)
+    assert index.tobytes() == np.arange(600, dtype=float).tobytes()
+    with pytest.raises(ValueError):
+        index[0] = 1.0
+
+
+@pytest.mark.parametrize("n0", [600, 1200, 1500])
+def test_the_kept_index_spaces_samples_as_linspace(n0):
+    rng = np.random.default_rng(20261021 + n0)
+    windows = [
+        (0.0, 100.0 * math.ulp(0.0)),    # the step underflows to 0
+        (0.0, 1e-318),                   # a subnormal step
+        (-1.5e308, 1.5e308),             # the width leaves the float range
+        (-_LOG_COS_Y, _LOG_COS_Y),
+    ]
+    for _ in range(1000):
+        # floats from 1e-12 to 1e12 either side of 0, and widths of one
+        # float spacing to 1e18 of them
+        s_lo = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, 12))
+        s_hi = s_lo + float(10.0 ** rng.uniform(0, 18)) * math.ulp(s_lo)
+        windows.append((s_lo, s_hi))
+    for _ in range(1000):
+        s_lo, s_hi = sorted(rng.uniform(-100.0, 100.0, 2).tolist())
+        windows.append((s_lo, s_hi))
+    assert (windows[0][1] - windows[0][0]) / (n0 - 1) == 0.0
+    for s_lo, s_hi in windows:
+        with np.errstate(all="ignore"):
+            got = domains._linspace(s_lo, s_hi, n0)
+            want = np.linspace(s_lo, s_hi, n0)
+        assert got.tobytes() == want.tobytes(), (s_lo, s_hi)
+
+
+def test_plateau_brackets_are_the_per_sample_loops():
+    # at these exp channel axis points every sample of the window's runs
+    # of equal distances is marked: 584 and 594 marks make 33 and 13
+    # brackets, formed as arrays; each bracket must be the one the loop
+    # over the marks, which leaves out a bracket equal to the one before
+    # it, refines
+    dom = DOMAINS["exp"]
+    for x, marks, brackets in ((-31.21932720987162, 584, 33),
+                               (-32.0, 594, 13)):
+        w = complex(x, 0.0)
+        d0 = math.exp(x)
+        ss = np.linspace(x - d0, x + d0, 600)
+        d = np.abs(w - dom._upper_points(ss))
+        at_min = np.isfinite(d)
+        at_min[1:] &= d[1:] <= d[:-1]
+        at_min[:-1] &= d[:-1] <= d[1:]
+        marked = np.flatnonzero(at_min)
+        want, last = [], None
+        for i in marked:
+            j, k = max(0, i - 1), min(599, i + 1)
+            lo, hi = float(ss[j]), float(ss[k])
+            if (lo, hi) != last:
+                want.append((lo, hi, float(d[j]), float(d[k])))
+            last = (lo, hi)
+        got = domains._brackets(ss, d, marked)
+        assert (len(marked), len(got)) == (marks, brackets)
+        assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("spoilt", [math.inf, 1e308])
@@ -643,6 +733,30 @@ def test_no_function_in_domains_tests_for_a_float():
                                         for x in sides):
                 tests.append(node.lineno)
     assert tests == []
+
+
+def _linspace_calls(nodes):
+    """The calls of NumPy's linspace, by any module name, under nodes."""
+    return [n for node in nodes for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+            and "linspace" in (getattr(n.func, "attr", None),
+                               getattr(n.func, "id", None))]
+
+
+def test_linspace_runs_only_in_the_kept_index_fallback():
+    # dist_to_curve scales the kept arange; np.linspace, which costs about
+    # three times as much, runs only where the step underflows to 0 or
+    # leaves the float range
+    tree = _domains_tree()
+    functions = {f.name: f for f in tree.body
+                 if isinstance(f, ast.FunctionDef)}
+    assert _linspace_calls([functions["dist_to_curve"]]) == []
+    (fallback,) = [n for n in functions["_linspace"].body
+                   if isinstance(n, ast.If)]
+    assert ast.unparse(fallback.test) == \
+        "step == 0.0 or not math.isfinite(step)"
+    assert _linspace_calls([tree]) == _linspace_calls(fallback.body)
+    assert len(_linspace_calls([tree])) == 1
 
 
 def test_golden_section_samples_through_point_and_abs_alone():

@@ -321,8 +321,9 @@ def _count_primitive_calls(monkeypatch) -> Counter:
             fn = getattr(cls, name)
             monkeypatch.setattr(
                 cls, name,
-                lambda self, u, f, _fn=fn, _name=name: (
-                    calls.update([(id(self), _name)]), _fn(self, u, f))[1])
+                # a value walk passes its namespace, a jet does not
+                lambda self, *args, _fn=fn, _name=name: (
+                    calls.update([(id(self), _name)]), _fn(self, *args))[1])
     return calls
 
 

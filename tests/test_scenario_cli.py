@@ -363,6 +363,8 @@ class TestTraceCommand:
                      "--out", str(tmp_path / "out")]) == 3
         assert "numeric failure: overflow evaluating the Koenigs flow" in \
             capsys.readouterr().err
+        # the forward CSV was once written before the backward orbit failed
+        assert not (tmp_path / "out").exists()
 
     def test_ode_field_failure_names_the_cross_check(self, tmp_path, capsys):
         # near t = 1e14 the ODE state rounds onto the pole z = 1 (where it
@@ -422,6 +424,22 @@ class TestCriterionCommand:
         assert main(["criterion", "--config", cfg, "--out", str(out)]) == 3
         assert "numeric failure: overflow evaluating the Koenigs flow" in \
             capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_later_start_that_fails_writes_nothing(self, tmp_path,
+                                                     capsys):
+        # on the strip the backward orbit w0 e^t from 1 + 0.5i leaves at a
+        # finite time, and from 1 it runs along the axis until e^t leaves
+        # the float range; the first start's report was once written
+        cfg = write_config(tmp_path, {
+            "type": "elliptic", "mu": [1, 0], "domain": {"kind": "strip"},
+            "koenigs": None, "start_w": [[1, 0.5], [1, 0]]})
+        out = tmp_path / "out"
+        assert main(["criterion", "--config", cfg, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "numeric failure: overflow evaluating the Koenigs flow" in \
+            captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_example2_fixture(self, tmp_path):

@@ -20,9 +20,10 @@ import pytest
 import diskflow
 from diskflow.analysis import OrbitTrack
 from diskflow.cli import main
-from diskflow.domains import (dist_to_curve, domain_from_dict,
-                              example2_domain, exp_channel_domain)
-from diskflow.errors import CrossValidationError
+from diskflow.domains import (Disk, SpiralSector, dist_to_curve,
+                              domain_from_dict, example2_domain,
+                              exp_channel_domain)
+from diskflow.errors import CrossValidationError, EvaluationError
 from diskflow.semigroup import exit_time, integrate_complex
 
 from conftest import deadline
@@ -192,3 +193,16 @@ def test_exp_channel_start_at_the_edge_of_the_float_range(tmp_path):
     assert first["t"] == 0.0
     assert 0.25 / delta <= first["ratio_lo"] * (1 + 1e-9)
     assert first["ratio_lo"] <= first["ratio_hi"] <= (1.0 / delta) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("domain", [Disk(0j, 1.0),
+                                    SpiralSector(mu=1, half_angle=1)],
+                         ids=repr)
+def test_membership_past_the_float_range_is_an_overflow(domain, strict):
+    # |w| passes DBL_MAX with finite parts: abs(w - center) and
+    # math.log(abs(w)) in the membership test once raised a raw
+    # OverflowError, which _distance's overflow was already typed as
+    with pytest.raises(EvaluationError, match="float range") as info:
+        domain.boundary_distance(1.3e308 + 1.3e308j, strict=strict)
+    assert info.value.overflow
