@@ -825,7 +825,8 @@ class Disk(Domain):
         if self.center == 0:
             t = math.log(self.radius / abs(complex(w))) / complex(mu).real
             return ("finite", t)
-        return ("unknown", None)
+        # Re mu > 0: |exp(mu t) w| grows without bound, so the trace leaves
+        return ("exits", None) if complex(mu).real > 0 else ("unknown", None)
 
     def spiral_gap(self, w: complex, mu: complex) -> Optional[float]:
         # Re mu > 0 shrinks |exp(-mu t) w| as t grows, so around the centre

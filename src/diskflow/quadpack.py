@@ -19,9 +19,9 @@ Integration* (Springer, 1983), as ``scipy.integrate.quad`` runs them with
 The node and weight constants are written out as in QUADPACK, the
 arithmetic keeps QUADPACK's order (``fmin``/``fmax`` are C's, which skip a
 NaN), and a result that is not extrapolated is the sum of the subinterval
-list in list order, so results carry SciPy's bits.  QUADPACK's return code
-``ier`` is not returned, and the divergence test that only sets it is left
-out; it still steers the loop.
+list in list order, so results carry SciPy's bits.  ``quad`` also returns
+QUADPACK's return code ``ier`` in SciPy's numbering, after the divergence
+test that ``dqagse`` and ``dqagie`` run on an early result.
 """
 
 from __future__ import annotations
@@ -94,26 +94,29 @@ def _fmin(x: float, y: float) -> float:
 
 
 def quad(f: Callable[[float], float], a: float, b: float) -> tuple:
-    """(integral of f over [a, b], absolute error estimate), with b finite
-    (QAGS) or +inf (QAGI); a must be finite and f real.  Reversed limits
-    negate the integral, and equal limits give (0.0, 0.0) without
-    evaluating f, as in ``scipy.integrate.quad``."""
+    """(integral of f over [a, b], absolute error estimate, ier), with b
+    finite (QAGS) or +inf (QAGI); a must be finite and f real.  ``ier`` is
+    SciPy's return code: 0 converged, 1 subdivision cap, 2 roundoff, 3 bad
+    integrand, 4 roundoff in extrapolation, 5 probably divergent.  Reversed
+    limits negate the integral, and equal limits give (0.0, 0.0, 0)
+    without evaluating f, as in ``scipy.integrate.quad``."""
     if math.isnan(a) or math.isnan(b):
         raise ParameterError(f"quadrature limits must not be NaN: [{a}, {b}]")
     if a == b:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0
     if b < a:
-        value, abserr = quad(f, b, a)
-        return -value, abserr
+        value, abserr, ier = quad(f, b, a)
+        return -value, abserr, ier
     if math.isinf(a):
         raise ParameterError("quadrature needs a finite lower limit")
     if math.isinf(b):
-        value, abserr = _qagse(lambda u0, u1: _qk15i(f, a, u0, u1), 0.0, 1.0)
+        value, abserr, ier = _qagse(lambda u0, u1: _qk15i(f, a, u0, u1),
+                                    0.0, 1.0)
     else:
-        value, abserr = _qagse(lambda t0, t1: _qk21(f, t0, t1), a, b)
+        value, abserr, ier = _qagse(lambda t0, t1: _qk21(f, t0, t1), a, b)
     # a complex integrand runs through to a complex value; SciPy reads each
     # value of f as a C double, so it is a TypeError here as there
-    return float(value), abserr
+    return float(value), abserr, ier - 1 if ier > 2 else ier
 
 
 def _error(resk: float, resg: float, hlgth: float, resabs: float,
@@ -208,14 +211,16 @@ def _qk15i(f, boun: float, a: float, b: float) -> tuple:
 def _qagse(rule: Callable[[float, float], tuple], a: float, b: float) -> tuple:
     """dqagse/dqagie: bisect the subinterval with the largest error until
     the error sum meets max(_EPSABS, _EPSREL*|integral|), extrapolating the
-    sums over the smallest subintervals with ``_qelg``.  Lists are 1-based,
-    as QUADPACK's."""
+    sums over the smallest subintervals with ``_qelg``.  Returns (result,
+    abserr, ier) with QUADPACK's internal ier, one above SciPy's from 3 on
+    (3 roundoff while extrapolating, 6 divergence).  Lists are 1-based."""
     result, abserr, defabs, resabs = rule(a, b)
     errbnd = _fmax(_EPSABS, _EPSREL * abs(result))
     roundoff = abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd
     if (roundoff or (abserr <= errbnd and abserr != resabs)
             or abserr == 0.0):
-        return result, abserr
+        return result, abserr, 2 if roundoff else 0
+    one_signed = abs(result) >= (1.0 - 50.0 * _EPMACH) * defabs  # ksgn = 1
 
     alist = [0.0] * (_LIMIT + 1)
     blist = [0.0] * (_LIMIT + 1)
@@ -293,7 +298,7 @@ def _qagse(rule: Callable[[float, float], tuple], a: float, b: float) -> tuple:
             elist[last] = error2
         maxerr, errmax, nrmax = _qpsrt(last, maxerr, elist, iord, nrmax)
         if errsum <= errbnd:
-            return _list_sum(rlist, last), errsum
+            return _list_sum(rlist, last), errsum, ier
         if ier != 0:
             break
         if last == 2:
@@ -359,16 +364,29 @@ def _qagse(rule: Callable[[float, float], tuple], a: float, b: float) -> tuple:
     # the loop ended early: keep the extrapolated result unless the plain
     # sum has the smaller relative error
     if abserr != _OFLOW:
-        if ier + ierro == 0:
-            return result, abserr
-        if ierro == 3:
-            abserr = abserr + correc
-        if result != 0.0 and area != 0.0:
-            if not abserr / abs(result) > errsum / abs(area):
-                return result, abserr
-        elif not abserr > errsum:
-            return result, abserr
-    return _list_sum(rlist, last), errsum
+        plain = False
+        if ier + ierro != 0:
+            if ierro == 3:
+                abserr = abserr + correc
+            if ier == 0:
+                ier = 3
+            if result != 0.0 and area != 0.0:
+                plain = abserr / abs(result) > errsum / abs(area)
+            else:
+                plain = abserr > errsum
+                if not plain and area == 0.0:
+                    return result, abserr, ier  # no divergence test
+        if not plain:
+            # the divergence test; x/0 is +-inf (either sign fails alike)
+            # and 0/0 NaN, as in IEEE arithmetic
+            ratio = result / area if area != 0.0 else math.inf * result
+            if ((one_signed or not _fmax(abs(result), abs(area))
+                 <= defabs * 0.01)
+                    and (0.01 > ratio or ratio > 100.0
+                         or errsum > abs(area))):
+                ier = 6
+            return result, abserr, ier
+    return _list_sum(rlist, last), errsum, ier
 
 
 def _list_sum(rlist: list, last: int) -> float:

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from diskflow import (EvaluationError, ParameterError, SpiralSpec, analysis,
-                     catalog)
+                     catalog, quadpack)
 from diskflow.analysis import (CERTIFIED, FINITE_HORIZON, INCONCLUSIVE,
                                NON_REGULAR, REGULAR, REFUTED_TREND,
                                SHIFT_FINITE, SHIFT_NOT_APPLICABLE, Heuristic,
@@ -67,6 +67,22 @@ class TestHaymanWu:
         res = hayman_wu_audit(builtins["channel"], 0j)
         assert res["pass"]
         assert 0 < res["length"] <= 4.0 * math.pi + 1e-6
+
+    def test_a_piece_that_does_not_converge_fails(self, builtins,
+                                                  monkeypatch):
+        # QUADPACK calls the backward piece divergent (ier 5): its length
+        # stays within the bound, but it no longer counts
+        port = quadpack.quad
+
+        def divergent_backward(f, a, b):
+            value, abserr, ier = port(f, a, b)
+            return value, abserr, ier if math.isinf(b) else 5
+
+        monkeypatch.setattr(quadpack, "quad", divergent_backward)
+        res = hayman_wu_audit(builtins["halfplane"], 0j)
+        assert res["length"] == pytest.approx(2.0, abs=1e-6)
+        assert res["forward"].converged and not res["backward"].converged
+        assert not res["pass"]
 
     def test_uhp_quadrature_oracle(self, builtins):
         # |G| along the full orbit is 2/(4 + t^2); its integral over the
