@@ -352,47 +352,31 @@ class Certificate:
 
 
 def forward_certificate(sg: Semigroup, z: complex) -> Certificate:
-    """Forward-orbit Lipschitz certificate.
+    """Forward-orbit Lipschitz certificate, a theorem about the unit disk.
 
-    Non-elliptic constant: 1/delta_Omega(h(z)).  Elliptic constant:
-    |mu h(z)| / dist(orbit image, boundary), the distance in closed form
-    where the domain has one (``Domain.spiral_gap``), else over a refined
-    polyline of the image spiral.  The quotient measured over [0, 100] must
-    not exceed the certificate by more than 5%.
+    The constant is |w'(0)| / delta_Omega(w0) with w0 = h(z): 1/delta on a
+    non-elliptic track (w(t) = w0 + t) and |mu w0|/delta on an elliptic one
+    (w(t) = exp(-mu t) w0).  Proof: gamma(t) = h^{-1}(w(t)), and the density
+    bound lambda_Omega <= 1/delta_Omega gives |gamma'(t)| =
+    |w'(t)| (1 - |gamma(t)|^2) lambda_Omega(w(t)) <= |w'(t)|/delta_Omega(w(t)).
+    The Koenigs equation keeps Omega + t (resp. exp(-mu t) Omega) inside
+    Omega, and with it the disk of radius delta(w0) about w0 moved (resp.
+    scaled by exp(-Re mu t)), so delta(w(t)) >= delta(w0) (resp.
+    >= exp(-Re mu t) delta(w0)), while |w'(t)| is 1 (resp.
+    |mu w0| exp(-Re mu t)).  The quotient measured over [0, 100] must not
+    exceed the certificate by more than 5%.
     """
+    if not sg.disk_source:
+        raise ParameterError("the forward certificate needs the unit disk "
+                             "as source")
     w0 = sg.koenigs_image(z)
-    if sg.kind == NONELLIPTIC:
-        constant = 1.0 / sg.omega.boundary_distance(w0)
-    else:
-        gap = sg.omega.spiral_gap(w0, sg.mu)
-        if gap is None:
-            gap = _spiral_image_gap(sg.omega, w0, sg.mu)
-        constant = abs(sg.mu * w0) / gap
+    speed = 1.0 if sg.kind == NONELLIPTIC else abs(sg.mu * w0)
+    constant = speed / sg.omega.boundary_distance(w0)
     # every sample time in one array pullback (NaN where the step raises
     # EvaluationError, which the quotient skips)
     measured = lipschitz_quotient(lambda ts: sg.phi_from_image(ts, w0),
                                   0.0, 100.0).value
     return Certificate(constant, measured, measured <= constant * (1.0 + 5e-2))
-
-
-def _spiral_image_gap(omega: Domain, w0: complex, mu: complex) -> float:
-    """dist(gamma([0, inf)) image, boundary) for the spiral exp(-mu t) w0,
-    by polyline refinement (doubling the density until stable)."""
-    t_end = (math.log(max(abs(w0), 1e-12)) - math.log(1e-12)) / mu.real
-    n = 256
-    prev = None
-    while True:
-        ts = np.linspace(0.0, t_end, n)
-        gap = min(omega.boundary_distance(koenigs_flow(ELLIPTIC, mu, w0, t),
-                                          strict=False)
-                  for t in ts)
-        gap = min(gap, omega.boundary_distance(0j, strict=False))
-        if prev is not None and abs(gap - prev) <= 1e-9 * max(1.0, gap):
-            return gap
-        prev = gap
-        n *= 2
-        if n > 65536:
-            return gap
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,6 @@ class _Masked(Domain):
 
     def __init__(self, inner):
         object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "convex", inner.convex)
 
     kind = "masked"
 

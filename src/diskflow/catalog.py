@@ -25,7 +25,7 @@ from .errors import ParameterError
 from .semigroup import ELLIPTIC, NONELLIPTIC, Semigroup
 
 # literal, so that importing builds no semigroup; a test keeps them equal to
-# the builtins' kinds and the convexity of their domains
+# the builtins' kinds and to the convexity of their domains, sampled
 NONELLIPTIC_BUILTINS = ("halfplane", "strip", "uhp", "channel")
 CONVEX_BUILTINS = ("halfplane", "strip", "uhp", "dilation", "spiral")
 EXAMPLE_IDS = (1, 2, 3)

@@ -265,7 +265,6 @@ class Domain:
     equality, hashing and ``to_dict`` ignore it.
     """
 
-    convex: bool = field(default=False, init=False)
     exact: Optional[MapExpr] = field(default=None, init=False, compare=False,
                                      repr=False)
     kind = "abstract"
@@ -389,11 +388,6 @@ class Domain:
     def spiral_horizon(self, w: complex, mu: complex):
         """Same for the elliptic backward trace {exp(mu t) w: t >= 0}."""
         return ("unknown", None)
-
-    def spiral_gap(self, w: complex, mu: complex) -> Optional[float]:
-        """dist(forward trace {exp(-mu t) w: t >= 0}, boundary) in closed
-        form, or None (callers then refine a polyline of the trace)."""
-        return None
 
     def imag_bounded(self) -> tuple:
         """(Im w bounded below, Im w bounded above) over the domain."""
@@ -528,7 +522,6 @@ class HalfPlane(Domain):
     offset: float = 0.0
 
     kind = "halfplane"
-    convex: bool = field(default=True, init=False)
 
     def __post_init__(self):
         if self.orientation not in _ORIENTATIONS:
@@ -623,7 +616,6 @@ class Strip(Domain):
     center: float = 0.0
 
     kind = "strip"
-    convex: bool = field(default=True, init=False)
 
     def __post_init__(self):
         if self.half_width <= 0:
@@ -689,7 +681,6 @@ class HalfStrip(Domain):
     center: float = 0.0
 
     kind = "halfstrip"
-    convex: bool = field(default=True, init=False)
 
     def __post_init__(self):
         if self.half_width <= 0:
@@ -772,7 +763,6 @@ class Disk(Domain):
     radius: float = 1.0
 
     kind = "disk"
-    convex: bool = field(default=True, init=False)
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -827,13 +817,6 @@ class Disk(Domain):
             return ("finite", t)
         # Re mu > 0: |exp(mu t) w| grows without bound, so the trace leaves
         return ("exits", None) if complex(mu).real > 0 else ("unknown", None)
-
-    def spiral_gap(self, w: complex, mu: complex) -> Optional[float]:
-        # Re mu > 0 shrinks |exp(-mu t) w| as t grows, so around the centre
-        # the gap r - |w(t)| is smallest at t = 0
-        if self.center == 0 and complex(mu).real > 0:
-            return self.boundary_distance(w, strict=False)
-        return None
 
     def imag_bounded(self) -> tuple:
         return (True, True)
@@ -1312,10 +1295,17 @@ class SpiralSector(Domain):
         return MapExpr((Power(0.5 * math.pi / alpha, 0.0), Mobius(1, -1, 1, 1)),
                        source=self, target=unit_disk())
 
-    def is_convex_positive_exact(self) -> Optional[bool]:
-        if self.mu.imag == 0:
-            return self.mu.real * self.half_angle <= 0.5 * math.pi
-        return None
+    def is_convex_positive_exact(self) -> bool:
+        """Whether the sector + t stays inside it for t >= 0.
+
+        A real sector is {|arg w| < beta}, beta = mu half_angle.  With
+        beta <= pi, adding t > 0 to w moves arg w monotonically toward 0,
+        so w + t stays inside.  With beta > pi the sector is C minus {0},
+        and -t + t = 0 leaves it.  A winding sector fails too: where it
+        misses some direction, its complement spirals out to infinity
+        and crosses the ray {w + t: t >= 0} of every w; where it covers
+        C minus {0}, the ray from -1 hits 0."""
+        return self.mu.imag == 0 and self.mu.real * self.half_angle <= math.pi
 
     def is_spirallike_exact(self, mu: complex) -> Optional[bool]:
         if complex(mu) == self.mu:

@@ -4,7 +4,7 @@ Exact values come from the domain's hyperbolic hooks (a closed form, else
 the pullback through its exact Riemann map); where the hooks give none,
 operations return two-sided interval bounds from the comparison with the
 Euclidean boundary distance (1/(4 delta) <= lambda <= 1/delta, and the log
-lower bound for distances, factor 1/2 on convex domains).  Intervals use
+lower bound (1/4) log(1 + |z - w|/r0) for distances).  Intervals use
 plain floating point with a documented 1e-12 relative inflation; they are
 audit aids, not formal enclosures.
 
@@ -247,13 +247,12 @@ def domain_distance(dom, z: complex, w: complex, enclosure=None,
 
     Exact (degenerate) when the domain's ``hyperbolic_distance`` hook gives
     a value.  Otherwise the lower bound is (1/4) log(1 + |z-w|/r0) with
-    r0 = min(delta(z), delta(w)) -- 1/2 when the domain is flagged convex --
-    and the upper bound is that hook on an enclosed subdomain: supplied as
-    ``enclosure``, or the domain's ``rightward_half_strip`` for horizontal
-    pairs in a domain convex in the positive direction.  When no enclosure
-    is available the upper endpoint is +inf.  ``delta_z`` and ``delta_w``
-    are delta(z) and delta(w) where the caller has measured them; each one
-    not given is measured here.
+    r0 = min(delta(z), delta(w)), and the upper bound is that hook on an
+    enclosed subdomain: supplied as ``enclosure``, or the domain's
+    ``rightward_half_strip`` for horizontal pairs in a domain convex in the
+    positive direction.  When no enclosure is available the upper endpoint
+    is +inf.  ``delta_z`` and ``delta_w`` are delta(z) and delta(w) where
+    the caller has measured them; each one not given is measured here.
     """
     z, w = complex(z), complex(w)
     dz = _check_interior(dom, z, delta_z)
@@ -265,9 +264,8 @@ def domain_distance(dom, z: complex, w: complex, enclosure=None,
     if exact is not None:
         return Interval.exact(exact)
 
-    c = 0.5 if dom.convex else 0.25
     r0 = min(dz, dw)
-    lo = c * math.log1p(abs(z - w) / r0)
+    lo = 0.25 * math.log1p(abs(z - w) / r0)
 
     hi = math.inf
     sub = enclosure if enclosure is not None \

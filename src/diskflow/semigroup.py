@@ -392,13 +392,13 @@ class Semigroup:
     generators and their cross-check hold on every source.  The outputs
     that read the disk's geometry hold on the unit disk only
     (``disk_source``): the criterion's generator sandwich, the Denjoy-Wolff
-    estimate of a non-elliptic semigroup, the Hayman-Wu audit,
-    ``OrbitSample.delta_disk`` (1 - |z|^2) and ``validate``'s sample
-    points.  On the unit disk h must map the disk onto omega: a sampled
-    check that shows otherwise raises ScenarioError, and where every sample
-    passes, a domain without a Riemann map of its own is replaced by its
-    copy that carries h^{-1} (``domains.with_riemann_map``).  A conjugate
-    runs no check and keeps omega as it is."""
+    estimate of a non-elliptic semigroup, the Hayman-Wu audit, the forward
+    certificate, ``OrbitSample.delta_disk`` (1 - |z|^2) and ``validate``'s
+    sample points.  On the unit disk h must map the disk onto omega: a
+    sampled check that shows otherwise raises ScenarioError, and where every
+    sample passes, a domain without a Riemann map of its own is replaced by
+    its copy that carries h^{-1} (``domains.with_riemann_map``).  A
+    conjugate runs no check and keeps omega as it is."""
 
     kind: str
     koenigs: MapExpr

@@ -11,10 +11,12 @@ from diskflow import (DomainError, ParameterError, example1_domain, example2_dom
                       exp_channel_domain, is_convex_positive_direction,
                       is_spirallike, unit_disk)
 from diskflow.domains import (Channel, Disk, HalfPlane, HalfStrip,
-                              SpiralSector, Strip, domain_from_dict)
+                              SpiralSector, Strip, _flow_keeps_samples,
+                              domain_from_dict)
 from diskflow import hypgeo
 from diskflow.confmap import Affine, MapExpr, Mobius
 from diskflow.hypgeo import disk_density, disk_distance, logsinh
+from diskflow.semigroup import NONELLIPTIC, Semigroup
 
 E = math.e
 
@@ -243,6 +245,41 @@ class TestSpiralSector:
         assert dom.spiral_horizon(1.0, mu)[0] == "infinite"
 
 
+class TestSectorTranslation:
+    """Does the sector + t stay inside it?  Every real sector of opening
+    beta <= pi does; a winding sector does not, though the sampled probe
+    (three times up to t = 10) reads True on each."""
+
+    @pytest.mark.parametrize("half_angle", [1.0, 1.5, 2.0, 3.0])
+    def test_real_sectors_agree_with_the_probe(self, half_angle):
+        dom = SpiralSector(mu=1.0, half_angle=half_angle)
+        assert is_convex_positive_direction(dom) is True
+        assert _flow_keeps_samples(dom, NONELLIPTIC, None, 11) is True
+
+    def test_validate_reads_the_invariance(self):
+        dom = SpiralSector(mu=1.0, half_angle=2.0)
+        checks = Semigroup(NONELLIPTIC, dom.exact_map.inverted(), dom).validate()
+        assert all(ok for ok, _ in checks.values()), checks
+        assert checks["omega_convex_positive"] == (True, 0.0)
+
+    def test_a_winding_sector_leaves_far_out(self):
+        # w = 1 leaves at t ~ 1.39e6, where 0.1 log(1 + t) passes 1.414
+        dom = SpiralSector(mu=1.0 + 0.1j, half_angle=1.4)
+        assert dom.contains(1.0 + 0j) and not dom.contains(1.0 + 1e7)
+        assert _flow_keeps_samples(dom, NONELLIPTIC, None, 11) is True
+        assert is_convex_positive_direction(dom) is False
+
+    @pytest.mark.parametrize("mu,half_angle", [(1.0 + 1.0j, 3.0), (1.5, 3.0)],
+                             ids=["winding", "real_past_pi"])
+    def test_a_sector_covering_the_punctured_plane_leaves_at_0(self, mu,
+                                                               half_angle):
+        # -1 + 1 = 0, the one point of C the sector leaves out
+        dom = SpiralSector(mu=mu, half_angle=half_angle)
+        assert dom.contains(-1.0 + 0j) and not dom.contains(0j)
+        assert _flow_keeps_samples(dom, NONELLIPTIC, None, 11) is True
+        assert is_convex_positive_direction(dom) is False
+
+
 class TestDomainContracts:
     KINDS = [
         HalfPlane("right", 0.0), HalfPlane("upper", -1.0), Strip(1.0, 0.0),
@@ -265,14 +302,6 @@ class TestDomainContracts:
                 rr = math.sqrt(rng.uniform(0, 1)) * r
                 th = rng.uniform(-math.pi, math.pi)
                 assert dom.contains(w + rr * cmath.exp(1j * th))
-
-    def test_convex_flag_midpoints(self, rng):
-        for dom in self.KINDS:
-            if not dom.convex:
-                continue
-            pts = dom.interior_samples(100, 17)
-            for a, b in zip(pts[0::2], pts[1::2]):
-                assert dom.contains(0.5 * (a + b))
 
     def test_strict_flag(self):
         dom = Strip(1.0, 0.0)
@@ -355,7 +384,7 @@ class TestSerialization:
         # error messages print the domain as the call that builds it
         dom = Channel(profile=profile)
         assert dom.kind == "channel"
-        assert repr(dom).startswith(f"Channel(convex=False, profile={profile!r}")
+        assert repr(dom).startswith(f"Channel(profile={profile!r}")
         assert dom != Channel(profile="log_cos" if profile != "log_cos" else "exp")
 
     @pytest.mark.parametrize("spec", [

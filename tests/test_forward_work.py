@@ -2,9 +2,11 @@
 
 A certificate evaluates h(z) once per orbit and pulls back through the
 semigroup's ``phi_from_image`` step; ``lipschitz_quotient`` hands its
-sampler each of its distinct times once, in one array; on an origin-centred
-disk the elliptic gap comes from ``Domain.spiral_gap`` rather than a
-polyline.  Each is pinned against the per-sample route it replaced.
+sampler each of its distinct times once, in one array.  Each is pinned
+against the per-sample route it replaced.  The constant is one expression,
+|w'(0)|/delta(h(z)), for both kinds, and it bounds the orbit's speed |G|
+on off-centre disks, a strip and the non-elliptic builtins; a conjugate,
+whose source is not the unit disk, gets no certificate.
 """
 
 import cmath
@@ -15,9 +17,10 @@ import pytest
 
 from diskflow import analysis, catalog
 from diskflow.analysis import Quotient, forward_certificate, lipschitz_quotient
-from diskflow.confmap import MapExpr, Mobius
-from diskflow.domains import Disk, SpiralSector, unit_disk
+from diskflow.confmap import Affine, MapExpr, Mobius
+from diskflow.domains import Disk, Strip, unit_disk
 from diskflow.errors import EvaluationError, ParameterError
+from diskflow.semigroup import Semigroup
 
 from conftest import disk_points, each_time, scalar_orbit
 
@@ -188,28 +191,65 @@ class TestSamplerMatchesPhi:
             sg.phi(1.0, 0j)
 
 
-class TestSpiralGapHook:
+def _off_centre(c, r, mu):
+    """The elliptic semigroup on Disk(c, r) with h = Affine(r, c) after
+    the disk automorphism Mobius(1, a, conj(a), 1), a = -c/r, so h(0) = 0;
+    exp(-mu t) keeps the disk inside itself when |c| <= r cos(arg mu)."""
+    assert abs(c) <= r * math.cos(cmath.phase(mu))
+    a = -c / r
+    h = MapExpr((Mobius(1, a, a.conjugate(), 1), Affine(r, c)),
+                source=unit_disk())
+    return Semigroup("elliptic", h, Disk(c, r), mu=mu)
+
+
+def _sup_speed(sg, z):
+    """sup |G| along the forward orbit of z on a dense grid of [0, 100]."""
+    w0 = sg.koenigs_image(z)
+    ts = np.concatenate([np.geomspace(1e-9, 1.0, 200),
+                         np.linspace(0.0, 100.0, 4001)])
+    return max(abs(sg.generator_at_w(sg.ray_w(w0, float(t)))) for t in ts)
+
+
+class TestCertificateConstant:
+    """The constant |w'(0)|/delta(h(z)) bounds the orbit's speed |G| on
+    every kind, off the centred disk too."""
+
+    ELLIPTIC_CASES = {
+        "disk_real_mu": (lambda: _off_centre(0.9 + 0j, 1.0, 1.0 + 0j), 0.9 + 0j),
+        "disk_winding_mu": (lambda: _off_centre(0.5 + 0j, 1.0, 1.0 + 0.5j),
+                            0.6 - 0.2j),
+        "disk_complex_centre": (lambda: _off_centre(0.3 + 0.4j, 2.0, 1.0 - 0.5j),
+                                0.5 + 0.5j),
+        "strip_real_mu": (lambda: Semigroup(
+            "elliptic", Strip(1.0).exact_map.inverted(), Strip(1.0), mu=1.0),
+            0.5 + 0.3j),
+    }
+
     @staticmethod
-    def _starts(r, seed):
-        rng = np.random.default_rng(seed)
-        mods = np.concatenate([r * 10.0 ** rng.uniform(-13, -1, 20),
-                               r * (1.0 - 10.0 ** rng.uniform(-15, -1, 20))])
-        ths = rng.uniform(-math.pi, math.pi, mods.size)
-        return [complex(m * math.cos(th), m * math.sin(th))
-                for m, th in zip(mods, ths)]
+    def _assert_bounds_the_speed(sg, z):
+        cert = forward_certificate(sg, z)
+        assert cert.constant >= _sup_speed(sg, z)
+        assert cert.passed
 
-    @pytest.mark.parametrize("r", [1.0, 0.25, 3.0])
-    @pytest.mark.parametrize("mu", [1.0 + 0j, 1.0 + 1.0j, 0.3 - 2.0j])
-    def test_centred_disk_equals_the_polyline(self, r, mu):
-        disk = Disk(0j, r)
-        for w0 in self._starts(r, [41, int(10 * r)]):
-            assert _same_bits(disk.spiral_gap(w0, mu),
-                              analysis._spiral_image_gap(disk, w0, mu)), w0
+    @pytest.mark.parametrize("case", sorted(ELLIPTIC_CASES))
+    def test_elliptic_off_the_centred_disk(self, case):
+        build, z = self.ELLIPTIC_CASES[case]
+        self._assert_bounds_the_speed(build(), z)
 
-    def test_none_off_centre_and_on_other_kinds(self):
-        assert Disk(0.1 + 0j, 1.0).spiral_gap(0.2 + 0j, 1.0 + 0j) is None
-        sector = SpiralSector(mu=1.0 + 0.5j, half_angle=1.0)
-        assert sector.spiral_gap(0.5 + 0j, 1.0 + 0j) is None
+    @pytest.mark.parametrize("name", catalog.NONELLIPTIC_BUILTINS)
+    def test_nonelliptic_builtins(self, name, builtins):
+        self._assert_bounds_the_speed(builtins[name], catalog.builtin_start(name))
+
+    def test_the_constant_is_the_gap_at_the_start(self):
+        # w0 = h(0.9) = 0.9 lies a distance 1 inside Disk(0.9, 1), and mu = 1
+        cert = forward_certificate(_off_centre(0.9 + 0j, 1.0, 1.0 + 0j), 0.9 + 0j)
+        assert cert.constant == 0.9
+
+    def test_a_conjugate_is_a_parameter_error(self, builtins):
+        # the bound reads the unit disk's geometry; the conjugate's
+        # quotient grows past 1e68 on [0, 100]
+        with pytest.raises(ParameterError, match="unit disk as source"):
+            forward_certificate(_conjugated(builtins), 0j)
 
 
 class TestCertificateWork:
@@ -225,12 +265,7 @@ class TestCertificateWork:
             calls.append(self)
             return evaluate(self, *args, **kwargs)
 
-        def polyline(*args):
-            raise AssertionError("the centred disk has a closed-form gap")
-
         monkeypatch.setattr(MapExpr, "evaluate", counted)
-        if name in ("dilation", "spiral"):
-            monkeypatch.setattr(analysis, "_spiral_image_gap", polyline)
         cert = forward_certificate(sg, z)
         assert cert.passed
         assert len(calls) == 1 and calls[0] is sg.koenigs

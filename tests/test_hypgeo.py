@@ -224,10 +224,8 @@ class TestDeepHalfStrips:
 
 class TestBoundsThatCross:
     Z, W = 0j, -4.0 + 0j
-
-    def lower_bound(self, dom):
-        # domain_distance's log bound, with r0 = delta = 1 on the axis
-        return (0.5 if dom.convex else 0.25) * math.log1p(abs(self.Z - self.W))
+    # domain_distance's log bound, with r0 = delta = 1 on the axis
+    LOWER_BOUND = 0.25 * math.log1p(abs(Z - W))
 
     def test_a_collapsed_upper_bound_raises(self):
         dom = _Masked(Strip(1.0, 0.0))
@@ -236,7 +234,7 @@ class TestBoundsThatCross:
 
     def test_float_slop_is_reconciled_within_the_stated_ulps(self):
         dom = _Masked(Strip(1.0, 0.0))
-        lo = self.lower_bound(dom)
+        lo = self.LOWER_BOUND
         hi = lo - RECONCILE_ULPS * math.ulp(lo)
         iv = domain_distance(dom, self.Z, self.W, enclosure=_FixedEnclosure(hi))
         assert iv.lo <= hi and lo <= iv.hi

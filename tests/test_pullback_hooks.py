@@ -58,9 +58,8 @@ def ref_domain_distance(dom, z, w):
     exact = ref_distance(dom, z, w)
     if exact is not None:
         return Interval.exact(exact)
-    c = 0.5 if dom.convex else 0.25
     r0 = min(dz, dw)
-    lo = c * math.log1p(abs(z - w) / r0)
+    lo = 0.25 * math.log1p(abs(z - w) / r0)
     hi = math.inf
     sub = dom.rightward_half_strip(z, w, r0)
     if sub is not None:
